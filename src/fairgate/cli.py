@@ -284,7 +284,24 @@ def _oracle_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _check_oracle_flags(args) -> None:
+    if args.max_nodes is not None and args.max_nodes < 1:
+        raise InputError(f"--max-nodes must be at least 1, got {args.max_nodes}")
+    if args.trials is not None:
+        if args.trials < 1:
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
+        if args.max_nodes is not None and args.max_nodes < 4:
+            raise InputError(
+                f"--max-nodes must be at least 4 with --trials (random graphs have"
+                f" 4 or more nodes), got {args.max_nodes}"
+            )
+    # NaN fails both comparisons, infinities the range.
+    if not 0 <= args.edge_prob <= 1:
+        raise InputError(f"--edge-prob must be a number in [0, 1], got {args.edge_prob}")
+
+
 def _cmd_oracle(args) -> int:
+    _check_oracle_flags(args)
     if args.trials is not None:
         report = random_sweep(
             trials=args.trials,

@@ -19,6 +19,8 @@ two nodes, which keeps each interior node classified by exactly one
 premise and therefore keeps one collider-descendant set per collider.
 The engine tracks (fact, certifying path) pairs so that a fact reachable
 along several paths can keep feeding compositions through each of them.
+Transitivity* is decided on int node bitmasks, and a derivation already
+made is dropped before its PathFact is built (see ``close``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "enumerate_classified_paths",
     "path_is_active",
     "closure_dump",
-    "saturation_gap",
     "render_mediate",
     "render_path_fact",
     "render_edge",
@@ -60,6 +61,8 @@ FACT_BUDGET_ENV_VAR = "FAIRGATE_FACT_BUDGET"
 def resolve_fact_budget(explicit: int | None) -> int:
     """Explicit argument wins, then the environment variable, then the default."""
     if explicit is not None:
+        if explicit <= 0:
+            raise InputError(f"the fact budget must be positive, got {explicit}")
         return explicit
     raw = os.environ.get(FACT_BUDGET_ENV_VAR)
     if raw is None:
@@ -250,41 +253,25 @@ def _iter_window_conclusions(g: CausalGraph, mediate_by_source):
                 )
 
 
-def _try_glue(fact1: PathFact, p1, fact2: PathFact, p2):
-    """Transitivity* on certified views.
-
-    ``p1`` must end with the two nodes that start ``p2``; the junction
-    condition requires p1's far endpoint to be interior to fact2 and
-    p2's near endpoint interior to fact1.  Conclusions whose collider
-    sets would contain the new endpoints are not generated (they are
-    unreachable in any query, since conditioning sets exclude the tested
-    endpoints).
-    """
-    if p1[-2:] != p2[:2]:
-        return None
-    glued = p1 + p2[2:]
-    if len(set(glued)) != len(glued):
-        return None
-    i, j = p1[-1], p2[0]
-    if not (i in fact2.noncolliders or any(i in s for s in fact2.collider_sets)):
-        return None
-    if not (j in fact1.noncolliders or any(j in s for s in fact1.collider_sets)):
-        return None
-    noncolliders = fact1.noncolliders | fact2.noncolliders
-    collider_sets = fact1.collider_sets | fact2.collider_sets
-    x, y = glued[0], glued[-1]
-    if any(x in s or y in s for s in collider_sets):
-        return None
-    return noncolliders, collider_sets, glued
-
-
 def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool = True) -> Closure:
     """Close the graph under all six rules and return the least fixpoint.
 
     Deterministic: seeds and rule applications run in sorted order, so
     identical graphs yield identical closures, traces included.  Raises
     ResourceLimit once more than ``fact_budget`` facts (counting each
-    certifying-path variant) have been derived.
+    certifying-path variant) have been derived: one unit per new mediate
+    fact and per new (path fact, certifying path) pair; rejected and
+    repeated Transitivity* attempts are not charged.
+
+    Transitivity* is decided on int node bitmasks (bit i for the i-th
+    node in sorted order).  Two views whose paths share the two junction
+    nodes glue into a simple path iff their node masks meet in exactly
+    those two bits; the junction condition and the endpoint exclusion
+    are single bit tests against a view's interior mask (noncolliders
+    plus every collider set) and collider-set mask.  A conclusion is
+    keyed by (canonical path, noncollider mask, collider-set masks), and
+    a repeated key is dropped before its PathFact is built; premises are
+    rendered only when a trace record is written.
     """
     budget = resolve_fact_budget(fact_budget)
     count = 0
@@ -324,48 +311,104 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
                 (render_mediate(fact), render_edge(fact.target, k)),
             )
 
+    # Nodes are numbered in sorted order, so comparing indices compares names.
+    names = sorted(g.nodes)
+    index = {v: i for i, v in enumerate(names)}
+    bit = [1 << i for i in range(len(names))]
+    node_sets: dict[int, frozenset[str]] = {}
+
+    def nodes_of(mask):
+        found = node_sets.get(mask)
+        if found is None:
+            found = node_sets[mask] = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
+        return found
+
+    def mask_of(nodes):
+        mask = 0
+        for v in nodes:
+            mask |= bit[index[v]]
+        return mask
+
     certifying: dict[PathFact, tuple[str, ...]] = {}
-    derivations: set[tuple[PathFact, tuple[str, ...]]] = set()
-    by_first2: dict[tuple[str, str], list[tuple[PathFact, tuple[str, ...]]]] = defaultdict(list)
-    by_last2: dict[tuple[str, str], list[tuple[PathFact, tuple[str, ...]]]] = defaultdict(list)
-    pqueue: deque[tuple[PathFact, tuple[str, ...]]] = deque()
+    rendered: dict[PathFact, str] = {}
+    derivations: list[tuple[PathFact, tuple[str, ...]]] = []
+    seen: set[tuple] = set()
+    # A view is one direction of a derivation's path:
+    # (fact, path, path mask, noncollider mask, collider-set masks,
+    #  interior mask, union of the collider-set masks).
+    by_first2: dict[tuple[int, int], list[tuple]] = defaultdict(list)
+    by_last2: dict[tuple[int, int], list[tuple]] = defaultdict(list)
+    pqueue: deque[tuple[tuple, tuple]] = deque()
 
-    def add_path_fact(fact, path, rule, premises):
-        key = (fact, path)
-        if key in derivations:
-            return
+    def add_path_fact(fact, path, mask, nc, cs, rule, premises):
         spend()
-        derivations.add(key)
+        stored = tuple(names[i] for i in path)
+        derivations.append((fact, stored))
         if fact not in certifying:
-            certifying[fact] = path
-            note(rule, premises, render_path_fact(fact))
-        for view in (path, path[::-1]):
-            by_first2[view[:2]].append((fact, view))
-            by_last2[view[-2:]].append((fact, view))
-        pqueue.append(key)
+            certifying[fact] = stored
+            if record_trace:
+                rendered[fact] = render_path_fact(fact)
+                note(rule, premises(), rendered[fact])
+        in_sets = 0
+        for s in cs:
+            in_sets |= s
+        forward = (fact, path, mask, nc, cs, nc | in_sets, in_sets)
+        backward = (fact, path[::-1]) + forward[2:]
+        for view in (forward, backward):
+            p = view[1]
+            by_first2[p[0], p[1]].append(view)
+            by_last2[p[-2], p[-1]].append(view)
+        pqueue.append((forward, backward))
 
+    # Window conclusions never repeat: a 3-node path is a chain, a fork or a
+    # collider, and distinct mediate facts carry distinct node sets.  Glued
+    # paths have four nodes or more, so ``seen`` only holds their keys.
     for fact, path, rule, premises in _iter_window_conclusions(g, by_source):
-        add_path_fact(fact, path, rule, premises)
+        add_path_fact(
+            fact, tuple(index[v] for v in path), mask_of(path), mask_of(fact.noncolliders),
+            frozenset(mask_of(s) for s in fact.collider_sets), rule, lambda p=premises: p,
+        )
+
+    def glue(view1, view2):
+        """Transitivity* on two views whose paths already meet only at the junction."""
+        fact1, p1, mask1, nc1, cs1, interior1, in_sets1 = view1
+        fact2, p2, mask2, nc2, cs2, interior2, in_sets2 = view2
+        if not (bit[p1[-1]] & interior2 and bit[p2[0]] & interior1):
+            return
+        # Conclusions whose collider sets would contain the new endpoints are
+        # not generated: conditioning sets exclude the tested endpoints.
+        if (in_sets1 | in_sets2) & (bit[p1[0]] | bit[p2[-1]]):
+            return
+        glued = p1 + p2[2:]
+        if glued[0] > glued[-1]:
+            glued = glued[::-1]
+        nc = nc1 | nc2
+        cs = cs1 | cs2
+        key = (glued, nc, cs)
+        if key in seen:
+            return
+        seen.add(key)
+        fact = PathFact(
+            names[glued[0]], names[glued[-1]], nodes_of(nc), frozenset(nodes_of(s) for s in cs)
+        )
+        add_path_fact(
+            fact, glued, mask1 | mask2, nc, cs, "Transitivity*",
+            lambda: (rendered[fact1], rendered[fact2]),
+        )
 
     while pqueue:
-        fact, path = pqueue.popleft()
-        for view in (path, path[::-1]):
-            for other, oview in list(by_first2.get(view[-2:], ())):
-                glued = _try_glue(fact, view, other, oview)
-                if glued is not None:
-                    new_fact, stored = _canonical(*glued)
-                    add_path_fact(
-                        new_fact, stored, "Transitivity*",
-                        (render_path_fact(fact), render_path_fact(other)),
-                    )
-            for other, oview in list(by_last2.get(view[:2], ())):
-                glued = _try_glue(other, oview, fact, view)
-                if glued is not None:
-                    new_fact, stored = _canonical(*glued)
-                    add_path_fact(
-                        new_fact, stored, "Transitivity*",
-                        (render_path_fact(other), render_path_fact(fact)),
-                    )
+        for view in pqueue.popleft():
+            path, mask = view[1], view[2]
+            # Each bucket is read as it stands before the view's glues run; a
+            # partner is kept only when the glued path stays simple.
+            junction = bit[path[-2]] | bit[path[-1]]
+            bucket = by_first2.get((path[-2], path[-1]), ())
+            for other in [o for o in bucket if o[2] & mask == junction]:
+                glue(view, other)
+            junction = bit[path[0]] | bit[path[1]]
+            bucket = by_last2.get((path[0], path[1]), ())
+            for other in [o for o in bucket if o[2] & mask == junction]:
+                glue(other, view)
 
     return Closure(mediate, certifying, derivations, trace)
 
@@ -474,7 +517,7 @@ def dsep_oracle(g: CausalGraph, x: str, y: str, conditioning) -> bool:
     return True
 
 
-# --- Reporting and saturation --------------------------------------------
+# --- Reporting -----------------------------------------------------------
 
 
 def closure_dump(closure: Closure) -> dict:
@@ -504,42 +547,3 @@ def closure_dump(closure: Closure) -> dict:
         for r in closure.trace
     ]
     return {"mediate": mediate, "paths": paths, "trace": trace}
-
-
-def saturation_gap(closure: Closure, g: CausalGraph) -> int:
-    """How many new facts one more pass of every rule would add (0 when closed)."""
-    mediate = set(closure.mediate)
-    missing_mediate: set[MediateCauseFact] = set()
-    for x in g.nodes:
-        fact = MediateCauseFact(x, x, frozenset([x]))
-        if fact not in mediate:
-            missing_mediate.add(fact)
-    for fact in mediate:
-        for k in g.children(fact.target):
-            new = MediateCauseFact(fact.source, k, fact.intermediates | {k})
-            if new not in mediate:
-                missing_mediate.add(new)
-
-    by_source: dict[str, list[MediateCauseFact]] = defaultdict(list)
-    for fact in sorted(mediate, key=_mediate_sort_key):
-        by_source[fact.source].append(fact)
-
-    have = set(closure.paths)
-    missing_paths: set[PathFact] = set()
-    for fact, _path, _rule, _premises in _iter_window_conclusions(g, by_source):
-        if fact not in have:
-            missing_paths.add(fact)
-
-    views = []
-    for fact, path in closure.derivations():
-        views.append((fact, path))
-        views.append((fact, path[::-1]))
-    for fact1, p1 in views:
-        for fact2, p2 in views:
-            glued = _try_glue(fact1, p1, fact2, p2)
-            if glued is not None:
-                new_fact, _ = _canonical(*glued)
-                if new_fact not in have:
-                    missing_paths.add(new_fact)
-
-    return len(missing_mediate) + len(missing_paths)

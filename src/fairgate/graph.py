@@ -47,7 +47,7 @@ class CausalGraph:
     instances can be shared freely (including across threads).
     """
 
-    __slots__ = ("nodes", "edges", "_parents", "_children", "_descendants")
+    __slots__ = ("nodes", "edges", "_parents", "_children", "_neighbors", "_descendants")
 
     def __init__(self, nodes=(), edges=()):
         node_set = set()
@@ -79,6 +79,9 @@ class CausalGraph:
             parents[target].append(source)
         self._parents = {v: tuple(sorted(ps)) for v, ps in parents.items()}
         self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
+        self._neighbors = {
+            v: tuple(sorted(set(parents[v]) | set(children[v]))) for v in node_set
+        }
         self._descendants: dict[str, frozenset[str]] = {}
 
         cycle = self._find_cycle()
@@ -131,7 +134,7 @@ class CausalGraph:
 
     def undirected_neighbors(self, v: str) -> tuple[str, ...]:
         self._require_node(v)
-        return tuple(sorted(set(self._parents[v]) | set(self._children[v])))
+        return self._neighbors[v]
 
     def is_immediate_cause(self, x: str, y: str) -> bool:
         """True iff the edge x -> y exists."""

@@ -1,0 +1,88 @@
+"""A frozenset restatement of the rules, used to check that a closure is saturated.
+
+``close`` decides Transitivity* on node bitmasks.  ``_try_glue`` states
+the same rule directly on PathFact frozensets and certifying paths, so
+``saturation_gap`` checks the engine against an independent reading of
+the rule rather than against itself.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+
+from fairgate.closure import (
+    Closure,
+    MediateCauseFact,
+    PathFact,
+    _canonical,
+    _iter_window_conclusions,
+    _mediate_sort_key,
+)
+from fairgate.graph import CausalGraph
+
+
+def _try_glue(fact1: PathFact, p1, fact2: PathFact, p2):
+    """Transitivity* on certified views.
+
+    ``p1`` must end with the two nodes that start ``p2``; the junction
+    condition requires p1's far endpoint to be interior to fact2 and
+    p2's near endpoint interior to fact1.  Conclusions whose collider
+    sets would contain the new endpoints are not generated (they are
+    unreachable in any query, since conditioning sets exclude the tested
+    endpoints).
+    """
+    if p1[-2:] != p2[:2]:
+        return None
+    glued = p1 + p2[2:]
+    if len(set(glued)) != len(glued):
+        return None
+    i, j = p1[-1], p2[0]
+    if not (i in fact2.noncolliders or any(i in s for s in fact2.collider_sets)):
+        return None
+    if not (j in fact1.noncolliders or any(j in s for s in fact1.collider_sets)):
+        return None
+    noncolliders = fact1.noncolliders | fact2.noncolliders
+    collider_sets = fact1.collider_sets | fact2.collider_sets
+    x, y = glued[0], glued[-1]
+    if any(x in s or y in s for s in collider_sets):
+        return None
+    return noncolliders, collider_sets, glued
+
+
+def saturation_gap(closure: Closure, g: CausalGraph) -> int:
+    """How many new facts one more pass of every rule would add (0 when closed)."""
+    mediate = set(closure.mediate)
+    missing_mediate: set[MediateCauseFact] = set()
+    for x in g.nodes:
+        fact = MediateCauseFact(x, x, frozenset([x]))
+        if fact not in mediate:
+            missing_mediate.add(fact)
+    for fact in mediate:
+        for k in g.children(fact.target):
+            new = MediateCauseFact(fact.source, k, fact.intermediates | {k})
+            if new not in mediate:
+                missing_mediate.add(new)
+
+    by_source: dict[str, list[MediateCauseFact]] = defaultdict(list)
+    for fact in sorted(mediate, key=_mediate_sort_key):
+        by_source[fact.source].append(fact)
+
+    have = set(closure.paths)
+    missing_paths: set[PathFact] = set()
+    for fact, _path, _rule, _premises in _iter_window_conclusions(g, by_source):
+        if fact not in have:
+            missing_paths.add(fact)
+
+    views = []
+    for fact, path in closure.derivations():
+        views.append((fact, path))
+        views.append((fact, path[::-1]))
+    for fact1, p1 in views:
+        for fact2, p2 in views:
+            glued = _try_glue(fact1, p1, fact2, p2)
+            if glued is not None:
+                new_fact, _ = _canonical(*glued)
+                if new_fact not in have:
+                    missing_paths.add(new_fact)
+
+    return len(missing_mediate) + len(missing_paths)

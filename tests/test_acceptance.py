@@ -38,10 +38,11 @@ from fairgate import (
     parse_judgment,
     random_dag,
     random_sweep,
-    saturation_gap,
     serialize_judgment,
     sweep_report_to_json,
 )
+
+from _saturation import saturation_gap
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"
 

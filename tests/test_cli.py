@@ -247,6 +247,40 @@ def test_fact_budget_env(capsys, data_dir, monkeypatch):
     assert "FAIRGATE_FACT_BUDGET" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_fact_budget_is_input_error(capsys, data_dir, budget):
+    code, out, err = run(
+        capsys, ["paths", "--graph", str(data_dir / "loan.cg"), "--fact-budget", budget]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the fact budget must be positive")
+
+
+@pytest.mark.parametrize(
+    "flags, complaint",
+    [
+        (["--max-nodes", "0"], "--max-nodes must be at least 1"),
+        (["--trials", "3", "--max-nodes", "2"], "--max-nodes must be at least 4 with --trials"),
+        (["--trials", "0"], "--trials must be at least 1"),
+        (["--trials", "-2"], "--trials must be at least 1"),
+        (["--trials", "3", "--edge-prob", "nan"], "--edge-prob must be a number in [0, 1]"),
+        (["--trials", "3", "--edge-prob", "inf"], "--edge-prob must be a number in [0, 1]"),
+        (["--trials", "3", "--edge-prob", "-0.1"], "--edge-prob must be a number in [0, 1]"),
+        (["--edge-prob", "1.5"], "--edge-prob must be a number in [0, 1]"),
+    ],
+)
+def test_bad_oracle_flags_are_input_errors(capsys, flags, complaint):
+    code, out, err = run(capsys, ["oracle", *flags])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + complaint)
+
+
+def test_oracle_flag_bounds_are_inclusive(capsys):
+    for flags in (["--max-nodes", "1"], ["--trials", "1", "--max-nodes", "4", "--edge-prob", "1"]):
+        code, _, err = run(capsys, ["oracle", *flags])
+        assert (code, err) == (0, "")
+
+
 # --- if and intersect behaviour ---------------------------------------------------
 
 

@@ -26,8 +26,9 @@ from fairgate import (
     random_dag,
     render_path_fact,
     resolve_fact_budget,
-    saturation_gap,
 )
+
+from _saturation import saturation_gap
 
 RULE_NAMES = {
     "Reflexive cause",
@@ -217,6 +218,9 @@ def test_budget_resolution(monkeypatch):
     monkeypatch.setenv(FACT_BUDGET_ENV_VAR, "0")
     with pytest.raises(InputError):
         resolve_fact_budget(None)
+    for bad in (0, -5):
+        with pytest.raises(InputError, match="must be positive"):
+            resolve_fact_budget(bad)
 
 
 def test_env_budget_limits_closure(monkeypatch, loan_graph):

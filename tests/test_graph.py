@@ -31,6 +31,16 @@ def test_adjacency_is_sorted():
     assert g.undirected_neighbors("M") == ("A", "A2", "B", "Z")
 
 
+def test_undirected_neighbors_are_the_sorted_adjacent_nodes():
+    rng = random.Random(4)
+    for _ in range(30):
+        g = fg.random_dag(rng, max_nodes=8, edge_prob=0.4)
+        for v in g.nodes:
+            adjacent = {a for a, b in g.edges if b == v} | {b for a, b in g.edges if a == v}
+            assert g.undirected_neighbors(v) == tuple(sorted(adjacent))
+            assert g.undirected_neighbors(v) is g.undirected_neighbors(v)
+
+
 def test_validate_name_rejects_reserved_characters():
     for ch in "->:,=@#":
         with pytest.raises(MalformedName):
