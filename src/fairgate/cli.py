@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .closure import close, closure_dump, render_path_fact
+from .closure import close, closure_dump, resolve_fact_budget
 from .errors import InputError, ResourceLimit
 from .fairness import (
     DEFAULT_SUBSET_CAP,
@@ -43,8 +43,20 @@ from .weakening import apply_weakening, check_weakening, verdict_to_json
 __all__ = ["main"]
 
 
+# Bounds on --epsilon, checked before Fraction() is built: a 1e-5000
+# would print a denominator past Python's int-to-str digit limit, and
+# 1e-10000000 alone takes seconds to parse.
+EPSILON_MAX_DIGITS = 100
+EPSILON_MAX_EXPONENT = 100
+
+
 def _parse_epsilon(text: str) -> Fraction:
+    if sum(ch.isdigit() for ch in text) > EPSILON_MAX_DIGITS:
+        raise InputError(f"epsilon may have at most {EPSILON_MAX_DIGITS} digits")
+    _, has_exponent, exponent = text.lower().partition("e")
     try:
+        if has_exponent and abs(int(exponent)) > EPSILON_MAX_EXPONENT:
+            raise InputError(f"epsilon exponent must be within ±{EPSILON_MAX_EXPONENT}, got {text}")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"epsilon must be a rational like 1/20 or 0.05, got {text!r}") from None
@@ -188,6 +200,13 @@ def _resolve_mode(args, need_dataset_default: bool = True) -> str:
     return "graphical"
 
 
+def _close_if_read(g, mode: str, fact_budget):
+    """The closure, under --fact-budget, when the mode reads the graph."""
+    if g is None or mode == "empirical":
+        return None
+    return close(g, fact_budget=fact_budget)
+
+
 def _cmd_if(args) -> int:
     g = load_graph(args.graph) if args.graph else None
     dataset = Dataset.from_csv(args.dataset, args.target) if args.dataset else None
@@ -198,7 +217,7 @@ def _cmd_if(args) -> int:
         raise InputError("if takes a single protected attribute; use intersect for sets")
     result = check_if(
         g,
-        None,
+        _close_if_read(g, mode, args.fact_budget),
         dataset,
         ctx,
         args.target,
@@ -250,7 +269,7 @@ def _cmd_intersect(args) -> int:
     protected = [p.strip() for p in args.protected.split(",") if p.strip()]
     report = check_intersectionality(
         g,
-        None,
+        _close_if_read(g, mode, args.fact_budget),
         dataset,
         ctx,
         args.target,
@@ -457,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.fact_budget is not None:
+            resolve_fact_budget(args.fact_budget)  # rejects <= 0 on every subcommand
         return args.handler(args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -415,24 +415,21 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
 
 def is_fact_blocked(fact: PathFact, conditioning) -> bool:
     """Blocked iff a noncollider is conditioned on, or some collider set is unmet."""
-    cond = frozenset(conditioning)
-    if fact.noncolliders & cond:
-        return True
-    return any(not (s & cond) for s in fact.collider_sets)
+    return blocking_reason(fact, conditioning) is not None
 
 
 def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:
-    """The deterministic reason a fact is blocked, or None when it transmits."""
+    """The deterministic reason a fact is blocked, or None when it transmits.
+
+    Of several unmet collider sets, the least by sorted node names is reported.
+    """
     cond = frozenset(conditioning)
     hit = fact.noncolliders & cond
     if hit:
         return BlockReason("noncollider", frozenset(hit))
-    unmet = sorted(
-        (s for s in fact.collider_sets if not (s & cond)),
-        key=lambda s: tuple(sorted(s)),
-    )
+    unmet = [s for s in fact.collider_sets if not (s & cond)]
     if unmet:
-        return BlockReason("collider-set", unmet[0])
+        return BlockReason("collider-set", min(unmet, key=sorted))
     return None
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "JudgmentSyntaxError",
     "MalformedValue",
     "MalformedDataset",
+    "UndecodableFile",
     "UnknownColumn",
     "EmptyConditioningSet",
     "SubsetExplosion",
@@ -92,6 +93,10 @@ class MalformedValue(InputError):
 
 class MalformedDataset(InputError):
     """A dataset file or row set violates the tabular shape."""
+
+
+class UndecodableFile(InputError):
+    """A graph, judgment, context or dataset file is not valid UTF-8 text."""
 
 
 class UnknownColumn(InputError):

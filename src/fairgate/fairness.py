@@ -16,6 +16,7 @@ attribute passes alone while the pair fails.
 from __future__ import annotations
 
 import csv
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,12 +27,13 @@ from .errors import (
     InputError,
     MalformedDataset,
     SubsetExplosion,
+    UndecodableFile,
     UnknownColumn,
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
 )
 from .graph import CausalGraph, build_graph, validate_name
-from .judgments import Attribution, Context, Value, value_matches
+from .judgments import Context, Value, value_matches
 from .weakening import Verdict, evaluate_conditions, verdict_to_json
 
 __all__ = [
@@ -80,13 +82,16 @@ class Dataset:
         if self.target_column not in self.columns:
             raise UnknownColumn(f"target column {self.target_column!r} is not a column")
         width = len(self.columns)
+        checked = set()  # each distinct cell once, in first-occurrence order
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise MalformedDataset(
                     f"row {i + 1} has {len(row)} cells, expected {width}"
                 )
             for cell in row:
-                Value.atomic(cell)
+                if cell not in checked:
+                    Value.atomic(cell)
+                    checked.add(cell)
 
     def col(self, name: str) -> int:
         """Column index, or UnknownColumn."""
@@ -106,17 +111,15 @@ class Dataset:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
+                rows = [tuple(cell.strip() for cell in row) for row in reader]
             except StopIteration:
                 raise MalformedDataset(f"{path}: empty file") from None
-            rows = [tuple(cell.strip() for cell in row) for row in reader]
+            except UnicodeDecodeError:
+                raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
+            except csv.Error as exc:
+                raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
         columns = tuple(cell.strip() for cell in header)
         return cls(columns=columns, rows=tuple(rows), target_column=target_column)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
 
     def matching_rows(self, ctx: Context) -> tuple[tuple[str, ...], ...]:
         """Rows whose cells satisfy every attribution of the context."""
@@ -128,14 +131,30 @@ class Dataset:
         )
 
 
-def empirical_probability(dataset: Dataset, ctx: Context, outcome: Value) -> Fraction:
-    """Exact frequency of the outcome on the target column among ctx-matching rows."""
+def _tally(dataset: Dataset, ctx: Context, columns) -> Counter:
+    """Counts of the columns' value tuples over the ctx-matching rows, in one pass.
+
+    The only row scan: every frequency in this module is a sum of these counts.
+    """
+    idx = [dataset.col(name) for name in columns]
     matching = dataset.matching_rows(ctx)
     if not matching:
         raise EmptyConditioningSet("no rows match the conditioning context")
-    t = dataset.col(dataset.target_column)
-    hits = sum(1 for row in matching if value_matches(outcome, row[t]))
-    return Fraction(hits, len(matching))
+    return Counter(tuple(row[i] for i in idx) for row in matching)
+
+
+def _epsilon(epsilon) -> Fraction:
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
+    return epsilon
+
+
+def empirical_probability(dataset: Dataset, ctx: Context, outcome: Value) -> Fraction:
+    """Exact frequency of the outcome on the target column among ctx-matching rows."""
+    counts = _tally(dataset, ctx, [dataset.target_column])
+    hits = sum(n for (beta,), n in counts.items() if value_matches(outcome, beta))
+    return Fraction(hits, sum(counts.values()))
 
 
 @dataclass(frozen=True)
@@ -156,37 +175,21 @@ class CiResult:
     conditional: dict  # attribute value -> {outcome -> Fraction}
 
 
-def empirical_ci(
-    dataset: Dataset, attr: str, target: str, ctx: Context, epsilon: Fraction
-) -> CiResult:
-    """Test whether the target is empirically independent of attr given ctx."""
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
-    ai = dataset.col(attr)
-    ti = dataset.col(target)
-    if attr == target:
-        raise WeakeningTargetIsGoal(f"cannot test {attr!r} against itself")
-    if attr in ctx.variables():
-        raise VariableAlreadyInContext(f"{attr!r} is already fixed by the context")
-    matching = dataset.matching_rows(ctx)
-    if not matching:
-        raise EmptyConditioningSet("no rows match the conditioning context")
-
-    alphas = sorted({row[ai] for row in matching})
-    betas = sorted({row[ti] for row in matching})
-    total = len(matching)
-    marginal = {
-        beta: Fraction(sum(1 for row in matching if row[ti] == beta), total)
-        for beta in betas
+def _ci_from_counts(counts: Counter, epsilon: Fraction) -> CiResult:
+    """The CI comparison from exact (attribute value, outcome) counts."""
+    per_alpha: Counter = Counter()
+    per_beta: Counter = Counter()
+    for (alpha, beta), n in counts.items():
+        per_alpha[alpha] += n
+        per_beta[beta] += n
+    alphas = sorted(per_alpha)
+    betas = sorted(per_beta)
+    total = sum(per_beta.values())
+    marginal = {beta: Fraction(per_beta[beta], total) for beta in betas}
+    conditional = {
+        alpha: {beta: Fraction(counts[alpha, beta], per_alpha[alpha]) for beta in betas}
+        for alpha in alphas
     }
-    conditional = {}
-    for alpha in alphas:
-        cell = [row for row in matching if row[ai] == alpha]
-        conditional[alpha] = {
-            beta: Fraction(sum(1 for row in cell if row[ti] == beta), len(cell))
-            for beta in betas
-        }
 
     max_delta = Fraction(0)
     witness = None
@@ -206,6 +209,18 @@ def empirical_ci(
     )
 
 
+def empirical_ci(
+    dataset: Dataset, attr: str, target: str, ctx: Context, epsilon: Fraction
+) -> CiResult:
+    """Test whether the target is empirically independent of attr given ctx."""
+    epsilon = _epsilon(epsilon)
+    if attr == target:
+        raise WeakeningTargetIsGoal(f"cannot test {attr!r} against itself")
+    if attr in ctx.variables():
+        raise VariableAlreadyInContext(f"{attr!r} is already fixed by the context")
+    return _ci_from_counts(_tally(dataset, ctx, [attr, target]), epsilon)
+
+
 @dataclass(frozen=True)
 class IfCheckResult:
     """One protected attribute checked against one context."""
@@ -218,66 +233,6 @@ class IfCheckResult:
     empirical: CiResult | None
     agreement: bool | None  # both-mode only
     passed: bool
-
-
-def _validate_mode(mode: str):
-    if mode not in ("graphical", "empirical", "both"):
-        raise InputError(f"mode must be graphical, empirical or both, got {mode!r}")
-
-
-def check_if(
-    g: CausalGraph | None,
-    closure: Closure | None,
-    dataset: Dataset | None,
-    ctx: Context,
-    target: str,
-    protected_attr: str,
-    epsilon: Fraction = Fraction(0),
-    mode: str = "graphical",
-) -> IfCheckResult:
-    """Individual-fairness check for one protected attribute.
-
-    Graphical mode asks whether the attribute could be weakened into the
-    context (values play no role); empirical mode compares frequencies
-    in the dataset; both runs the two and reports whether they agree.
-    """
-    _validate_mode(mode)
-    if protected_attr == target:
-        raise WeakeningTargetIsGoal("protected attribute equals the target")
-    if protected_attr in ctx.variables():
-        raise VariableAlreadyInContext(
-            f"protected attribute {protected_attr!r} is already in the context"
-        )
-
-    verdict = None
-    ci = None
-    if mode in ("graphical", "both"):
-        if g is None:
-            raise InputError("graphical mode requires a graph")
-        verdict = evaluate_conditions(
-            g, protected_attr, target, ctx.variables(), closure=closure
-        )
-    if mode in ("empirical", "both"):
-        if dataset is None:
-            raise InputError("empirical mode requires a dataset")
-        ci = empirical_ci(dataset, protected_attr, target, ctx, epsilon)
-
-    agreement = None
-    if mode == "both":
-        agreement = verdict.admissible == ci.passed
-    passed = (verdict.admissible if verdict is not None else True) and (
-        ci.passed if ci is not None else True
-    )
-    return IfCheckResult(
-        protected_attr=protected_attr,
-        target=target,
-        context_vars=tuple(sorted(ctx.variables())),
-        mode=mode,
-        graphical=verdict,
-        empirical=ci,
-        agreement=agreement,
-        passed=passed,
-    )
 
 
 @dataclass(frozen=True)
@@ -318,6 +273,98 @@ class FairnessReport:
     passed: bool
 
 
+def _check_args(g, dataset, ctx: Context, target: str, protected, mode: str) -> None:
+    """Argument checks shared by check_if and check_intersectionality."""
+    for attr in protected:
+        if attr == target:
+            raise WeakeningTargetIsGoal("protected attribute equals the target")
+        if attr in ctx.variables():
+            raise VariableAlreadyInContext(
+                f"protected attribute {attr!r} is already in the context"
+            )
+    if mode in ("graphical", "both") and g is None:
+        raise InputError("graphical mode requires a graph")
+    if mode in ("empirical", "both") and dataset is None:
+        raise InputError("empirical mode requires a dataset")
+
+
+def _validate_mode(mode: str):
+    if mode not in ("graphical", "empirical", "both"):
+        raise InputError(f"mode must be graphical, empirical or both, got {mode!r}")
+
+
+def _check_member(
+    g, closure, dataset, ctx: Context, target: str, attr: str, rest: tuple, epsilon, mode: str
+) -> Decomposition:
+    """Test attr with the rest folded into the conditioning side.
+
+    The empirical route tallies the ctx-matching rows once over (rest,
+    attr, target) and compares within each observed combination of the rest.
+    """
+    verdict = None
+    per_combo = None
+    max_delta = None
+    if mode in ("graphical", "both"):
+        verdict = evaluate_conditions(
+            g, attr, target, ctx.variables() | set(rest), closure=closure
+        )
+    if mode in ("empirical", "both"):
+        epsilon = _epsilon(epsilon)
+        split = len(rest)
+        groups: defaultdict[tuple, Counter] = defaultdict(Counter)
+        for key, n in _tally(dataset, ctx, [*rest, attr, target]).items():
+            groups[key[:split]][key[split:]] = n
+        per_combo = tuple(
+            (tuple(zip(rest, combo)), _ci_from_counts(groups[combo], epsilon))
+            for combo in sorted(groups)
+        )
+        max_delta = max(ci.max_delta for _, ci in per_combo)
+
+    empirical_ok = per_combo is None or all(ci.passed for _, ci in per_combo)
+    graphical_ok = verdict is None or verdict.admissible
+    return Decomposition(
+        attr=attr,
+        rest=rest,
+        graphical=verdict,
+        empirical=per_combo,
+        max_delta=max_delta,
+        agreement=verdict.admissible == empirical_ok if mode == "both" else None,
+        passed=graphical_ok and empirical_ok,
+    )
+
+
+def check_if(
+    g: CausalGraph | None,
+    closure: Closure | None,
+    dataset: Dataset | None,
+    ctx: Context,
+    target: str,
+    protected_attr: str,
+    epsilon: Fraction = Fraction(0),
+    mode: str = "graphical",
+) -> IfCheckResult:
+    """Individual-fairness check for one protected attribute.
+
+    Graphical mode asks whether the attribute could be weakened into the
+    context (values play no role); empirical mode compares frequencies
+    in the dataset; both runs the two and reports whether they agree.
+    This is one decomposition with nothing folded into the context.
+    """
+    _validate_mode(mode)
+    _check_args(g, dataset, ctx, target, [protected_attr], mode)
+    d = _check_member(g, closure, dataset, ctx, target, protected_attr, (), epsilon, mode)
+    return IfCheckResult(
+        protected_attr=protected_attr,
+        target=target,
+        context_vars=tuple(sorted(ctx.variables())),
+        mode=mode,
+        graphical=d.graphical,
+        empirical=None if d.empirical is None else d.empirical[0][1],
+        agreement=d.agreement,
+        passed=d.passed,
+    )
+
+
 def check_intersectionality(
     g: CausalGraph | None,
     closure: Closure | None,
@@ -345,95 +392,35 @@ def check_intersectionality(
         raise SubsetExplosion(
             f"{len(protected)} protected attributes exceed the cap of {subset_cap}"
         )
-    ctx_vars = ctx.variables()
-    for attr in protected:
-        if attr == target:
-            raise WeakeningTargetIsGoal("protected attribute equals the target")
-        if attr in ctx_vars:
-            raise VariableAlreadyInContext(
-                f"protected attribute {attr!r} is already in the context"
-            )
-
-    if mode in ("graphical", "both"):
-        if g is None:
-            raise InputError("graphical mode requires a graph")
-        if closure is None:
-            closure = close(g)
-    if mode in ("empirical", "both") and dataset is None:
-        raise InputError("empirical mode requires a dataset")
+    _check_args(g, dataset, ctx, target, protected, mode)
+    if mode in ("graphical", "both") and closure is None:
+        closure = close(g)
 
     subsets = []
-    overall_max: Fraction | None = None
     for size in range(1, len(protected) + 1):
         for subset in combinations(protected, size):
-            decomps = []
-            for attr in subset:
-                rest = tuple(v for v in subset if v != attr)
-                verdict = None
-                per_combo = None
-                max_delta = None
-                if mode in ("graphical", "both"):
-                    verdict = evaluate_conditions(
-                        g, attr, target, ctx_vars | set(rest), closure=closure
-                    )
-                if mode in ("empirical", "both"):
-                    per_combo = []
-                    max_delta = Fraction(0)
-                    rest_cols = [dataset.col(v) for v in rest]
-                    matching = dataset.matching_rows(ctx)
-                    if not matching:
-                        raise EmptyConditioningSet(
-                            "no rows match the conditioning context"
-                        )
-                    combos = sorted({tuple(row[c] for c in rest_cols) for row in matching})
-                    for combo in combos:
-                        extended = ctx
-                        for var, val in zip(rest, combo):
-                            extended = extended.extended(
-                                Attribution(var, Value.atomic(val))
-                            )
-                        ci = empirical_ci(dataset, attr, target, extended, epsilon)
-                        per_combo.append((tuple(zip(rest, combo)), ci))
-                        if ci.max_delta > max_delta:
-                            max_delta = ci.max_delta
-                    per_combo = tuple(per_combo)
-                    if overall_max is None or max_delta > overall_max:
-                        overall_max = max_delta
-
-                empirical_ok = per_combo is None or all(
-                    ci.passed for _, ci in per_combo
-                )
-                graphical_ok = verdict is None or verdict.admissible
-                agreement = None
-                if mode == "both":
-                    agreement = verdict.admissible == empirical_ok
-                decomps.append(
-                    Decomposition(
-                        attr=attr,
-                        rest=rest,
-                        graphical=verdict,
-                        empirical=per_combo,
-                        max_delta=max_delta,
-                        agreement=agreement,
-                        passed=graphical_ok and empirical_ok,
-                    )
-                )
+            decomps = tuple(
+                _check_member(g, closure, dataset, ctx, target, attr,
+                              tuple(v for v in subset if v != attr), epsilon, mode)
+                for attr in subset
+            )
             subsets.append(
                 SubsetResult(
                     subset=subset,
-                    decompositions=tuple(decomps),
+                    decompositions=decomps,
                     passed=all(d.passed for d in decomps),
                 )
             )
 
+    deltas = [d.max_delta for s in subsets for d in s.decompositions if d.max_delta is not None]
     return FairnessReport(
         protected_attrs=tuple(protected),
         target=target,
-        context_vars=tuple(sorted(ctx_vars)),
+        context_vars=tuple(sorted(ctx.variables())),
         mode=mode,
         threshold=Fraction(epsilon),
         subsets=tuple(subsets),
-        max_delta=overall_max,
+        max_delta=max(deltas, default=None),
         passed=all(s.passed for s in subsets),
     )
 

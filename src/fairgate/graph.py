@@ -13,6 +13,7 @@ from .errors import (
     InputError,
     MalformedName,
     SelfLoop,
+    UndecodableFile,
     UnknownVariable,
 )
 
@@ -233,4 +234,8 @@ def parse_graph(text: str) -> CausalGraph:
 def load_graph(path) -> CausalGraph:
     """Read a graph file (see :func:`parse_graph` for the format)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_graph(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
+    return parse_graph(text)

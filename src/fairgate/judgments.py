@@ -27,6 +27,7 @@ from .errors import (
     JudgmentSyntaxError,
     MalformedValue,
     ProbabilityOutOfRange,
+    UndecodableFile,
     UnknownVariable,
 )
 from .graph import CausalGraph, validate_name
@@ -367,7 +368,10 @@ def serialize_judgment(j: Judgment) -> str:
 
 def _read_single_line(path) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        content = handle.read()
+        try:
+            content = handle.read()
+        except UnicodeDecodeError:
+            raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
     lines = [ln for ln in content.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) > 1:
         raise InputError(f"{path}: expected a single line, found {len(lines)}")

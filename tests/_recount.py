@@ -1,0 +1,234 @@
+"""The empirical fairness routes as first written, row scan by row scan.
+
+``fairgate.fairness`` counts the context-matching rows once per tested
+attribute and derives every frequency from that tally.  The functions
+here rescan the rows for every marginal and every attribute value, and
+rebuild a context per value combination of the rest, so the tally can
+be checked against an independent reading of the same definitions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+from fairgate.closure import close
+from fairgate.errors import (
+    EmptyConditioningSet,
+    InputError,
+    SubsetExplosion,
+    VariableAlreadyInContext,
+    WeakeningTargetIsGoal,
+)
+from fairgate.fairness import (
+    DEFAULT_SUBSET_CAP,
+    CiResult,
+    Decomposition,
+    FairnessReport,
+    IfCheckResult,
+    SubsetResult,
+)
+from fairgate.judgments import Attribution, Value, value_matches
+from fairgate.weakening import evaluate_conditions
+
+
+def matching_rows(dataset, ctx):
+    """Rows whose cells satisfy every attribution of the context."""
+    tests = [(dataset.col(attr.variable), attr.value) for attr in ctx]
+    return tuple(
+        row
+        for row in dataset.rows
+        if all(value_matches(value, row[idx]) for idx, value in tests)
+    )
+
+
+def recount_ci(dataset, attr, target, ctx, epsilon) -> CiResult:
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
+    ai = dataset.col(attr)
+    ti = dataset.col(target)
+    if attr == target:
+        raise WeakeningTargetIsGoal(f"cannot test {attr!r} against itself")
+    if attr in ctx.variables():
+        raise VariableAlreadyInContext(f"{attr!r} is already fixed by the context")
+    matching = matching_rows(dataset, ctx)
+    if not matching:
+        raise EmptyConditioningSet("no rows match the conditioning context")
+
+    alphas = sorted({row[ai] for row in matching})
+    betas = sorted({row[ti] for row in matching})
+    total = len(matching)
+    marginal = {
+        beta: Fraction(sum(1 for row in matching if row[ti] == beta), total)
+        for beta in betas
+    }
+    conditional = {}
+    for alpha in alphas:
+        cell = [row for row in matching if row[ai] == alpha]
+        conditional[alpha] = {
+            beta: Fraction(sum(1 for row in cell if row[ti] == beta), len(cell))
+            for beta in betas
+        }
+
+    max_delta = Fraction(0)
+    witness = None
+    for alpha in alphas:
+        for beta in betas:
+            delta = abs(conditional[alpha][beta] - marginal[beta])
+            if delta > max_delta:
+                max_delta = delta
+                witness = (alpha, beta)
+    return CiResult(
+        passed=max_delta <= epsilon,
+        epsilon=epsilon,
+        max_delta=max_delta,
+        witness=witness,
+        marginal=marginal,
+        conditional=conditional,
+    )
+
+
+def _validate_mode(mode):
+    if mode not in ("graphical", "empirical", "both"):
+        raise InputError(f"mode must be graphical, empirical or both, got {mode!r}")
+
+
+def recount_if(g, closure, dataset, ctx, target, protected_attr,
+               epsilon=Fraction(0), mode="graphical") -> IfCheckResult:
+    _validate_mode(mode)
+    if protected_attr == target:
+        raise WeakeningTargetIsGoal("protected attribute equals the target")
+    if protected_attr in ctx.variables():
+        raise VariableAlreadyInContext(
+            f"protected attribute {protected_attr!r} is already in the context"
+        )
+    verdict = None
+    ci = None
+    if mode in ("graphical", "both"):
+        if g is None:
+            raise InputError("graphical mode requires a graph")
+        verdict = evaluate_conditions(
+            g, protected_attr, target, ctx.variables(), closure=closure
+        )
+    if mode in ("empirical", "both"):
+        if dataset is None:
+            raise InputError("empirical mode requires a dataset")
+        ci = recount_ci(dataset, protected_attr, target, ctx, epsilon)
+    agreement = None
+    if mode == "both":
+        agreement = verdict.admissible == ci.passed
+    passed = (verdict.admissible if verdict is not None else True) and (
+        ci.passed if ci is not None else True
+    )
+    return IfCheckResult(
+        protected_attr=protected_attr,
+        target=target,
+        context_vars=tuple(sorted(ctx.variables())),
+        mode=mode,
+        graphical=verdict,
+        empirical=ci,
+        agreement=agreement,
+        passed=passed,
+    )
+
+
+def recount_intersectionality(g, closure, dataset, ctx, target, protected_set,
+                              epsilon=Fraction(0), mode="graphical",
+                              subset_cap=DEFAULT_SUBSET_CAP) -> FairnessReport:
+    _validate_mode(mode)
+    protected = sorted(set(protected_set))
+    if not protected:
+        raise InputError("at least one protected attribute is required")
+    if len(protected) > subset_cap:
+        raise SubsetExplosion(
+            f"{len(protected)} protected attributes exceed the cap of {subset_cap}"
+        )
+    ctx_vars = ctx.variables()
+    for attr in protected:
+        if attr == target:
+            raise WeakeningTargetIsGoal("protected attribute equals the target")
+        if attr in ctx_vars:
+            raise VariableAlreadyInContext(
+                f"protected attribute {attr!r} is already in the context"
+            )
+    if mode in ("graphical", "both"):
+        if g is None:
+            raise InputError("graphical mode requires a graph")
+        if closure is None:
+            closure = close(g)
+    if mode in ("empirical", "both") and dataset is None:
+        raise InputError("empirical mode requires a dataset")
+
+    subsets = []
+    overall_max = None
+    for size in range(1, len(protected) + 1):
+        for subset in combinations(protected, size):
+            decomps = []
+            for attr in subset:
+                rest = tuple(v for v in subset if v != attr)
+                verdict = None
+                per_combo = None
+                max_delta = None
+                if mode in ("graphical", "both"):
+                    verdict = evaluate_conditions(
+                        g, attr, target, ctx_vars | set(rest), closure=closure
+                    )
+                if mode in ("empirical", "both"):
+                    per_combo = []
+                    max_delta = Fraction(0)
+                    rest_cols = [dataset.col(v) for v in rest]
+                    matching = matching_rows(dataset, ctx)
+                    if not matching:
+                        raise EmptyConditioningSet(
+                            "no rows match the conditioning context"
+                        )
+                    combos = sorted({tuple(row[c] for c in rest_cols) for row in matching})
+                    for combo in combos:
+                        extended = ctx
+                        for var, val in zip(rest, combo):
+                            extended = extended.extended(
+                                Attribution(var, Value.atomic(val))
+                            )
+                        ci = recount_ci(dataset, attr, target, extended, epsilon)
+                        per_combo.append((tuple(zip(rest, combo)), ci))
+                        if ci.max_delta > max_delta:
+                            max_delta = ci.max_delta
+                    per_combo = tuple(per_combo)
+                    if overall_max is None or max_delta > overall_max:
+                        overall_max = max_delta
+
+                empirical_ok = per_combo is None or all(ci.passed for _, ci in per_combo)
+                graphical_ok = verdict is None or verdict.admissible
+                agreement = None
+                if mode == "both":
+                    agreement = verdict.admissible == empirical_ok
+                decomps.append(
+                    Decomposition(
+                        attr=attr,
+                        rest=rest,
+                        graphical=verdict,
+                        empirical=per_combo,
+                        max_delta=max_delta,
+                        agreement=agreement,
+                        passed=graphical_ok and empirical_ok,
+                    )
+                )
+            subsets.append(
+                SubsetResult(
+                    subset=subset,
+                    decompositions=tuple(decomps),
+                    passed=all(d.passed for d in decomps),
+                )
+            )
+
+    return FairnessReport(
+        protected_attrs=tuple(protected),
+        target=target,
+        context_vars=tuple(sorted(ctx_vars)),
+        mode=mode,
+        threshold=Fraction(epsilon),
+        subsets=tuple(subsets),
+        max_delta=overall_max,
+        passed=all(s.passed for s in subsets),
+    )

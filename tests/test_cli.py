@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,115 @@ def test_non_positive_fact_budget_is_input_error(capsys, data_dir, budget):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: the fact budget must be positive")
+
+
+@pytest.mark.parametrize("command", ["if", "intersect"])
+def test_fact_budget_flag_bounds_the_closure_of_if_and_intersect(capsys, data_dir, command):
+    argv = [command, "--graph", str(data_dir / "loan.cg"), "--context", str(data_dir / "loan.ctx"),
+            "--target", "Loan", "--protected", "MS"]
+    code, _, err = run(capsys, argv + ["--fact-budget", "3"])
+    assert code == 3
+    assert err.startswith("resource limit:")
+    code, _, _ = run(capsys, argv + ["--fact-budget", "100000"])
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo-table1", "--fact-budget", "0"],
+        ["intersect", "--dataset", "table1.csv", "--target", "t", "--protected", "a1",
+         "--fact-budget", "-5"],
+        ["if", "--dataset", "table1.csv", "--target", "t", "--protected", "a1",
+         "--fact-budget", "0"],
+    ],
+)
+def test_non_positive_fact_budget_without_a_closure(capsys, data_dir, argv):
+    argv = [str(data_dir / a) if a.endswith(".csv") else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the fact budget must be positive")
+
+
+def assert_input_error(capsys, argv, complaint):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("error:") and complaint in err
+
+
+NOT_UTF8 = b"\xff\xfe not text\n"
+
+
+def test_dataset_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,t\n" + NOT_UTF8)
+    assert_input_error(
+        capsys, ["if", "--dataset", str(path), "--target", "t", "--protected", "a"], "UTF-8"
+    )
+
+
+def test_graph_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.cg"
+    path.write_bytes(NOT_UTF8)
+    assert_input_error(capsys, ["paths", "--graph", str(path)], "UTF-8")
+
+
+def test_judgment_that_is_not_utf8(capsys, data_dir, tmp_path):
+    path = tmp_path / "bad.jdg"
+    path.write_bytes(NOT_UTF8)
+    assert_input_error(
+        capsys,
+        ["weaken", "--graph", str(data_dir / "loan.cg"), "--judgment", str(path),
+         "--attr", "MS=married"],
+        "UTF-8",
+    )
+
+
+def test_context_that_is_not_utf8(capsys, data_dir, tmp_path):
+    path = tmp_path / "bad.ctx"
+    path.write_bytes(NOT_UTF8)
+    assert_input_error(
+        capsys,
+        ["if", "--graph", str(data_dir / "loan.cg"), "--context", str(path),
+         "--target", "Loan", "--protected", "MS"],
+        "UTF-8",
+    )
+
+
+def test_csv_field_over_the_csv_module_limit(capsys, tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("a,t\n" + "x" * 131_073 + ",yes\n", encoding="utf-8")
+    assert_input_error(
+        capsys,
+        ["if", "--dataset", str(path), "--target", "t", "--protected", "a"],
+        "field larger than field limit",
+    )
+
+
+@pytest.mark.parametrize(
+    "epsilon, complaint",
+    [
+        ("1e-5000", "epsilon exponent"),
+        ("1e-10000000", "epsilon exponent"),
+        ("0." + "0" * 200 + "1", "epsilon may have at most"),
+    ],
+)
+def test_oversized_epsilon(capsys, data_dir, epsilon, complaint):
+    assert_input_error(
+        capsys,
+        ["if", "--dataset", str(data_dir / "table1.csv"), "--target", "t",
+         "--protected", "a1", "--epsilon", epsilon],
+        complaint,
+    )
+
+
+def test_epsilon_at_the_bounds(capsys, data_dir):
+    base = ["if", "--dataset", str(data_dir / "table1.csv"), "--target", "t", "--protected", "a1"]
+    for epsilon in ("1e-100", "1e100", "0." + "0" * 98 + "1"):
+        code, out, err = run(capsys, base + ["--epsilon", epsilon])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["empirical"]["epsilon"] == fairgate.fraction_str(Fraction(epsilon))
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from fractions import Fraction
@@ -62,7 +63,10 @@ def test_dataset_col():
 
 def test_csv_roundtrip(tmp_path, table1):
     path = tmp_path / "t.csv"
-    table1.to_csv(path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table1.columns)
+        writer.writerows(table1.rows)
     again = Dataset.from_csv(path, target_column="t")
     assert again == table1
 
