@@ -4,215 +4,9 @@ The package derives cause and path relations over a DAG, decides when a
 probability judgment may be weakened with a new attribute, checks
 individual and intersectional fairness graphically and against datasets,
 and cross-validates its rule engine with an independent d-separation
-oracle.
+oracle.  Import names from the module that defines them
+(``fairgate.graph``, ``fairgate.closure``, ...); the package root
+exports only ``__version__``.
 """
 
-from .closure import (
-    DEFAULT_FACT_BUDGET,
-    FACT_BUDGET_ENV_VAR,
-    BlockReason,
-    Closure,
-    MediateCauseFact,
-    PathFact,
-    TraceRecord,
-    blocking_reason,
-    close,
-    closure_dump,
-    dsep_oracle,
-    enumerate_classified_paths,
-    independent_by_rules,
-    is_fact_blocked,
-    path_is_active,
-    render_edge,
-    render_mediate,
-    render_path_fact,
-    resolve_fact_budget,
-)
-from .errors import (
-    CycleDetected,
-    DuplicateEdge,
-    DuplicateVariable,
-    EmptyConditioningSet,
-    FairgateError,
-    InadmissibleWeakening,
-    InputError,
-    JudgmentSyntaxError,
-    MalformedDataset,
-    MalformedName,
-    MalformedValue,
-    ProbabilityOutOfRange,
-    ResourceLimit,
-    SelfLoop,
-    SubsetExplosion,
-    UndecodableFile,
-    UnknownColumn,
-    UnknownVariable,
-    VariableAlreadyInContext,
-    WeakeningTargetIsGoal,
-)
-from .fairness import (
-    DEFAULT_SUBSET_CAP,
-    CiResult,
-    Dataset,
-    Decomposition,
-    FairnessReport,
-    IfCheckResult,
-    SubsetResult,
-    check_if,
-    check_intersectionality,
-    ci_result_to_json,
-    empirical_ci,
-    empirical_probability,
-    fairness_report_to_json,
-    fraction_str,
-    generate_table1,
-    if_result_to_json,
-    table1_graph,
-)
-from .graph import (
-    RESERVED_NAME_CHARS,
-    CausalGraph,
-    build_graph,
-    load_graph,
-    parse_graph,
-    validate_name,
-)
-from .judgments import (
-    RESERVED_ATOM_CHARS,
-    Attribution,
-    Context,
-    Judgment,
-    Value,
-    load_context,
-    load_judgment,
-    parse_attribution,
-    parse_context,
-    parse_judgment,
-    serialize_context,
-    serialize_judgment,
-    value_matches,
-    value_to_text,
-)
-from .sweep import (
-    Discrepancy,
-    SweepReport,
-    check_graph_agreement,
-    enumerate_dags,
-    exhaustive_sweep,
-    random_dag,
-    random_sweep,
-    sweep_report_to_json,
-)
-from .weakening import (
-    Verdict,
-    apply_weakening,
-    check_condition1,
-    check_condition2,
-    check_weakening,
-    evaluate_conditions,
-    verdict_to_json,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "FairgateError",
-    "InputError",
-    "ResourceLimit",
-    "MalformedName",
-    "SelfLoop",
-    "DuplicateEdge",
-    "CycleDetected",
-    "UnknownVariable",
-    "DuplicateVariable",
-    "ProbabilityOutOfRange",
-    "JudgmentSyntaxError",
-    "MalformedValue",
-    "MalformedDataset",
-    "UndecodableFile",
-    "UnknownColumn",
-    "EmptyConditioningSet",
-    "SubsetExplosion",
-    "VariableAlreadyInContext",
-    "WeakeningTargetIsGoal",
-    "InadmissibleWeakening",
-    # graph
-    "RESERVED_NAME_CHARS",
-    "CausalGraph",
-    "build_graph",
-    "parse_graph",
-    "load_graph",
-    "validate_name",
-    # judgments
-    "RESERVED_ATOM_CHARS",
-    "Value",
-    "Attribution",
-    "Context",
-    "Judgment",
-    "value_matches",
-    "value_to_text",
-    "parse_judgment",
-    "parse_context",
-    "parse_attribution",
-    "serialize_judgment",
-    "serialize_context",
-    "load_judgment",
-    "load_context",
-    # closure
-    "DEFAULT_FACT_BUDGET",
-    "FACT_BUDGET_ENV_VAR",
-    "MediateCauseFact",
-    "PathFact",
-    "TraceRecord",
-    "BlockReason",
-    "Closure",
-    "close",
-    "is_fact_blocked",
-    "blocking_reason",
-    "independent_by_rules",
-    "dsep_oracle",
-    "enumerate_classified_paths",
-    "path_is_active",
-    "closure_dump",
-    "render_edge",
-    "render_mediate",
-    "render_path_fact",
-    "resolve_fact_budget",
-    # weakening
-    "Verdict",
-    "check_condition1",
-    "check_condition2",
-    "evaluate_conditions",
-    "check_weakening",
-    "apply_weakening",
-    "verdict_to_json",
-    # fairness
-    "DEFAULT_SUBSET_CAP",
-    "Dataset",
-    "CiResult",
-    "IfCheckResult",
-    "Decomposition",
-    "SubsetResult",
-    "FairnessReport",
-    "empirical_probability",
-    "empirical_ci",
-    "check_if",
-    "check_intersectionality",
-    "generate_table1",
-    "table1_graph",
-    "fraction_str",
-    "ci_result_to_json",
-    "if_result_to_json",
-    "fairness_report_to_json",
-    # sweep
-    "Discrepancy",
-    "SweepReport",
-    "enumerate_dags",
-    "random_dag",
-    "check_graph_agreement",
-    "exhaustive_sweep",
-    "random_sweep",
-    "sweep_report_to_json",
-]

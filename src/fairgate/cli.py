@@ -2,9 +2,9 @@
 
 Subcommands: paths, weaken, if, intersect, oracle, demo-table1.
 Exit codes: 0 pass/admissible, 1 fail/inadmissible, 2 input error,
-3 resource limit.  Reports go to standard output (JSON by default),
-error text to standard error.  JSON output is byte-identical for
-identical inputs and seeds.
+3 resource limit, 4 internal error.  Reports go to standard output
+(JSON by default), error text to standard error.  JSON output is
+byte-identical for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .fairness import (
 )
 from .graph import load_graph
 from .judgments import (
+    MAX_RATIONAL_DIGITS,
     Context,
     load_context,
     load_judgment,
@@ -43,16 +44,16 @@ from .weakening import apply_weakening, check_weakening, verdict_to_json
 __all__ = ["main"]
 
 
-# Bounds on --epsilon, checked before Fraction() is built: a 1e-5000
-# would print a denominator past Python's int-to-str digit limit, and
-# 1e-10000000 alone takes seconds to parse.
-EPSILON_MAX_DIGITS = 100
+# Bound on the --epsilon exponent, checked before Fraction() is built
+# (along with MAX_RATIONAL_DIGITS): a 1e-5000 would print a denominator
+# past Python's int-to-str digit limit, and 1e-10000000 alone takes
+# seconds to parse.
 EPSILON_MAX_EXPONENT = 100
 
 
 def _parse_epsilon(text: str) -> Fraction:
-    if sum(ch.isdigit() for ch in text) > EPSILON_MAX_DIGITS:
-        raise InputError(f"epsilon may have at most {EPSILON_MAX_DIGITS} digits")
+    if sum(ch.isdigit() for ch in text) > MAX_RATIONAL_DIGITS:
+        raise InputError(f"epsilon may have at most {MAX_RATIONAL_DIGITS} digits")
     _, has_exponent, exponent = text.lower().partition("e")
     try:
         if has_exponent and abs(int(exponent)) > EPSILON_MAX_EXPONENT:
@@ -488,6 +489,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a verdict (0 or 1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

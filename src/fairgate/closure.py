@@ -29,6 +29,7 @@ import os
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import InputError, ResourceLimit, UnknownVariable
 from .graph import CausalGraph
@@ -42,12 +43,10 @@ __all__ = [
     "BlockReason",
     "Closure",
     "close",
-    "is_fact_blocked",
+    "resolve_fact_budget",
     "blocking_reason",
-    "independent_by_rules",
     "dsep_oracle",
     "enumerate_classified_paths",
-    "path_is_active",
     "closure_dump",
     "render_mediate",
     "render_path_fact",
@@ -141,8 +140,7 @@ class TraceRecord:
     conclusion: str
 
 
-@dataclass(frozen=True)
-class BlockReason:
+class BlockReason(NamedTuple):
     """Why a fact is blocked: a conditioned noncollider or an unmet collider set."""
 
     kind: str  # "noncollider" or "collider-set"
@@ -413,11 +411,6 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
     return Closure(mediate, certifying, derivations, trace)
 
 
-def is_fact_blocked(fact: PathFact, conditioning) -> bool:
-    """Blocked iff a noncollider is conditioned on, or some collider set is unmet."""
-    return blocking_reason(fact, conditioning) is not None
-
-
 def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:
     """The deterministic reason a fact is blocked, or None when it transmits.
 
@@ -431,17 +424,6 @@ def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:
     if unmet:
         return BlockReason("collider-set", min(unmet, key=sorted))
     return None
-
-
-def independent_by_rules(closure: Closure, g: CausalGraph, x: str, y: str, conditioning) -> bool:
-    """Rule-based independence: no edge either way and every path fact blocked.
-
-    ``conditioning`` must not contain x or y.
-    """
-    cond = frozenset(conditioning)
-    if (x, y) in g.edges or (y, x) in g.edges:
-        return False
-    return all(is_fact_blocked(fact, cond) for fact in closure.facts_between(x, y))
 
 
 # --- Independent textbook oracle -----------------------------------------
@@ -490,26 +472,18 @@ def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
     return tuple(results)
 
 
-def path_is_active(g: CausalGraph, noncolliders, colliders, conditioning) -> bool:
-    """Textbook activity: noncolliders unconditioned, every collider woken."""
-    cond = frozenset(conditioning)
-    if noncolliders & cond:
-        return False
-    for collider in colliders:
-        if collider not in cond and not (g.descendants(collider) & cond):
-            return False
-    return True
+def dsep_oracle(g: CausalGraph, paths, conditioning) -> bool:
+    """d-separation over the output of ``enumerate_classified_paths``.
 
-
-def dsep_oracle(g: CausalGraph, x: str, y: str, conditioning) -> bool:
-    """d-separation by exhaustive simple-path enumeration.
-
-    True iff every simple undirected path between x and y is blocked by
-    the conditioning set.  This route never consults derived facts.
+    True iff every path is blocked by the conditioning set: a noncollider
+    is conditioned on, or some collider has neither itself nor a
+    descendant conditioned on.  This route never consults derived facts.
     """
     cond = frozenset(conditioning)
-    for _, noncolliders, colliders in enumerate_classified_paths(g, x, y):
-        if path_is_active(g, noncolliders, colliders, cond):
+    for _, noncolliders, colliders in paths:
+        if not noncolliders & cond and all(
+            c in cond or g.descendants(c) & cond for c in colliders
+        ):
             return False
     return True
 

@@ -32,7 +32,7 @@ from .errors import (
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
 )
-from .graph import CausalGraph, build_graph, validate_name
+from .graph import CausalGraph, validate_name
 from .judgments import Context, Value, value_matches
 from .weakening import Verdict, evaluate_conditions, verdict_to_json
 
@@ -452,7 +452,7 @@ def generate_table1() -> Dataset:
 
 def table1_graph() -> CausalGraph:
     """The matching causal structure: both attributes feed the target directly."""
-    return build_graph(["a1", "a2", "t"], [("a1", "t"), ("a2", "t")])
+    return CausalGraph(["a1", "a2", "t"], [("a1", "t"), ("a2", "t")])
 
 
 # --- JSON builders ---------------------------------------------------------

@@ -21,7 +21,6 @@ __all__ = [
     "RESERVED_NAME_CHARS",
     "validate_name",
     "CausalGraph",
-    "build_graph",
     "parse_graph",
     "load_graph",
 ]
@@ -122,9 +121,6 @@ class CausalGraph:
         if name not in self.nodes:
             raise UnknownVariable(f"variable {name!r} is not a node of the graph")
 
-    def has_node(self, name: str) -> bool:
-        return name in self.nodes
-
     def parents(self, v: str) -> tuple[str, ...]:
         self._require_node(v)
         return self._parents[v]
@@ -191,11 +187,6 @@ class CausalGraph:
         return f"CausalGraph(nodes={sorted(self.nodes)}, edges={sorted(self.edges)})"
 
 
-def build_graph(nodes, edges) -> CausalGraph:
-    """Validate and build a graph from node names and (source, target) pairs."""
-    return CausalGraph(nodes, edges)
-
-
 def parse_graph(text: str) -> CausalGraph:
     """Parse the plain-text graph format.
 
@@ -228,7 +219,7 @@ def parse_graph(text: str) -> CausalGraph:
         except MalformedName as exc:
             raise MalformedName(f"line {lineno}: {exc}") from None
         edges.append((source, target))
-    return build_graph(nodes, edges)
+    return CausalGraph(nodes, edges)
 
 
 def load_graph(path) -> CausalGraph:

@@ -33,6 +33,7 @@ from .errors import (
 from .graph import CausalGraph, validate_name
 
 __all__ = [
+    "MAX_RATIONAL_DIGITS",
     "RESERVED_ATOM_CHARS",
     "Value",
     "Attribution",
@@ -48,6 +49,11 @@ __all__ = [
     "load_judgment",
     "load_context",
 ]
+
+# Most digits a number read from text may have (each number of a judgment
+# probability, and all of --epsilon), checked before int() or Fraction()
+# runs: a longer one could print past Python's int-to-str digit limit.
+MAX_RATIONAL_DIGITS = 100
 
 # Atoms may not contain these anywhere, regardless of how they are built.
 RESERVED_ATOM_CHARS = frozenset("+⊥,:=@")
@@ -287,7 +293,7 @@ def _read_items(sc: _Scanner, graph: CausalGraph | None) -> list[Attribution]:
         return items
     while True:
         name, npos = sc.read_atom("a variable name")
-        if graph is not None and not graph.has_node(name):
+        if graph is not None and name not in graph.nodes:
             raise UnknownVariable(f"variable {name!r} is not a node of the graph")
         if name in seen:
             raise DuplicateVariable(f"variable {name!r} occurs twice in the context")
@@ -308,6 +314,11 @@ def _read_probability(sc: _Scanner) -> Fraction:
             "malformed probability", sc.pos,
             expected="a decimal like 0.60 or a fraction like 27/34",
         )
+    # Bounded per number, so the m/n that serialize_judgment writes reads back.
+    if any(sum(ch.isdigit() for ch in part) > MAX_RATIONAL_DIGITS for part in match.groups("")):
+        raise JudgmentSyntaxError(
+            f"probability has a number of more than {MAX_RATIONAL_DIGITS} digits", match.start()
+        )
     sc.pos = match.end()
     if match.group("dec") is not None:
         return Fraction(match.group("dec"))
@@ -327,7 +338,7 @@ def parse_judgment(text: str, graph: CausalGraph | None) -> Judgment:
     items = _read_items(sc, graph)
     sc.expect_lit("=>", "'=>' between context and target")
     target, tpos = sc.read_atom("the target variable")
-    if graph is not None and not graph.has_node(target):
+    if graph is not None and target not in graph.nodes:
         raise UnknownVariable(f"variable {target!r} is not a node of the graph")
     if any(a.variable == target for a in items):
         raise DuplicateVariable(f"target {target!r} occurs in the context")

@@ -13,14 +13,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .closure import (
-    Closure,
-    close,
-    enumerate_classified_paths,
-    independent_by_rules,
-    path_is_active,
-)
-from .graph import CausalGraph, build_graph
+from .closure import close, dsep_oracle, enumerate_classified_paths
+from .graph import CausalGraph
+from .weakening import check_condition1, check_condition2
 
 __all__ = [
     "Discrepancy",
@@ -86,7 +81,7 @@ def enumerate_dags(n: int) -> list[CausalGraph]:
         if key in seen:
             continue
         seen.add(key)
-        out.append(build_graph(names, [(names[i], names[j]) for i, j in edges]))
+        out.append(CausalGraph(names, [(names[i], names[j]) for i, j in edges]))
     return out
 
 
@@ -107,32 +102,29 @@ def random_dag(
         for j in range(i + 1, n)
         if rng.random() < edge_prob
     ]
-    return build_graph(names, edges)
+    return CausalGraph(names, edges)
 
 
-def check_graph_agreement(
-    g: CausalGraph, closure: Closure | None = None, fact_budget: int | None = None
-):
+def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     """Compare both routes on every pair and every conditioning set of g.
 
-    Returns (discrepancies, checks run).  Paths are classified once per
-    pair; conditioning sets range over all subsets of the other nodes.
+    Returns (discrepancies, checks run).  The rules side is Conditions 1
+    and 2 exactly as a weakening verdict decides them; the oracle side is
+    ``dsep_oracle`` over paths classified once per pair.  Conditioning
+    sets range over all subsets of the other nodes.
     """
-    if closure is None:
-        closure = close(g, fact_budget=fact_budget, record_trace=False)
+    closure = close(g, fact_budget=fact_budget, record_trace=False)
     nodes = sorted(g.nodes)
     discrepancies = []
     checks = 0
     for x, y in combinations(nodes, 2):
         classified = enumerate_classified_paths(g, x, y)
+        nonadjacent = check_condition1(g, x, y)[0]
         rest = [v for v in nodes if v != x and v != y]
         for mask in range(1 << len(rest)):
             cond = frozenset(rest[k] for k in range(len(rest)) if mask >> k & 1)
-            by_rules = independent_by_rules(closure, g, x, y, cond)
-            by_oracle = not any(
-                path_is_active(g, noncolliders, colliders, cond)
-                for _, noncolliders, colliders in classified
-            )
+            by_rules = nonadjacent and check_condition2(closure, x, y, cond)[0]
+            by_oracle = dsep_oracle(g, classified, cond)
             checks += 1
             if by_rules != by_oracle:
                 discrepancies.append(

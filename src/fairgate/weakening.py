@@ -76,9 +76,9 @@ def check_condition1(g: CausalGraph, subject: str, target: str):
     for name in (subject, target):
         if name not in g.nodes:
             raise UnknownVariable(f"variable {name!r} is not a node of the graph")
-    if g.is_immediate_cause(subject, target):
+    if (subject, target) in g.edges:
         return False, (subject, target)
-    if g.is_immediate_cause(target, subject):
+    if (target, subject) in g.edges:
         return False, (target, subject)
     return True, None
 

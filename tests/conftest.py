@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-import fairgate as fg
+from fairgate.closure import Closure, close
+from fairgate.fairness import Dataset, generate_table1
+from fairgate.graph import CausalGraph, load_graph
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -19,15 +21,26 @@ def golden_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def loan_graph() -> fg.CausalGraph:
-    return fg.load_graph(DATA_DIR / "loan.cg")
+def loan_graph() -> CausalGraph:
+    return load_graph(DATA_DIR / "loan.cg")
 
 
 @pytest.fixture(scope="session")
-def loan_closure(loan_graph) -> fg.Closure:
-    return fg.close(loan_graph)
+def loan_closure(loan_graph) -> Closure:
+    return close(loan_graph)
 
 
 @pytest.fixture(scope="session")
-def table1() -> fg.Dataset:
-    return fg.generate_table1()
+def table1() -> Dataset:
+    return generate_table1()
+
+
+@pytest.fixture
+def all_facts_open(monkeypatch):
+    """Make the sweep's Condition 2 report every path fact open."""
+
+    def check_condition2(closure, subject, target, context_vars):
+        facts = closure.facts_between(subject, target)
+        return not facts, tuple((fact, None) for fact in facts), facts[0] if facts else None
+
+    monkeypatch.setattr("fairgate.sweep.check_condition2", check_condition2)

@@ -16,31 +16,31 @@ from pathlib import Path
 from jsonschema import Draft202012Validator
 
 import fairgate
-from fairgate import (
+from fairgate.closure import (
+    blocking_reason,
+    close,
+    dsep_oracle,
+    enumerate_classified_paths,
+    render_path_fact,
+)
+from fairgate.fairness import empirical_ci, empirical_probability, generate_table1
+from fairgate.graph import CausalGraph
+from fairgate.judgments import (
     Attribution,
     Context,
     Judgment,
     Value,
-    apply_weakening,
-    blocking_reason,
-    build_graph,
-    check_weakening,
-    close,
-    dsep_oracle,
-    empirical_ci,
-    empirical_probability,
-    enumerate_dags,
-    evaluate_conditions,
-    exhaustive_sweep,
-    generate_table1,
-    independent_by_rules,
-    is_fact_blocked,
     parse_judgment,
+    serialize_judgment,
+)
+from fairgate.sweep import (
+    enumerate_dags,
+    exhaustive_sweep,
     random_dag,
     random_sweep,
-    serialize_judgment,
     sweep_report_to_json,
 )
+from fairgate.weakening import apply_weakening, check_weakening, evaluate_conditions
 
 from _saturation import saturation_gap
 
@@ -106,7 +106,7 @@ def test_single_attributes_pass_while_pair_fails():
 
 def test_loan_weakening_golden_cases():
     with criterion("loan-weakening", budget_seconds=1.0):
-        g = build_graph(
+        g = CausalGraph(
             ["Age", "MS", "GAI", "Loan"],
             [("Age", "MS"), ("Age", "GAI"), ("Age", "Loan"), ("GAI", "Loan")],
         )
@@ -122,22 +122,23 @@ def test_loan_weakening_golden_cases():
         assert bad.failed_condition == "Condition2"
         assert bad.witness_fact.noncolliders == frozenset(["Age"])
         assert bad.witness_fact.collider_sets == frozenset()
-        witness_render = fairgate.render_path_fact(bad.witness_fact)
+        witness_render = render_path_fact(bad.witness_fact)
         fork_records = [
             r for r in bad.rule_trace
             if r.conclusion == witness_render and r.rule == "Fork"
         ]
         assert fork_records, [r.rule for r in bad.rule_trace]
 
-        assert dsep_oracle(g, "MS", "Loan", frozenset(["Age", "GAI"]))
-        assert not dsep_oracle(g, "MS", "Loan", frozenset(["GAI"]))
+        ms_loan = enumerate_classified_paths(g, "MS", "Loan")
+        assert dsep_oracle(g, ms_loan, frozenset(["Age", "GAI"]))
+        assert not dsep_oracle(g, ms_loan, frozenset(["GAI"]))
 
 
 def test_triplet_verdicts_on_both_routes():
     with criterion("triplet-shapes", budget_seconds=1.0):
-        chain = build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
-        fork = build_graph(["A", "B", "C"], [("B", "A"), ("B", "C")])
-        collider = build_graph(["A", "B", "C", "D"], [("A", "B"), ("C", "B"), ("B", "D")])
+        chain = CausalGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        fork = CausalGraph(["A", "B", "C"], [("B", "A"), ("B", "C")])
+        collider = CausalGraph(["A", "B", "C", "D"], [("A", "B"), ("C", "B"), ("B", "D")])
 
         cases = [
             (chain, frozenset(), False),
@@ -150,8 +151,8 @@ def test_triplet_verdicts_on_both_routes():
         ]
         for g, conditioning, expected in cases:
             closure = close(g)
-            by_rules = independent_by_rules(closure, g, "A", "C", conditioning)
-            by_oracle = dsep_oracle(g, "A", "C", conditioning)
+            by_rules = evaluate_conditions(g, "A", "C", conditioning, closure=closure).admissible
+            by_oracle = dsep_oracle(g, enumerate_classified_paths(g, "A", "C"), conditioning)
             assert by_rules is expected, (g.edges, conditioning)
             assert by_oracle is expected, (g.edges, conditioning)
 
@@ -192,7 +193,7 @@ def test_thousand_weakenings_preserve_probability():
                 for r in range(len(rest) + 1):
                     for ctx_vars in itertools.combinations(rest, r):
                         facts = closure.facts_between(subject, target)
-                        if all(is_fact_blocked(f, frozenset(ctx_vars)) for f in facts):
+                        if all(blocking_reason(f, frozenset(ctx_vars)) is not None for f in facts):
                             candidates.append((subject, target, ctx_vars))
             if not candidates:
                 continue

@@ -7,6 +7,7 @@ from jsonschema import Draft202012Validator
 
 import fairgate
 from fairgate.cli import main
+from fairgate.fairness import fraction_str
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"
 
@@ -128,6 +129,23 @@ def test_oracle_schema(capsys):
     payload = json.loads(out)
     validate(payload, "oracle.schema.json")
     assert payload["graphsChecked"] == 9
+
+
+def test_oracle_discrepancies_exit_1(capsys, all_facts_open):
+    code, out, err = run(capsys, ["oracle", "--max-nodes", "3"])
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    validate(payload, "oracle.schema.json")
+    assert payload["passed"] is False
+    assert {
+        "nodes": ["A", "B", "C"],
+        "edges": [["A", "B"], ["B", "C"]],
+        "x": "A",
+        "y": "C",
+        "conditioning": ["B"],
+        "byRules": False,
+        "byOracle": True,
+    } in payload["discrepancies"]
 
 
 def test_demo_schema(capsys):
@@ -363,7 +381,29 @@ def test_epsilon_at_the_bounds(capsys, data_dir):
     for epsilon in ("1e-100", "1e100", "0." + "0" * 98 + "1"):
         code, out, err = run(capsys, base + ["--epsilon", epsilon])
         assert (code, err) == (0, "")
-        assert json.loads(out)["empirical"]["epsilon"] == fairgate.fraction_str(Fraction(epsilon))
+        assert json.loads(out)["empirical"]["epsilon"] == fraction_str(Fraction(epsilon))
+
+
+@pytest.mark.parametrize("probability", ["0." + "3" * 5000, "1/" + "9" * 5000])
+def test_oversized_judgment_probability(capsys, data_dir, tmp_path, probability):
+    path = tmp_path / "long.jdg"
+    path.write_text(f"Age=27, GAI=40K => Loan=yes @ {probability}\n", encoding="utf-8")
+    assert_input_error(
+        capsys,
+        ["weaken", "--graph", str(data_dir / "loan.cg"), "--judgment", str(path),
+         "--attr", "MS=married"],
+        "probability has a number of more than 100 digits",
+    )
+
+
+def test_unexpected_exception_exits_4(capsys, data_dir, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("fairgate.cli._cmd_paths", crash)
+    code, out, err = run(capsys, ["paths", "--graph", str(data_dir / "loan.cg")])
+    assert (code, out) == (4, "")
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 @pytest.mark.parametrize(

@@ -5,28 +5,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairgate import (
+from fairgate.closure import (
     DEFAULT_FACT_BUDGET,
     FACT_BUDGET_ENV_VAR,
     BlockReason,
-    InputError,
     MediateCauseFact,
     PathFact,
-    ResourceLimit,
-    UnknownVariable,
-    build_graph,
     blocking_reason,
     close,
     closure_dump,
     dsep_oracle,
     enumerate_classified_paths,
-    enumerate_dags,
-    independent_by_rules,
-    is_fact_blocked,
-    random_dag,
     render_path_fact,
     resolve_fact_budget,
 )
+from fairgate.errors import InputError, ResourceLimit, UnknownVariable
+from fairgate.graph import CausalGraph
+from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, random_dag
+from fairgate.weakening import evaluate_conditions
 
 from _saturation import saturation_gap
 
@@ -41,11 +37,11 @@ RULE_NAMES = {
 
 
 def chain_graph():
-    return build_graph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    return CausalGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
 
 
 def fork_graph():
-    return build_graph(["A", "B", "C"], [("B", "A"), ("B", "C")])
+    return CausalGraph(["A", "B", "C"], [("B", "A"), ("B", "C")])
 
 
 def collider_graph(with_descendant=False):
@@ -54,7 +50,7 @@ def collider_graph(with_descendant=False):
     if with_descendant:
         nodes.append("D")
         edges.append(("B", "D"))
-    return build_graph(nodes, edges)
+    return CausalGraph(nodes, edges)
 
 
 # --- ground truth built directly from path enumeration ---------------------
@@ -160,8 +156,8 @@ def test_triplet_verdicts_match_oracle_on_both_routes():
     ]
     for g, cond, want in cases:
         closure = close(g)
-        assert independent_by_rules(closure, g, "A", "C", cond) is want
-        assert dsep_oracle(g, "A", "C", cond) is want
+        assert evaluate_conditions(g, "A", "C", cond, closure=closure).admissible is want
+        assert dsep_oracle(g, enumerate_classified_paths(g, "A", "C"), cond) is want
 
 
 def test_loan_facts_between_ms_and_loan(loan_graph, loan_closure):
@@ -235,23 +231,23 @@ def test_env_budget_limits_closure(monkeypatch, loan_graph):
 
 def test_is_fact_blocked():
     noncollider = PathFact("A", "C", frozenset(["B"]), frozenset())
-    assert is_fact_blocked(noncollider, frozenset(["B"]))
-    assert is_fact_blocked(noncollider, frozenset(["B", "Z"]))
-    assert not is_fact_blocked(noncollider, frozenset())
-    assert not is_fact_blocked(noncollider, frozenset(["Z"]))
+    assert blocking_reason(noncollider, frozenset(["B"])) is not None
+    assert blocking_reason(noncollider, frozenset(["B", "Z"])) is not None
+    assert blocking_reason(noncollider, frozenset()) is None
+    assert blocking_reason(noncollider, frozenset(["Z"])) is None
 
     collider = PathFact("A", "C", frozenset(), frozenset([frozenset(["B", "D"])]))
-    assert is_fact_blocked(collider, frozenset())
-    assert is_fact_blocked(collider, frozenset(["Z"]))
-    assert not is_fact_blocked(collider, frozenset(["D"]))
-    assert not is_fact_blocked(collider, frozenset(["B"]))
+    assert blocking_reason(collider, frozenset()) is not None
+    assert blocking_reason(collider, frozenset(["Z"])) is not None
+    assert blocking_reason(collider, frozenset(["D"])) is None
+    assert blocking_reason(collider, frozenset(["B"])) is None
 
     mixed = PathFact(
         "A", "D", frozenset(["M"]), frozenset([frozenset(["B"]), frozenset(["C"])])
     )
-    assert is_fact_blocked(mixed, frozenset(["M", "B", "C"]))
-    assert is_fact_blocked(mixed, frozenset(["B"]))
-    assert not is_fact_blocked(mixed, frozenset(["B", "C"]))
+    assert blocking_reason(mixed, frozenset(["M", "B", "C"])) is not None
+    assert blocking_reason(mixed, frozenset(["B"])) is not None
+    assert blocking_reason(mixed, frozenset(["B", "C"])) is None
 
 
 def test_blocking_reason_prefers_noncolliders_then_least_set():
@@ -287,14 +283,32 @@ def test_enumerate_classified_paths_contents():
 def test_dsep_oracle_validates_nodes():
     g = chain_graph()
     with pytest.raises(UnknownVariable):
-        dsep_oracle(g, "A", "Z", frozenset())
+        dsep_oracle(g, enumerate_classified_paths(g, "A", "Z"), frozenset())
 
 
 def test_dsep_on_disconnected_nodes():
-    g = build_graph(["A", "B"], [])
-    assert dsep_oracle(g, "A", "B", frozenset())
+    g = CausalGraph(["A", "B"], [])
+    assert dsep_oracle(g, enumerate_classified_paths(g, "A", "B"), frozenset())
     closure = close(g)
-    assert independent_by_rules(closure, g, "A", "B", frozenset())
+    assert evaluate_conditions(g, "A", "B", frozenset(), closure=closure).admissible
+
+
+def test_sweep_records_each_disagreement(all_facts_open):
+    # Conditioning on B blocks the chain's one path; the patched rules
+    # still call it open, so the routes disagree there and only there.
+    discrepancies, checks = check_graph_agreement(chain_graph())
+    assert checks == 6
+    assert discrepancies == [
+        Discrepancy(
+            nodes=("A", "B", "C"),
+            edges=(("A", "B"), ("B", "C")),
+            x="A",
+            y="C",
+            conditioning=("B",),
+            by_rules=False,
+            by_oracle=True,
+        )
+    ]
 
 
 # --- engine equals ground truth ----------------------------------------------
@@ -336,7 +350,7 @@ def test_adding_an_edge_never_removes_facts():
         if not missing:
             continue
         extra = rng.choice(missing)
-        bigger = build_graph(g.nodes, list(g.edges) + [extra])
+        bigger = CausalGraph(g.nodes, list(g.edges) + [extra])
         assert close(g, record_trace=False).paths <= close(
             bigger, record_trace=False
         ).paths
@@ -352,8 +366,9 @@ def test_independence_is_symmetric(seed, data):
     y = data.draw(st.sampled_from([n for n in nodes if n != x]))
     rest = [n for n in nodes if n not in (x, y)]
     cond = frozenset(data.draw(st.sets(st.sampled_from(rest)))) if rest else frozenset()
-    assert independent_by_rules(closure, g, x, y, cond) == independent_by_rules(
-        closure, g, y, x, cond
+    assert (
+        evaluate_conditions(g, x, y, cond, closure=closure).admissible
+        == evaluate_conditions(g, y, x, cond, closure=closure).admissible
     )
 
 

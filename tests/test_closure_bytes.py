@@ -13,16 +13,10 @@ import random
 
 import pytest
 
-from fairgate import (
-    ResourceLimit,
-    build_graph,
-    close,
-    closure_dump,
-    enumerate_dags,
-    load_graph,
-    random_dag,
-    render_path_fact,
-)
+from fairgate.closure import close, closure_dump, render_path_fact
+from fairgate.errors import ResourceLimit
+from fairgate.graph import CausalGraph, load_graph
+from fairgate.sweep import enumerate_dags, random_dag
 
 # Dense 10-node DAGs (14-16 edges), where Transitivity* meets the same
 # derivation many times over.
@@ -48,7 +42,7 @@ def _pinned_graphs():
         yield random_dag(rng, max_nodes=8)
     names = [chr(ord("A") + i) for i in range(10)]
     for spec in DENSE_N10:
-        yield build_graph(names, [tuple(edge.split(">")) for edge in spec.split()])
+        yield CausalGraph(names, [tuple(edge.split(">")) for edge in spec.split()])
 
 
 def _digest(graphs) -> str:

@@ -5,31 +5,30 @@ from fractions import Fraction
 
 import pytest
 
-from fairgate import (
-    Attribution,
-    Context,
-    Dataset,
+from fairgate.closure import close
+from fairgate.errors import (
     EmptyConditioningSet,
     InputError,
     MalformedDataset,
     SubsetExplosion,
     UnknownColumn,
-    Value,
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
-    build_graph,
+)
+from fairgate.fairness import (
+    Dataset,
     check_if,
     check_intersectionality,
-    close,
     empirical_ci,
     empirical_probability,
     fairness_report_to_json,
     fraction_str,
     generate_table1,
     if_result_to_json,
-    parse_context,
     table1_graph,
 )
+from fairgate.graph import CausalGraph
+from fairgate.judgments import Attribution, Context, Value, parse_context
 
 EMPTY = Context(())
 
@@ -324,7 +323,7 @@ def sample_mediated_dataset(n, seed):
 
 
 def test_sampled_data_tracks_graphical_verdict():
-    g = build_graph(["a", "m", "t"], [("a", "m"), ("m", "t")])
+    g = CausalGraph(["a", "m", "t"], [("a", "m"), ("m", "t")])
     closure = close(g)
     ds = sample_mediated_dataset(4000, seed=20240817)
     eps = Fraction(1, 10)

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-import fairgate as fg
-from fairgate import (
+from fairgate.errors import (
     CycleDetected,
     DuplicateEdge,
     DuplicateVariable,
@@ -12,20 +11,19 @@ from fairgate import (
     MalformedName,
     SelfLoop,
     UnknownVariable,
-    build_graph,
-    parse_graph,
-    validate_name,
 )
+from fairgate.graph import CausalGraph, load_graph, parse_graph, validate_name
+from fairgate.sweep import random_dag
 
 
 def test_build_collects_nodes_from_edges():
-    g = build_graph(["C"], [("A", "B")])
+    g = CausalGraph(["C"], [("A", "B")])
     assert g.nodes == {"A", "B", "C"}
     assert g.edges == {("A", "B")}
 
 
 def test_adjacency_is_sorted():
-    g = build_graph([], [("Z", "M"), ("A", "M"), ("M", "B"), ("M", "A2")])
+    g = CausalGraph([], [("Z", "M"), ("A", "M"), ("M", "B"), ("M", "A2")])
     assert g.parents("M") == ("A", "Z")
     assert g.children("M") == ("A2", "B")
     assert g.undirected_neighbors("M") == ("A", "A2", "B", "Z")
@@ -34,7 +32,7 @@ def test_adjacency_is_sorted():
 def test_undirected_neighbors_are_the_sorted_adjacent_nodes():
     rng = random.Random(4)
     for _ in range(30):
-        g = fg.random_dag(rng, max_nodes=8, edge_prob=0.4)
+        g = random_dag(rng, max_nodes=8, edge_prob=0.4)
         for v in g.nodes:
             adjacent = {a for a, b in g.edges if b == v} | {b for a, b in g.edges if a == v}
             assert g.undirected_neighbors(v) == tuple(sorted(adjacent))
@@ -54,17 +52,17 @@ def test_validate_name_rejects_reserved_characters():
 
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
-        build_graph([], [("A", "A")])
+        CausalGraph([], [("A", "A")])
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(DuplicateEdge):
-        build_graph([], [("A", "B"), ("A", "B")])
+        CausalGraph([], [("A", "B"), ("A", "B")])
 
 
 def test_cycle_detected_with_witness():
     with pytest.raises(CycleDetected) as exc_info:
-        build_graph([], [("A", "B"), ("B", "C"), ("C", "A")])
+        CausalGraph([], [("A", "B"), ("B", "C"), ("C", "A")])
     cycle = exc_info.value.cycle
     assert cycle[0] == cycle[-1]
     assert len(cycle) == 4
@@ -75,11 +73,11 @@ def test_cycle_detected_with_witness():
 
 def test_two_node_cycle():
     with pytest.raises(CycleDetected):
-        build_graph([], [("A", "B"), ("B", "A")])
+        CausalGraph([], [("A", "B"), ("B", "A")])
 
 
 def test_unknown_variable_queries():
-    g = build_graph(["A"], [])
+    g = CausalGraph(["A"], [])
     for method in (g.parents, g.children, g.descendants, g.undirected_neighbors):
         with pytest.raises(UnknownVariable):
             method("Nope")
@@ -111,9 +109,9 @@ def test_topological_order(loan_graph):
 
 
 def test_equality_and_hash():
-    g1 = build_graph(["A", "B"], [("A", "B")])
-    g2 = build_graph(["B", "A"], [("A", "B")])
-    g3 = build_graph(["A", "B"], [])
+    g1 = CausalGraph(["A", "B"], [("A", "B")])
+    g2 = CausalGraph(["B", "A"], [("A", "B")])
+    g3 = CausalGraph(["A", "B"], [])
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != g3
@@ -150,13 +148,13 @@ def test_graph_file_cycle_is_input_error(tmp_path):
     p = tmp_path / "c.cg"
     p.write_text("A -> B\nB -> A\n", encoding="utf-8")
     with pytest.raises(CycleDetected):
-        fg.load_graph(p)
+        load_graph(p)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_dags_are_acyclic_and_consistent(seed):
     rng = random.Random(seed)
-    g = fg.random_dag(rng, max_nodes=7, min_nodes=2, edge_prob=0.5)
+    g = random_dag(rng, max_nodes=7, min_nodes=2, edge_prob=0.5)
     order = g.topological_order()
     pos = {v: i for i, v in enumerate(order)}
     for a, b in g.edges:

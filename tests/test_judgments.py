@@ -3,19 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-import fairgate as fg
-from fairgate import (
-    Attribution,
-    Context,
+from fairgate.errors import (
     DuplicateVariable,
     InputError,
-    Judgment,
     JudgmentSyntaxError,
     MalformedValue,
     ProbabilityOutOfRange,
     UnknownVariable,
+)
+from fairgate.graph import CausalGraph
+from fairgate.judgments import (
+    MAX_RATIONAL_DIGITS,
+    Attribution,
+    Context,
+    Judgment,
     Value,
-    build_graph,
+    load_context,
+    load_judgment,
     parse_attribution,
     parse_context,
     parse_judgment,
@@ -30,7 +34,7 @@ LOAN_EXAMPLE = "Age=27, Gen=f, MS=married+divorced, Etn=white^~ => Loan=yes @ 0.
 
 @pytest.fixture(scope="module")
 def wide_graph():
-    return build_graph(
+    return CausalGraph(
         ["Age", "MS", "GAI", "Loan", "Gen", "Etn"],
         [("Age", "MS"), ("Age", "GAI"), ("Age", "Loan"), ("GAI", "Loan")],
     )
@@ -91,6 +95,22 @@ def test_parse_probability_out_of_range(wide_graph):
         parse_judgment(" => Loan=yes @ 3/2", wide_graph)
     with pytest.raises(ProbabilityOutOfRange):
         parse_judgment(" => Loan=yes @ 1.5", wide_graph)
+
+
+def test_probability_digit_bound(wide_graph):
+    at_bound = [
+        ("0." + "9" * 99, Fraction(10**99 - 1, 10**99)),
+        ("1" + "0" * 99 + "/" + "1" * 100, Fraction(10**99, int("1" * 100))),
+    ]
+    for text, value in at_bound:
+        longest = max(sum(ch.isdigit() for ch in part) for part in text.split("/"))
+        assert longest == MAX_RATIONAL_DIGITS
+        j = parse_judgment(f" => Loan=yes @ {text}", wide_graph)
+        assert j.probability == value
+        assert parse_judgment(serialize_judgment(j), wide_graph) == j
+    for text in ("0." + "9" * 100, "1/" + "7" * 101):
+        with pytest.raises(JudgmentSyntaxError, match="more than 100 digits"):
+            parse_judgment(f" => Loan=yes @ {text}", wide_graph)
 
 
 def test_syntax_errors_carry_position_and_expectation(wide_graph):
@@ -184,22 +204,22 @@ def test_parse_attribution(wide_graph):
 def test_context_files(tmp_path, wide_graph):
     p = tmp_path / "a.ctx"
     p.write_text("# just a comment\n\n", encoding="utf-8")
-    assert len(fg.load_context(p, wide_graph)) == 0
+    assert len(load_context(p, wide_graph)) == 0
     p.write_text("Age=27, GAI=40K\n", encoding="utf-8")
-    ctx = fg.load_context(p, wide_graph)
+    ctx = load_context(p, wide_graph)
     assert ctx.variables() == {"Age", "GAI"}
     p.write_text("Age=27\nGAI=40K\n", encoding="utf-8")
     with pytest.raises(InputError, match="single line"):
-        fg.load_context(p, wide_graph)
+        load_context(p, wide_graph)
 
 
 def test_judgment_files(tmp_path, wide_graph):
     p = tmp_path / "a.jdg"
     p.write_text("# nothing here\n", encoding="utf-8")
     with pytest.raises(InputError, match="no judgment"):
-        fg.load_judgment(p, wide_graph)
+        load_judgment(p, wide_graph)
     p.write_text("# note\n => Loan=yes @ 1/2\n", encoding="utf-8")
-    assert fg.load_judgment(p, wide_graph).probability == Fraction(1, 2)
+    assert load_judgment(p, wide_graph).probability == Fraction(1, 2)
 
 
 # --- generated round-trips -------------------------------------------------

@@ -7,22 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _recount import recount_ci, recount_if, recount_intersectionality
-from fairgate import (
-    Attribution,
-    Context,
+from fairgate.closure import close
+from fairgate.errors import EmptyConditioningSet, InputError
+from fairgate.fairness import (
     Dataset,
-    EmptyConditioningSet,
-    InputError,
-    Value,
-    build_graph,
     check_if,
     check_intersectionality,
-    close,
     ci_result_to_json,
     empirical_ci,
     fairness_report_to_json,
     if_result_to_json,
 )
+from fairgate.graph import CausalGraph
+from fairgate.judgments import Attribution, Context, Value
 
 PROTECTED = ("p0", "p1", "p2")
 COLUMNS = (*PROTECTED, "x", "t")
@@ -72,7 +69,7 @@ def audits(draw):
             max_size=6,
         )
     )
-    return dataset, ctx, protected, epsilon, build_graph(list(COLUMNS), edges)
+    return dataset, ctx, protected, epsilon, CausalGraph(list(COLUMNS), edges)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,25 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from fairgate import (
-    Attribution,
+from fairgate.closure import blocking_reason, close, dsep_oracle, enumerate_classified_paths
+from fairgate.errors import (
     InadmissibleWeakening,
     UnknownVariable,
-    Value,
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
+)
+from fairgate.graph import CausalGraph
+from fairgate.judgments import Attribution, Value, parse_judgment, serialize_judgment
+from fairgate.sweep import enumerate_dags
+from fairgate.weakening import (
     apply_weakening,
-    blocking_reason,
-    build_graph,
     check_condition1,
     check_condition2,
     check_weakening,
-    close,
-    dsep_oracle,
-    enumerate_dags,
     evaluate_conditions,
-    parse_judgment,
-    serialize_judgment,
     verdict_to_json,
 )
 
@@ -57,7 +54,7 @@ def test_condition2_on_loan(loan_graph, loan_closure):
 
 
 def test_condition2_collider_is_blocked_unconditionally():
-    g = build_graph(["A", "B", "C"], [("A", "B"), ("C", "B")])
+    g = CausalGraph(["A", "B", "C"], [("A", "B"), ("C", "B")])
     closure = close(g)
     ok, examined, open_fact = check_condition2(closure, "A", "C", frozenset())
     assert ok and open_fact is None
@@ -67,7 +64,7 @@ def test_condition2_collider_is_blocked_unconditionally():
 
 
 def test_condition2_isolated_nodes():
-    g = build_graph(["A", "B"], [])
+    g = CausalGraph(["A", "B"], [])
     ok, examined, open_fact = check_condition2(close(g), "A", "B", frozenset())
     assert ok and examined == () and open_fact is None
 
@@ -153,7 +150,7 @@ def test_apply_weakening_rejects_mismatched_verdict(loan_graph, loan_closure):
 
 
 def test_chained_weakenings_preserve_probability(loan_graph):
-    g = build_graph(
+    g = CausalGraph(
         list(loan_graph.nodes) + ["Etn"],
         list(loan_graph.edges),
     )
@@ -169,11 +166,11 @@ def test_chained_weakenings_preserve_probability(loan_graph):
 
 
 def test_conditioning_can_cut_both_ways():
-    mediated = build_graph(["a", "m", "t"], [("a", "m"), ("m", "t")])
+    mediated = CausalGraph(["a", "m", "t"], [("a", "m"), ("m", "t")])
     assert not evaluate_conditions(mediated, "a", "t", frozenset()).admissible
     assert evaluate_conditions(mediated, "a", "t", frozenset(["m"])).admissible
 
-    collider = build_graph(["a", "c", "t"], [("a", "c"), ("t", "c")])
+    collider = CausalGraph(["a", "c", "t"], [("a", "c"), ("t", "c")])
     assert evaluate_conditions(collider, "a", "t", frozenset()).admissible
     assert not evaluate_conditions(collider, "a", "t", frozenset(["c"])).admissible
 
@@ -206,7 +203,8 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                             target,
                             subject,
                         ) not in g.edges
-                        separated = dsep_oracle(g, subject, target, frozenset(ctx))
+                        paths = enumerate_classified_paths(g, subject, target)
+                        separated = dsep_oracle(g, paths, frozenset(ctx))
                         assert verdict.admissible == (no_edge and separated), (
                             g.edges,
                             subject,
