@@ -50,6 +50,10 @@ __all__ = ["main"]
 # seconds to parse.
 EPSILON_MAX_EXPONENT = 100
 
+# Largest exhaustive oracle sweep: enumerate_dags(n) builds n!·2^(n(n-1)/2)
+# permutation keys (2.4·10^7 at n=6, 1.1·10^10 at n=7), and no budget bounds them.
+EXHAUSTIVE_MAX_NODES = 6
+
 
 def _parse_epsilon(text: str) -> Fraction:
     if sum(ch.isdigit() for ch in text) > MAX_RATIONAL_DIGITS:
@@ -151,7 +155,7 @@ def _cmd_weaken(args) -> int:
     g = load_graph(args.graph)
     judgment = load_judgment(args.judgment, g)
     attr = parse_attribution(args.attr, g)
-    verdict = check_weakening(g, judgment, attr, fact_budget=args.fact_budget)
+    verdict = check_weakening(close(g, fact_budget=args.fact_budget), judgment, attr)
     payload = verdict_to_json(verdict)
     if verdict.admissible:
         payload["weakened"] = serialize_judgment(apply_weakening(judgment, attr, verdict))
@@ -191,13 +195,11 @@ def _if_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _resolve_mode(args, need_dataset_default: bool = True) -> str:
+def _resolve_mode(args) -> str:
     if args.mode is not None:
         return args.mode
-    if need_dataset_default and args.dataset and args.graph:
-        return "both"
-    if args.dataset and not args.graph:
-        return "empirical"
+    if args.dataset:
+        return "both" if args.graph else "empirical"
     return "graphical"
 
 
@@ -217,7 +219,6 @@ def _cmd_if(args) -> int:
     if "," in protected:
         raise InputError("if takes a single protected attribute; use intersect for sets")
     result = check_if(
-        g,
         _close_if_read(g, mode, args.fact_budget),
         dataset,
         ctx,
@@ -269,7 +270,6 @@ def _cmd_intersect(args) -> int:
     ctx = _load_ctx(args, g)
     protected = [p.strip() for p in args.protected.split(",") if p.strip()]
     report = check_intersectionality(
-        g,
         _close_if_read(g, mode, args.fact_budget),
         dataset,
         ctx,
@@ -315,6 +315,11 @@ def _check_oracle_flags(args) -> None:
                 f"--max-nodes must be at least 4 with --trials (random graphs have"
                 f" 4 or more nodes), got {args.max_nodes}"
             )
+    elif args.max_nodes is not None and args.max_nodes > EXHAUSTIVE_MAX_NODES:
+        raise InputError(
+            f"--max-nodes must be at most {EXHAUSTIVE_MAX_NODES} without --trials"
+            f" (the exhaustive sweep grows factorially), got {args.max_nodes}"
+        )
     # NaN fails both comparisons, infinities the range.
     if not 0 <= args.edge_prob <= 1:
         raise InputError(f"--edge-prob must be a number in [0, 1], got {args.edge_prob}")
@@ -379,7 +384,6 @@ def _cmd_demo_table1(args) -> int:
             )
     overall = fraction_str(empirical_probability(dataset, Context(()), beta))
     report = check_intersectionality(
-        None,
         None,
         dataset,
         Context(()),

@@ -184,11 +184,12 @@ def _fact_sort_key(fact: PathFact):
 
 
 class Closure:
-    """The fixpoint of the six derivation rules over one graph."""
+    """The fixpoint of the six derivation rules over ``graph``, the graph it closes."""
 
-    __slots__ = ("mediate", "paths", "trace", "_certifying", "_derivations", "_by_pair")
+    __slots__ = ("graph", "mediate", "paths", "trace", "_certifying", "_derivations", "_by_pair")
 
-    def __init__(self, mediate, certifying, derivations, trace):
+    def __init__(self, graph, mediate, certifying, derivations, trace):
+        self.graph: CausalGraph = graph
         self.mediate: frozenset[MediateCauseFact] = frozenset(mediate)
         self.paths: frozenset[PathFact] = frozenset(certifying)
         self.trace: tuple[TraceRecord, ...] = tuple(trace)
@@ -408,7 +409,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
             for other in [o for o in bucket if o[2] & mask == junction]:
                 glue(other, view)
 
-    return Closure(mediate, certifying, derivations, trace)
+    return Closure(g, mediate, certifying, derivations, trace)
 
 
 def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:

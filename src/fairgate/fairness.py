@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .closure import Closure, close
+from .closure import Closure
 from .errors import (
     EmptyConditioningSet,
     InputError,
@@ -273,7 +273,7 @@ class FairnessReport:
     passed: bool
 
 
-def _check_args(g, dataset, ctx: Context, target: str, protected, mode: str) -> None:
+def _check_args(closure, dataset, ctx: Context, target: str, protected, mode: str) -> None:
     """Argument checks shared by check_if and check_intersectionality."""
     for attr in protected:
         if attr == target:
@@ -282,7 +282,7 @@ def _check_args(g, dataset, ctx: Context, target: str, protected, mode: str) -> 
             raise VariableAlreadyInContext(
                 f"protected attribute {attr!r} is already in the context"
             )
-    if mode in ("graphical", "both") and g is None:
+    if mode in ("graphical", "both") and closure is None:
         raise InputError("graphical mode requires a graph")
     if mode in ("empirical", "both") and dataset is None:
         raise InputError("empirical mode requires a dataset")
@@ -294,7 +294,7 @@ def _validate_mode(mode: str):
 
 
 def _check_member(
-    g, closure, dataset, ctx: Context, target: str, attr: str, rest: tuple, epsilon, mode: str
+    closure, dataset, ctx: Context, target: str, attr: str, rest: tuple, epsilon, mode: str
 ) -> Decomposition:
     """Test attr with the rest folded into the conditioning side.
 
@@ -305,9 +305,7 @@ def _check_member(
     per_combo = None
     max_delta = None
     if mode in ("graphical", "both"):
-        verdict = evaluate_conditions(
-            g, attr, target, ctx.variables() | set(rest), closure=closure
-        )
+        verdict = evaluate_conditions(closure, attr, target, ctx.variables() | set(rest))
     if mode in ("empirical", "both"):
         epsilon = _epsilon(epsilon)
         split = len(rest)
@@ -334,7 +332,6 @@ def _check_member(
 
 
 def check_if(
-    g: CausalGraph | None,
     closure: Closure | None,
     dataset: Dataset | None,
     ctx: Context,
@@ -351,8 +348,8 @@ def check_if(
     This is one decomposition with nothing folded into the context.
     """
     _validate_mode(mode)
-    _check_args(g, dataset, ctx, target, [protected_attr], mode)
-    d = _check_member(g, closure, dataset, ctx, target, protected_attr, (), epsilon, mode)
+    _check_args(closure, dataset, ctx, target, [protected_attr], mode)
+    d = _check_member(closure, dataset, ctx, target, protected_attr, (), epsilon, mode)
     return IfCheckResult(
         protected_attr=protected_attr,
         target=target,
@@ -366,7 +363,6 @@ def check_if(
 
 
 def check_intersectionality(
-    g: CausalGraph | None,
     closure: Closure | None,
     dataset: Dataset | None,
     ctx: Context,
@@ -392,15 +388,13 @@ def check_intersectionality(
         raise SubsetExplosion(
             f"{len(protected)} protected attributes exceed the cap of {subset_cap}"
         )
-    _check_args(g, dataset, ctx, target, protected, mode)
-    if mode in ("graphical", "both") and closure is None:
-        closure = close(g)
+    _check_args(closure, dataset, ctx, target, protected, mode)
 
     subsets = []
     for size in range(1, len(protected) + 1):
         for subset in combinations(protected, size):
             decomps = tuple(
-                _check_member(g, closure, dataset, ctx, target, attr,
+                _check_member(closure, dataset, ctx, target, attr,
                               tuple(v for v in subset if v != attr), epsilon, mode)
                 for attr in subset
             )

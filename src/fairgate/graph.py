@@ -133,12 +133,6 @@ class CausalGraph:
         self._require_node(v)
         return self._neighbors[v]
 
-    def is_immediate_cause(self, x: str, y: str) -> bool:
-        """True iff the edge x -> y exists."""
-        self._require_node(x)
-        self._require_node(y)
-        return (x, y) in self.edges
-
     def descendants(self, x: str) -> frozenset[str]:
         """All nodes reachable from ``x`` by directed edges, excluding ``x``."""
         self._require_node(x)

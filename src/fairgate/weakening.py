@@ -24,7 +24,6 @@ from .closure import (
     PathFact,
     TraceRecord,
     blocking_reason,
-    close,
     render_path_fact,
 )
 from .errors import (
@@ -99,21 +98,14 @@ def check_condition2(closure: Closure, subject: str, target: str, context_vars):
     return first_open is None, tuple(examined), first_open
 
 
-def evaluate_conditions(
-    g: CausalGraph,
-    subject: str,
-    target: str,
-    context_vars,
-    *,
-    closure: Closure | None = None,
-    fact_budget: int | None = None,
-) -> Verdict:
+def evaluate_conditions(closure: Closure, subject: str, target: str, context_vars) -> Verdict:
     """Run both admissibility conditions for a bare variable configuration.
 
     This is the value-free core shared by judgment weakening and the
-    fairness checks.  A prebuilt closure for ``g`` may be passed to
-    amortize repeated checks; otherwise one is computed here.
+    fairness checks.  Both conditions read ``closure.graph``, so the
+    edges and the path facts always come from the same graph.
     """
+    g = closure.graph
     context_vars = frozenset(context_vars)
     for name in (subject, target, *sorted(context_vars)):
         if name not in g.nodes:
@@ -124,9 +116,6 @@ def evaluate_conditions(
         )
     if subject in context_vars:
         raise VariableAlreadyInContext(f"variable {subject!r} is already in the context")
-
-    if closure is None:
-        closure = close(g, fact_budget=fact_budget)
 
     ok1, edge = check_condition1(g, subject, target)
     ok2, examined, open_fact = check_condition2(closure, subject, target, context_vars)
@@ -154,26 +143,14 @@ def evaluate_conditions(
     )
 
 
-def check_weakening(
-    g: CausalGraph,
-    judgment: Judgment,
-    new_attr: Attribution,
-    *,
-    closure: Closure | None = None,
-    fact_budget: int | None = None,
-) -> Verdict:
+def check_weakening(closure: Closure, judgment: Judgment, new_attr: Attribution) -> Verdict:
     """Decide whether extending the judgment's context with new_attr is admissible.
 
     Only the new attribution's variable matters; its value plays no role
     in either condition.
     """
     return evaluate_conditions(
-        g,
-        new_attr.variable,
-        judgment.target,
-        judgment.context.variables(),
-        closure=closure,
-        fact_budget=fact_budget,
+        closure, new_attr.variable, judgment.target, judgment.context.variables()
     )
 
 

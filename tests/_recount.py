@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from fairgate.closure import close
 from fairgate.errors import (
     EmptyConditioningSet,
     InputError,
@@ -94,7 +93,7 @@ def _validate_mode(mode):
         raise InputError(f"mode must be graphical, empirical or both, got {mode!r}")
 
 
-def recount_if(g, closure, dataset, ctx, target, protected_attr,
+def recount_if(closure, dataset, ctx, target, protected_attr,
                epsilon=Fraction(0), mode="graphical") -> IfCheckResult:
     _validate_mode(mode)
     if protected_attr == target:
@@ -106,11 +105,9 @@ def recount_if(g, closure, dataset, ctx, target, protected_attr,
     verdict = None
     ci = None
     if mode in ("graphical", "both"):
-        if g is None:
+        if closure is None:
             raise InputError("graphical mode requires a graph")
-        verdict = evaluate_conditions(
-            g, protected_attr, target, ctx.variables(), closure=closure
-        )
+        verdict = evaluate_conditions(closure, protected_attr, target, ctx.variables())
     if mode in ("empirical", "both"):
         if dataset is None:
             raise InputError("empirical mode requires a dataset")
@@ -133,7 +130,7 @@ def recount_if(g, closure, dataset, ctx, target, protected_attr,
     )
 
 
-def recount_intersectionality(g, closure, dataset, ctx, target, protected_set,
+def recount_intersectionality(closure, dataset, ctx, target, protected_set,
                               epsilon=Fraction(0), mode="graphical",
                               subset_cap=DEFAULT_SUBSET_CAP) -> FairnessReport:
     _validate_mode(mode)
@@ -152,11 +149,8 @@ def recount_intersectionality(g, closure, dataset, ctx, target, protected_set,
             raise VariableAlreadyInContext(
                 f"protected attribute {attr!r} is already in the context"
             )
-    if mode in ("graphical", "both"):
-        if g is None:
-            raise InputError("graphical mode requires a graph")
-        if closure is None:
-            closure = close(g)
+    if mode in ("graphical", "both") and closure is None:
+        raise InputError("graphical mode requires a graph")
     if mode in ("empirical", "both") and dataset is None:
         raise InputError("empirical mode requires a dataset")
 
@@ -171,9 +165,7 @@ def recount_intersectionality(g, closure, dataset, ctx, target, protected_set,
                 per_combo = None
                 max_delta = None
                 if mode in ("graphical", "both"):
-                    verdict = evaluate_conditions(
-                        g, attr, target, ctx_vars | set(rest), closure=closure
-                    )
+                    verdict = evaluate_conditions(closure, attr, target, ctx_vars | set(rest))
                 if mode in ("empirical", "both"):
                     per_combo = []
                     max_delta = Fraction(0)

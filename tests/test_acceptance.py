@@ -112,12 +112,10 @@ def test_loan_weakening_golden_cases():
         )
         closure = close(g)
 
-        good = evaluate_conditions(
-            g, "MS", "Loan", frozenset(["Age", "GAI"]), closure=closure
-        )
+        good = evaluate_conditions(closure, "MS", "Loan", frozenset(["Age", "GAI"]))
         assert good.admissible
 
-        bad = evaluate_conditions(g, "MS", "Loan", frozenset(["GAI"]), closure=closure)
+        bad = evaluate_conditions(closure, "MS", "Loan", frozenset(["GAI"]))
         assert not bad.admissible
         assert bad.failed_condition == "Condition2"
         assert bad.witness_fact.noncolliders == frozenset(["Age"])
@@ -151,7 +149,7 @@ def test_triplet_verdicts_on_both_routes():
         ]
         for g, conditioning, expected in cases:
             closure = close(g)
-            by_rules = evaluate_conditions(g, "A", "C", conditioning, closure=closure).admissible
+            by_rules = evaluate_conditions(closure, "A", "C", conditioning).admissible
             by_oracle = dsep_oracle(g, enumerate_classified_paths(g, "A", "C"), conditioning)
             assert by_rules is expected, (g.edges, conditioning)
             assert by_oracle is expected, (g.edges, conditioning)
@@ -212,7 +210,7 @@ def test_thousand_weakenings_preserve_probability():
                 probability,
             )
             attr = Attribution(subject, Value.atomic("new"))
-            verdict = check_weakening(g, judgment, attr, closure=closure)
+            verdict = check_weakening(closure, judgment, attr)
             assert verdict.admissible, (g.edges, subject, target, ctx_vars)
             weakened = apply_weakening(judgment, attr, verdict)
             assert weakened.probability == probability

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import fairgate
@@ -417,6 +420,7 @@ def test_unexpected_exception_exits_4(capsys, data_dir, monkeypatch):
         (["--trials", "3", "--edge-prob", "inf"], "--edge-prob must be a number in [0, 1]"),
         (["--trials", "3", "--edge-prob", "-0.1"], "--edge-prob must be a number in [0, 1]"),
         (["--edge-prob", "1.5"], "--edge-prob must be a number in [0, 1]"),
+        (["--max-nodes", "7"], "--max-nodes must be at most 6 without --trials"),
     ],
 )
 def test_bad_oracle_flags_are_input_errors(capsys, flags, complaint):
@@ -534,3 +538,119 @@ def test_seeded_oracle_is_deterministic(capsys):
     assert payload["mode"] == "random"
     assert payload["trials"] == 5
     assert payload["seed"] == 3
+
+
+# --- fuzzing --------------------------------------------------------------------------
+
+NAMES = ("A", "B", "C", "t", "a1", "Zz")
+VALUES = ("x", "y", "v11", "x+y", "x^~")
+
+
+@st.composite
+def _or_bytes(draw, text):
+    """Well-formed file text four times in five, arbitrary bytes otherwise."""
+    if draw(st.sampled_from((True, True, True, True, False))):
+        return draw(text).encode("utf-8")
+    return draw(st.binary(max_size=40))
+
+
+_name = st.sampled_from(NAMES)
+_attribution = st.builds("{}={}".format, _name, st.sampled_from(VALUES))
+_context_text = st.dictionaries(_name, st.sampled_from(VALUES), max_size=3).map(
+    lambda d: ", ".join(f"{k}={v}" for k, v in d.items())
+)
+# Every name is a node and edges follow the order of NAMES, so the text
+# parses to a DAG; malformed graphs come from the bytes branch.
+_edge = st.tuples(_name, _name).filter(lambda e: e[0] != e[1])
+_graph_text = st.lists(
+    _edge.map(lambda e: tuple(sorted(e, key=NAMES.index))), max_size=6, unique=True
+).map(lambda edges: "\n".join([*(f"node {n}" for n in NAMES), *(f"{a} -> {b}" for a, b in edges)]))
+_judgment_text = st.builds(
+    "{} => {} @ {}".format,
+    _context_text,
+    st.builds("{}={}".format, _name, st.sampled_from(("x", "y"))),
+    st.sampled_from(("0.6", "3/5", "1", "0", "2", "1/0")),
+)
+_csv_text = st.lists(
+    st.lists(st.sampled_from(("x", "y", "v11")), min_size=len(NAMES), max_size=len(NAMES)),
+    min_size=1,
+    max_size=8,
+).map(lambda rows: "\n".join(",".join(row) for row in [NAMES, *rows]) + "\n")
+
+_COMMON = {
+    "--format": st.just("json"),
+    "--fact-budget": st.sampled_from(("100000", "1000", "40", "1", "0", "-1", "x")),
+}
+_AUDIT = {
+    **_COMMON,
+    "--graph": st.just("g.cg"),
+    "--dataset": st.just("d.csv"),
+    "--context": st.just("c.ctx"),
+    "--context-inline": _context_text,
+    "--epsilon": st.sampled_from(("0", "1/20", "0.05", "1/3", "1e-3", "-1", "1/0", "nan")),
+    "--mode": st.sampled_from(("graphical", "empirical", "both")),
+}
+# Per subcommand: the flags always given, then the flags given half the time.
+# The oracle always gets a --max-nodes of at most 4, so a sweep stays small.
+FLAGS = {
+    "paths": ({"--graph": st.just("g.cg")}, _COMMON),
+    "weaken": (
+        {"--graph": st.just("g.cg"), "--judgment": st.just("j.jdg"), "--attr": _attribution},
+        _COMMON,
+    ),
+    "if": ({"--target": _name, "--protected": _name}, _AUDIT),
+    "intersect": (
+        {"--target": _name, "--protected": st.lists(_name, min_size=1, max_size=3).map(",".join)},
+        {**_AUDIT, "--subset-cap": st.sampled_from(("12", "2", "1", "0"))},
+    ),
+    "oracle": (
+        {"--max-nodes": st.sampled_from(("4", "3", "2", "1", "0", "-1"))},
+        {
+            **_COMMON,
+            "--trials": st.sampled_from(("1", "2", "0", "-1")),
+            "--seed": st.sampled_from(("0", "1", "-3")),
+            "--edge-prob": st.sampled_from(("0.5", "0", "1", "nan", "2")),
+        },
+    ),
+    "demo-table1": ({}, _COMMON),
+}
+
+
+@st.composite
+def _invocations(draw):
+    subcommand = draw(st.sampled_from(sorted(FLAGS)))
+    required, optional = FLAGS[subcommand]
+    argv = [subcommand]
+    for flag, values in required.items():
+        argv += [flag, draw(values)]
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    files = {
+        "g.cg": draw(_or_bytes(_graph_text)),
+        "j.jdg": draw(_or_bytes(_judgment_text)),
+        "c.ctx": draw(_or_bytes(_context_text)),
+        "d.csv": draw(_or_bytes(_csv_text)),
+    }
+    return argv, files
+
+
+@settings(max_examples=150, deadline=None)
+@given(_invocations())
+def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path_factory, invocation):
+    argv, files = invocation
+    workdir = tmp_path_factory.mktemp("fuzz")
+    for name, data in files.items():
+        (workdir / name).write_bytes(data)
+    argv = [str(workdir / a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        validate(json.loads(out.getvalue()), f"{argv[0]}.schema.json")

@@ -156,7 +156,7 @@ def test_triplet_verdicts_match_oracle_on_both_routes():
     ]
     for g, cond, want in cases:
         closure = close(g)
-        assert evaluate_conditions(g, "A", "C", cond, closure=closure).admissible is want
+        assert evaluate_conditions(closure, "A", "C", cond).admissible is want
         assert dsep_oracle(g, enumerate_classified_paths(g, "A", "C"), cond) is want
 
 
@@ -290,7 +290,7 @@ def test_dsep_on_disconnected_nodes():
     g = CausalGraph(["A", "B"], [])
     assert dsep_oracle(g, enumerate_classified_paths(g, "A", "B"), frozenset())
     closure = close(g)
-    assert evaluate_conditions(g, "A", "B", frozenset(), closure=closure).admissible
+    assert evaluate_conditions(closure, "A", "B", frozenset()).admissible
 
 
 def test_sweep_records_each_disagreement(all_facts_open):
@@ -367,8 +367,8 @@ def test_independence_is_symmetric(seed, data):
     rest = [n for n in nodes if n not in (x, y)]
     cond = frozenset(data.draw(st.sets(st.sampled_from(rest)))) if rest else frozenset()
     assert (
-        evaluate_conditions(g, x, y, cond, closure=closure).admissible
-        == evaluate_conditions(g, y, x, cond, closure=closure).admissible
+        evaluate_conditions(closure, x, y, cond).admissible
+        == evaluate_conditions(closure, y, x, cond).admissible
     )
 
 

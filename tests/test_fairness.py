@@ -180,7 +180,7 @@ def test_empirical_ci_rejects_bad_inputs(table1):
 
 def test_check_if_graphical_loan(loan_graph, loan_closure):
     ctx = parse_context("Age=27, GAI=40K", loan_graph)
-    result = check_if(loan_graph, loan_closure, None, ctx, "Loan", "MS")
+    result = check_if(loan_closure, None, ctx, "Loan", "MS")
     assert result.passed
     assert result.mode == "graphical"
     assert result.graphical.admissible
@@ -190,30 +190,28 @@ def test_check_if_graphical_loan(loan_graph, loan_closure):
 
 def test_check_if_both_mode_disagreement(table1):
     g = table1_graph()
-    result = check_if(
-        g, close(g), table1, EMPTY, "t", "a1", Fraction(0), mode="both"
-    )
+    result = check_if(close(g), table1, EMPTY, "t", "a1", Fraction(0), mode="both")
     assert not result.passed
     assert result.graphical.failed_condition == "Condition1"
     assert result.empirical.passed
     assert result.agreement is False
 
 
-def test_check_if_validation(table1, loan_graph):
+def test_check_if_validation(table1):
     with pytest.raises(InputError, match="mode"):
-        check_if(loan_graph, None, None, EMPTY, "Loan", "MS", mode="psychic")
+        check_if(None, None, EMPTY, "Loan", "MS", mode="psychic")
     with pytest.raises(WeakeningTargetIsGoal):
-        check_if(loan_graph, None, None, EMPTY, "Loan", "Loan")
+        check_if(None, None, EMPTY, "Loan", "Loan")
     with pytest.raises(VariableAlreadyInContext):
-        check_if(loan_graph, None, None, ctx_of(MS="m"), "Loan", "MS")
+        check_if(None, None, ctx_of(MS="m"), "Loan", "MS")
     with pytest.raises(InputError, match="requires a graph"):
-        check_if(None, None, table1, EMPTY, "t", "a1", mode="graphical")
+        check_if(None, table1, EMPTY, "t", "a1", mode="graphical")
     with pytest.raises(InputError, match="requires a dataset"):
-        check_if(loan_graph, None, None, EMPTY, "Loan", "MS", mode="empirical")
+        check_if(None, None, EMPTY, "Loan", "MS", mode="empirical")
 
 
 def test_check_if_empirical_only(table1):
-    result = check_if(None, None, table1, EMPTY, "t", "a1", Fraction(0), mode="empirical")
+    result = check_if(None, table1, EMPTY, "t", "a1", Fraction(0), mode="empirical")
     assert result.passed
     assert result.graphical is None
     payload = if_result_to_json(result)
@@ -227,7 +225,7 @@ def test_check_if_empirical_only(table1):
 
 def test_intersectionality_table1_empirical(table1):
     report = check_intersectionality(
-        None, None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0), mode="empirical"
+        None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0), mode="empirical"
     )
     assert not report.passed
     assert report.max_delta == Fraction(9, 85)
@@ -249,7 +247,7 @@ def test_intersectionality_table1_empirical(table1):
 def test_intersectionality_loan_graphical(loan_graph, loan_closure):
     ctx = parse_context("Age=27, GAI=40K", loan_graph)
     report = check_intersectionality(
-        loan_graph, loan_closure, None, ctx, "Loan", ["MS"], mode="graphical"
+        loan_closure, None, ctx, "Loan", ["MS"], mode="graphical"
     )
     assert report.passed
     assert report.max_delta is None
@@ -258,9 +256,9 @@ def test_intersectionality_loan_graphical(loan_graph, loan_closure):
 
 def test_singleton_subset_matches_check_if(table1):
     report = check_intersectionality(
-        None, None, table1, EMPTY, "t", ["a1"], Fraction(0), mode="empirical"
+        None, table1, EMPTY, "t", ["a1"], Fraction(0), mode="empirical"
     )
-    single = check_if(None, None, table1, EMPTY, "t", "a1", Fraction(0), mode="empirical")
+    single = check_if(None, table1, EMPTY, "t", "a1", Fraction(0), mode="empirical")
     decomp = report.subsets[0].decompositions[0]
     assert decomp.passed == single.passed
     assert decomp.max_delta == single.empirical.max_delta
@@ -269,22 +267,22 @@ def test_singleton_subset_matches_check_if(table1):
 def test_subset_cap(table1):
     too_many = [f"p{i}" for i in range(13)]
     with pytest.raises(SubsetExplosion):
-        check_intersectionality(None, None, table1, EMPTY, "t", too_many)
+        check_intersectionality(None, table1, EMPTY, "t", too_many)
     with pytest.raises(SubsetExplosion):
         check_intersectionality(
-            None, None, table1, EMPTY, "t", ["a", "b", "c"], subset_cap=2
+            None, table1, EMPTY, "t", ["a", "b", "c"], subset_cap=2
         )
     with pytest.raises(InputError, match="at least one"):
-        check_intersectionality(None, None, table1, EMPTY, "t", [])
+        check_intersectionality(None, table1, EMPTY, "t", [])
 
 
 def test_report_is_deterministic(table1):
     kwargs = dict(epsilon=Fraction(0), mode="empirical")
     first = check_intersectionality(
-        None, None, table1, EMPTY, "t", ["a1", "a2"], **kwargs
+        None, table1, EMPTY, "t", ["a1", "a2"], **kwargs
     )
     second = check_intersectionality(
-        None, None, table1, EMPTY, "t", ["a2", "a1"], **kwargs
+        None, table1, EMPTY, "t", ["a2", "a1"], **kwargs
     )
     a = json.dumps(fairness_report_to_json(first), indent=2, ensure_ascii=False)
     b = json.dumps(fairness_report_to_json(second), indent=2, ensure_ascii=False)
@@ -293,7 +291,7 @@ def test_report_is_deterministic(table1):
 
 def test_report_json_shape(table1):
     report = check_intersectionality(
-        None, None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0), mode="empirical"
+        None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0), mode="empirical"
     )
     payload = fairness_report_to_json(report)
     assert payload["passed"] is False
@@ -329,11 +327,11 @@ def test_sampled_data_tracks_graphical_verdict():
     eps = Fraction(1, 10)
     for m_value in ("m0", "m1"):
         ctx = ctx_of(m=m_value)
-        result = check_if(g, closure, ds, ctx, "t", "a", eps, mode="both")
+        result = check_if(closure, ds, ctx, "t", "a", eps, mode="both")
         assert result.graphical.admissible
         assert result.empirical.passed, result.empirical.max_delta
         assert result.agreement is True
-    naked = check_if(g, closure, ds, EMPTY, "t", "a", eps, mode="graphical")
+    naked = check_if(closure, ds, EMPTY, "t", "a", eps, mode="graphical")
     assert not naked.passed
 
 

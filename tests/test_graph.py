@@ -81,14 +81,6 @@ def test_unknown_variable_queries():
     for method in (g.parents, g.children, g.descendants, g.undirected_neighbors):
         with pytest.raises(UnknownVariable):
             method("Nope")
-    with pytest.raises(UnknownVariable):
-        g.is_immediate_cause("A", "Nope")
-
-
-def test_is_immediate_cause_is_directional(loan_graph):
-    assert loan_graph.is_immediate_cause("GAI", "Loan")
-    assert not loan_graph.is_immediate_cause("Loan", "GAI")
-    assert not loan_graph.is_immediate_cause("MS", "Loan")
 
 
 def test_descendants(loan_graph):

@@ -1,4 +1,8 @@
-"""Every public name lives in, and is imported from, the module that defines it."""
+"""Module boundaries.
+
+Every public name lives in, and is imported from, the module that
+defines it, and the verdict modules read a closure but never build one.
+"""
 
 import importlib
 import inspect
@@ -7,6 +11,7 @@ import pkgutil
 import pytest
 
 import fairgate
+from fairgate.closure import close
 
 MODULES = [
     importlib.import_module(f"fairgate.{info.name}")
@@ -31,3 +36,12 @@ def test_package_root_exports_only_the_version():
     ]
     assert public == []
     assert fairgate.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("name", ["fairgate.weakening", "fairgate.fairness"])
+def test_verdict_modules_do_not_close_graphs(name):
+    assert not hasattr(importlib.import_module(name), "close")
+
+
+def test_a_closure_carries_the_graph_it_closes(loan_graph):
+    assert close(loan_graph).graph is loan_graph

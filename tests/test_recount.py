@@ -85,7 +85,7 @@ def test_tally_matches_row_scans(audit):
                 ci_result_to_json(recount_ci(dataset, attr, "t", ctx, epsilon))
             )
     for mode in ("empirical", "both"):
-        args = (g, closure, dataset, ctx, "t")
+        args = (closure, dataset, ctx, "t")
         for attr in protected:
             result = outcome(check_if, *args, attr, epsilon, mode)
             assert result == outcome(recount_if, *args, attr, epsilon, mode)
@@ -106,7 +106,7 @@ def test_tally_matches_row_scans(audit):
 def test_negative_epsilon_in_intersectionality_is_input_error(table1):
     with pytest.raises(InputError, match="nonnegative"):
         check_intersectionality(
-            None, None, table1, EMPTY, "t", ["a1", "a2"], Fraction(-1, 2), mode="empirical"
+            None, table1, EMPTY, "t", ["a1", "a2"], Fraction(-1, 2), mode="empirical"
         )
 
 
@@ -114,10 +114,10 @@ def test_context_matching_no_rows_is_empty_conditioning_set(table1):
     nowhere = Context((Attribution("a1", Value.atomic("nope")),))
     with pytest.raises(EmptyConditioningSet):
         check_intersectionality(
-            None, None, table1, nowhere, "t", ["a2"], Fraction(0), mode="empirical"
+            None, table1, nowhere, "t", ["a2"], Fraction(0), mode="empirical"
         )
     with pytest.raises(EmptyConditioningSet):
-        check_if(None, None, table1, nowhere, "t", "a2", Fraction(0), mode="empirical")
+        check_if(None, table1, nowhere, "t", "a2", Fraction(0), mode="empirical")
 
 
 @pytest.mark.parametrize(
@@ -133,7 +133,7 @@ def test_context_matching_no_rows_is_empty_conditioning_set(table1):
     ],
 )
 def test_each_bad_input_raises_what_the_row_scans_raise(table1, attrs, target, ctx, epsilon):
-    args = (None, None, table1, ctx, target)
+    args = (None, table1, ctx, target)
     expected = outcome(recount_intersectionality, *args, attrs, epsilon, "empirical")
     assert isinstance(expected, type)
     assert outcome(check_intersectionality, *args, attrs, epsilon, "empirical") is expected

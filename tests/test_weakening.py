@@ -71,19 +71,17 @@ def test_condition2_isolated_nodes():
 
 def test_evaluate_conditions_validation(loan_graph):
     with pytest.raises(UnknownVariable):
-        evaluate_conditions(loan_graph, "Zzz", "Loan", frozenset())
+        evaluate_conditions(close(loan_graph), "Zzz", "Loan", frozenset())
     with pytest.raises(UnknownVariable):
-        evaluate_conditions(loan_graph, "MS", "Loan", frozenset(["Zzz"]))
+        evaluate_conditions(close(loan_graph), "MS", "Loan", frozenset(["Zzz"]))
     with pytest.raises(WeakeningTargetIsGoal):
-        evaluate_conditions(loan_graph, "Loan", "Loan", frozenset())
+        evaluate_conditions(close(loan_graph), "Loan", "Loan", frozenset())
     with pytest.raises(VariableAlreadyInContext):
-        evaluate_conditions(loan_graph, "MS", "Loan", frozenset(["MS"]))
+        evaluate_conditions(close(loan_graph), "MS", "Loan", frozenset(["MS"]))
 
 
-def test_verdict_structure_on_admissible_case(loan_graph, loan_closure):
-    verdict = evaluate_conditions(
-        loan_graph, "MS", "Loan", frozenset(["Age", "GAI"]), closure=loan_closure
-    )
+def test_verdict_structure_on_admissible_case(loan_closure):
+    verdict = evaluate_conditions(loan_closure, "MS", "Loan", frozenset(["Age", "GAI"]))
     assert verdict.admissible
     assert verdict.failed_condition is None
     assert verdict.witness_edge is None and verdict.witness_fact is None
@@ -99,18 +97,14 @@ def test_verdict_structure_on_admissible_case(loan_graph, loan_closure):
     assert rules == {"Fork", "Transitivity*"}
 
 
-def test_verdict_witness_is_first_failed_condition(loan_graph, loan_closure):
-    verdict = evaluate_conditions(
-        loan_graph, "GAI", "Loan", frozenset(["Age"]), closure=loan_closure
-    )
+def test_verdict_witness_is_first_failed_condition(loan_closure):
+    verdict = evaluate_conditions(loan_closure, "GAI", "Loan", frozenset(["Age"]))
     assert not verdict.admissible
     assert verdict.failed_condition == "Condition1"
     assert verdict.witness_edge == ("GAI", "Loan")
     assert verdict.witness_fact is None
 
-    verdict = evaluate_conditions(
-        loan_graph, "MS", "Loan", frozenset(), closure=loan_closure
-    )
+    verdict = evaluate_conditions(loan_closure, "MS", "Loan", frozenset())
     assert verdict.failed_condition == "Condition2"
     assert verdict.witness_edge is None
     assert verdict.witness_fact.noncolliders == frozenset(["Age"])
@@ -119,7 +113,7 @@ def test_verdict_witness_is_first_failed_condition(loan_graph, loan_closure):
 def test_check_weakening_loan_example(loan_graph, loan_closure):
     judgment = parse_judgment("Age=27, GAI=40K => Loan=yes @ 0.60", loan_graph)
     attr = Attribution("MS", Value.atomic("married"))
-    verdict = check_weakening(loan_graph, judgment, attr, closure=loan_closure)
+    verdict = check_weakening(loan_closure, judgment, attr)
     assert verdict.admissible
     weakened = apply_weakening(judgment, attr, verdict)
     assert weakened.probability == Fraction(3, 5)
@@ -133,7 +127,7 @@ def test_check_weakening_loan_example(loan_graph, loan_closure):
 def test_check_weakening_rejects_open_fact(loan_graph, loan_closure):
     judgment = parse_judgment("GAI=40K => Loan=yes @ 0.60", loan_graph)
     attr = Attribution("MS", Value.atomic("married"))
-    verdict = check_weakening(loan_graph, judgment, attr, closure=loan_closure)
+    verdict = check_weakening(loan_closure, judgment, attr)
     assert not verdict.admissible
     assert verdict.failed_condition == "Condition2"
     with pytest.raises(InadmissibleWeakening):
@@ -144,7 +138,7 @@ def test_apply_weakening_rejects_mismatched_verdict(loan_graph, loan_closure):
     judgment = parse_judgment("Age=27, GAI=40K => Loan=yes @ 0.60", loan_graph)
     other = parse_judgment("Age=27 => Loan=yes @ 0.60", loan_graph)
     attr = Attribution("MS", Value.atomic("married"))
-    verdict = check_weakening(loan_graph, other, attr, closure=loan_closure)
+    verdict = check_weakening(loan_closure, other, attr)
     with pytest.raises(InadmissibleWeakening, match="different weakening"):
         apply_weakening(judgment, attr, verdict)
 
@@ -158,7 +152,7 @@ def test_chained_weakenings_preserve_probability(loan_graph):
     closure = close(g)
     for variable, value in (("MS", "married"), ("Etn", "white")):
         attr = Attribution(variable, Value.atomic(value))
-        verdict = check_weakening(g, judgment, attr, closure=closure)
+        verdict = check_weakening(closure, judgment, attr)
         assert verdict.admissible
         judgment = apply_weakening(judgment, attr, verdict)
     assert judgment.probability == Fraction(3, 5)
@@ -167,19 +161,17 @@ def test_chained_weakenings_preserve_probability(loan_graph):
 
 def test_conditioning_can_cut_both_ways():
     mediated = CausalGraph(["a", "m", "t"], [("a", "m"), ("m", "t")])
-    assert not evaluate_conditions(mediated, "a", "t", frozenset()).admissible
-    assert evaluate_conditions(mediated, "a", "t", frozenset(["m"])).admissible
+    assert not evaluate_conditions(close(mediated), "a", "t", frozenset()).admissible
+    assert evaluate_conditions(close(mediated), "a", "t", frozenset(["m"])).admissible
 
     collider = CausalGraph(["a", "c", "t"], [("a", "c"), ("t", "c")])
-    assert evaluate_conditions(collider, "a", "t", frozenset()).admissible
-    assert not evaluate_conditions(collider, "a", "t", frozenset(["c"])).admissible
+    assert evaluate_conditions(close(collider), "a", "t", frozenset()).admissible
+    assert not evaluate_conditions(close(collider), "a", "t", frozenset(["c"])).admissible
 
 
-def test_verdict_witnesses_replay(loan_graph, loan_closure):
+def test_verdict_witnesses_replay(loan_closure):
     for ctx in (frozenset(), frozenset(["Age"]), frozenset(["GAI"])):
-        verdict = evaluate_conditions(
-            loan_graph, "MS", "Loan", ctx, closure=loan_closure
-        )
+        verdict = evaluate_conditions(loan_closure, "MS", "Loan", ctx)
         assert len(verdict.blocked_facts) == len(
             loan_closure.facts_between("MS", "Loan")
         )
@@ -196,9 +188,7 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                 rest = [v for v in nodes if v not in (subject, target)]
                 for r in range(len(rest) + 1):
                     for ctx in itertools.combinations(rest, r):
-                        verdict = evaluate_conditions(
-                            g, subject, target, frozenset(ctx), closure=closure
-                        )
+                        verdict = evaluate_conditions(closure, subject, target, frozenset(ctx))
                         no_edge = (subject, target) not in g.edges and (
                             target,
                             subject,
@@ -213,10 +203,8 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                         )
 
 
-def test_verdict_to_json_shape(loan_graph, loan_closure):
-    verdict = evaluate_conditions(
-        loan_graph, "MS", "Loan", frozenset(["GAI"]), closure=loan_closure
-    )
+def test_verdict_to_json_shape(loan_closure):
+    verdict = evaluate_conditions(loan_closure, "MS", "Loan", frozenset(["GAI"]))
     payload = verdict_to_json(verdict)
     assert payload["admissible"] is False
     assert payload["failedCondition"] == "Condition2"
@@ -230,17 +218,13 @@ def test_verdict_to_json_shape(loan_graph, loan_closure):
     assert facts[1]["blockedBy"] == {"kind": "noncollider", "nodes": ["GAI"]}
     json.dumps(payload)
 
-    ok = evaluate_conditions(
-        loan_graph, "MS", "Loan", frozenset(["Age"]), closure=loan_closure
-    )
+    ok = evaluate_conditions(loan_closure, "MS", "Loan", frozenset(["Age"]))
     ok_payload = verdict_to_json(ok)
     assert ok_payload["admissible"] is True
     assert ok_payload["failedCondition"] is None
     assert ok_payload["witness"] is None
 
-    edge_case = evaluate_conditions(
-        loan_graph, "GAI", "Loan", frozenset(), closure=loan_closure
-    )
+    edge_case = evaluate_conditions(loan_closure, "GAI", "Loan", frozenset())
     edge_payload = verdict_to_json(edge_case)
     assert edge_payload["witness"] == {
         "kind": "edge",
