@@ -38,7 +38,7 @@ from .judgments import (
     parse_context,
     serialize_judgment,
 )
-from .sweep import exhaustive_sweep, random_sweep, sweep_report_to_json
+from .sweep import RANDOM_MIN_NODES, exhaustive_sweep, random_sweep, sweep_report_to_json
 from .weakening import apply_weakening, check_weakening, verdict_to_json
 
 __all__ = ["main"]
@@ -310,10 +310,10 @@ def _check_oracle_flags(args) -> None:
     if args.trials is not None:
         if args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
-        if args.max_nodes is not None and args.max_nodes < 4:
+        if args.max_nodes is not None and args.max_nodes < RANDOM_MIN_NODES:
             raise InputError(
-                f"--max-nodes must be at least 4 with --trials (random graphs have"
-                f" 4 or more nodes), got {args.max_nodes}"
+                f"--max-nodes must be at least {RANDOM_MIN_NODES} with --trials (random graphs"
+                f" have {RANDOM_MIN_NODES} or more nodes), got {args.max_nodes}"
             )
     elif args.max_nodes is not None and args.max_nodes > EXHAUSTIVE_MAX_NODES:
         raise InputError(

@@ -263,14 +263,21 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
     repeated Transitivity* attempts are not charged.
 
     Transitivity* is decided on int node bitmasks (bit i for the i-th
-    node in sorted order).  Two views whose paths share the two junction
-    nodes glue into a simple path iff their node masks meet in exactly
-    those two bits; the junction condition and the endpoint exclusion
-    are single bit tests against a view's interior mask (noncolliders
-    plus every collider set) and collider-set mask.  A conclusion is
-    keyed by (canonical path, noncollider mask, collider-set masks), and
-    a repeated key is dropped before its PathFact is built; premises are
-    rendered only when a trace record is written.
+    node in sorted order).  Each derivation has a forward and a backward
+    view, one per direction of its path, and one index keys every view
+    by its path's first two nodes.  A popped derivation is extended once
+    at each end: its forward view glues to the indexed views that start
+    with its last two nodes, and its backward view does the same, which
+    extends the path at its left end.  Two views glue into a simple path
+    iff their node masks meet in exactly the two junction bits.  The
+    rule's junction condition needs no test: the index key makes each
+    junction node an interior node of both premises' paths, and every
+    interior node of a certified path is a noncollider or lies in a
+    collider set.  The endpoint exclusion is one AND against the views'
+    collider-set masks.  A conclusion is keyed by (canonical path,
+    noncollider mask, collider-set masks), and a repeated key is dropped
+    before its PathFact is built; premises are rendered only when a
+    trace record is written.
     """
     budget = resolve_fact_budget(fact_budget)
     count = 0
@@ -334,9 +341,8 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
     seen: set[tuple] = set()
     # A view is one direction of a derivation's path:
     # (fact, path, path mask, noncollider mask, collider-set masks,
-    #  interior mask, union of the collider-set masks).
+    #  union of the collider-set masks).
     by_first2: dict[tuple[int, int], list[tuple]] = defaultdict(list)
-    by_last2: dict[tuple[int, int], list[tuple]] = defaultdict(list)
     pqueue: deque[tuple[tuple, tuple]] = deque()
 
     def add_path_fact(fact, path, mask, nc, cs, rule, premises):
@@ -351,12 +357,10 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
         in_sets = 0
         for s in cs:
             in_sets |= s
-        forward = (fact, path, mask, nc, cs, nc | in_sets, in_sets)
+        forward = (fact, path, mask, nc, cs, in_sets)
         backward = (fact, path[::-1]) + forward[2:]
-        for view in (forward, backward):
-            p = view[1]
-            by_first2[p[0], p[1]].append(view)
-            by_last2[p[-2], p[-1]].append(view)
+        by_first2[path[0], path[1]].append(forward)
+        by_first2[path[-1], path[-2]].append(backward)
         pqueue.append((forward, backward))
 
     # Window conclusions never repeat: a 3-node path is a chain, a fork or a
@@ -368,12 +372,17 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
             frozenset(mask_of(s) for s in fact.collider_sets), rule, lambda p=premises: p,
         )
 
-    def glue(view1, view2):
-        """Transitivity* on two views whose paths already meet only at the junction."""
-        fact1, p1, mask1, nc1, cs1, interior1, in_sets1 = view1
-        fact2, p2, mask2, nc2, cs2, interior2, in_sets2 = view2
-        if not (bit[p1[-1]] & interior2 and bit[p2[0]] & interior1):
-            return
+    def glue(view1, view2, is_backward):
+        """Transitivity* on two views whose paths already meet only at the junction.
+
+        On a backward view1 the premises are listed as (view2's fact,
+        view1's fact), the order of the same glue read left to right.
+        """
+        fact1, p1, mask1, nc1, cs1, in_sets1 = view1
+        fact2, p2, mask2, nc2, cs2, in_sets2 = view2
+        # No junction test: the bucket key makes p1[-1] == p2[1] and
+        # p2[0] == p1[-2], interior nodes of certified paths, and each such
+        # node is a noncollider or lies in a collider set of its fact.
         # Conclusions whose collider sets would contain the new endpoints are
         # not generated: conditioning sets exclude the tested endpoints.
         if (in_sets1 | in_sets2) & (bit[p1[0]] | bit[p2[-1]]):
@@ -390,24 +399,22 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
         fact = PathFact(
             names[glued[0]], names[glued[-1]], nodes_of(nc), frozenset(nodes_of(s) for s in cs)
         )
+        first, second = (fact2, fact1) if is_backward else (fact1, fact2)
         add_path_fact(
             fact, glued, mask1 | mask2, nc, cs, "Transitivity*",
-            lambda: (rendered[fact1], rendered[fact2]),
+            lambda: (rendered[first], rendered[second]),
         )
 
     while pqueue:
-        for view in pqueue.popleft():
+        forward, backward = pqueue.popleft()
+        for view, is_backward in ((forward, False), (backward, True)):
             path, mask = view[1], view[2]
-            # Each bucket is read as it stands before the view's glues run; a
+            # The bucket is read as it stands before the view's glues run; a
             # partner is kept only when the glued path stays simple.
             junction = bit[path[-2]] | bit[path[-1]]
             bucket = by_first2.get((path[-2], path[-1]), ())
             for other in [o for o in bucket if o[2] & mask == junction]:
-                glue(view, other)
-            junction = bit[path[0]] | bit[path[1]]
-            bucket = by_last2.get((path[0], path[1]), ())
-            for other in [o for o in bucket if o[2] & mask == junction]:
-                glue(other, view)
+                glue(view, other, is_backward)
 
     return Closure(g, mediate, certifying, derivations, trace)
 

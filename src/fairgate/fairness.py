@@ -23,6 +23,7 @@ from itertools import combinations
 
 from .closure import Closure
 from .errors import (
+    DuplicateVariable,
     EmptyConditioningSet,
     InputError,
     MalformedDataset,
@@ -32,7 +33,7 @@ from .errors import (
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
 )
-from .graph import CausalGraph, validate_name
+from .graph import validate_name
 from .judgments import Context, Value, value_matches
 from .weakening import Verdict, evaluate_conditions, verdict_to_json
 
@@ -49,7 +50,6 @@ __all__ = [
     "check_if",
     "check_intersectionality",
     "generate_table1",
-    "table1_graph",
     "fraction_str",
     "ci_result_to_json",
     "if_result_to_json",
@@ -275,10 +275,13 @@ class FairnessReport:
 
 def _check_args(closure, dataset, ctx: Context, target: str, protected, mode: str) -> None:
     """Argument checks shared by check_if and check_intersectionality."""
+    context_vars = ctx.variables()
+    if target in context_vars:
+        raise DuplicateVariable(f"target {target!r} occurs in the context")
     for attr in protected:
         if attr == target:
             raise WeakeningTargetIsGoal("protected attribute equals the target")
-        if attr in ctx.variables():
+        if attr in context_vars:
             raise VariableAlreadyInContext(
                 f"protected attribute {attr!r} is already in the context"
             )
@@ -442,11 +445,6 @@ def generate_table1() -> Dataset:
         rows.extend((a1, a2, "β") for _ in range(n_pos))
         rows.extend((a1, a2, "β′") for _ in range(n_neg))
     return Dataset(columns=("a1", "a2", "t"), rows=tuple(rows), target_column="t")
-
-
-def table1_graph() -> CausalGraph:
-    """The matching causal structure: both attributes feed the target directly."""
-    return CausalGraph(["a1", "a2", "t"], [("a1", "t"), ("a2", "t")])
 
 
 # --- JSON builders ---------------------------------------------------------

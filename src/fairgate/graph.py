@@ -22,6 +22,7 @@ __all__ = [
     "validate_name",
     "CausalGraph",
     "parse_graph",
+    "read_text",
     "load_graph",
 ]
 
@@ -151,24 +152,6 @@ class CausalGraph:
         self._descendants[x] = result
         return result
 
-    def topological_order(self) -> tuple[str, ...]:
-        """A topological order of the nodes (ties broken by name)."""
-        indegree = {v: len(self._parents[v]) for v in self.nodes}
-        ready = sorted(v for v, d in indegree.items() if d == 0)
-        order: list[str] = []
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            changed = False
-            for child in self._children[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-                    changed = True
-            if changed:
-                ready.sort()
-        return tuple(order)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CausalGraph):
             return NotImplemented
@@ -216,11 +199,15 @@ def parse_graph(text: str) -> CausalGraph:
     return CausalGraph(nodes, edges)
 
 
-def load_graph(path) -> CausalGraph:
-    """Read a graph file (see :func:`parse_graph` for the format)."""
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file; UndecodableFile if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            return handle.read()
         except UnicodeDecodeError:
             raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
-    return parse_graph(text)
+
+
+def load_graph(path) -> CausalGraph:
+    """Read a graph file (see :func:`parse_graph` for the format)."""
+    return parse_graph(read_text(path))

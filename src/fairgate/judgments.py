@@ -27,10 +27,9 @@ from .errors import (
     JudgmentSyntaxError,
     MalformedValue,
     ProbabilityOutOfRange,
-    UndecodableFile,
     UnknownVariable,
 )
-from .graph import CausalGraph, validate_name
+from .graph import CausalGraph, read_text, validate_name
 
 __all__ = [
     "MAX_RATIONAL_DIGITS",
@@ -378,12 +377,8 @@ def serialize_judgment(j: Judgment) -> str:
 
 
 def _read_single_line(path) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            content = handle.read()
-        except UnicodeDecodeError:
-            raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
-    lines = [ln for ln in content.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    text = read_text(path)
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) > 1:
         raise InputError(f"{path}: expected a single line, found {len(lines)}")
     return lines[0] if lines else ""

@@ -18,6 +18,7 @@ from .graph import CausalGraph
 from .weakening import check_condition1, check_condition2
 
 __all__ = [
+    "RANDOM_MIN_NODES",
     "Discrepancy",
     "SweepReport",
     "enumerate_dags",
@@ -27,6 +28,10 @@ __all__ = [
     "random_sweep",
     "sweep_report_to_json",
 ]
+
+
+# The fewest nodes a random sweep's graphs have.
+RANDOM_MIN_NODES = 4
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ def enumerate_dags(n: int) -> list[CausalGraph]:
 def random_dag(
     rng: random.Random,
     max_nodes: int = 8,
-    min_nodes: int = 4,
+    min_nodes: int = RANDOM_MIN_NODES,
     edge_prob: float = 0.3,
 ) -> CausalGraph:
     """A seeded random DAG: random topological order, independent edge coin flips."""
@@ -169,7 +174,6 @@ def random_sweep(
     max_nodes: int = 8,
     seed: int = 0,
     edge_prob: float = 0.3,
-    min_nodes: int = 4,
     fact_budget: int | None = None,
 ) -> SweepReport:
     """Agreement over seeded random DAGs; identical seeds give identical reports."""
@@ -177,7 +181,7 @@ def random_sweep(
     discrepancies = []
     checks = 0
     for _ in range(trials):
-        g = random_dag(rng, max_nodes=max_nodes, min_nodes=min_nodes, edge_prob=edge_prob)
+        g = random_dag(rng, max_nodes=max_nodes, edge_prob=edge_prob)
         found, ran = check_graph_agreement(g, fact_budget=fact_budget)
         discrepancies.extend(found)
         checks += ran

@@ -313,6 +313,23 @@ def assert_input_error(capsys, argv, complaint):
     assert err.startswith("error:") and complaint in err
 
 
+@pytest.mark.parametrize("command", ["if", "intersect"])
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--graph", "loan.cg", "--target", "Loan", "--protected", "MS",
+         "--context-inline", "Loan=yes"],
+        ["--dataset", "table1.csv", "--target", "t", "--protected", "a1",
+         "--context-inline", "t=β"],
+    ],
+    ids=["graph", "dataset"],
+)
+def test_context_that_fixes_the_target(capsys, data_dir, command, source):
+    argv = [str(data_dir / a) if a.endswith((".cg", ".csv")) else a for a in source]
+    target = argv[argv.index("--target") + 1]
+    assert_input_error(capsys, [command, *argv], f"target {target!r} occurs in the context")
+
+
 NOT_UTF8 = b"\xff\xfe not text\n"
 
 

@@ -24,6 +24,7 @@ from fairgate.graph import CausalGraph
 from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, random_dag
 from fairgate.weakening import evaluate_conditions
 
+from _graphs import topological_order
 from _saturation import saturation_gap
 
 RULE_NAMES = {
@@ -336,11 +337,26 @@ def test_saturation_gap_is_zero_on_random_graphs():
         assert saturation_gap(close(g), g) == 0
 
 
+def test_every_interior_node_of_a_certifying_path_is_classified():
+    # close() glues Transitivity* premises without testing the junction
+    # condition; this invariant is what makes that test redundant.
+    rng = random.Random(13)
+    graphs = [g for n in range(1, 5) for g in enumerate_dags(n)]
+    graphs += [random_dag(rng, max_nodes=8) for _ in range(150)]
+    checked = 0
+    for g in graphs:
+        for fact, path in close(g, record_trace=False).derivations():
+            classified = fact.noncolliders.union(*fact.collider_sets)
+            assert set(path[1:-1]) <= classified, (sorted(g.edges), fact, path)
+            checked += 1
+    assert checked > 5000
+
+
 def test_adding_an_edge_never_removes_facts():
     rng = random.Random(3)
     for _ in range(20):
         g = random_dag(rng, max_nodes=6, edge_prob=0.3)
-        order = g.topological_order()
+        order = topological_order(g)
         missing = [
             (a, b)
             for i, a in enumerate(order)

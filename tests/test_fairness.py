@@ -25,9 +25,8 @@ from fairgate.fairness import (
     fraction_str,
     generate_table1,
     if_result_to_json,
-    table1_graph,
 )
-from fairgate.graph import CausalGraph
+from fairgate.graph import CausalGraph, load_graph
 from fairgate.judgments import Attribution, Context, Value, parse_context
 
 EMPTY = Context(())
@@ -88,8 +87,8 @@ def test_generate_table1_layout(table1):
     assert generate_table1() == table1
 
 
-def test_table1_graph_edges():
-    g = table1_graph()
+def test_table1_graph_edges(data_dir):
+    g = load_graph(data_dir / "table1.cg")
     assert g.edges == frozenset({("a1", "t"), ("a2", "t")})
 
 
@@ -188,8 +187,8 @@ def test_check_if_graphical_loan(loan_graph, loan_closure):
     assert result.context_vars == ("Age", "GAI")
 
 
-def test_check_if_both_mode_disagreement(table1):
-    g = table1_graph()
+def test_check_if_both_mode_disagreement(table1, data_dir):
+    g = load_graph(data_dir / "table1.cg")
     result = check_if(close(g), table1, EMPTY, "t", "a1", Fraction(0), mode="both")
     assert not result.passed
     assert result.graphical.failed_condition == "Condition1"
