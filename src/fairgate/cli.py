@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .closure import close, closure_dump, resolve_fact_budget
 from .errors import InputError, ResourceLimit
@@ -80,9 +81,63 @@ def _load_ctx(args, graph):
     return Context(())
 
 
+def render_json(value) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte.
+
+    With ``indent`` the stdlib leaves its C encoder and runs one Python
+    generator per nesting level; this writes the same text into one list
+    of pieces, joined once.  Strings go through the stdlib's own
+    ``encode_basestring`` and other scalars through ``json.dumps``, so
+    numbers print as the stdlib prints them and an unsupported type
+    raises ``TypeError``.  Dict keys must be ``str``.
+    """
+    pieces = []
+    put = pieces.append
+
+    def emit(o, newline):
+        if isinstance(o, str):
+            put(encode_basestring(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner = newline + "  "
+            separator = "{" + inner
+            for key, item in o.items():
+                put(separator + encode_basestring(key) + ": ")
+                emit(item, inner)
+                separator = "," + inner
+            put(newline + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner = newline + "  "
+            if all(isinstance(item, str) for item in o):
+                put("[" + inner + ("," + inner).join(map(encode_basestring, o)) + newline + "]")
+                return
+            separator = "[" + inner
+            for item in o:
+                put(separator)
+                emit(item, inner)
+                separator = "," + inner
+            put(newline + "]")
+        else:
+            put(json.dumps(o))
+
+    emit(value, "\n")
+    return "".join(pieces)
+
+
 def _emit(args, payload: dict, text_renderer) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        print(render_json(payload))
     else:
         print(text_renderer(payload))
 
@@ -321,8 +376,12 @@ def _check_oracle_flags(args) -> None:
             f" (the exhaustive sweep grows factorially), got {args.max_nodes}"
         )
     # NaN fails both comparisons, infinities the range.
-    if not 0 <= args.edge_prob <= 1:
+    if args.edge_prob is not None and not 0 <= args.edge_prob <= 1:
         raise InputError(f"--edge-prob must be a number in [0, 1], got {args.edge_prob}")
+    if args.trials is None:
+        for flag, given in (("--seed", args.seed), ("--edge-prob", args.edge_prob)):
+            if given is not None:
+                raise InputError(f"{flag} needs --trials (the exhaustive sweep draws no random graphs)")
 
 
 def _cmd_oracle(args) -> int:
@@ -331,8 +390,8 @@ def _cmd_oracle(args) -> int:
         report = random_sweep(
             trials=args.trials,
             max_nodes=args.max_nodes if args.max_nodes is not None else 8,
-            seed=args.seed,
-            edge_prob=args.edge_prob,
+            seed=0 if args.seed is None else args.seed,
+            edge_prob=0.3 if args.edge_prob is None else args.edge_prob,
             fact_budget=args.fact_budget,
         )
     else:
@@ -466,9 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random graphs to test; omit for the exhaustive sweep")
     p.add_argument("--max-nodes", type=int, default=None,
                    help="node cap (default 5 exhaustive, 8 random)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for random sweeps")
-    p.add_argument("--edge-prob", type=float, default=0.3,
-                   help="edge probability for random graphs (default 0.3)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed for random sweeps (default 0; needs --trials)")
+    p.add_argument("--edge-prob", type=float, default=None,
+                   help="edge probability for random graphs (default 0.3; needs --trials)")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("demo-table1", help="generate the two-attribute counterexample")

@@ -1,15 +1,16 @@
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import fairgate
-from fairgate.cli import main
+from fairgate.cli import main, render_json
 from fairgate.fairness import fraction_str
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"
@@ -57,12 +58,72 @@ def validate(payload, schema_name):
             ],
         ),
         ("demo_table1.json", lambda d: ["demo-table1"]),
+        (
+            "if_loan_ms.json",
+            lambda d: ["if", "--graph", str(d / "loan.cg"), "--target", "Loan", "--protected", "MS"],
+        ),
+        (
+            "intersect_loan_ms_age.json",
+            lambda d: [
+                "intersect",
+                "--graph", str(d / "loan.cg"),
+                "--target", "Loan",
+                "--protected", "MS,Age",
+            ],
+        ),
+        (
+            "oracle_random_seed1.json",
+            lambda d: ["oracle", "--trials", "3", "--max-nodes", "5", "--seed", "1"],
+        ),
     ],
 )
 def test_golden_output(capsys, data_dir, golden_dir, golden_name, argv_builder):
     _, out, err = run(capsys, argv_builder(data_dir))
     assert err == ""
     assert out == (golden_dir / golden_name).read_text(encoding="utf-8")
+
+
+# --- JSON rendering ---------------------------------------------------------------
+
+# Characters the encoder escapes or passes through in unusual ways: quotes,
+# backslashes, control characters, non-ASCII, non-BMP and lone surrogates.
+_TRICKY = '"\\\x00\x08\t\n\x1f\x7f\u00e9\u03b2\u2028\U0001F600\ud800\udfff'
+_text = st.text(st.characters(exclude_categories=(), include_characters=_TRICKY), max_size=8)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from((-(10**300), 10**300, 2**63)),
+    st.floats(),
+    st.sampled_from((-0.0, math.nan, math.inf, -math.inf)),
+    _text,
+)
+# Values json.dumps refuses with TypeError.
+_refused = st.sampled_from((b"x", {1}, frozenset(), 1j, Fraction(1, 3), object()))
+_json_values = st.recursive(
+    st.one_of(_scalars, _scalars, _scalars, _refused),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(_text, max_size=4),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example(["a", ("b", "c"), {}, [], ()])
+@example({"k": [1, {"x": b"bytes"}]})
+def test_render_json_is_the_stdlib_indent_2_text(value):
+    try:
+        expected = json.dumps(value, indent=2, ensure_ascii=False)
+    except TypeError:
+        with pytest.raises(TypeError):
+            render_json(value)
+    else:
+        assert render_json(value) == expected
 
 
 # --- schema conformance ---------------------------------------------------------
@@ -438,6 +499,9 @@ def test_unexpected_exception_exits_4(capsys, data_dir, monkeypatch):
         (["--trials", "3", "--edge-prob", "-0.1"], "--edge-prob must be a number in [0, 1]"),
         (["--edge-prob", "1.5"], "--edge-prob must be a number in [0, 1]"),
         (["--max-nodes", "7"], "--max-nodes must be at most 6 without --trials"),
+        (["--seed", "5"], "--seed needs --trials"),
+        (["--edge-prob", "0.9"], "--edge-prob needs --trials"),
+        (["--max-nodes", "3", "--seed", "5", "--edge-prob", "0.9"], "--seed needs --trials"),
     ],
 )
 def test_bad_oracle_flags_are_input_errors(capsys, flags, complaint):
@@ -670,4 +734,7 @@ def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path_factory, invoca
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
-        validate(json.loads(out.getvalue()), f"{argv[0]}.schema.json")
+        out = out.getvalue()
+        payload = json.loads(out)
+        validate(payload, f"{argv[0]}.schema.json")
+        assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
