@@ -39,7 +39,13 @@ from .judgments import (
     parse_context,
     serialize_judgment,
 )
-from .sweep import RANDOM_MIN_NODES, exhaustive_sweep, random_sweep, sweep_report_to_json
+from .sweep import (
+    RANDOM_MAX_NODES,
+    RANDOM_MIN_NODES,
+    exhaustive_sweep,
+    random_sweep,
+    sweep_report_to_json,
+)
 from .weakening import apply_weakening, check_weakening, verdict_to_json
 
 __all__ = ["main"]
@@ -71,14 +77,37 @@ def _parse_epsilon(text: str) -> Fraction:
     return value
 
 
-def _load_ctx(args, graph):
-    if getattr(args, "context", None) and getattr(args, "context_inline", None):
-        raise InputError("pass either --context or --context-inline, not both")
-    if getattr(args, "context", None):
-        return load_context(args.context, graph)
-    if getattr(args, "context_inline", None):
-        return parse_context(args.context_inline, graph)
-    return Context(())
+def _typed(convert, check):
+    """``convert``, then ``check``, as an argparse ``type``.  It is named after
+    ``convert``, so a text ``convert`` refuses still reads "invalid int value: 'x'"."""
+
+    def parse(text):
+        value = convert(text)
+        check(value)
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _at_least_one(flag: str):
+    def check(value: int) -> None:
+        if value < 1:
+            raise InputError(f"{flag} must be at least 1, got {value}")
+
+    return _typed(int, check)
+
+
+def _unit_interval(value: float) -> None:
+    # NaN fails both comparisons, infinities the range.
+    if not 0 <= value <= 1:
+        raise InputError(f"--edge-prob must be a number in [0, 1], got {value}")
+
+
+def _single_attribute(text: str) -> str:
+    if "," in text:
+        raise InputError("if takes a single protected attribute; use intersect for sets")
+    return text
 
 
 def render_json(value) -> str:
@@ -135,13 +164,6 @@ def render_json(value) -> str:
     return "".join(pieces)
 
 
-def _emit(args, payload: dict, text_renderer) -> None:
-    if args.format == "json":
-        print(render_json(payload))
-    else:
-        print(text_renderer(payload))
-
-
 def _frac_text(s: str) -> str:
     return f"{s} (~{float(Fraction(s)):.4f})"
 
@@ -165,11 +187,10 @@ def _paths_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_paths(args) -> int:
+def _cmd_paths(args) -> tuple[dict, bool]:
     g = load_graph(args.graph)
     closure = close(g, fact_budget=args.fact_budget)
-    _emit(args, closure_dump(closure), _paths_text)
-    return 0
+    return closure_dump(closure), True
 
 
 # --- weaken ----------------------------------------------------------------
@@ -206,7 +227,7 @@ def _weaken_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_weaken(args) -> int:
+def _cmd_weaken(args) -> tuple[dict, bool]:
     g = load_graph(args.graph)
     judgment = load_judgment(args.judgment, g)
     attr = parse_attribution(args.attr, g)
@@ -216,8 +237,7 @@ def _cmd_weaken(args) -> int:
         payload["weakened"] = serialize_judgment(apply_weakening(judgment, attr, verdict))
     else:
         payload["weakened"] = None
-    _emit(args, payload, _weaken_text)
-    return 0 if verdict.admissible else 1
+    return payload, verdict.admissible
 
 
 # --- if --------------------------------------------------------------------
@@ -250,40 +270,39 @@ def _if_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _resolve_mode(args) -> str:
-    if args.mode is not None:
-        return args.mode
-    if args.dataset:
-        return "both" if args.graph else "empirical"
-    return "graphical"
-
-
-def _close_if_read(g, mode: str, fact_budget):
-    """The closure, under --fact-budget, when the mode reads the graph."""
-    if g is None or mode == "empirical":
-        return None
-    return close(g, fact_budget=fact_budget)
-
-
-def _cmd_if(args) -> int:
+def _audit_inputs(args):
+    """Closure, dataset, context and mode of ``if`` or ``intersect``; the
+    graph is closed only when the mode reads it."""
+    if args.context and args.context_inline:
+        raise InputError("pass either --context or --context-inline, not both")
     g = load_graph(args.graph) if args.graph else None
     dataset = Dataset.from_csv(args.dataset, args.target) if args.dataset else None
-    mode = _resolve_mode(args)
-    ctx = _load_ctx(args, g)
-    protected = args.protected
-    if "," in protected:
-        raise InputError("if takes a single protected attribute; use intersect for sets")
+    if args.mode is not None:
+        mode = args.mode
+    elif dataset is not None:
+        mode = "both" if g is not None else "empirical"
+    else:
+        mode = "graphical"
+    if args.context:
+        ctx = load_context(args.context, g)
+    else:
+        ctx = parse_context(args.context_inline, g)
+    closure = None if g is None or mode == "empirical" else close(g, fact_budget=args.fact_budget)
+    return closure, dataset, ctx, mode
+
+
+def _cmd_if(args) -> tuple[dict, bool]:
+    closure, dataset, ctx, mode = _audit_inputs(args)
     result = check_if(
-        _close_if_read(g, mode, args.fact_budget),
+        closure,
         dataset,
         ctx,
         args.target,
-        protected,
-        epsilon=_parse_epsilon(args.epsilon),
+        args.protected,
+        epsilon=args.epsilon,
         mode=mode,
     )
-    _emit(args, if_result_to_json(result), _if_text)
-    return 0 if result.passed else 1
+    return if_result_to_json(result), result.passed
 
 
 # --- intersect ---------------------------------------------------------------
@@ -318,24 +337,20 @@ def _intersect_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_intersect(args) -> int:
-    g = load_graph(args.graph) if args.graph else None
-    dataset = Dataset.from_csv(args.dataset, args.target) if args.dataset else None
-    mode = _resolve_mode(args)
-    ctx = _load_ctx(args, g)
+def _cmd_intersect(args) -> tuple[dict, bool]:
+    closure, dataset, ctx, mode = _audit_inputs(args)
     protected = [p.strip() for p in args.protected.split(",") if p.strip()]
     report = check_intersectionality(
-        _close_if_read(g, mode, args.fact_budget),
+        closure,
         dataset,
         ctx,
         args.target,
         protected,
-        epsilon=_parse_epsilon(args.epsilon),
+        epsilon=args.epsilon,
         mode=mode,
         subset_cap=args.subset_cap,
     )
-    _emit(args, fairness_report_to_json(report), _intersect_text)
-    return 0 if report.passed else 1
+    return fairness_report_to_json(report), report.passed
 
 
 # --- oracle ------------------------------------------------------------------
@@ -359,48 +374,34 @@ def _oracle_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _check_oracle_flags(args) -> None:
-    if args.max_nodes is not None and args.max_nodes < 1:
-        raise InputError(f"--max-nodes must be at least 1, got {args.max_nodes}")
-    if args.trials is not None:
-        if args.trials < 1:
-            raise InputError(f"--trials must be at least 1, got {args.trials}")
-        if args.max_nodes is not None and args.max_nodes < RANDOM_MIN_NODES:
-            raise InputError(
-                f"--max-nodes must be at least {RANDOM_MIN_NODES} with --trials (random graphs"
-                f" have {RANDOM_MIN_NODES} or more nodes), got {args.max_nodes}"
-            )
-    elif args.max_nodes is not None and args.max_nodes > EXHAUSTIVE_MAX_NODES:
-        raise InputError(
-            f"--max-nodes must be at most {EXHAUSTIVE_MAX_NODES} without --trials"
-            f" (the exhaustive sweep grows factorially), got {args.max_nodes}"
-        )
-    # NaN fails both comparisons, infinities the range.
-    if args.edge_prob is not None and not 0 <= args.edge_prob <= 1:
-        raise InputError(f"--edge-prob must be a number in [0, 1], got {args.edge_prob}")
+def _cmd_oracle(args) -> tuple[dict, bool]:
     if args.trials is None:
+        max_nodes = 5 if args.max_nodes is None else args.max_nodes
+        if max_nodes > EXHAUSTIVE_MAX_NODES:
+            raise InputError(
+                f"--max-nodes must be at most {EXHAUSTIVE_MAX_NODES} without --trials"
+                f" (the exhaustive sweep grows factorially), got {max_nodes}"
+            )
         for flag, given in (("--seed", args.seed), ("--edge-prob", args.edge_prob)):
             if given is not None:
                 raise InputError(f"{flag} needs --trials (the exhaustive sweep draws no random graphs)")
-
-
-def _cmd_oracle(args) -> int:
-    _check_oracle_flags(args)
-    if args.trials is not None:
+        report = exhaustive_sweep(max_nodes=max_nodes, fact_budget=args.fact_budget)
+    else:
+        max_nodes = 8 if args.max_nodes is None else args.max_nodes
+        if not RANDOM_MIN_NODES <= max_nodes <= RANDOM_MAX_NODES:
+            raise InputError(
+                f"--max-nodes must be at least {RANDOM_MIN_NODES} with --trials and at most"
+                f" {RANDOM_MAX_NODES} (random graphs have {RANDOM_MIN_NODES} or more nodes, and"
+                f" each node pair is checked under all 2^(n-2) conditioning sets), got {max_nodes}"
+            )
         report = random_sweep(
             trials=args.trials,
-            max_nodes=args.max_nodes if args.max_nodes is not None else 8,
+            max_nodes=max_nodes,
             seed=0 if args.seed is None else args.seed,
             edge_prob=0.3 if args.edge_prob is None else args.edge_prob,
             fact_budget=args.fact_budget,
         )
-    else:
-        report = exhaustive_sweep(
-            max_nodes=args.max_nodes if args.max_nodes is not None else 5,
-            fact_budget=args.fact_budget,
-        )
-    _emit(args, sweep_report_to_json(report), _oracle_text)
-    return 0 if report.passed else 1
+    return sweep_report_to_json(report), report.passed
 
 
 # --- demo-table1 -------------------------------------------------------------
@@ -421,7 +422,7 @@ def _demo_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_demo_table1(args) -> int:
+def _cmd_demo_table1(args) -> tuple[dict, bool]:
     dataset = generate_table1()
     beta = Value.atomic("β")
     cells = []
@@ -459,98 +460,91 @@ def _cmd_demo_table1(args) -> int:
         "overall": overall,
         "intersectionality": fairness_report_to_json(report),
     }
-    _emit(args, payload, _demo_text)
-    return 0 if report.passed else 1
+    return payload, report.passed
 
 
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, *, graph=False, dataset=False, context=False, target=False):
-    sub.add_argument("--format", choices=("json", "text"), default="json",
-                     help="output format (default: json)")
-    sub.add_argument("--fact-budget", type=int, default=None,
-                     help="cap on derived facts (default 10^6; FAIRGATE_FACT_BUDGET overrides)")
-    if graph:
-        sub.add_argument("--graph", help="causal graph file (.cg)")
-    if dataset:
-        sub.add_argument("--dataset", help="CSV dataset with a header row")
-    if context:
-        sub.add_argument("--context", help="context file (.ctx), one Var=value list")
-        sub.add_argument("--context-inline", help="context given directly, e.g. 'Age=27, GAI=40K'")
-    if target:
-        sub.add_argument("--target", required=True, help="target variable / column")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("json", "text"), default="json",
+                        help="output format (default: json)")
+    common.add_argument("--fact-budget", type=_typed(int, resolve_fact_budget), default=None,
+                        help="cap on derived facts (default 10^6; FAIRGATE_FACT_BUDGET overrides)")
+
+    audit = argparse.ArgumentParser(add_help=False)
+    audit.add_argument("--graph", help="causal graph file (.cg)")
+    audit.add_argument("--dataset", help="CSV dataset with a header row")
+    audit.add_argument("--context", help="context file (.ctx), one Var=value list")
+    audit.add_argument("--context-inline", default="",
+                       help="context given directly, e.g. 'Age=27, GAI=40K'")
+    audit.add_argument("--target", required=True, help="target variable / column")
+    audit.add_argument("--epsilon", type=_parse_epsilon, default=Fraction(0),
+                       help="tolerance as a rational (default 0)")
+    audit.add_argument("--mode", choices=("graphical", "empirical", "both"), default=None,
+                       help="default: both when graph and dataset are given")
+
     parser = argparse.ArgumentParser(
         prog="fairgate",
         description="Causal-graph fairness checks with exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("paths", help="derive and dump all mediate and path facts")
-    _add_common(p)
+    p = sub.add_parser("paths", parents=[common], help="derive and dump all mediate and path facts")
     p.add_argument("--graph", required=True, help="causal graph file (.cg)")
-    p.set_defaults(handler=_cmd_paths)
+    p.set_defaults(handler=_cmd_paths, text=_paths_text)
 
-    p = sub.add_parser("weaken", help="check one judgment weakening")
-    _add_common(p)
+    p = sub.add_parser("weaken", parents=[common], help="check one judgment weakening")
     p.add_argument("--graph", required=True, help="causal graph file (.cg)")
     p.add_argument("--judgment", required=True, help="judgment file (.jdg)")
     p.add_argument("--attr", required=True, help="new attribution, e.g. MS=married")
-    p.set_defaults(handler=_cmd_weaken)
+    p.set_defaults(handler=_cmd_weaken, text=_weaken_text)
 
-    p = sub.add_parser("if", help="individual-fairness check for one attribute")
-    _add_common(p, graph=True, dataset=True, context=True, target=True)
-    p.add_argument("--protected", required=True, help="protected attribute")
-    p.add_argument("--epsilon", default="0", help="tolerance as a rational (default 0)")
-    p.add_argument("--mode", choices=("graphical", "empirical", "both"), default=None,
-                   help="default: both when graph and dataset are given")
-    p.set_defaults(handler=_cmd_if)
+    p = sub.add_parser("if", parents=[common, audit],
+                       help="individual-fairness check for one attribute")
+    p.add_argument("--protected", type=_single_attribute, required=True, help="protected attribute")
+    p.set_defaults(handler=_cmd_if, text=_if_text)
 
-    p = sub.add_parser("intersect", help="intersectional check over attribute subsets")
-    _add_common(p, graph=True, dataset=True, context=True, target=True)
+    p = sub.add_parser("intersect", parents=[common, audit],
+                       help="intersectional check over attribute subsets")
     p.add_argument("--protected", required=True, help="comma-separated protected attributes")
-    p.add_argument("--epsilon", default="0", help="tolerance as a rational (default 0)")
-    p.add_argument("--mode", choices=("graphical", "empirical", "both"), default=None,
-                   help="default: both when graph and dataset are given")
     p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP,
                    help=f"max protected attributes (default {DEFAULT_SUBSET_CAP})")
-    p.set_defaults(handler=_cmd_intersect)
+    p.set_defaults(handler=_cmd_intersect, text=_intersect_text)
 
-    p = sub.add_parser("oracle", help="rule closure vs d-separation agreement sweep")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=None,
+    p = sub.add_parser("oracle", parents=[common],
+                       help="rule closure vs d-separation agreement sweep")
+    p.add_argument("--trials", type=_at_least_one("--trials"), default=None,
                    help="random graphs to test; omit for the exhaustive sweep")
-    p.add_argument("--max-nodes", type=int, default=None,
+    p.add_argument("--max-nodes", type=_at_least_one("--max-nodes"), default=None,
                    help="node cap (default 5 exhaustive, 8 random)")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed for random sweeps (default 0; needs --trials)")
-    p.add_argument("--edge-prob", type=float, default=None,
+    p.add_argument("--edge-prob", type=_typed(float, _unit_interval), default=None,
                    help="edge probability for random graphs (default 0.3; needs --trials)")
-    p.set_defaults(handler=_cmd_oracle)
+    p.set_defaults(handler=_cmd_oracle, text=_oracle_text)
 
-    p = sub.add_parser("demo-table1", help="generate the two-attribute counterexample")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_demo_table1)
+    p = sub.add_parser("demo-table1", parents=[common],
+                       help="generate the two-attribute counterexample")
+    p.set_defaults(handler=_cmd_demo_table1, text=_demo_text)
 
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.fact_budget is not None:
-            resolve_fact_budget(args.fact_budget)  # rejects <= 0 on every subcommand
-        return args.handler(args)
+        args = PARSER.parse_args(argv)
+        payload, passed = args.handler(args)
+        print(render_json(payload) if args.format == "json" else args.text(payload))
+        return 0 if passed else 1
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as a verdict (0 or 1)

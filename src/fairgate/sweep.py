@@ -19,6 +19,7 @@ from .weakening import check_condition1, check_condition2
 
 __all__ = [
     "RANDOM_MIN_NODES",
+    "RANDOM_MAX_NODES",
     "Discrepancy",
     "SweepReport",
     "enumerate_dags",
@@ -32,6 +33,11 @@ __all__ = [
 
 # The fewest nodes a random sweep's graphs have.
 RANDOM_MIN_NODES = 4
+
+# The most nodes a random sweep may draw: each node pair is checked under
+# all 2^(n-2) conditioning sets (67,584 checks per graph at n=12), and no
+# budget bounds those checks.
+RANDOM_MAX_NODES = 12
 
 
 @dataclass(frozen=True)

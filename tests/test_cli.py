@@ -35,49 +35,84 @@ def validate(payload, schema_name):
 # --- golden outputs -----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "golden_name, argv_builder",
-    [
-        (
-            "weaken_loan_ms.json",
-            lambda d: [
-                "weaken",
-                "--graph", str(d / "loan.cg"),
-                "--judgment", str(d / "loan.jdg"),
-                "--attr", "MS=married",
-            ],
-        ),
-        ("paths_loan.json", lambda d: ["paths", "--graph", str(d / "loan.cg")]),
-        (
-            "intersect_table1.json",
-            lambda d: [
-                "intersect",
-                "--dataset", str(d / "table1.csv"),
-                "--target", "t",
-                "--protected", "a1,a2",
-            ],
-        ),
-        ("demo_table1.json", lambda d: ["demo-table1"]),
-        (
-            "if_loan_ms.json",
-            lambda d: ["if", "--graph", str(d / "loan.cg"), "--target", "Loan", "--protected", "MS"],
-        ),
-        (
-            "intersect_loan_ms_age.json",
-            lambda d: [
-                "intersect",
-                "--graph", str(d / "loan.cg"),
-                "--target", "Loan",
-                "--protected", "MS,Age",
-            ],
-        ),
-        (
-            "oracle_random_seed1.json",
-            lambda d: ["oracle", "--trials", "3", "--max-nodes", "5", "--seed", "1"],
-        ),
-    ],
-)
+GOLDEN_COMMANDS = [
+    (
+        "weaken_loan_ms.json",
+        lambda d: [
+            "weaken",
+            "--graph", str(d / "loan.cg"),
+            "--judgment", str(d / "loan.jdg"),
+            "--attr", "MS=married",
+        ],
+    ),
+    ("paths_loan.json", lambda d: ["paths", "--graph", str(d / "loan.cg")]),
+    (
+        "intersect_table1.json",
+        lambda d: [
+            "intersect",
+            "--dataset", str(d / "table1.csv"),
+            "--target", "t",
+            "--protected", "a1,a2",
+        ],
+    ),
+    ("demo_table1.json", lambda d: ["demo-table1"]),
+    (
+        "if_loan_ms.json",
+        lambda d: ["if", "--graph", str(d / "loan.cg"), "--target", "Loan", "--protected", "MS"],
+    ),
+    (
+        "intersect_loan_ms_age.json",
+        lambda d: [
+            "intersect",
+            "--graph", str(d / "loan.cg"),
+            "--target", "Loan",
+            "--protected", "MS,Age",
+        ],
+    ),
+    (
+        "oracle_random_seed1.json",
+        lambda d: ["oracle", "--trials", "3", "--max-nodes", "5", "--seed", "1"],
+    ),
+]
+
+
+@pytest.mark.parametrize("golden_name, argv_builder", GOLDEN_COMMANDS)
 def test_golden_output(capsys, data_dir, golden_dir, golden_name, argv_builder):
+    _, out, err = run(capsys, argv_builder(data_dir))
+    assert err == ""
+    assert out == (golden_dir / golden_name).read_text(encoding="utf-8")
+
+
+# Per golden: a call of the same subcommand with other flags, made first in
+# the same process; main parses every call with one shared parser.
+PRIOR_CALLS = {
+    "weaken_loan_ms.json": lambda d: [
+        "weaken", "--graph", str(d / "loan.cg"), "--judgment", str(d / "loan_gai_only.jdg"),
+        "--attr", "MS=married", "--format", "text", "--fact-budget", "100000",
+    ],
+    "paths_loan.json": lambda d: ["paths", "--graph", str(d / "table1.cg"), "--format", "text"],
+    "intersect_table1.json": lambda d: [
+        "intersect", "--dataset", str(d / "table1.csv"), "--target", "t",
+        "--protected", "a1,a2", "--subset-cap", "1",
+    ],
+    "demo_table1.json": lambda d: ["demo-table1", "--format", "text"],
+    "if_loan_ms.json": lambda d: [
+        "if", "--dataset", str(d / "table1.csv"), "--mode", "empirical", "--epsilon", "1/20",
+        "--context-inline", "a2=v21", "--target", "t", "--protected", "a1",
+    ],
+    "intersect_loan_ms_age.json": lambda d: [
+        "intersect", "--graph", str(d / "table1.cg"), "--dataset", str(d / "table1.csv"),
+        "--context-inline", "a2=v21", "--target", "t", "--protected", "a1", "--epsilon", "1/3",
+    ],
+    "oracle_random_seed1.json": lambda d: ["oracle", "--max-nodes", "3"],
+}
+
+
+@pytest.mark.parametrize("golden_name, argv_builder", GOLDEN_COMMANDS)
+def test_shared_parser_carries_nothing_between_calls(
+    capsys, data_dir, golden_dir, golden_name, argv_builder
+):
+    run(capsys, PRIOR_CALLS[golden_name](data_dir))
     _, out, err = run(capsys, argv_builder(data_dir))
     assert err == ""
     assert out == (golden_dir / golden_name).read_text(encoding="utf-8")
@@ -376,6 +411,22 @@ def assert_input_error(capsys, argv, complaint):
 
 @pytest.mark.parametrize("command", ["if", "intersect"])
 @pytest.mark.parametrize(
+    "epsilon, complaint",
+    [("lots", "epsilon must be a rational"), ("-1", "epsilon must be nonnegative")],
+)
+def test_bad_epsilon_is_refused_before_the_closure(capsys, data_dir, command, epsilon, complaint):
+    # A fact budget of 3 stops the loan closure with exit 3, so exit 2 shows
+    # that --epsilon was checked before the graph was closed.
+    assert_input_error(
+        capsys,
+        [command, "--graph", str(data_dir / "loan.cg"), "--target", "Loan", "--protected", "MS",
+         "--fact-budget", "3", "--epsilon", epsilon],
+        complaint,
+    )
+
+
+@pytest.mark.parametrize("command", ["if", "intersect"])
+@pytest.mark.parametrize(
     "source",
     [
         ["--graph", "loan.cg", "--target", "Loan", "--protected", "MS",
@@ -478,10 +529,10 @@ def test_oversized_judgment_probability(capsys, data_dir, tmp_path, probability)
 
 
 def test_unexpected_exception_exits_4(capsys, data_dir, monkeypatch):
-    def crash(args):
+    def crash(closure):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("fairgate.cli._cmd_paths", crash)
+    monkeypatch.setattr("fairgate.cli.closure_dump", crash)
     code, out, err = run(capsys, ["paths", "--graph", str(data_dir / "loan.cg")])
     assert (code, out) == (4, "")
     assert err == "internal error: RuntimeError: boom\n"
@@ -502,6 +553,10 @@ def test_unexpected_exception_exits_4(capsys, data_dir, monkeypatch):
         (["--seed", "5"], "--seed needs --trials"),
         (["--edge-prob", "0.9"], "--edge-prob needs --trials"),
         (["--max-nodes", "3", "--seed", "5", "--edge-prob", "0.9"], "--seed needs --trials"),
+        (
+            ["--trials", "1", "--max-nodes", "13"],
+            "--max-nodes must be at least 4 with --trials and at most 12",
+        ),
     ],
 )
 def test_bad_oracle_flags_are_input_errors(capsys, flags, complaint):
@@ -511,7 +566,11 @@ def test_bad_oracle_flags_are_input_errors(capsys, flags, complaint):
 
 
 def test_oracle_flag_bounds_are_inclusive(capsys):
-    for flags in (["--max-nodes", "1"], ["--trials", "1", "--max-nodes", "4", "--edge-prob", "1"]):
+    for flags in (
+        ["--max-nodes", "1"],
+        ["--trials", "1", "--max-nodes", "4", "--edge-prob", "1"],
+        ["--trials", "1", "--max-nodes", "12", "--edge-prob", "0"],
+    ):
         code, _, err = run(capsys, ["oracle", *flags])
         assert (code, err) == (0, "")
 
