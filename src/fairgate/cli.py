@@ -19,6 +19,7 @@ from .closure import close, closure_dump, resolve_fact_budget
 from .errors import InputError, ResourceLimit
 from .fairness import (
     DEFAULT_SUBSET_CAP,
+    check_audit,
     check_if,
     check_intersectionality,
     empirical_probability,
@@ -46,7 +47,7 @@ from .sweep import (
     random_sweep,
     sweep_report_to_json,
 )
-from .weakening import apply_weakening, check_weakening, verdict_to_json
+from .weakening import apply_weakening, check_variables, check_weakening, verdict_to_json
 
 __all__ = ["main"]
 
@@ -231,6 +232,7 @@ def _cmd_weaken(args) -> tuple[dict, bool]:
     g = load_graph(args.graph)
     judgment = load_judgment(args.judgment, g)
     attr = parse_attribution(args.attr, g)
+    check_variables(g, attr.variable, judgment.target, judgment.context.variables())
     verdict = check_weakening(close(g, fact_budget=args.fact_budget), judgment, attr)
     payload = verdict_to_json(verdict)
     if verdict.admissible:
@@ -270,9 +272,10 @@ def _if_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _audit_inputs(args):
+def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
     """Closure, dataset, context and mode of ``if`` or ``intersect``; the
-    graph is closed only when the mode reads it."""
+    request is checked first, and the graph is closed only when the mode
+    reads it."""
     if args.context and args.context_inline:
         raise InputError("pass either --context or --context-inline, not both")
     g = load_graph(args.graph) if args.graph else None
@@ -287,12 +290,13 @@ def _audit_inputs(args):
         ctx = load_context(args.context, g)
     else:
         ctx = parse_context(args.context_inline, g)
+    check_audit(g, dataset, ctx, args.target, protected, mode, subset_cap)
     closure = None if g is None or mode == "empirical" else close(g, fact_budget=args.fact_budget)
     return closure, dataset, ctx, mode
 
 
 def _cmd_if(args) -> tuple[dict, bool]:
-    closure, dataset, ctx, mode = _audit_inputs(args)
+    closure, dataset, ctx, mode = _audit_inputs(args, [args.protected])
     result = check_if(
         closure,
         dataset,
@@ -338,8 +342,8 @@ def _intersect_text(payload: dict) -> str:
 
 
 def _cmd_intersect(args) -> tuple[dict, bool]:
-    closure, dataset, ctx, mode = _audit_inputs(args)
     protected = [p.strip() for p in args.protected.split(",") if p.strip()]
+    closure, dataset, ctx, mode = _audit_inputs(args, protected, args.subset_cap)
     report = check_intersectionality(
         closure,
         dataset,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -48,6 +49,8 @@ __all__ = [
     "dsep_oracle",
     "enumerate_classified_paths",
     "closure_dump",
+    "trace_record_json",
+    "sorted_collider_sets",
     "render_mediate",
     "render_path_fact",
     "render_edge",
@@ -96,6 +99,11 @@ class MediateCauseFact:
         elif self.target not in self.intermediates:
             raise ValueError("intermediates must contain the target")
 
+    @cached_property
+    def text(self) -> str:
+        """``render_mediate(self)``, rendered on first use."""
+        return render_mediate(self)
+
 
 @dataclass(frozen=True)
 class PathFact:
@@ -130,14 +138,20 @@ class PathFact:
             if group & ends:
                 raise ValueError("endpoints cannot appear in a collider set")
 
+    @cached_property
+    def text(self) -> str:
+        """``render_path_fact(self)``, rendered on first use."""
+        return render_path_fact(self)
+
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One productive rule firing: premises and conclusion in display form."""
+    """One productive rule firing: the new fact, its premise facts and, for the rules
+    that read edges, the edges as ``"X -> Y"``; ``trace_record_json`` renders it."""
 
     rule: str
-    premises: tuple[str, ...]
-    conclusion: str
+    premises: tuple[str | MediateCauseFact | PathFact, ...]
+    conclusion: MediateCauseFact | PathFact
 
 
 class BlockReason(NamedTuple):
@@ -155,8 +169,13 @@ def _render_set(nodes) -> str:
     return "{" + ",".join(sorted(nodes)) + "}"
 
 
+def sorted_collider_sets(sets) -> list[list[str]]:
+    """A fact's collider sets as sorted name lists, in their one canonical order."""
+    return sorted(sorted(s) for s in sets)
+
+
 def _render_family(sets) -> str:
-    return "{" + ",".join(_render_set(s) for s in sorted(sets, key=lambda s: tuple(sorted(s)))) + "}"
+    return "{" + ",".join(map(_render_set, sorted_collider_sets(sets))) + "}"
 
 
 def render_mediate(fact: MediateCauseFact) -> str:
@@ -179,7 +198,7 @@ def _fact_sort_key(fact: PathFact):
         fact.left,
         fact.right,
         tuple(sorted(fact.noncolliders)),
-        tuple(sorted(tuple(sorted(s)) for s in fact.collider_sets)),
+        sorted_collider_sets(fact.collider_sets),
     )
 
 
@@ -193,7 +212,8 @@ class Closure:
         self.mediate: frozenset[MediateCauseFact] = frozenset(mediate)
         self.paths: frozenset[PathFact] = frozenset(certifying)
         self.trace: tuple[TraceRecord, ...] = tuple(trace)
-        self._certifying: dict[PathFact, tuple[str, ...]] = dict(certifying)
+        # fact -> (first certifying path, position of the fact's trace record)
+        self._certifying: dict[PathFact, tuple[tuple[str, ...], int]] = dict(certifying)
         self._derivations: frozenset[tuple[PathFact, tuple[str, ...]]] = frozenset(derivations)
         by_pair: dict[tuple[str, str], list[PathFact]] = defaultdict(list)
         for fact in self.paths:
@@ -204,7 +224,11 @@ class Closure:
 
     def certifying_path(self, fact: PathFact) -> tuple[str, ...]:
         """The first simple path that certified the fact, left to right."""
-        return self._certifying[fact]
+        return self._certifying[fact][0]
+
+    def trace_of(self, facts) -> tuple[TraceRecord, ...]:
+        """The records that derived the given path facts, in trace order."""
+        return tuple(self.trace[i] for i in sorted({self._certifying[f][1] for f in facts}))
 
     def facts_between(self, x: str, y: str) -> tuple[PathFact, ...]:
         """All path facts with endpoints {x, y}, in canonical order."""
@@ -245,14 +269,10 @@ def _iter_window_conclusions(g: CausalGraph, mediate_by_source):
                 if x in chain or z in chain:
                     continue
                 fact, path = _canonical(frozenset(), {chain}, (x, y, z))
-                yield fact, path, "Collider", (
-                    render_edge(x, y),
-                    render_edge(z, y),
-                    render_mediate(mf),
-                )
+                yield fact, path, "Collider", (render_edge(x, y), render_edge(z, y), mf)
 
 
-def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool = True) -> Closure:
+def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     """Close the graph under all six rules and return the least fixpoint.
 
     Deterministic: seeds and rule applications run in sorted order, so
@@ -276,16 +296,12 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
     collider set.  The endpoint exclusion is one AND against the views'
     collider-set masks.  A conclusion is keyed by (canonical path,
     noncollider mask, collider-set masks), and a repeated key is dropped
-    before its PathFact is built; premises are rendered only when a
-    trace record is written.
+    before its PathFact is built.  Each productive firing appends one
+    TraceRecord of facts; a fact is rendered to text only where it is printed.
     """
     budget = resolve_fact_budget(fact_budget)
     count = 0
     trace: list[TraceRecord] = []
-
-    def note(rule, premises, conclusion):
-        if record_trace:
-            trace.append(TraceRecord(rule, tuple(premises), conclusion))
 
     def spend():
         nonlocal count
@@ -303,7 +319,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
         spend()
         mediate[fact] = None
         by_source[fact.source].append(fact)
-        note(rule, premises, render_mediate(fact))
+        trace.append(TraceRecord(rule, premises, fact))
         mqueue.append(fact)
 
     for x in sorted(g.nodes):
@@ -314,7 +330,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
             add_mediate(
                 MediateCauseFact(fact.source, k, fact.intermediates | {k}),
                 "Transitive cause",
-                (render_mediate(fact), render_edge(fact.target, k)),
+                (fact, render_edge(fact.target, k)),
             )
 
     # Nodes are numbered in sorted order, so comparing indices compares names.
@@ -335,8 +351,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
             mask |= bit[index[v]]
         return mask
 
-    certifying: dict[PathFact, tuple[str, ...]] = {}
-    rendered: dict[PathFact, str] = {}
+    certifying: dict[PathFact, tuple[tuple[str, ...], int]] = {}
     derivations: list[tuple[PathFact, tuple[str, ...]]] = []
     seen: set[tuple] = set()
     # A view is one direction of a derivation's path:
@@ -350,10 +365,8 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
         stored = tuple(names[i] for i in path)
         derivations.append((fact, stored))
         if fact not in certifying:
-            certifying[fact] = stored
-            if record_trace:
-                rendered[fact] = render_path_fact(fact)
-                note(rule, premises(), rendered[fact])
+            certifying[fact] = (stored, len(trace))
+            trace.append(TraceRecord(rule, premises, fact))
         in_sets = 0
         for s in cs:
             in_sets |= s
@@ -369,7 +382,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
     for fact, path, rule, premises in _iter_window_conclusions(g, by_source):
         add_path_fact(
             fact, tuple(index[v] for v in path), mask_of(path), mask_of(fact.noncolliders),
-            frozenset(mask_of(s) for s in fact.collider_sets), rule, lambda p=premises: p,
+            frozenset(mask_of(s) for s in fact.collider_sets), rule, premises,
         )
 
     def glue(view1, view2, is_backward):
@@ -399,11 +412,8 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, record_trace: bool 
         fact = PathFact(
             names[glued[0]], names[glued[-1]], nodes_of(nc), frozenset(nodes_of(s) for s in cs)
         )
-        first, second = (fact2, fact1) if is_backward else (fact1, fact2)
-        add_path_fact(
-            fact, glued, mask1 | mask2, nc, cs, "Transitivity*",
-            lambda: (rendered[first], rendered[second]),
-        )
+        premises = (fact2, fact1) if is_backward else (fact1, fact2)
+        add_path_fact(fact, glued, mask1 | mask2, nc, cs, "Transitivity*", premises)
 
     while pqueue:
         forward, backward = pqueue.popleft()
@@ -514,15 +524,19 @@ def closure_dump(closure: Closure) -> dict:
             "left": f.left,
             "right": f.right,
             "noncolliders": sorted(f.noncolliders),
-            "colliderSets": sorted(
-                (sorted(s) for s in f.collider_sets), key=lambda s: tuple(s)
-            ),
+            "colliderSets": sorted_collider_sets(f.collider_sets),
             "certifyingPath": list(closure.certifying_path(f)),
         }
         for f in sorted(closure.paths, key=_fact_sort_key)
     ]
-    trace = [
-        {"rule": r.rule, "premises": list(r.premises), "conclusion": r.conclusion}
-        for r in closure.trace
-    ]
+    trace = [trace_record_json(r) for r in closure.trace]
     return {"mediate": mediate, "paths": paths, "trace": trace}
+
+
+def trace_record_json(record: TraceRecord) -> dict:
+    """JSON-ready trace record: premises and conclusion in display form."""
+    return {
+        "rule": record.rule,
+        "premises": [p if isinstance(p, str) else p.text for p in record.premises],
+        "conclusion": record.conclusion.text,
+    }

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .graph import validate_name
 from .judgments import Context, Value, value_matches
-from .weakening import Verdict, evaluate_conditions, verdict_to_json
+from .weakening import Verdict, check_variables, evaluate_conditions, verdict_to_json
 
 __all__ = [
     "Dataset",
@@ -45,6 +45,7 @@ __all__ = [
     "SubsetResult",
     "FairnessReport",
     "DEFAULT_SUBSET_CAP",
+    "check_audit",
     "empirical_probability",
     "empirical_ci",
     "check_if",
@@ -273,8 +274,25 @@ class FairnessReport:
     passed: bool
 
 
-def _check_args(closure, dataset, ctx: Context, target: str, protected, mode: str) -> None:
-    """Argument checks shared by check_if and check_intersectionality."""
+def check_audit(
+    g, dataset, ctx: Context, target: str, protected_set, mode: str,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
+) -> list[str]:
+    """The checks check_if and check_intersectionality make before any verdict.
+
+    ``g`` is the graph the graphical route reads, or None.  No closure is
+    needed, so a caller may run them before it closes ``g``.  Returns the
+    protected attributes in sorted order.
+    """
+    if mode not in ("graphical", "empirical", "both"):
+        raise InputError(f"mode must be graphical, empirical or both, got {mode!r}")
+    protected = sorted(set(protected_set))
+    if not protected:
+        raise InputError("at least one protected attribute is required")
+    if len(protected) > subset_cap:
+        raise SubsetExplosion(
+            f"{len(protected)} protected attributes exceed the cap of {subset_cap}"
+        )
     context_vars = ctx.variables()
     if target in context_vars:
         raise DuplicateVariable(f"target {target!r} occurs in the context")
@@ -285,15 +303,15 @@ def _check_args(closure, dataset, ctx: Context, target: str, protected, mode: st
             raise VariableAlreadyInContext(
                 f"protected attribute {attr!r} is already in the context"
             )
-    if mode in ("graphical", "both") and closure is None:
+    if mode in ("graphical", "both") and g is None:
         raise InputError("graphical mode requires a graph")
     if mode in ("empirical", "both") and dataset is None:
         raise InputError("empirical mode requires a dataset")
-
-
-def _validate_mode(mode: str):
-    if mode not in ("graphical", "empirical", "both"):
-        raise InputError(f"mode must be graphical, empirical or both, got {mode!r}")
+    if mode != "empirical":
+        # The first verdicts test each attribute alone, in this order.
+        for attr in protected:
+            check_variables(g, attr, target, context_vars)
+    return protected
 
 
 def _check_member(
@@ -350,8 +368,8 @@ def check_if(
     in the dataset; both runs the two and reports whether they agree.
     This is one decomposition with nothing folded into the context.
     """
-    _validate_mode(mode)
-    _check_args(closure, dataset, ctx, target, [protected_attr], mode)
+    check_audit(None if closure is None else closure.graph, dataset, ctx, target,
+                [protected_attr], mode)
     d = _check_member(closure, dataset, ctx, target, protected_attr, (), epsilon, mode)
     return IfCheckResult(
         protected_attr=protected_attr,
@@ -383,15 +401,8 @@ def check_intersectionality(
     combination observed among context-matching rows.  The report never
     depends on enumeration order; everything is sorted.
     """
-    _validate_mode(mode)
-    protected = sorted(set(protected_set))
-    if not protected:
-        raise InputError("at least one protected attribute is required")
-    if len(protected) > subset_cap:
-        raise SubsetExplosion(
-            f"{len(protected)} protected attributes exceed the cap of {subset_cap}"
-        )
-    _check_args(closure, dataset, ctx, target, protected, mode)
+    protected = check_audit(None if closure is None else closure.graph, dataset, ctx, target,
+                            protected_set, mode, subset_cap)
 
     subsets = []
     for size in range(1, len(protected) + 1):

@@ -124,7 +124,7 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     ``dsep_oracle`` over paths classified once per pair.  Conditioning
     sets range over all subsets of the other nodes.
     """
-    closure = close(g, fact_budget=fact_budget, record_trace=False)
+    closure = close(g, fact_budget=fact_budget)
     nodes = sorted(g.nodes)
     discrepancies = []
     checks = 0
@@ -152,26 +152,24 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     return discrepancies, checks
 
 
+def _sweep(graphs, fact_budget: int | None, **settings) -> SweepReport:
+    """Agreement over each graph in turn, reported with the sweep's settings."""
+    discrepancies, count, checks = [], 0, 0
+    for count, g in enumerate(graphs, 1):
+        found, ran = check_graph_agreement(g, fact_budget=fact_budget)
+        discrepancies.extend(found)
+        checks += ran
+    return SweepReport(
+        graphs_checked=count, checks_run=checks, discrepancies=tuple(discrepancies), **settings
+    )
+
+
 def exhaustive_sweep(max_nodes: int = 5, fact_budget: int | None = None) -> SweepReport:
     """Agreement over every DAG with up to max_nodes nodes, up to isomorphism."""
-    discrepancies = []
-    graphs = 0
-    checks = 0
-    for n in range(1, max_nodes + 1):
-        for g in enumerate_dags(n):
-            found, ran = check_graph_agreement(g, fact_budget=fact_budget)
-            discrepancies.extend(found)
-            graphs += 1
-            checks += ran
-    return SweepReport(
-        mode="exhaustive",
-        max_nodes=max_nodes,
-        trials=None,
-        seed=None,
+    graphs = (g for n in range(1, max_nodes + 1) for g in enumerate_dags(n))
+    return _sweep(
+        graphs, fact_budget, mode="exhaustive", max_nodes=max_nodes, trials=None, seed=None,
         edge_prob=None,
-        graphs_checked=graphs,
-        checks_run=checks,
-        discrepancies=tuple(discrepancies),
     )
 
 
@@ -184,22 +182,10 @@ def random_sweep(
 ) -> SweepReport:
     """Agreement over seeded random DAGs; identical seeds give identical reports."""
     rng = random.Random(seed)
-    discrepancies = []
-    checks = 0
-    for _ in range(trials):
-        g = random_dag(rng, max_nodes=max_nodes, edge_prob=edge_prob)
-        found, ran = check_graph_agreement(g, fact_budget=fact_budget)
-        discrepancies.extend(found)
-        checks += ran
-    return SweepReport(
-        mode="random",
-        max_nodes=max_nodes,
-        trials=trials,
-        seed=seed,
+    graphs = (random_dag(rng, max_nodes=max_nodes, edge_prob=edge_prob) for _ in range(trials))
+    return _sweep(
+        graphs, fact_budget, mode="random", max_nodes=max_nodes, trials=trials, seed=seed,
         edge_prob=edge_prob,
-        graphs_checked=trials,
-        checks_run=checks,
-        discrepancies=tuple(discrepancies),
     )
 
 

@@ -24,7 +24,8 @@ from .closure import (
     PathFact,
     TraceRecord,
     blocking_reason,
-    render_path_fact,
+    sorted_collider_sets,
+    trace_record_json,
 )
 from .errors import (
     InadmissibleWeakening,
@@ -39,6 +40,7 @@ __all__ = [
     "Verdict",
     "check_condition1",
     "check_condition2",
+    "check_variables",
     "evaluate_conditions",
     "check_weakening",
     "apply_weakening",
@@ -98,6 +100,18 @@ def check_condition2(closure: Closure, subject: str, target: str, context_vars):
     return first_open is None, tuple(examined), first_open
 
 
+def check_variables(g: CausalGraph, subject: str, target: str, context_vars) -> None:
+    """A verdict's name and role checks.  They read only the graph, so a caller
+    may run them before it closes ``g`` and refuse bad input whatever the budget."""
+    for name in (subject, target, *sorted(context_vars)):
+        if name not in g.nodes:
+            raise UnknownVariable(f"variable {name!r} is not a node of the graph")
+    if subject == target:
+        raise WeakeningTargetIsGoal(f"cannot weaken with the judgment's own target {target!r}")
+    if subject in context_vars:
+        raise VariableAlreadyInContext(f"variable {subject!r} is already in the context")
+
+
 def evaluate_conditions(closure: Closure, subject: str, target: str, context_vars) -> Verdict:
     """Run both admissibility conditions for a bare variable configuration.
 
@@ -107,16 +121,7 @@ def evaluate_conditions(closure: Closure, subject: str, target: str, context_var
     """
     g = closure.graph
     context_vars = frozenset(context_vars)
-    for name in (subject, target, *sorted(context_vars)):
-        if name not in g.nodes:
-            raise UnknownVariable(f"variable {name!r} is not a node of the graph")
-    if subject == target:
-        raise WeakeningTargetIsGoal(
-            f"cannot weaken with the judgment's own target {target!r}"
-        )
-    if subject in context_vars:
-        raise VariableAlreadyInContext(f"variable {subject!r} is already in the context")
-
+    check_variables(g, subject, target, context_vars)
     ok1, edge = check_condition1(g, subject, target)
     ok2, examined, open_fact = check_condition2(closure, subject, target, context_vars)
 
@@ -127,16 +132,13 @@ def evaluate_conditions(closure: Closure, subject: str, target: str, context_var
     else:
         failed = None
 
-    examined_renders = {render_path_fact(fact) for fact, _ in examined}
-    rule_trace = tuple(r for r in closure.trace if r.conclusion in examined_renders)
-
     return Verdict(
         admissible=ok1 and ok2,
         failed_condition=failed,
         witness_edge=edge if failed == "Condition1" else None,
         witness_fact=open_fact if failed == "Condition2" else None,
         blocked_facts=examined,
-        rule_trace=rule_trace,
+        rule_trace=closure.trace_of(fact for fact, _ in examined),
         subject=subject,
         target=target,
         context_vars=context_vars,
@@ -183,7 +185,7 @@ def _fact_json(fact: PathFact) -> dict:
     return {
         "endpoints": [fact.left, fact.right],
         "noncolliders": sorted(fact.noncolliders),
-        "colliderSets": sorted((sorted(s) for s in fact.collider_sets), key=tuple),
+        "colliderSets": sorted_collider_sets(fact.collider_sets),
     }
 
 
@@ -215,8 +217,5 @@ def verdict_to_json(verdict: Verdict) -> dict:
         "failedCondition": verdict.failed_condition,
         "witness": witness,
         "facts": facts,
-        "ruleTrace": [
-            {"rule": r.rule, "premises": list(r.premises), "conclusion": r.conclusion}
-            for r in verdict.rule_trace
-        ],
+        "ruleTrace": [trace_record_json(r) for r in verdict.rule_trace],
     }

@@ -123,7 +123,7 @@ def test_loan_weakening_golden_cases():
         witness_render = render_path_fact(bad.witness_fact)
         fork_records = [
             r for r in bad.rule_trace
-            if r.conclusion == witness_render and r.rule == "Fork"
+            if r.conclusion.text == witness_render and r.rule == "Fork"
         ]
         assert fork_records, [r.rule for r in bad.rule_trace]
 
@@ -181,7 +181,7 @@ def test_thousand_weakenings_preserve_probability():
             attempts += 1
             assert attempts < 20_000, "instance generator stalled"
             g = random_dag(rng, max_nodes=6, min_nodes=3, edge_prob=0.35)
-            closure = close(g, record_trace=False)
+            closure = close(g)
             nodes = sorted(g.nodes)
             candidates = []
             for subject, target in itertools.permutations(nodes, 2):
@@ -257,7 +257,7 @@ def test_closure_is_idempotent_on_small_family():
         graphs = 0
         for n in range(1, 6):
             for g in enumerate_dags(n):
-                closure = close(g, record_trace=False)
+                closure = close(g)
                 assert saturation_gap(closure, g) == 0, g.edges
                 graphs += 1
         assert graphs == 342

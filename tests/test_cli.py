@@ -442,6 +442,33 @@ def test_context_that_fixes_the_target(capsys, data_dir, command, source):
     assert_input_error(capsys, [command, *argv], f"target {target!r} occurs in the context")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["weaken", "--graph", "loan.cg", "--judgment", "loan.jdg", "--attr", "Loan=yes",
+          "--fact-budget", "1"], "cannot weaken with the judgment's own target 'Loan'"),
+        (["weaken", "--graph", "loan.cg", "--judgment", "loan.jdg", "--attr", "Age=3",
+          "--fact-budget", "1"], "variable 'Age' is already in the context"),
+        (["if", "--graph", "loan.cg", "--target", "Loan", "--protected", "Loan",
+          "--fact-budget", "3"], "protected attribute equals the target"),
+        (["if", "--graph", "loan.cg", "--target", "Loan", "--protected", "Zzz",
+          "--fact-budget", "3"], "variable 'Zzz' is not a node of the graph"),
+        (["intersect", "--graph", "loan.cg", "--target", "Zzz", "--protected", "MS",
+          "--fact-budget", "3"], "variable 'Zzz' is not a node of the graph"),
+        (["intersect", "--graph", "loan.cg", "--target", "Loan", "--protected", "MS,Age",
+          "--subset-cap", "1", "--fact-budget", "3"], "2 protected attributes exceed the cap of 1"),
+    ],
+)
+def test_names_and_subset_cap_are_checked_before_the_closure(capsys, data_dir, argv, message):
+    # Each budget stops the loan closure with exit 3, so exit 2 with the
+    # message the command prints without a budget shows that the names and
+    # the cap were checked before the graph was closed.
+    argv = [str(data_dir / a) if a.endswith((".cg", ".jdg")) else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert "Traceback" not in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 NOT_UTF8 = b"\xff\xfe not text\n"
 
 

@@ -188,12 +188,6 @@ def test_trace_names_and_productivity(loan_closure):
     assert first_rules[0] == "Reflexive cause"
 
 
-def test_record_trace_flag(loan_graph):
-    closure = close(loan_graph, record_trace=False)
-    assert closure.trace == ()
-    assert len(closure.paths) == 7
-
-
 # --- budgets -----------------------------------------------------------------
 
 
@@ -318,7 +312,7 @@ def test_sweep_records_each_disagreement(all_facts_open):
 def test_extensional_equality_on_exhaustive_small_family():
     for n in range(1, 5):
         for g in enumerate_dags(n):
-            closure = close(g, record_trace=False)
+            closure = close(g)
             assert closure.paths == expected_facts(g), g.edges
 
 
@@ -326,7 +320,7 @@ def test_extensional_equality_on_random_graphs():
     rng = random.Random(7)
     for _ in range(40):
         g = random_dag(rng, max_nodes=6, edge_prob=0.4)
-        closure = close(g, record_trace=False)
+        closure = close(g)
         assert closure.paths == expected_facts(g), g.edges
 
 
@@ -345,7 +339,7 @@ def test_every_interior_node_of_a_certifying_path_is_classified():
     graphs += [random_dag(rng, max_nodes=8) for _ in range(150)]
     checked = 0
     for g in graphs:
-        for fact, path in close(g, record_trace=False).derivations():
+        for fact, path in close(g).derivations():
             classified = fact.noncolliders.union(*fact.collider_sets)
             assert set(path[1:-1]) <= classified, (sorted(g.edges), fact, path)
             checked += 1
@@ -367,16 +361,14 @@ def test_adding_an_edge_never_removes_facts():
             continue
         extra = rng.choice(missing)
         bigger = CausalGraph(g.nodes, list(g.edges) + [extra])
-        assert close(g, record_trace=False).paths <= close(
-            bigger, record_trace=False
-        ).paths
+        assert close(g).paths <= close(bigger).paths
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.data())
 def test_independence_is_symmetric(seed, data):
     g = random_dag(random.Random(seed), max_nodes=6, edge_prob=0.35)
-    closure = close(g, record_trace=False)
+    closure = close(g)
     nodes = sorted(g.nodes)
     x = data.draw(st.sampled_from(nodes))
     y = data.draw(st.sampled_from([n for n in nodes if n != x]))

@@ -43,5 +43,11 @@ def test_verdict_modules_do_not_close_graphs(name):
     assert not hasattr(importlib.import_module(name), "close")
 
 
+def test_weakening_renders_no_facts():
+    # A verdict looks its trace records up by fact; text is rendered only
+    # where a record is printed.
+    assert not hasattr(importlib.import_module("fairgate.weakening"), "render_path_fact")
+
+
 def test_a_closure_carries_the_graph_it_closes(loan_graph):
     assert close(loan_graph).graph is loan_graph

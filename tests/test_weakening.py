@@ -1,10 +1,18 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from fairgate.closure import blocking_reason, close, dsep_oracle, enumerate_classified_paths
+from fairgate.closure import (
+    blocking_reason,
+    close,
+    dsep_oracle,
+    enumerate_classified_paths,
+    render_path_fact,
+    trace_record_json,
+)
 from fairgate.errors import (
     InadmissibleWeakening,
     UnknownVariable,
@@ -13,7 +21,7 @@ from fairgate.errors import (
 )
 from fairgate.graph import CausalGraph
 from fairgate.judgments import Attribution, Value, parse_judgment, serialize_judgment
-from fairgate.sweep import enumerate_dags
+from fairgate.sweep import enumerate_dags, random_dag
 from fairgate.weakening import (
     apply_weakening,
     check_condition1,
@@ -88,7 +96,7 @@ def test_verdict_structure_on_admissible_case(loan_closure):
     assert verdict.subject == "MS" and verdict.target == "Loan"
     assert verdict.context_vars == frozenset(["Age", "GAI"])
     assert len(verdict.blocked_facts) == 2
-    conclusions = {r.conclusion for r in verdict.rule_trace}
+    conclusions = {r.conclusion.text for r in verdict.rule_trace}
     assert conclusions == {
         "Loan <>^{Age}_{} MS",
         "Loan <>^{Age,GAI}_{} MS",
@@ -182,7 +190,7 @@ def test_verdict_witnesses_replay(loan_closure):
 def test_verdicts_agree_with_oracle_on_exhaustive_family():
     for n in range(2, 5):
         for g in enumerate_dags(n):
-            closure = close(g, record_trace=False)
+            closure = close(g)
             nodes = sorted(g.nodes)
             for subject, target in itertools.permutations(nodes, 2):
                 rest = [v for v in nodes if v not in (subject, target)]
@@ -231,3 +239,31 @@ def test_verdict_to_json_shape(loan_closure):
         "source": "GAI",
         "target": "Loan",
     }
+
+
+def reference_rule_trace(records, verdict):
+    """The lookup verdicts made before ``Closure.trace_of``: of the rendered
+    trace records, those whose conclusion is the text of an examined fact."""
+    examined = {render_path_fact(fact) for fact, _ in verdict.blocked_facts}
+    return [r for r in records if r["conclusion"] in examined]
+
+
+def test_rule_trace_equals_the_text_lookup():
+    rng = random.Random(31)
+    graphs = [g for n in range(1, 5) for g in enumerate_dags(n)]
+    graphs += [random_dag(rng, max_nodes=8) for _ in range(50)]
+    nonempty = 0
+    for g in graphs:
+        closure = close(g)
+        records = [trace_record_json(r) for r in closure.trace]
+        nodes = sorted(g.nodes)
+        for subject, target in itertools.combinations(nodes, 2):
+            rest = [v for v in nodes if v not in (subject, target)]
+            for ctx in [(), *((v,) for v in rest)]:
+                verdict = evaluate_conditions(closure, subject, target, ctx)
+                expected = reference_rule_trace(records, verdict)
+                assert [trace_record_json(r) for r in verdict.rule_trace] == expected, (
+                    sorted(g.edges), subject, target, ctx
+                )
+                nonempty += bool(expected)
+    assert nonempty > 1000
