@@ -19,8 +19,9 @@ two nodes, which keeps each interior node classified by exactly one
 premise and therefore keeps one collider-descendant set per collider.
 The engine tracks (fact, certifying path) pairs so that a fact reachable
 along several paths can keep feeding compositions through each of them.
-Transitivity* is decided on int node bitmasks, and a derivation already
-made is dropped before its PathFact is built (see ``close``).
+Path facts are worked on int node bitmasks, and one step of ``close``,
+``derive``, makes each of them, whether a window or Transitivity*
+concludes it, and keeps one record per derivation.
 """
 
 from __future__ import annotations
@@ -205,16 +206,18 @@ def _fact_sort_key(fact: PathFact):
 class Closure:
     """The fixpoint of the six derivation rules over ``graph``, the graph it closes."""
 
-    __slots__ = ("graph", "mediate", "paths", "trace", "_certifying", "_derivations", "_by_pair")
+    __slots__ = ("graph", "mediate", "paths", "trace", "_certifying", "_derived", "_by_pair")
 
-    def __init__(self, graph, mediate, certifying, derivations, trace):
+    def __init__(self, graph, mediate, certifying, derived, trace):
         self.graph: CausalGraph = graph
         self.mediate: frozenset[MediateCauseFact] = frozenset(mediate)
         self.paths: frozenset[PathFact] = frozenset(certifying)
         self.trace: tuple[TraceRecord, ...] = tuple(trace)
         # fact -> (first certifying path, position of the fact's trace record)
         self._certifying: dict[PathFact, tuple[tuple[str, ...], int]] = dict(certifying)
-        self._derivations: frozenset[tuple[PathFact, tuple[str, ...]]] = frozenset(derivations)
+        # (node-index path, noncollider mask, collider-set masks) -> fact, one
+        # entry per derivation; node i is the i-th graph node in sorted order.
+        self._derived: dict[tuple, PathFact] = derived
         by_pair: dict[tuple[str, str], list[PathFact]] = defaultdict(list)
         for fact in self.paths:
             by_pair[(fact.left, fact.right)].append(fact)
@@ -237,39 +240,10 @@ class Closure:
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
         """Every recorded (fact, certifying path) pair."""
-        return self._derivations
-
-
-def _canonical(noncolliders, collider_sets, path):
-    if path[0] <= path[-1]:
-        left, right, stored = path[0], path[-1], tuple(path)
-    else:
-        left, right, stored = path[-1], path[0], tuple(reversed(path))
-    fact = PathFact(left, right, frozenset(noncolliders), frozenset(collider_sets))
-    return fact, stored
-
-
-def _iter_window_conclusions(g: CausalGraph, mediate_by_source):
-    """Chain, Fork and Collider conclusions for every 3-node window."""
-    for y in sorted(g.nodes):
-        parent_list = g.parents(y)
-        child_list = g.children(y)
-        for x in parent_list:
-            for z in child_list:
-                if x == z:
-                    continue
-                fact, path = _canonical({y}, frozenset(), (x, y, z))
-                yield fact, path, "Chain", (render_edge(x, y), render_edge(y, z))
-        for x, z in combinations(child_list, 2):
-            fact, path = _canonical({y}, frozenset(), (x, y, z))
-            yield fact, path, "Fork", (render_edge(y, x), render_edge(y, z))
-        for x, z in combinations(parent_list, 2):
-            for mf in mediate_by_source.get(y, ()):
-                chain = mf.intermediates
-                if x in chain or z in chain:
-                    continue
-                fact, path = _canonical(frozenset(), {chain}, (x, y, z))
-                yield fact, path, "Collider", (render_edge(x, y), render_edge(z, y), mf)
+        names = sorted(self.graph.nodes)
+        return frozenset(
+            (fact, tuple(names[i] for i in key[0])) for key, fact in self._derived.items()
+        )
 
 
 def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
@@ -282,22 +256,21 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     fact and per new (path fact, certifying path) pair; rejected and
     repeated Transitivity* attempts are not charged.
 
-    Transitivity* is decided on int node bitmasks (bit i for the i-th
-    node in sorted order).  Each derivation has a forward and a backward
-    view, one per direction of its path, and one index keys every view
-    by its path's first two nodes.  A popped derivation is extended once
-    at each end: its forward view glues to the indexed views that start
-    with its last two nodes, and its backward view does the same, which
-    extends the path at its left end.  Two views glue into a simple path
-    iff their node masks meet in exactly the two junction bits.  The
-    rule's junction condition needs no test: the index key makes each
+    Path facts are worked on int node bitmasks (bit i for the i-th node in
+    sorted order).  One inner step, ``derive``, makes every path fact: it
+    orients a node-index path, drops a repeated (path, noncollider mask,
+    collider-set masks) key, charges the budget, builds the PathFact,
+    records a new fact's TraceRecord and indexes the derivation's two
+    views, one per direction of its path, by the path's first two nodes.
+    The Chain, Fork and Collider windows call it with 3-node paths, the
+    ``while pqueue`` loop with Transitivity* conclusions: each view of a
+    popped derivation glues to the indexed views that start with its last
+    two nodes and meet its node mask in exactly those two junction bits.
+    The rule's junction condition needs no test: the index key makes each
     junction node an interior node of both premises' paths, and every
     interior node of a certified path is a noncollider or lies in a
     collider set.  The endpoint exclusion is one AND against the views'
-    collider-set masks.  A conclusion is keyed by (canonical path,
-    noncollider mask, collider-set masks), and a repeated key is dropped
-    before its PathFact is built.  Each productive firing appends one
-    TraceRecord of facts; a fact is rendered to text only where it is printed.
+    collider-set masks.  A fact is rendered to text only where it is printed.
     """
     budget = resolve_fact_budget(fact_budget)
     count = 0
@@ -309,34 +282,37 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
         if count > budget:
             raise ResourceLimit(f"fact budget of {budget} exceeded while closing the graph")
 
-    mediate: dict[MediateCauseFact, None] = {}
+    # Nodes are numbered in sorted order, so comparing indices compares names.
+    names = sorted(g.nodes)
+    index = {v: i for i, v in enumerate(names)}
+    bit = [1 << i for i in range(len(names))]
+
+    # Each mediate fact maps to the node mask of its intermediates.
+    mediate: dict[MediateCauseFact, int] = {}
     by_source: dict[str, list[MediateCauseFact]] = defaultdict(list)
     mqueue: deque[MediateCauseFact] = deque()
 
-    def add_mediate(fact, rule, premises):
+    def add_mediate(fact, mask, rule, premises):
         if fact in mediate:
             return
         spend()
-        mediate[fact] = None
+        mediate[fact] = mask
         by_source[fact.source].append(fact)
         trace.append(TraceRecord(rule, premises, fact))
         mqueue.append(fact)
 
-    for x in sorted(g.nodes):
-        add_mediate(MediateCauseFact(x, x, frozenset([x])), "Reflexive cause", ())
+    for i, x in enumerate(names):
+        add_mediate(MediateCauseFact(x, x, frozenset([x])), bit[i], "Reflexive cause", ())
     while mqueue:
         fact = mqueue.popleft()
         for k in g.children(fact.target):
             add_mediate(
                 MediateCauseFact(fact.source, k, fact.intermediates | {k}),
+                mediate[fact] | bit[index[k]],
                 "Transitive cause",
                 (fact, render_edge(fact.target, k)),
             )
 
-    # Nodes are numbered in sorted order, so comparing indices compares names.
-    names = sorted(g.nodes)
-    index = {v: i for i, v in enumerate(names)}
-    bit = [1 << i for i in range(len(names))]
     node_sets: dict[int, frozenset[str]] = {}
 
     def nodes_of(mask):
@@ -345,88 +321,79 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
             found = node_sets[mask] = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
         return found
 
-    def mask_of(nodes):
-        mask = 0
-        for v in nodes:
-            mask |= bit[index[v]]
-        return mask
-
     certifying: dict[PathFact, tuple[tuple[str, ...], int]] = {}
-    derivations: list[tuple[PathFact, tuple[str, ...]]] = []
-    seen: set[tuple] = set()
+    # One entry per derivation: (oriented path, noncollider mask,
+    # collider-set masks) -> its PathFact.
+    derived: dict[tuple, PathFact] = {}
     # A view is one direction of a derivation's path:
     # (fact, path, path mask, noncollider mask, collider-set masks,
     #  union of the collider-set masks).
     by_first2: dict[tuple[int, int], list[tuple]] = defaultdict(list)
     pqueue: deque[tuple[tuple, tuple]] = deque()
 
-    def add_path_fact(fact, path, mask, nc, cs, rule, premises):
+    def derive(path, mask, nc, cs, rule, premises):
+        if path[0] > path[-1]:
+            path = path[::-1]
+        key = (path, nc, cs)
+        if key in derived:
+            return
         spend()
-        stored = tuple(names[i] for i in path)
-        derivations.append((fact, stored))
+        fact = derived[key] = PathFact(
+            names[path[0]], names[path[-1]], nodes_of(nc), frozenset(nodes_of(s) for s in cs)
+        )
         if fact not in certifying:
-            certifying[fact] = (stored, len(trace))
+            certifying[fact] = (tuple(names[i] for i in path), len(trace))
             trace.append(TraceRecord(rule, premises, fact))
         in_sets = 0
         for s in cs:
             in_sets |= s
         forward = (fact, path, mask, nc, cs, in_sets)
-        backward = (fact, path[::-1]) + forward[2:]
+        backward = (fact, path[::-1], mask, nc, cs, in_sets)
         by_first2[path[0], path[1]].append(forward)
         by_first2[path[-1], path[-2]].append(backward)
         pqueue.append((forward, backward))
 
-    # Window conclusions never repeat: a 3-node path is a chain, a fork or a
-    # collider, and distinct mediate facts carry distinct node sets.  Glued
-    # paths have four nodes or more, so ``seen`` only holds their keys.
-    for fact, path, rule, premises in _iter_window_conclusions(g, by_source):
-        add_path_fact(
-            fact, tuple(index[v] for v in path), mask_of(path), mask_of(fact.noncolliders),
-            frozenset(mask_of(s) for s in fact.collider_sets), rule, premises,
-        )
-
-    def glue(view1, view2, is_backward):
-        """Transitivity* on two views whose paths already meet only at the junction.
-
-        On a backward view1 the premises are listed as (view2's fact,
-        view1's fact), the order of the same glue read left to right.
-        """
-        fact1, p1, mask1, nc1, cs1, in_sets1 = view1
-        fact2, p2, mask2, nc2, cs2, in_sets2 = view2
-        # No junction test: the bucket key makes p1[-1] == p2[1] and
-        # p2[0] == p1[-2], interior nodes of certified paths, and each such
-        # node is a noncollider or lies in a collider set of its fact.
-        # Conclusions whose collider sets would contain the new endpoints are
-        # not generated: conditioning sets exclude the tested endpoints.
-        if (in_sets1 | in_sets2) & (bit[p1[0]] | bit[p2[-1]]):
-            return
-        glued = p1 + p2[2:]
-        if glued[0] > glued[-1]:
-            glued = glued[::-1]
-        nc = nc1 | nc2
-        cs = cs1 | cs2
-        key = (glued, nc, cs)
-        if key in seen:
-            return
-        seen.add(key)
-        fact = PathFact(
-            names[glued[0]], names[glued[-1]], nodes_of(nc), frozenset(nodes_of(s) for s in cs)
-        )
-        premises = (fact2, fact1) if is_backward else (fact1, fact2)
-        add_path_fact(fact, glued, mask1 | mask2, nc, cs, "Transitivity*", premises)
+    # The windows: a 3-node path is a chain, a fork or a collider, and
+    # distinct mediate facts carry distinct node sets, so none repeats.
+    for y, v in enumerate(names):
+        parents = [index[p] for p in g.parents(v)]
+        children = [index[c] for c in g.children(v)]
+        for x in parents:
+            for z in children:
+                derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Chain",
+                       (render_edge(names[x], v), render_edge(v, names[z])))
+        for x, z in combinations(children, 2):
+            derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Fork",
+                   (render_edge(v, names[x]), render_edge(v, names[z])))
+        for x, z in combinations(parents, 2):
+            for chain in by_source.get(v, ()):
+                if mediate[chain] & (bit[x] | bit[z]):
+                    continue
+                derive((x, y, z), bit[x] | bit[y] | bit[z], 0, frozenset([mediate[chain]]),
+                       "Collider", (render_edge(names[x], v), render_edge(names[z], v), chain))
 
     while pqueue:
         forward, backward = pqueue.popleft()
-        for view, is_backward in ((forward, False), (backward, True)):
-            path, mask = view[1], view[2]
+        # On the backward view the premises are listed as (partner, fact),
+        # the order of the same glue read left to right.
+        for (fact1, p1, mask1, nc1, cs1, in_sets1), is_backward in (
+            (forward, False), (backward, True)
+        ):
             # The bucket is read as it stands before the view's glues run; a
             # partner is kept only when the glued path stays simple.
-            junction = bit[path[-2]] | bit[path[-1]]
-            bucket = by_first2.get((path[-2], path[-1]), ())
-            for other in [o for o in bucket if o[2] & mask == junction]:
-                glue(view, other, is_backward)
+            junction = bit[p1[-2]] | bit[p1[-1]]
+            bucket = by_first2.get((p1[-2], p1[-1]), ())
+            partners = [o for o in bucket if o[2] & mask1 == junction]
+            for fact2, p2, mask2, nc2, cs2, in_sets2 in partners:
+                # Conclusions whose collider sets would contain the new
+                # endpoints are not generated: conditioning sets exclude the
+                # tested endpoints.
+                if (in_sets1 | in_sets2) & (bit[p1[0]] | bit[p2[-1]]):
+                    continue
+                derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs1 | cs2, "Transitivity*",
+                       (fact2, fact1) if is_backward else (fact1, fact2))
 
-    return Closure(g, mediate, certifying, derivations, trace)
+    return Closure(g, mediate, certifying, derived, trace)
 
 
 def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:

@@ -106,21 +106,25 @@ class Dataset:
         """Load a UTF-8 CSV whose first row is the column headers.
 
         Cells are stripped of surrounding whitespace and must be atomic
-        values.
+        values.  Empty and whitespace-only lines are skipped; a row of
+        empty cells such as ``,,`` is not.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
-                header = next(reader)
-                rows = [tuple(cell.strip() for cell in row) for row in reader]
-            except StopIteration:
-                raise MalformedDataset(f"{path}: empty file") from None
+                # A blank line reads as no cells, a whitespace-only one as one blank cell.
+                lines = [
+                    tuple(cell.strip() for cell in row)
+                    for row in reader
+                    if len(row) > 1 or row and row[0].strip()
+                ]
             except UnicodeDecodeError:
                 raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
             except csv.Error as exc:
                 raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
-        columns = tuple(cell.strip() for cell in header)
-        return cls(columns=columns, rows=tuple(rows), target_column=target_column)
+        if not lines:
+            raise MalformedDataset(f"{path}: empty file")
+        return cls(columns=lines[0], rows=tuple(lines[1:]), target_column=target_column)
 
     def matching_rows(self, ctx: Context) -> tuple[tuple[str, ...], ...]:
         """Rows whose cells satisfy every attribution of the context."""
@@ -315,7 +319,8 @@ def check_audit(
 
 
 def _check_member(
-    closure, dataset, ctx: Context, target: str, attr: str, rest: tuple, epsilon, mode: str
+    closure, dataset, ctx: Context, target: str, attr: str, rest: tuple, epsilon: Fraction,
+    mode: str,
 ) -> Decomposition:
     """Test attr with the rest folded into the conditioning side.
 
@@ -328,7 +333,6 @@ def _check_member(
     if mode in ("graphical", "both"):
         verdict = evaluate_conditions(closure, attr, target, ctx.variables() | set(rest))
     if mode in ("empirical", "both"):
-        epsilon = _epsilon(epsilon)
         split = len(rest)
         groups: defaultdict[tuple, Counter] = defaultdict(Counter)
         for key, n in _tally(dataset, ctx, [*rest, attr, target]).items():
@@ -370,6 +374,7 @@ def check_if(
     """
     check_audit(None if closure is None else closure.graph, dataset, ctx, target,
                 [protected_attr], mode)
+    epsilon = _epsilon(epsilon)
     d = _check_member(closure, dataset, ctx, target, protected_attr, (), epsilon, mode)
     return IfCheckResult(
         protected_attr=protected_attr,
@@ -403,6 +408,7 @@ def check_intersectionality(
     """
     protected = check_audit(None if closure is None else closure.graph, dataset, ctx, target,
                             protected_set, mode, subset_cap)
+    epsilon = _epsilon(epsilon)
 
     subsets = []
     for size in range(1, len(protected) + 1):
@@ -426,7 +432,7 @@ def check_intersectionality(
         target=target,
         context_vars=tuple(sorted(ctx.variables())),
         mode=mode,
-        threshold=Fraction(epsilon),
+        threshold=epsilon,
         subsets=tuple(subsets),
         max_delta=max(deltas, default=None),
         passed=all(s.passed for s in subsets),

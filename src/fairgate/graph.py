@@ -118,25 +118,26 @@ class CausalGraph:
                     path.pop()
         return None
 
-    def _require_node(self, name: str) -> None:
+    def require_node(self, name: str) -> None:
+        """UnknownVariable unless ``name`` is a node of the graph."""
         if name not in self.nodes:
             raise UnknownVariable(f"variable {name!r} is not a node of the graph")
 
     def parents(self, v: str) -> tuple[str, ...]:
-        self._require_node(v)
+        self.require_node(v)
         return self._parents[v]
 
     def children(self, v: str) -> tuple[str, ...]:
-        self._require_node(v)
+        self.require_node(v)
         return self._children[v]
 
     def undirected_neighbors(self, v: str) -> tuple[str, ...]:
-        self._require_node(v)
+        self.require_node(v)
         return self._neighbors[v]
 
     def descendants(self, x: str) -> frozenset[str]:
         """All nodes reachable from ``x`` by directed edges, excluding ``x``."""
-        self._require_node(x)
+        self.require_node(x)
         cached = self._descendants.get(x)
         if cached is not None:
             return cached

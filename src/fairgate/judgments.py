@@ -27,7 +27,6 @@ from .errors import (
     JudgmentSyntaxError,
     MalformedValue,
     ProbabilityOutOfRange,
-    UnknownVariable,
 )
 from .graph import CausalGraph, read_text, validate_name
 
@@ -292,8 +291,8 @@ def _read_items(sc: _Scanner, graph: CausalGraph | None) -> list[Attribution]:
         return items
     while True:
         name, npos = sc.read_atom("a variable name")
-        if graph is not None and name not in graph.nodes:
-            raise UnknownVariable(f"variable {name!r} is not a node of the graph")
+        if graph is not None:
+            graph.require_node(name)
         if name in seen:
             raise DuplicateVariable(f"variable {name!r} occurs twice in the context")
         seen.add(name)
@@ -337,8 +336,8 @@ def parse_judgment(text: str, graph: CausalGraph | None) -> Judgment:
     items = _read_items(sc, graph)
     sc.expect_lit("=>", "'=>' between context and target")
     target, tpos = sc.read_atom("the target variable")
-    if graph is not None and target not in graph.nodes:
-        raise UnknownVariable(f"variable {target!r} is not a node of the graph")
+    if graph is not None:
+        graph.require_node(target)
     if any(a.variable == target for a in items):
         raise DuplicateVariable(f"target {target!r} occurs in the context")
     sc.expect_lit("=", "'=' after the target variable")

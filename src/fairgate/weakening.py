@@ -29,7 +29,6 @@ from .closure import (
 )
 from .errors import (
     InadmissibleWeakening,
-    UnknownVariable,
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
 )
@@ -75,8 +74,7 @@ def check_condition1(g: CausalGraph, subject: str, target: str):
     Returns (ok, offending edge or None).
     """
     for name in (subject, target):
-        if name not in g.nodes:
-            raise UnknownVariable(f"variable {name!r} is not a node of the graph")
+        g.require_node(name)
     if (subject, target) in g.edges:
         return False, (subject, target)
     if (target, subject) in g.edges:
@@ -104,8 +102,7 @@ def check_variables(g: CausalGraph, subject: str, target: str, context_vars) -> 
     """A verdict's name and role checks.  They read only the graph, so a caller
     may run them before it closes ``g`` and refuse bad input whatever the budget."""
     for name in (subject, target, *sorted(context_vars)):
-        if name not in g.nodes:
-            raise UnknownVariable(f"variable {name!r} is not a node of the graph")
+        g.require_node(name)
     if subject == target:
         raise WeakeningTargetIsGoal(f"cannot weaken with the judgment's own target {target!r}")
     if subject in context_vars:

@@ -1,24 +1,44 @@
 """A frozenset restatement of the rules, used to check that a closure is saturated.
 
-``close`` decides Transitivity* on node bitmasks.  ``_try_glue`` states
-the same rule directly on PathFact frozensets and certifying paths, so
-``saturation_gap`` checks the engine against an independent reading of
-the rule rather than against itself.
+``close`` works on node bitmasks.  ``_window_facts`` and ``_try_glue``
+state the Chain, Fork, Collider and Transitivity* rules directly on
+PathFact frozensets and certifying paths, and ``_oriented`` reads a fact
+off a path, so ``saturation_gap`` checks the engine against an
+independent reading of the rules rather than against itself.  Only the
+engine's public names are imported.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import combinations
 
-from fairgate.closure import (
-    Closure,
-    MediateCauseFact,
-    PathFact,
-    _canonical,
-    _iter_window_conclusions,
-    _mediate_sort_key,
-)
+from fairgate.closure import Closure, MediateCauseFact, PathFact
 from fairgate.graph import CausalGraph
+
+
+def _oriented(noncolliders, collider_sets, path) -> PathFact:
+    """The fact a path certifies, its ends ordered by name."""
+    left, right = sorted((path[0], path[-1]))
+    return PathFact(left, right, frozenset(noncolliders), frozenset(collider_sets))
+
+
+def _window_facts(g: CausalGraph, mediate):
+    """Chain (x -> y -> z), Fork (x <- y -> z) and Collider (x -> y <- z) facts.
+
+    A collider's set is the node set of one mediate fact from y that
+    avoids both ends.
+    """
+    for y in g.nodes:
+        parents, children = g.parents(y), g.children(y)
+        for x in parents:
+            for z in children:
+                yield _oriented({y}, (), (x, y, z))
+        for x, z in combinations(children, 2):
+            yield _oriented({y}, (), (x, y, z))
+        for x, z in combinations(parents, 2):
+            for fact in mediate:
+                if fact.source == y and not {x, z} & fact.intermediates:
+                    yield _oriented((), {fact.intermediates}, (x, y, z))
 
 
 def _try_glue(fact1: PathFact, p1, fact2: PathFact, p2):
@@ -63,15 +83,8 @@ def saturation_gap(closure: Closure, g: CausalGraph) -> int:
             if new not in mediate:
                 missing_mediate.add(new)
 
-    by_source: dict[str, list[MediateCauseFact]] = defaultdict(list)
-    for fact in sorted(mediate, key=_mediate_sort_key):
-        by_source[fact.source].append(fact)
-
     have = set(closure.paths)
-    missing_paths: set[PathFact] = set()
-    for fact, _path, _rule, _premises in _iter_window_conclusions(g, by_source):
-        if fact not in have:
-            missing_paths.add(fact)
+    missing_paths = set(_window_facts(g, mediate)) - have
 
     views = []
     for fact, path in closure.derivations():
@@ -81,7 +94,7 @@ def saturation_gap(closure: Closure, g: CausalGraph) -> int:
         for fact2, p2 in views:
             glued = _try_glue(fact1, p1, fact2, p2)
             if glued is not None:
-                new_fact, _ = _canonical(*glued)
+                new_fact = _oriented(*glued)
                 if new_fact not in have:
                     missing_paths.add(new_fact)
 

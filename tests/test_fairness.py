@@ -10,6 +10,7 @@ from fairgate.errors import (
     EmptyConditioningSet,
     InputError,
     MalformedDataset,
+    MalformedValue,
     SubsetExplosion,
     UnknownColumn,
     VariableAlreadyInContext,
@@ -67,6 +68,13 @@ def test_csv_roundtrip(tmp_path, table1):
         writer.writerows(table1.rows)
     again = Dataset.from_csv(path, target_column="t")
     assert again == table1
+    # Empty and whitespace-only lines are skipped, a row of empty cells is not.
+    path.write_text("\n  \n" + path.read_text(encoding="utf-8") + "\n  \n\n", encoding="utf-8")
+    assert Dataset.from_csv(path, target_column="t") == table1
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(",,\n")
+    with pytest.raises(MalformedValue, match="non-empty"):
+        Dataset.from_csv(path, target_column="t")
 
 
 def test_csv_empty_file(tmp_path):
@@ -273,6 +281,16 @@ def test_subset_cap(table1):
         )
     with pytest.raises(InputError, match="at least one"):
         check_intersectionality(None, table1, EMPTY, "t", [])
+
+
+@pytest.mark.parametrize("mode", ["graphical", "empirical", "both"])
+def test_negative_epsilon_is_refused_in_every_mode(table1, mode):
+    closure = close(CausalGraph(["a1", "a2", "t"], [("a1", "t")]))
+    eps = Fraction(-1)
+    with pytest.raises(InputError, match="epsilon must be nonnegative"):
+        check_if(closure, table1, EMPTY, "t", "a1", eps, mode=mode)
+    with pytest.raises(InputError, match="epsilon must be nonnegative"):
+        check_intersectionality(closure, table1, EMPTY, "t", ["a1", "a2"], eps, mode=mode)
 
 
 def test_report_is_deterministic(table1):

@@ -4,9 +4,14 @@ Every public name lives in, and is imported from, the module that
 defines it, and the verdict modules read a closure but never build one.
 """
 
+import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,39 @@ def test_weakening_renders_no_facts():
     # A verdict looks its trace records up by fact; text is rendered only
     # where a record is printed.
     assert not hasattr(importlib.import_module("fairgate.weakening"), "render_path_fact")
+
+
+def test_benchmark_spans_find_every_name_they_wrap():
+    # benchmark/spans.py wraps fairgate names by getattr and counts a traced
+    # close through Closure.derivations; deleting or renaming one would
+    # break ``benchmark/run.py --trace 1``.
+    root = Path(__file__).resolve().parent.parent
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmark")]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    code = (
+        "from spans import Tracer, install; install(Tracer())\n"
+        "from fairgate import closure, graph\n"
+        "closure.close(graph.CausalGraph('abc', [('a', 'b'), ('b', 'c')]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("helper", ["_saturation.py", "_recount.py"])
+def test_reference_helpers_import_only_public_names(helper):
+    # A reference that imported the engine's private helpers would check
+    # that code against itself.
+    tree = ast.parse((Path(__file__).parent / helper).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("fairgate"):
+            public = importlib.import_module(node.module).__all__
+            for alias in node.names:
+                assert alias.name in public, f"{helper}: {node.module}.{alias.name}"
 
 
 def test_a_closure_carries_the_graph_it_closes(loan_graph):
