@@ -52,9 +52,7 @@ __all__ = [
     "closure_dump",
     "trace_record_json",
     "sorted_collider_sets",
-    "render_mediate",
     "render_path_fact",
-    "render_edge",
 ]
 
 DEFAULT_FACT_BUDGET = 10**6
@@ -102,8 +100,8 @@ class MediateCauseFact:
 
     @cached_property
     def text(self) -> str:
-        """``render_mediate(self)``, rendered on first use."""
-        return render_mediate(self)
+        """``_render_mediate(self)``, rendered on first use."""
+        return _render_mediate(self)
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ class BlockReason(NamedTuple):
     nodes: frozenset[str]
 
 
-def render_edge(source: str, target: str) -> str:
+def _render_edge(source: str, target: str) -> str:
     return f"{source} -> {target}"
 
 
@@ -179,7 +177,7 @@ def _render_family(sets) -> str:
     return "{" + ",".join(map(_render_set, sorted_collider_sets(sets))) + "}"
 
 
-def render_mediate(fact: MediateCauseFact) -> str:
+def _render_mediate(fact: MediateCauseFact) -> str:
     return f"{fact.source} |>^{_render_set(fact.intermediates)} {fact.target}"
 
 
@@ -310,7 +308,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
                 MediateCauseFact(fact.source, k, fact.intermediates | {k}),
                 mediate[fact] | bit[index[k]],
                 "Transitive cause",
-                (fact, render_edge(fact.target, k)),
+                (fact, _render_edge(fact.target, k)),
             )
 
     node_sets: dict[int, frozenset[str]] = {}
@@ -361,16 +359,16 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
         for x in parents:
             for z in children:
                 derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Chain",
-                       (render_edge(names[x], v), render_edge(v, names[z])))
+                       (_render_edge(names[x], v), _render_edge(v, names[z])))
         for x, z in combinations(children, 2):
             derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Fork",
-                   (render_edge(v, names[x]), render_edge(v, names[z])))
+                   (_render_edge(v, names[x]), _render_edge(v, names[z])))
         for x, z in combinations(parents, 2):
             for chain in by_source.get(v, ()):
                 if mediate[chain] & (bit[x] | bit[z]):
                     continue
                 derive((x, y, z), bit[x] | bit[y] | bit[z], 0, frozenset([mediate[chain]]),
-                       "Collider", (render_edge(names[x], v), render_edge(names[z], v), chain))
+                       "Collider", (_render_edge(names[x], v), _render_edge(names[z], v), chain))
 
     while pqueue:
         forward, backward = pqueue.popleft()

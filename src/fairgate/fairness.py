@@ -11,6 +11,12 @@ attributes is checked by testing each member with the others folded into
 the conditioning side, over every non-empty subset.  The bundled
 two-attribute dataset generator exists to show why subsets matter: each
 attribute passes alone while the pair fails.
+
+Every empirical verdict of a request reads one contingency table: the
+counts of (protected columns, target) over the rows that match the
+context, tallied in one scan.  A member's comparison is a marginal of
+that table, so the rows are scanned once per request, not once per
+(subset, member).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .errors import (
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
 )
-from .graph import validate_name
+from .graph import BOM, validate_name
 from .judgments import Context, Value, value_matches
 from .weakening import Verdict, check_variables, evaluate_conditions, verdict_to_json
 
@@ -105,13 +111,16 @@ class Dataset:
     def from_csv(cls, path, target_column: str) -> "Dataset":
         """Load a UTF-8 CSV whose first row is the column headers.
 
-        Cells are stripped of surrounding whitespace and must be atomic
-        values.  Empty and whitespace-only lines are skipped; a row of
-        empty cells such as ``,,`` is not.
+        A leading byte-order mark, as spreadsheet exports write, is
+        dropped.  Cells are stripped of surrounding whitespace and must be
+        atomic values.  Empty and whitespace-only lines are skipped; a row
+        of empty cells such as ``,,`` is not.
         """
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
+                if fh.read(1) != BOM:
+                    fh.seek(0)
                 # A blank line reads as no cells, a whitespace-only one as one blank cell.
                 lines = [
                     tuple(cell.strip() for cell in row)
@@ -139,7 +148,8 @@ class Dataset:
 def _tally(dataset: Dataset, ctx: Context, columns) -> Counter:
     """Counts of the columns' value tuples over the ctx-matching rows, in one pass.
 
-    The only row scan: every frequency in this module is a sum of these counts.
+    The only row scan, once per request: every frequency in this module is
+    a sum of these counts.
     """
     idx = [dataset.col(name) for name in columns]
     matching = dataset.matching_rows(ctx)
@@ -181,7 +191,12 @@ class CiResult:
 
 
 def _ci_from_counts(counts: Counter, epsilon: Fraction) -> CiResult:
-    """The CI comparison from exact (attribute value, outcome) counts."""
+    """The CI comparison from exact (attribute value, outcome) counts.
+
+    The gap of a cell is |n(a,b)·N − n(b)·n(a)| / (n(a)·N); gaps are
+    compared by integer cross-multiplication, and only the largest one is
+    built as a Fraction.
+    """
     per_alpha: Counter = Counter()
     per_beta: Counter = Counter()
     for (alpha, beta), n in counts.items():
@@ -196,14 +211,17 @@ def _ci_from_counts(counts: Counter, epsilon: Fraction) -> CiResult:
         for alpha in alphas
     }
 
-    max_delta = Fraction(0)
+    gap, scale = 0, 1  # the largest gap so far is gap / scale
     witness = None
     for alpha in alphas:
+        n_alpha = per_alpha[alpha]
+        den = n_alpha * total
         for beta in betas:
-            delta = abs(conditional[alpha][beta] - marginal[beta])
-            if delta > max_delta:
-                max_delta = delta
+            num = abs(counts[alpha, beta] * total - per_beta[beta] * n_alpha)
+            if num * scale > gap * den:
+                gap, scale = num, den
                 witness = (alpha, beta)
+    max_delta = Fraction(gap, scale)
     return CiResult(
         passed=max_delta <= epsilon,
         epsilon=epsilon,
@@ -319,13 +337,15 @@ def check_audit(
 
 
 def _check_member(
-    closure, dataset, ctx: Context, target: str, attr: str, rest: tuple, epsilon: Fraction,
-    mode: str,
+    closure, table: Counter | None, columns: tuple, ctx: Context, target: str, attr: str,
+    rest: tuple, epsilon: Fraction, mode: str,
 ) -> Decomposition:
     """Test attr with the rest folded into the conditioning side.
 
-    The empirical route tallies the ctx-matching rows once over (rest,
-    attr, target) and compares within each observed combination of the rest.
+    ``table`` is the request's one contingency table, keyed by the values
+    of ``columns`` and then the target.  The empirical route sums its
+    cells over (rest, attr, target) and compares within each observed
+    combination of the rest; no row is read here.
     """
     verdict = None
     per_combo = None
@@ -333,10 +353,11 @@ def _check_member(
     if mode in ("graphical", "both"):
         verdict = evaluate_conditions(closure, attr, target, ctx.variables() | set(rest))
     if mode in ("empirical", "both"):
-        split = len(rest)
+        rest_idx = [columns.index(v) for v in rest]
+        attr_idx = columns.index(attr)
         groups: defaultdict[tuple, Counter] = defaultdict(Counter)
-        for key, n in _tally(dataset, ctx, [*rest, attr, target]).items():
-            groups[key[:split]][key[split:]] = n
+        for key, n in table.items():
+            groups[tuple(key[i] for i in rest_idx)][key[attr_idx], key[-1]] += n
         per_combo = tuple(
             (tuple(zip(rest, combo)), _ci_from_counts(groups[combo], epsilon))
             for combo in sorted(groups)
@@ -370,12 +391,15 @@ def check_if(
     Graphical mode asks whether the attribute could be weakened into the
     context (values play no role); empirical mode compares frequencies
     in the dataset; both runs the two and reports whether they agree.
-    This is one decomposition with nothing folded into the context.
+    This is one decomposition with nothing folded into the context, read
+    from a one-attribute table.
     """
     check_audit(None if closure is None else closure.graph, dataset, ctx, target,
                 [protected_attr], mode)
     epsilon = _epsilon(epsilon)
-    d = _check_member(closure, dataset, ctx, target, protected_attr, (), epsilon, mode)
+    columns = (protected_attr,)
+    table = None if mode == "graphical" else _tally(dataset, ctx, [*columns, target])
+    d = _check_member(closure, table, columns, ctx, target, protected_attr, (), epsilon, mode)
     return IfCheckResult(
         protected_attr=protected_attr,
         target=target,
@@ -403,18 +427,22 @@ def check_intersectionality(
     Each subset is decomposed once per member: the member is the tested
     attribute, the remaining members join the conditioning side.  In
     empirical modes the rest is instantiated with every value
-    combination observed among context-matching rows.  The report never
+    combination observed among context-matching rows.  The context-matching
+    rows are scanned once, into one table over (protected, target), and
+    every member's comparison is a marginal of it.  The report never
     depends on enumeration order; everything is sorted.
     """
     protected = check_audit(None if closure is None else closure.graph, dataset, ctx, target,
                             protected_set, mode, subset_cap)
     epsilon = _epsilon(epsilon)
+    columns = tuple(protected)
+    table = None if mode == "graphical" else _tally(dataset, ctx, [*columns, target])
 
     subsets = []
     for size in range(1, len(protected) + 1):
         for subset in combinations(protected, size):
             decomps = tuple(
-                _check_member(closure, dataset, ctx, target, attr,
+                _check_member(closure, table, columns, ctx, target, attr,
                               tuple(v for v in subset if v != attr), epsilon, mode)
                 for attr in subset
             )

@@ -19,6 +19,7 @@ from .errors import (
 
 __all__ = [
     "RESERVED_NAME_CHARS",
+    "BOM",
     "validate_name",
     "CausalGraph",
     "parse_graph",
@@ -200,11 +201,19 @@ def parse_graph(text: str) -> CausalGraph:
     return CausalGraph(nodes, edges)
 
 
+# U+FEFF at the start of a file is a byte-order mark, not text: spreadsheet
+# "CSV UTF-8" exports and some editors write one.  It is dropped by hand, as
+# the utf-8-sig codec would, because looking that codec up imports a module
+# in every fresh process.
+BOM = "\ufeff"
+
+
 def read_text(path) -> str:
-    """The whole of a UTF-8 text file; UndecodableFile if it is not UTF-8."""
+    """The whole of a UTF-8 text file, without a leading byte-order mark;
+    UndecodableFile if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return handle.read()
+            return handle.read().removeprefix(BOM)
         except UnicodeDecodeError:
             raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
 

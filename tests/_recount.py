@@ -1,7 +1,7 @@
 """The empirical fairness routes as first written, row scan by row scan.
 
-``fairgate.fairness`` counts the context-matching rows once per tested
-attribute and derives every frequency from that tally.  The functions
+``fairgate.fairness`` counts the context-matching rows once per request,
+into one table, and derives every frequency from it.  The functions
 here rescan the rows for every marginal and every attribute value, and
 rebuild a context per value combination of the rest, so the tally can
 be checked against an independent reading of the same definitions.

@@ -1,10 +1,13 @@
 import csv
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from _recount import recount_if, recount_intersectionality
+from fairgate.cli import render_json
 from fairgate.closure import close
 from fairgate.errors import (
     EmptyConditioningSet,
@@ -18,6 +21,7 @@ from fairgate.errors import (
 )
 from fairgate.fairness import (
     Dataset,
+    _ci_from_counts,
     check_if,
     check_intersectionality,
     empirical_ci,
@@ -82,6 +86,14 @@ def test_csv_empty_file(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(MalformedDataset, match="empty"):
         Dataset.from_csv(path, target_column="t")
+
+
+def test_csv_byte_order_mark_is_not_part_of_the_first_column(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa1,t\nx,y\nz,w\n")
+    ds = Dataset.from_csv(path, target_column="t")
+    assert ds.columns == ("a1", "t")
+    assert check_if(None, ds, EMPTY, "t", "a1", mode="empirical").passed is False
 
 
 def test_generate_table1_layout(table1):
@@ -317,6 +329,108 @@ def test_report_json_shape(table1):
     assert payload["mode"] == "empirical"
     assert [s["subset"] for s in payload["subsets"]] == [["a1"], ["a2"], ["a1", "a2"]]
     json.dumps(payload)
+
+
+# --- one contingency table per request ---------------------------------------------
+
+
+@pytest.mark.parametrize("mode, scans", [("graphical", 0), ("empirical", 1), ("both", 1)])
+def test_each_request_scans_the_rows_once(monkeypatch, table1, data_dir, mode, scans):
+    calls = []
+    matching_rows = Dataset.matching_rows
+
+    def counted(self, ctx):
+        calls.append(ctx)
+        return matching_rows(self, ctx)
+
+    monkeypatch.setattr(Dataset, "matching_rows", counted)
+    closure = close(load_graph(data_dir / "table1.cg"))
+    check_intersectionality(closure, table1, EMPTY, "t", ["a1", "a2"], mode=mode)
+    assert len(calls) == scans
+    check_if(closure, table1, EMPTY, "t", "a1", mode=mode)
+    assert len(calls) == 2 * scans
+
+
+def test_unknown_protected_column_comes_before_the_context(table1):
+    # The one table looks every protected column up before it matches the context.
+    with pytest.raises(UnknownColumn, match="'zz'"):
+        check_intersectionality(None, table1, ctx_of(a2="nope"), "t", ["a1", "zz"],
+                                mode="empirical")
+
+
+WIDE_PROTECTED = {"p1": 2, "p2": 3, "p3": 3, "p4": 4}
+
+
+def wide_dataset() -> Dataset:
+    """About 200 seeded rows over four protected columns, a region and a target."""
+    rng = random.Random(0)
+    rows = tuple(
+        (*(f"{name}v{rng.randrange(k)}" for name, k in WIDE_PROTECTED.items()),
+         rng.choice("uvwz"), rng.choice(("yes", "no", "maybe")))
+        for _ in range(200)
+    )
+    return Dataset(columns=(*WIDE_PROTECTED, "x", "t"), rows=rows, target_column="t")
+
+
+@pytest.mark.parametrize("mode", ["empirical", "both"])
+@pytest.mark.parametrize("ctx", [
+    EMPTY,
+    ctx_of(x="u"),
+    Context((Attribution("x", Value.sum_of(["u", "v"])),)),
+    Context((Attribution("x", Value.complement("w")),)),
+], ids=["none", "atomic", "sum", "complement"])
+def test_wide_table_matches_row_scans(ctx, mode):
+    """Each member of a four-attribute audit has up to three rest columns."""
+    dataset = wide_dataset()
+    g = CausalGraph([*dataset.columns], [("p1", "t"), ("x", "t"), ("p2", "p3"), ("p3", "t")])
+    args = (close(g), dataset, ctx, "t")
+    protected = list(WIDE_PROTECTED)
+    report = check_intersectionality(*args, protected, Fraction(1, 10), mode)
+    expected = recount_intersectionality(*args, protected, Fraction(1, 10), mode)
+    assert report == expected
+    assert render_json(fairness_report_to_json(report)) == render_json(
+        fairness_report_to_json(expected)
+    )
+    for attr in protected:
+        result = check_if(*args, attr, Fraction(1, 10), mode)
+        expected = recount_if(*args, attr, Fraction(1, 10), mode)
+        assert result == expected
+        assert render_json(if_result_to_json(result)) == render_json(if_result_to_json(expected))
+
+
+def test_tied_gaps_keep_the_first_witness():
+    # Every cell's gap is 1/4; the first cell in sorted order is the witness.
+    counts = Counter({("a", "p"): 3, ("a", "q"): 1, ("b", "p"): 1, ("b", "q"): 3})
+    ci = _ci_from_counts(counts, Fraction(0))
+    assert ci.witness == ("a", "p")
+    assert ci.max_delta == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("later_is_larger", [True, False])
+def test_gaps_closer_than_a_float_can_tell(later_is_larger):
+    # n(a) = A and n(b) = B with x/A − y/B = ±1/(A·B), about 1e-18: both
+    # gaps are near 0.27 and round to the same float.  "c" holds the
+    # marginal below both.
+    big_a, big_b = 10**9, 10**9 + 7
+    x = pow(big_b, -1, big_a)  # x·B ≡ 1 (mod A)
+    if later_is_larger:
+        x = big_a - x  # x·B ≡ −1 (mod A)
+    y = (x * big_b - (-1 if later_is_larger else 1)) // big_a
+    assert x * big_b - y * big_a == (-1 if later_is_larger else 1)
+    counts = Counter({
+        ("a", "p"): x, ("a", "q"): big_a - x,
+        ("b", "p"): y, ("b", "q"): big_b - y,
+        ("c", "q"): 10**10,
+    })
+    total = sum(counts.values())
+    marginal = Fraction(x + y, total)
+    gaps = {alpha: abs(Fraction(counts[alpha, "p"], n) - marginal)
+            for alpha, n in (("a", big_a), ("b", big_b))}
+    assert 0 < abs(gaps["a"] - gaps["b"]) < Fraction(1, 10**12)
+    ci = _ci_from_counts(counts, Fraction(0))
+    first = "b" if later_is_larger else "a"
+    assert ci.witness == (first, "p")
+    assert ci.max_delta == gaps[first]
 
 
 # --- sampled data stays near the graph it came from ------------------------------

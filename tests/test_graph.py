@@ -145,6 +145,12 @@ def test_graph_file_cycle_is_input_error(tmp_path):
         load_graph(p)
 
 
+def test_graph_file_byte_order_mark_is_dropped(tmp_path):
+    p = tmp_path / "bom.cg"
+    p.write_bytes(b"\xef\xbb\xbfnode A\nA -> B\n")
+    assert load_graph(p) == CausalGraph(["A", "B"], [("A", "B")])
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_dags_are_acyclic_and_consistent(seed):
     rng = random.Random(seed)
