@@ -58,8 +58,9 @@ __all__ = ["main"]
 # seconds to parse.
 EPSILON_MAX_EXPONENT = 100
 
-# Largest exhaustive oracle sweep: enumerate_dags(n) builds n!·2^(n(n-1)/2)
-# permutation keys (2.4·10^7 at n=6, 1.1·10^10 at n=7), and no budget bounds them.
+# Largest exhaustive oracle sweep: enumerate_dags(n) canonicalizes 2^(n(n-1)/2)
+# edge masks and the sweep checks every class (5,984 at n=6; 243,668 classes of
+# 2^21 masks at n=7), and no budget bounds them.
 EXHAUSTIVE_MAX_NODES = 6
 
 
@@ -513,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", parents=[common, audit],
                        help="intersectional check over attribute subsets")
     p.add_argument("--protected", required=True, help="comma-separated protected attributes")
-    p.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP,
+    p.add_argument("--subset-cap", type=_at_least_one("--subset-cap"), default=DEFAULT_SUBSET_CAP,
                    help=f"max protected attributes (default {DEFAULT_SUBSET_CAP})")
     p.set_defaults(handler=_cmd_intersect, text=_intersect_text)
 

@@ -11,7 +11,10 @@ deliberately kept separate:
   directly and never looks at derived facts.
 
 Cross-checking the two is part of the test contract; nothing in this
-module shares state between them.
+module shares state between them.  Each decides on int node masks (bit i
+for the i-th node in sorted order, ``CausalGraph.node_mask``) with its own
+scan: ``Closure.first_open`` over the facts' masks, ``dsep_oracle`` over
+``oracle_rows``, which are read from the graph alone.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -49,6 +52,7 @@ __all__ = [
     "blocking_reason",
     "dsep_oracle",
     "enumerate_classified_paths",
+    "oracle_rows",
     "closure_dump",
     "trace_record_json",
     "sorted_collider_sets",
@@ -202,17 +206,27 @@ def _fact_sort_key(fact: PathFact):
 
 
 class Closure:
-    """The fixpoint of the six derivation rules over ``graph``, the graph it closes."""
+    """The fixpoint of the six derivation rules over ``graph``, the graph it closes.
 
-    __slots__ = ("graph", "mediate", "paths", "trace", "_certifying", "_derived", "_by_pair")
+    Each node pair's path facts are kept in canonical order for
+    ``facts_between``.  ``first_open``, the one Condition 2 scan, reads them
+    as int mask rows (noncollider mask, collider-set masks, fact), built
+    from ``close``'s masks on the pair's first scan.  Bit i of a mask is the
+    i-th graph node in sorted order, as in ``CausalGraph.node_mask``.
+    """
+
+    __slots__ = (
+        "graph", "mediate", "paths", "trace", "_certifying", "_derived", "_by_pair", "_rows"
+    )
 
     def __init__(self, graph, mediate, certifying, derived, trace):
         self.graph: CausalGraph = graph
         self.mediate: frozenset[MediateCauseFact] = frozenset(mediate)
         self.paths: frozenset[PathFact] = frozenset(certifying)
         self.trace: tuple[TraceRecord, ...] = tuple(trace)
-        # fact -> (first certifying path, position of the fact's trace record)
-        self._certifying: dict[PathFact, tuple[tuple[str, ...], int]] = dict(certifying)
+        # fact -> (first certifying path, position of the fact's trace record,
+        #          noncollider mask, collider-set masks)
+        self._certifying: dict[PathFact, tuple] = dict(certifying)
         # (node-index path, noncollider mask, collider-set masks) -> fact, one
         # entry per derivation; node i is the i-th graph node in sorted order.
         self._derived: dict[tuple, PathFact] = derived
@@ -222,6 +236,8 @@ class Closure:
         self._by_pair = {
             pair: tuple(sorted(facts, key=_fact_sort_key)) for pair, facts in by_pair.items()
         }
+        # (x, y) -> the mask rows of facts_between(x, y), built on a pair's first scan.
+        self._rows: dict[tuple[str, str], tuple[tuple[int, frozenset[int], PathFact], ...]] = {}
 
     def certifying_path(self, fact: PathFact) -> tuple[str, ...]:
         """The first simple path that certified the fact, left to right."""
@@ -235,6 +251,27 @@ class Closure:
         """All path facts with endpoints {x, y}, in canonical order."""
         key = (x, y) if x <= y else (y, x)
         return self._by_pair.get(key, ())
+
+    def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
+        """The first fact of ``facts_between(x, y)`` that transmits given the
+        conditioning node mask, or None when every one is blocked.
+
+        A fact transmits when no noncollider is conditioned on and every
+        collider set meets the conditioning set.  This is the one Condition 2
+        decision: verdicts and the agreement sweep both call it.
+        """
+        key = (x, y) if x <= y else (y, x)
+        rows = self._rows.get(key)
+        if rows is None:
+            certifying = self._certifying
+            rows = self._rows[key] = tuple(
+                [(*certifying[f][2:], f) for f in self._by_pair.get(key, ())]
+            )
+        met = conditioning.__and__
+        for noncolliders, collider_sets, fact in rows:
+            if not noncolliders & conditioning and all(map(met, collider_sets)):
+                return fact
+        return None
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
         """Every recorded (fact, certifying path) pair."""
@@ -319,7 +356,9 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
             found = node_sets[mask] = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
         return found
 
-    certifying: dict[PathFact, tuple[tuple[str, ...], int]] = {}
+    # fact -> (first certifying path, position of its trace record, and the
+    # noncollider and collider-set masks every derivation of it shares).
+    certifying: dict[PathFact, tuple] = {}
     # One entry per derivation: (oriented path, noncollider mask,
     # collider-set masks) -> its PathFact.
     derived: dict[tuple, PathFact] = {}
@@ -340,7 +379,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
             names[path[0]], names[path[-1]], nodes_of(nc), frozenset(nodes_of(s) for s in cs)
         )
         if fact not in certifying:
-            certifying[fact] = (tuple(names[i] for i in path), len(trace))
+            certifying[fact] = (tuple(names[i] for i in path), len(trace), nc, cs)
             trace.append(TraceRecord(rule, premises, fact))
         in_sets = 0
         for s in cs:
@@ -455,18 +494,32 @@ def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
     return tuple(results)
 
 
-def dsep_oracle(g: CausalGraph, paths, conditioning) -> bool:
-    """d-separation over the output of ``enumerate_classified_paths``.
-
-    True iff every path is blocked by the conditioning set: a noncollider
-    is conditioned on, or some collider has neither itself nor a
-    descendant conditioned on.  This route never consults derived facts.
-    """
-    cond = frozenset(conditioning)
+def oracle_rows(g: CausalGraph, paths) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The output of ``enumerate_classified_paths`` as int node masks, read from
+    ``g`` alone: per path, its noncolliders' mask and, per collider, the mask
+    of the collider and its descendants (``CausalGraph.node_mask`` numbering).
+    Paths with equal masks give one row."""
+    reach: dict[str, int] = {}
+    rows = {}
     for _, noncolliders, colliders in paths:
-        if not noncolliders & cond and all(
-            c in cond or g.descendants(c) & cond for c in colliders
-        ):
+        for c in colliders:
+            if c not in reach:
+                reach[c] = g.node_mask((c, *g.descendants(c)))
+        rows[g.node_mask(noncolliders), tuple(reach[c] for c in colliders)] = None
+    return tuple(rows)
+
+
+def dsep_oracle(rows, conditioning: int) -> bool:
+    """d-separation over the rows ``oracle_rows`` builds, given a conditioning
+    node mask.
+
+    True iff every path is blocked: a noncollider is conditioned on, or some
+    collider has neither itself nor a descendant conditioned on.  This route
+    never consults derived facts.  A named conditioning set enters through
+    ``CausalGraph.node_mask``.
+    """
+    for noncolliders, colliders in rows:
+        if not noncolliders & conditioning and all(c & conditioning for c in colliders):
             return False
     return True
 

@@ -49,7 +49,7 @@ class CausalGraph:
     instances can be shared freely (including across threads).
     """
 
-    __slots__ = ("nodes", "edges", "_parents", "_children", "_neighbors", "_descendants")
+    __slots__ = ("nodes", "edges", "_parents", "_children", "_neighbors", "_descendants", "_bits")
 
     def __init__(self, nodes=(), edges=()):
         node_set = set()
@@ -85,6 +85,7 @@ class CausalGraph:
             v: tuple(sorted(set(parents[v]) | set(children[v]))) for v in node_set
         }
         self._descendants: dict[str, frozenset[str]] = {}
+        self._bits = {v: 1 << i for i, v in enumerate(sorted(node_set))}
 
         cycle = self._find_cycle()
         if cycle is not None:
@@ -153,6 +154,17 @@ class CausalGraph:
         result = frozenset(seen)
         self._descendants[x] = result
         return result
+
+    def node_mask(self, names) -> int:
+        """The int with bit i set for each given name that is the i-th node in
+        sorted order: the node numbering every int node mask uses."""
+        mask = 0
+        try:
+            for name in names:
+                mask |= self._bits[name]
+        except KeyError as exc:
+            raise UnknownVariable(f"variable {exc.args[0]!r} is not a node of the graph") from None
+        return mask
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CausalGraph):

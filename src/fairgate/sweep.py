@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations, product
 
-from .closure import close, dsep_oracle, enumerate_classified_paths
+from .closure import close, dsep_oracle, enumerate_classified_paths, oracle_rows
 from .graph import CausalGraph
-from .weakening import check_condition1, check_condition2
+from .weakening import check_condition1
 
 __all__ = [
     "RANDOM_MIN_NODES",
@@ -69,26 +69,57 @@ class SweepReport:
         return not self.discrepancies
 
 
+def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """The least sorted edge list over the relabelings of an n-node DAG that
+    respect its node classes; isomorphic DAGs, and only they, share it.
+
+    A node's class is its (in-degree, out-degree) with the sorted degrees of
+    its parents and of its children, which no isomorphism changes.  Classes
+    take consecutive labels in invariant order, so only permutations inside
+    each class are tried.
+    """
+    parents = [[] for _ in range(n)]
+    children = [[] for _ in range(n)]
+    for i, j in edges:
+        children[i].append(j)
+        parents[j].append(i)
+    degree = [(len(parents[v]), len(children[v])) for v in range(n)]
+    invariant = [
+        (degree[v], sorted(degree[p] for p in parents[v]), sorted(degree[c] for c in children[v]))
+        for v in range(n)
+    ]
+    order = sorted(range(n), key=invariant.__getitem__)
+    classes = [tuple(members) for _, members in groupby(order, key=invariant.__getitem__)]
+    label = [0] * n
+    best = None
+    for choice in product(*map(permutations, classes)):
+        k = 0
+        for members in choice:
+            for v in members:
+                label[v] = k
+                k += 1
+        key = tuple(sorted((label[i], label[j]) for i, j in edges))
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def enumerate_dags(n: int) -> list[CausalGraph]:
     """All DAGs on n nodes, one representative per isomorphism class.
 
     Every DAG relabels into one whose edges respect a fixed node order,
     so scanning the upper-triangular edge masks covers every class;
-    classes are deduplicated by the minimal edge set over all node
-    permutations.
+    the first mask of each class, by ``_canonical_edges``, is kept.
     """
     if n < 1:
         raise ValueError("need at least one node")
     names = [chr(ord("A") + i) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    perms = list(permutations(range(n)))
     seen = set()
     out = []
     for mask in range(1 << len(pairs)):
         edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        key = min(
-            tuple(sorted((perm[i], perm[j]) for i, j in edges)) for perm in perms
-        )
+        key = _canonical_edges(n, edges)
         if key in seen:
             continue
         seen.add(key)
@@ -119,23 +150,27 @@ def random_dag(
 def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     """Compare both routes on every pair and every conditioning set of g.
 
-    Returns (discrepancies, checks run).  The rules side is Conditions 1
-    and 2 exactly as a weakening verdict decides them; the oracle side is
-    ``dsep_oracle`` over paths classified once per pair.  Conditioning
-    sets range over all subsets of the other nodes.
+    Returns (discrepancies, checks run).  The rules side is Condition 1 and
+    ``Closure.first_open``, the Condition 2 decision a weakening verdict
+    takes, without the audit a verdict prints; the oracle side is
+    ``dsep_oracle`` over the rows of paths classified once per pair.
+    Conditioning sets range over all subsets of the other nodes, walked as
+    int node masks in ascending order; names are built only for a
+    discrepancy.
     """
     closure = close(g, fact_budget=fact_budget)
     nodes = sorted(g.nodes)
+    everything = g.node_mask(nodes)
     discrepancies = []
     checks = 0
     for x, y in combinations(nodes, 2):
-        classified = enumerate_classified_paths(g, x, y)
+        rows = oracle_rows(g, enumerate_classified_paths(g, x, y))
         nonadjacent = check_condition1(g, x, y)[0]
-        rest = [v for v in nodes if v != x and v != y]
-        for mask in range(1 << len(rest)):
-            cond = frozenset(rest[k] for k in range(len(rest)) if mask >> k & 1)
-            by_rules = nonadjacent and check_condition2(closure, x, y, cond)[0]
-            by_oracle = dsep_oracle(g, classified, cond)
+        rest = everything & ~g.node_mask((x, y))
+        cond = 0
+        while True:
+            by_rules = nonadjacent and closure.first_open(x, y, cond) is None
+            by_oracle = dsep_oracle(rows, cond)
             checks += 1
             if by_rules != by_oracle:
                 discrepancies.append(
@@ -144,11 +179,15 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
                         edges=tuple(sorted(g.edges)),
                         x=x,
                         y=y,
-                        conditioning=tuple(sorted(cond)),
+                        conditioning=tuple(v for i, v in enumerate(nodes) if cond >> i & 1),
                         by_rules=by_rules,
                         by_oracle=by_oracle,
                     )
                 )
+            # The next subset of rest in ascending order; 0 once all are done.
+            cond = (cond - rest) & rest
+            if not cond:
+                break
     return discrepancies, checks
 
 

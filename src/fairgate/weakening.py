@@ -85,17 +85,18 @@ def check_condition1(g: CausalGraph, subject: str, target: str):
 def check_condition2(closure: Closure, subject: str, target: str, context_vars):
     """Every path fact between subject and target is blocked by the context.
 
+    The decision and the witness come from ``Closure.first_open``, the one
+    mask scan the agreement sweep also runs; each fact's ``blocking_reason``
+    is computed only for the audit a verdict prints.
+
     Returns (ok, examined facts with reasons, first transmitting fact or None).
     """
     cond = frozenset(context_vars)
-    examined = []
-    first_open: PathFact | None = None
-    for fact in closure.facts_between(subject, target):
-        reason = blocking_reason(fact, cond)
-        examined.append((fact, reason))
-        if reason is None and first_open is None:
-            first_open = fact
-    return first_open is None, tuple(examined), first_open
+    first_open = closure.first_open(subject, target, closure.graph.node_mask(cond))
+    examined = tuple(
+        (fact, blocking_reason(fact, cond)) for fact in closure.facts_between(subject, target)
+    )
+    return first_open is None, examined, first_open
 
 
 def check_variables(g: CausalGraph, subject: str, target: str, context_vars) -> None:

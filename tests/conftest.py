@@ -37,10 +37,11 @@ def table1() -> Dataset:
 
 @pytest.fixture
 def all_facts_open(monkeypatch):
-    """Make the sweep's Condition 2 report every path fact open."""
+    """Make the one Condition 2 decision, ``Closure.first_open``, report the
+    first path fact of every pair open, whatever the conditioning set."""
 
-    def check_condition2(closure, subject, target, context_vars):
-        facts = closure.facts_between(subject, target)
-        return not facts, tuple((fact, None) for fact in facts), facts[0] if facts else None
+    def first_open(closure, x, y, conditioning):
+        facts = closure.facts_between(x, y)
+        return facts[0] if facts else None
 
-    monkeypatch.setattr("fairgate.sweep.check_condition2", check_condition2)
+    monkeypatch.setattr(Closure, "first_open", first_open)

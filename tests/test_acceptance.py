@@ -21,6 +21,7 @@ from fairgate.closure import (
     close,
     dsep_oracle,
     enumerate_classified_paths,
+    oracle_rows,
     render_path_fact,
 )
 from fairgate.fairness import empirical_ci, empirical_probability, generate_table1
@@ -127,9 +128,9 @@ def test_loan_weakening_golden_cases():
         ]
         assert fork_records, [r.rule for r in bad.rule_trace]
 
-        ms_loan = enumerate_classified_paths(g, "MS", "Loan")
-        assert dsep_oracle(g, ms_loan, frozenset(["Age", "GAI"]))
-        assert not dsep_oracle(g, ms_loan, frozenset(["GAI"]))
+        ms_loan = oracle_rows(g, enumerate_classified_paths(g, "MS", "Loan"))
+        assert dsep_oracle(ms_loan, g.node_mask(["Age", "GAI"]))
+        assert not dsep_oracle(ms_loan, g.node_mask(["GAI"]))
 
 
 def test_triplet_verdicts_on_both_routes():
@@ -150,7 +151,8 @@ def test_triplet_verdicts_on_both_routes():
         for g, conditioning, expected in cases:
             closure = close(g)
             by_rules = evaluate_conditions(closure, "A", "C", conditioning).admissible
-            by_oracle = dsep_oracle(g, enumerate_classified_paths(g, "A", "C"), conditioning)
+            rows = oracle_rows(g, enumerate_classified_paths(g, "A", "C"))
+            by_oracle = dsep_oracle(rows, g.node_mask(conditioning))
             assert by_rules is expected, (g.edges, conditioning)
             assert by_oracle is expected, (g.edges, conditioning)
 

@@ -655,6 +655,18 @@ def test_intersect_subset_cap(capsys, data_dir):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_non_positive_subset_cap_is_refused_as_it_is_parsed(capsys, data_dir, cap):
+    # The dataset does not exist: a flag's value is checked before any file is read.
+    for dataset in (data_dir / "nope.csv", data_dir / "table1.csv"):
+        assert_input_error(
+            capsys,
+            ["intersect", "--dataset", str(dataset), "--target", "t",
+             "--protected", "a1,a2", "--subset-cap", cap],
+            f"--subset-cap must be at least 1, got {cap}",
+        )
+
+
 # --- text format -------------------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ from fairgate.closure import (
     closure_dump,
     dsep_oracle,
     enumerate_classified_paths,
+    oracle_rows,
     render_path_fact,
     resolve_fact_budget,
 )
@@ -158,7 +159,8 @@ def test_triplet_verdicts_match_oracle_on_both_routes():
     for g, cond, want in cases:
         closure = close(g)
         assert evaluate_conditions(closure, "A", "C", cond).admissible is want
-        assert dsep_oracle(g, enumerate_classified_paths(g, "A", "C"), cond) is want
+        rows = oracle_rows(g, enumerate_classified_paths(g, "A", "C"))
+        assert dsep_oracle(rows, g.node_mask(cond)) is want
 
 
 def test_loan_facts_between_ms_and_loan(loan_graph, loan_closure):
@@ -278,12 +280,12 @@ def test_enumerate_classified_paths_contents():
 def test_dsep_oracle_validates_nodes():
     g = chain_graph()
     with pytest.raises(UnknownVariable):
-        dsep_oracle(g, enumerate_classified_paths(g, "A", "Z"), frozenset())
+        oracle_rows(g, enumerate_classified_paths(g, "A", "Z"))
 
 
 def test_dsep_on_disconnected_nodes():
     g = CausalGraph(["A", "B"], [])
-    assert dsep_oracle(g, enumerate_classified_paths(g, "A", "B"), frozenset())
+    assert dsep_oracle(oracle_rows(g, enumerate_classified_paths(g, "A", "B")), 0)
     closure = close(g)
     assert evaluate_conditions(closure, "A", "B", frozenset()).admissible
 

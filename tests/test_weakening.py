@@ -10,6 +10,7 @@ from fairgate.closure import (
     close,
     dsep_oracle,
     enumerate_classified_paths,
+    oracle_rows,
     render_path_fact,
     trace_record_json,
 )
@@ -202,7 +203,7 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                             subject,
                         ) not in g.edges
                         paths = enumerate_classified_paths(g, subject, target)
-                        separated = dsep_oracle(g, paths, frozenset(ctx))
+                        separated = dsep_oracle(oracle_rows(g, paths), g.node_mask(ctx))
                         assert verdict.admissible == (no_edge and separated), (
                             g.edges,
                             subject,
