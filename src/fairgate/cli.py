@@ -41,6 +41,11 @@ from .judgments import (
     serialize_judgment,
 )
 from .sweep import (
+    DEFAULT_EDGE_PROB,
+    DEFAULT_EXHAUSTIVE_NODES,
+    DEFAULT_RANDOM_NODES,
+    DEFAULT_SEED,
+    EXHAUSTIVE_MAX_NODES,
     RANDOM_MAX_NODES,
     RANDOM_MIN_NODES,
     exhaustive_sweep,
@@ -57,11 +62,6 @@ __all__ = ["main"]
 # past Python's int-to-str digit limit, and 1e-10000000 alone takes
 # seconds to parse.
 EPSILON_MAX_EXPONENT = 100
-
-# Largest exhaustive oracle sweep: enumerate_dags(n) canonicalizes 2^(n(n-1)/2)
-# edge masks and the sweep checks every class (5,984 at n=6; 243,668 classes of
-# 2^21 masks at n=7), and no budget bounds them.
-EXHAUSTIVE_MAX_NODES = 6
 
 
 def _parse_epsilon(text: str) -> Fraction:
@@ -274,39 +274,34 @@ def _if_text(payload: dict) -> str:
 
 
 def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
-    """Closure, dataset, context and mode of ``if`` or ``intersect``; the
-    request is checked first, and the graph is closed only when the mode
-    reads it."""
+    """Closure, dataset and context of ``if`` or ``intersect``.  ``--mode`` is
+    checked against the inputs before any file is read; every file given is
+    read and checked, then the input ``--mode`` leaves out is dropped, and
+    the request is checked before the graph is closed."""
     if args.context and args.context_inline:
         raise InputError("pass either --context or --context-inline, not both")
+    if args.mode in ("graphical", "both") and not args.graph:
+        raise InputError("graphical mode requires a graph")
+    if args.mode in ("empirical", "both") and not args.dataset:
+        raise InputError("empirical mode requires a dataset")
     g = load_graph(args.graph) if args.graph else None
     dataset = Dataset.from_csv(args.dataset, args.target) if args.dataset else None
-    if args.mode is not None:
-        mode = args.mode
-    elif dataset is not None:
-        mode = "both" if g is not None else "empirical"
-    else:
-        mode = "graphical"
     if args.context:
         ctx = load_context(args.context, g)
     else:
         ctx = parse_context(args.context_inline, g)
-    check_audit(g, dataset, ctx, args.target, protected, mode, subset_cap)
-    closure = None if g is None or mode == "empirical" else close(g, fact_budget=args.fact_budget)
-    return closure, dataset, ctx, mode
+    if args.mode == "empirical":
+        g = None
+    elif args.mode == "graphical":
+        dataset = None
+    check_audit(g, dataset, ctx, args.target, protected, subset_cap)
+    closure = None if g is None else close(g, fact_budget=args.fact_budget)
+    return closure, dataset, ctx
 
 
 def _cmd_if(args) -> tuple[dict, bool]:
-    closure, dataset, ctx, mode = _audit_inputs(args, [args.protected])
-    result = check_if(
-        closure,
-        dataset,
-        ctx,
-        args.target,
-        args.protected,
-        epsilon=args.epsilon,
-        mode=mode,
-    )
+    closure, dataset, ctx = _audit_inputs(args, [args.protected])
+    result = check_if(closure, dataset, ctx, args.target, args.protected, epsilon=args.epsilon)
     return if_result_to_json(result), result.passed
 
 
@@ -344,16 +339,10 @@ def _intersect_text(payload: dict) -> str:
 
 def _cmd_intersect(args) -> tuple[dict, bool]:
     protected = [p.strip() for p in args.protected.split(",") if p.strip()]
-    closure, dataset, ctx, mode = _audit_inputs(args, protected, args.subset_cap)
+    closure, dataset, ctx = _audit_inputs(args, protected, args.subset_cap)
     report = check_intersectionality(
-        closure,
-        dataset,
-        ctx,
-        args.target,
-        protected,
-        epsilon=args.epsilon,
-        mode=mode,
-        subset_cap=args.subset_cap,
+        closure, dataset, ctx, args.target, protected,
+        epsilon=args.epsilon, subset_cap=args.subset_cap,
     )
     return fairness_report_to_json(report), report.passed
 
@@ -381,18 +370,19 @@ def _oracle_text(payload: dict) -> str:
 
 def _cmd_oracle(args) -> tuple[dict, bool]:
     if args.trials is None:
-        max_nodes = 5 if args.max_nodes is None else args.max_nodes
+        max_nodes = DEFAULT_EXHAUSTIVE_NODES if args.max_nodes is None else args.max_nodes
         if max_nodes > EXHAUSTIVE_MAX_NODES:
             raise InputError(
                 f"--max-nodes must be at most {EXHAUSTIVE_MAX_NODES} without --trials"
-                f" (the exhaustive sweep grows factorially), got {max_nodes}"
+                " (the exhaustive sweep canonicalizes all 2^(n(n-1)/2) edge masks:"
+                f" 243,668 classes at n=7), got {max_nodes}"
             )
         for flag, given in (("--seed", args.seed), ("--edge-prob", args.edge_prob)):
             if given is not None:
                 raise InputError(f"{flag} needs --trials (the exhaustive sweep draws no random graphs)")
         report = exhaustive_sweep(max_nodes=max_nodes, fact_budget=args.fact_budget)
     else:
-        max_nodes = 8 if args.max_nodes is None else args.max_nodes
+        max_nodes = DEFAULT_RANDOM_NODES if args.max_nodes is None else args.max_nodes
         if not RANDOM_MIN_NODES <= max_nodes <= RANDOM_MAX_NODES:
             raise InputError(
                 f"--max-nodes must be at least {RANDOM_MIN_NODES} with --trials and at most"
@@ -402,8 +392,8 @@ def _cmd_oracle(args) -> tuple[dict, bool]:
         report = random_sweep(
             trials=args.trials,
             max_nodes=max_nodes,
-            seed=0 if args.seed is None else args.seed,
-            edge_prob=0.3 if args.edge_prob is None else args.edge_prob,
+            seed=DEFAULT_SEED if args.seed is None else args.seed,
+            edge_prob=DEFAULT_EDGE_PROB if args.edge_prob is None else args.edge_prob,
             fact_budget=args.fact_budget,
         )
     return sweep_report_to_json(report), report.passed
@@ -448,15 +438,7 @@ def _cmd_demo_table1(args) -> tuple[dict, bool]:
                 }
             )
     overall = fraction_str(empirical_probability(dataset, Context(()), beta))
-    report = check_intersectionality(
-        None,
-        dataset,
-        Context(()),
-        "t",
-        ["a1", "a2"],
-        epsilon=Fraction(0),
-        mode="empirical",
-    )
+    report = check_intersectionality(None, dataset, Context(()), "t", ["a1", "a2"])
     payload = {
         "rowCount": len(dataset.rows),
         "target": "t",
@@ -523,11 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_at_least_one("--trials"), default=None,
                    help="random graphs to test; omit for the exhaustive sweep")
     p.add_argument("--max-nodes", type=_at_least_one("--max-nodes"), default=None,
-                   help="node cap (default 5 exhaustive, 8 random)")
+                   help=f"node cap (default {DEFAULT_EXHAUSTIVE_NODES} exhaustive,"
+                        f" {DEFAULT_RANDOM_NODES} random)")
     p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed for random sweeps (default 0; needs --trials)")
+                   help=f"RNG seed for random sweeps (default {DEFAULT_SEED}; needs --trials)")
     p.add_argument("--edge-prob", type=_typed(float, _unit_interval), default=None,
-                   help="edge probability for random graphs (default 0.3; needs --trials)")
+                   help=f"edge probability for random graphs (default {DEFAULT_EDGE_PROB};"
+                        " needs --trials)")
     p.set_defaults(handler=_cmd_oracle, text=_oracle_text)
 
     p = sub.add_parser("demo-table1", parents=[common],

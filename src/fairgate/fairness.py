@@ -12,6 +12,10 @@ the conditioning side, over every non-empty subset.  The bundled
 two-attribute dataset generator exists to show why subsets matter: each
 attribute passes alone while the pair fails.
 
+The route is read from the inputs: a closure means the graphical route, a
+dataset the empirical one, and both mean both.  ``check_if`` is the
+one-member case of ``check_intersectionality``, the one audit pipeline.
+
 Every empirical verdict of a request reads one contingency table: the
 counts of (protected columns, target) over the rows that match the
 context, tallied in one scan.  A member's comparison is a marginal of
@@ -158,13 +162,6 @@ def _tally(dataset: Dataset, ctx: Context, columns) -> Counter:
     return Counter(tuple(row[i] for i in idx) for row in matching)
 
 
-def _epsilon(epsilon) -> Fraction:
-    epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
-    return epsilon
-
-
 def empirical_probability(dataset: Dataset, ctx: Context, outcome: Value) -> Fraction:
     """Exact frequency of the outcome on the target column among ctx-matching rows."""
     counts = _tally(dataset, ctx, [dataset.target_column])
@@ -232,18 +229,6 @@ def _ci_from_counts(counts: Counter, epsilon: Fraction) -> CiResult:
     )
 
 
-def empirical_ci(
-    dataset: Dataset, attr: str, target: str, ctx: Context, epsilon: Fraction
-) -> CiResult:
-    """Test whether the target is empirically independent of attr given ctx."""
-    epsilon = _epsilon(epsilon)
-    if attr == target:
-        raise WeakeningTargetIsGoal(f"cannot test {attr!r} against itself")
-    if attr in ctx.variables():
-        raise VariableAlreadyInContext(f"{attr!r} is already fixed by the context")
-    return _ci_from_counts(_tally(dataset, ctx, [attr, target]), epsilon)
-
-
 @dataclass(frozen=True)
 class IfCheckResult:
     """One protected attribute checked against one context."""
@@ -251,7 +236,7 @@ class IfCheckResult:
     protected_attr: str
     target: str
     context_vars: tuple[str, ...]
-    mode: str  # "graphical", "empirical" or "both"
+    mode: str  # "graphical", "empirical" or "both", from the inputs given
     graphical: Verdict | None
     empirical: CiResult | None
     agreement: bool | None  # both-mode only
@@ -297,17 +282,16 @@ class FairnessReport:
 
 
 def check_audit(
-    g, dataset, ctx: Context, target: str, protected_set, mode: str,
+    g, dataset, ctx: Context, target: str, protected_set,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> list[str]:
-    """The checks check_if and check_intersectionality make before any verdict.
+    """The checks check_intersectionality makes before any verdict.
 
-    ``g`` is the graph the graphical route reads, or None.  No closure is
-    needed, so a caller may run them before it closes ``g``.  Returns the
-    protected attributes in sorted order.
+    ``g`` is the graph the graphical route reads and ``dataset`` the table
+    the empirical route reads; either may be None, not both.  No closure
+    is needed, so a caller may run them before it closes ``g``.  Returns
+    the protected attributes in sorted order.
     """
-    if mode not in ("graphical", "empirical", "both"):
-        raise InputError(f"mode must be graphical, empirical or both, got {mode!r}")
     protected = sorted(set(protected_set))
     if not protected:
         raise InputError("at least one protected attribute is required")
@@ -325,11 +309,9 @@ def check_audit(
             raise VariableAlreadyInContext(
                 f"protected attribute {attr!r} is already in the context"
             )
-    if mode in ("graphical", "both") and g is None:
-        raise InputError("graphical mode requires a graph")
-    if mode in ("empirical", "both") and dataset is None:
-        raise InputError("empirical mode requires a dataset")
-    if mode != "empirical":
+    if g is None and dataset is None:
+        raise InputError("an audit needs a graph, a dataset or both")
+    if g is not None:
         # The first verdicts test each attribute alone, in this order.
         for attr in protected:
             check_variables(g, attr, target, context_vars)
@@ -338,21 +320,22 @@ def check_audit(
 
 def _check_member(
     closure, table: Counter | None, columns: tuple, ctx: Context, target: str, attr: str,
-    rest: tuple, epsilon: Fraction, mode: str,
+    rest: tuple, epsilon: Fraction,
 ) -> Decomposition:
     """Test attr with the rest folded into the conditioning side.
 
-    ``table`` is the request's one contingency table, keyed by the values
-    of ``columns`` and then the target.  The empirical route sums its
-    cells over (rest, attr, target) and compares within each observed
+    The graphical route runs when there is a closure.  ``table``, when
+    given, is the request's one contingency table, keyed by the values of
+    ``columns`` and then the target.  The empirical route sums its cells
+    over (rest, attr, target) and compares within each observed
     combination of the rest; no row is read here.
     """
     verdict = None
     per_combo = None
     max_delta = None
-    if mode in ("graphical", "both"):
+    if closure is not None:
         verdict = evaluate_conditions(closure, attr, target, ctx.variables() | set(rest))
-    if mode in ("empirical", "both"):
+    if table is not None:
         rest_idx = [columns.index(v) for v in rest]
         attr_idx = columns.index(attr)
         groups: defaultdict[tuple, Counter] = defaultdict(Counter)
@@ -372,7 +355,7 @@ def _check_member(
         graphical=verdict,
         empirical=per_combo,
         max_delta=max_delta,
-        agreement=verdict.admissible == empirical_ok if mode == "both" else None,
+        agreement=None if verdict is None or per_combo is None else verdict.admissible == empirical_ok,
         passed=graphical_ok and empirical_ok,
     )
 
@@ -384,32 +367,33 @@ def check_if(
     target: str,
     protected_attr: str,
     epsilon: Fraction = Fraction(0),
-    mode: str = "graphical",
 ) -> IfCheckResult:
     """Individual-fairness check for one protected attribute.
 
-    Graphical mode asks whether the attribute could be weakened into the
-    context (values play no role); empirical mode compares frequencies
-    in the dataset; both runs the two and reports whether they agree.
-    This is one decomposition with nothing folded into the context, read
-    from a one-attribute table.
+    With a closure it asks whether the attribute could be weakened into
+    the context (values play no role); with a dataset it compares
+    frequencies; with both it runs the two and reports whether they
+    agree.  This is the one-member subset of check_intersectionality.
     """
-    check_audit(None if closure is None else closure.graph, dataset, ctx, target,
-                [protected_attr], mode)
-    epsilon = _epsilon(epsilon)
-    columns = (protected_attr,)
-    table = None if mode == "graphical" else _tally(dataset, ctx, [*columns, target])
-    d = _check_member(closure, table, columns, ctx, target, protected_attr, (), epsilon, mode)
+    report = check_intersectionality(closure, dataset, ctx, target, [protected_attr], epsilon)
+    (d,) = report.subsets[0].decompositions
     return IfCheckResult(
         protected_attr=protected_attr,
         target=target,
-        context_vars=tuple(sorted(ctx.variables())),
-        mode=mode,
+        context_vars=report.context_vars,
+        mode=report.mode,
         graphical=d.graphical,
         empirical=None if d.empirical is None else d.empirical[0][1],
         agreement=d.agreement,
         passed=d.passed,
     )
+
+
+def empirical_ci(
+    dataset: Dataset, attr: str, target: str, ctx: Context, epsilon: Fraction
+) -> CiResult:
+    """Test whether the target is empirically independent of attr given ctx."""
+    return check_if(None, dataset, ctx, target, attr, epsilon).empirical
 
 
 def check_intersectionality(
@@ -419,31 +403,34 @@ def check_intersectionality(
     target: str,
     protected_set,
     epsilon: Fraction = Fraction(0),
-    mode: str = "graphical",
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> FairnessReport:
     """Check every non-empty subset of the protected attributes.
 
-    Each subset is decomposed once per member: the member is the tested
-    attribute, the remaining members join the conditioning side.  In
-    empirical modes the rest is instantiated with every value
-    combination observed among context-matching rows.  The context-matching
-    rows are scanned once, into one table over (protected, target), and
-    every member's comparison is a marginal of it.  The report never
-    depends on enumeration order; everything is sorted.
+    The closure, when given, runs the graphical route and the dataset, when
+    given, the empirical one.  Each subset is decomposed once per member:
+    the member is the tested attribute, the remaining members join the
+    conditioning side.  On the empirical route the rest is instantiated
+    with every value combination observed among context-matching rows.
+    The context-matching rows are scanned once, into one table over
+    (protected, target), and every member's comparison is a marginal of
+    it.  The report never depends on enumeration order; everything is
+    sorted.
     """
     protected = check_audit(None if closure is None else closure.graph, dataset, ctx, target,
-                            protected_set, mode, subset_cap)
-    epsilon = _epsilon(epsilon)
+                            protected_set, subset_cap)
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise InputError(f"epsilon must be nonnegative, got {epsilon}")
     columns = tuple(protected)
-    table = None if mode == "graphical" else _tally(dataset, ctx, [*columns, target])
+    table = None if dataset is None else _tally(dataset, ctx, [*columns, target])
 
     subsets = []
     for size in range(1, len(protected) + 1):
         for subset in combinations(protected, size):
             decomps = tuple(
                 _check_member(closure, table, columns, ctx, target, attr,
-                              tuple(v for v in subset if v != attr), epsilon, mode)
+                              tuple(v for v in subset if v != attr), epsilon)
                 for attr in subset
             )
             subsets.append(
@@ -459,7 +446,7 @@ def check_intersectionality(
         protected_attrs=tuple(protected),
         target=target,
         context_vars=tuple(sorted(ctx.variables())),
-        mode=mode,
+        mode="empirical" if closure is None else "graphical" if dataset is None else "both",
         threshold=epsilon,
         subsets=tuple(subsets),
         max_delta=max(deltas, default=None),

@@ -251,9 +251,9 @@ class _Scanner:
         self.pos = match.end()
         return match.group(), match.start()
 
-    def expect_end(self) -> None:
+    def expect_end(self, parsed: str) -> None:
         if not self.at_end():
-            raise JudgmentSyntaxError("trailing input after the judgment", self.pos)
+            raise JudgmentSyntaxError(f"trailing input after the {parsed}", self.pos)
 
 
 def _read_value(sc: _Scanner, *, atomic_only: bool) -> Value:
@@ -344,21 +344,25 @@ def parse_judgment(text: str, graph: CausalGraph | None) -> Judgment:
     outcome = _read_value(sc, atomic_only=True)
     sc.expect_lit("@", "'@' before the probability")
     probability = _read_probability(sc)
-    sc.expect_end()
+    sc.expect_end("judgment")
     return Judgment(Context(tuple(items)), target, outcome, probability)
+
+
+def _read_context(text: str, graph: CausalGraph | None, parsed: str) -> Context:
+    sc = _Scanner(text)
+    items = _read_items(sc, graph)
+    sc.expect_end(parsed)
+    return Context(tuple(items))
 
 
 def parse_context(text: str, graph: CausalGraph | None) -> Context:
     """Parse a bare comma-separated context (no ``=>`` part)."""
-    sc = _Scanner(text)
-    items = _read_items(sc, graph)
-    sc.expect_end()
-    return Context(tuple(items))
+    return _read_context(text, graph, "context")
 
 
 def parse_attribution(text: str, graph: CausalGraph | None) -> Attribution:
     """Parse a single ``Var=value`` item."""
-    ctx = parse_context(text, graph)
+    ctx = _read_context(text, graph, "attribution")
     if len(ctx) != 1:
         raise InputError(f"expected a single Var=value item, got {text!r}")
     return ctx.attributions[0]

@@ -18,8 +18,13 @@ from .graph import CausalGraph
 from .weakening import check_condition1
 
 __all__ = [
+    "EXHAUSTIVE_MAX_NODES",
+    "DEFAULT_EXHAUSTIVE_NODES",
     "RANDOM_MIN_NODES",
     "RANDOM_MAX_NODES",
+    "DEFAULT_RANDOM_NODES",
+    "DEFAULT_SEED",
+    "DEFAULT_EDGE_PROB",
     "Discrepancy",
     "SweepReport",
     "enumerate_dags",
@@ -31,6 +36,13 @@ __all__ = [
 ]
 
 
+# The most nodes an exhaustive sweep may enumerate: enumerate_dags(n)
+# canonicalizes 2^(n(n-1)/2) edge masks and the sweep checks every class
+# (5,984 at n=6; 243,668 classes of 2^21 masks at n=7), and no budget
+# bounds them.
+EXHAUSTIVE_MAX_NODES = 6
+DEFAULT_EXHAUSTIVE_NODES = 5
+
 # The fewest nodes a random sweep's graphs have.
 RANDOM_MIN_NODES = 4
 
@@ -38,6 +50,9 @@ RANDOM_MIN_NODES = 4
 # all 2^(n-2) conditioning sets (67,584 checks per graph at n=12), and no
 # budget bounds those checks.
 RANDOM_MAX_NODES = 12
+DEFAULT_RANDOM_NODES = 8
+DEFAULT_SEED = 0
+DEFAULT_EDGE_PROB = 0.3
 
 
 @dataclass(frozen=True)
@@ -129,9 +144,9 @@ def enumerate_dags(n: int) -> list[CausalGraph]:
 
 def random_dag(
     rng: random.Random,
-    max_nodes: int = 8,
+    max_nodes: int = DEFAULT_RANDOM_NODES,
     min_nodes: int = RANDOM_MIN_NODES,
-    edge_prob: float = 0.3,
+    edge_prob: float = DEFAULT_EDGE_PROB,
 ) -> CausalGraph:
     """A seeded random DAG: random topological order, independent edge coin flips."""
     n = rng.randint(min_nodes, max_nodes)
@@ -203,7 +218,9 @@ def _sweep(graphs, fact_budget: int | None, **settings) -> SweepReport:
     )
 
 
-def exhaustive_sweep(max_nodes: int = 5, fact_budget: int | None = None) -> SweepReport:
+def exhaustive_sweep(
+    max_nodes: int = DEFAULT_EXHAUSTIVE_NODES, fact_budget: int | None = None
+) -> SweepReport:
     """Agreement over every DAG with up to max_nodes nodes, up to isomorphism."""
     graphs = (g for n in range(1, max_nodes + 1) for g in enumerate_dags(n))
     return _sweep(
@@ -214,9 +231,9 @@ def exhaustive_sweep(max_nodes: int = 5, fact_budget: int | None = None) -> Swee
 
 def random_sweep(
     trials: int = 500,
-    max_nodes: int = 8,
-    seed: int = 0,
-    edge_prob: float = 0.3,
+    max_nodes: int = DEFAULT_RANDOM_NODES,
+    seed: int = DEFAULT_SEED,
+    edge_prob: float = DEFAULT_EDGE_PROB,
     fact_budget: int | None = None,
 ) -> SweepReport:
     """Agreement over seeded random DAGs; identical seeds give identical reports."""

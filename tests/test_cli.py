@@ -632,6 +632,21 @@ def test_if_mode_resolution(capsys, data_dir):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["if", "--mode", "graphical", "--dataset", "nope.csv", "--target", "t",
+          "--protected", "a1"], "graphical mode requires a graph"),
+        (["intersect", "--mode", "both", "--graph", "nope.cg", "--target", "t",
+          "--protected", "a1,a2"], "empirical mode requires a dataset"),
+    ],
+)
+def test_mode_is_checked_against_the_inputs_before_any_file_is_read(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_intersect_graphical_with_context(capsys, data_dir):
     code, out, _ = run(
         capsys,

@@ -93,7 +93,7 @@ def test_csv_byte_order_mark_is_not_part_of_the_first_column(tmp_path):
     path.write_bytes(b"\xef\xbb\xbfa1,t\nx,y\nz,w\n")
     ds = Dataset.from_csv(path, target_column="t")
     assert ds.columns == ("a1", "t")
-    assert check_if(None, ds, EMPTY, "t", "a1", mode="empirical").passed is False
+    assert check_if(None, ds, EMPTY, "t", "a1").passed is False
 
 
 def test_generate_table1_layout(table1):
@@ -209,30 +209,32 @@ def test_check_if_graphical_loan(loan_graph, loan_closure):
 
 def test_check_if_both_mode_disagreement(table1, data_dir):
     g = load_graph(data_dir / "table1.cg")
-    result = check_if(close(g), table1, EMPTY, "t", "a1", Fraction(0), mode="both")
+    result = check_if(close(g), table1, EMPTY, "t", "a1", Fraction(0))
+    assert result.mode == "both"
     assert not result.passed
     assert result.graphical.failed_condition == "Condition1"
     assert result.empirical.passed
     assert result.agreement is False
 
 
-def test_check_if_validation(table1):
-    with pytest.raises(InputError, match="mode"):
-        check_if(None, None, EMPTY, "Loan", "MS", mode="psychic")
+def test_check_if_validation():
+    # The name and role checks come before the missing inputs.
     with pytest.raises(WeakeningTargetIsGoal):
         check_if(None, None, EMPTY, "Loan", "Loan")
     with pytest.raises(VariableAlreadyInContext):
         check_if(None, None, ctx_of(MS="m"), "Loan", "MS")
-    with pytest.raises(InputError, match="requires a graph"):
-        check_if(None, table1, EMPTY, "t", "a1", mode="graphical")
-    with pytest.raises(InputError, match="requires a dataset"):
-        check_if(None, None, EMPTY, "Loan", "MS", mode="empirical")
+    with pytest.raises(InputError, match="needs a graph, a dataset or both"):
+        check_if(None, None, EMPTY, "Loan", "MS")
+    with pytest.raises(InputError, match="needs a graph, a dataset or both"):
+        check_intersectionality(None, None, EMPTY, "t", ["a1"])
 
 
 def test_check_if_empirical_only(table1):
-    result = check_if(None, table1, EMPTY, "t", "a1", Fraction(0), mode="empirical")
+    # A dataset alone is the empirical route.
+    result = check_if(None, table1, EMPTY, "t", "a1")
     assert result.passed
-    assert result.graphical is None
+    assert result.mode == "empirical"
+    assert result.graphical is None and result.agreement is None
     payload = if_result_to_json(result)
     assert payload["graphical"] is None
     assert payload["empirical"]["maxDelta"] == "0/1"
@@ -244,7 +246,7 @@ def test_check_if_empirical_only(table1):
 
 def test_intersectionality_table1_empirical(table1):
     report = check_intersectionality(
-        None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0), mode="empirical"
+        None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0)
     )
     assert not report.passed
     assert report.max_delta == Fraction(9, 85)
@@ -266,7 +268,7 @@ def test_intersectionality_table1_empirical(table1):
 def test_intersectionality_loan_graphical(loan_graph, loan_closure):
     ctx = parse_context("Age=27, GAI=40K", loan_graph)
     report = check_intersectionality(
-        loan_closure, None, ctx, "Loan", ["MS"], mode="graphical"
+        loan_closure, None, ctx, "Loan", ["MS"]
     )
     assert report.passed
     assert report.max_delta is None
@@ -275,9 +277,9 @@ def test_intersectionality_loan_graphical(loan_graph, loan_closure):
 
 def test_singleton_subset_matches_check_if(table1):
     report = check_intersectionality(
-        None, table1, EMPTY, "t", ["a1"], Fraction(0), mode="empirical"
+        None, table1, EMPTY, "t", ["a1"], Fraction(0)
     )
-    single = check_if(None, table1, EMPTY, "t", "a1", Fraction(0), mode="empirical")
+    single = check_if(None, table1, EMPTY, "t", "a1", Fraction(0))
     decomp = report.subsets[0].decompositions[0]
     assert decomp.passed == single.passed
     assert decomp.max_delta == single.empirical.max_delta
@@ -295,18 +297,23 @@ def test_subset_cap(table1):
         check_intersectionality(None, table1, EMPTY, "t", [])
 
 
+def routes(mode, closure, dataset):
+    """The (closure, dataset) arguments that run the given mode."""
+    return (None if mode == "empirical" else closure, None if mode == "graphical" else dataset)
+
+
 @pytest.mark.parametrize("mode", ["graphical", "empirical", "both"])
 def test_negative_epsilon_is_refused_in_every_mode(table1, mode):
-    closure = close(CausalGraph(["a1", "a2", "t"], [("a1", "t")]))
+    closure, dataset = routes(mode, close(CausalGraph(["a1", "a2", "t"], [("a1", "t")])), table1)
     eps = Fraction(-1)
     with pytest.raises(InputError, match="epsilon must be nonnegative"):
-        check_if(closure, table1, EMPTY, "t", "a1", eps, mode=mode)
+        check_if(closure, dataset, EMPTY, "t", "a1", eps)
     with pytest.raises(InputError, match="epsilon must be nonnegative"):
-        check_intersectionality(closure, table1, EMPTY, "t", ["a1", "a2"], eps, mode=mode)
+        check_intersectionality(closure, dataset, EMPTY, "t", ["a1", "a2"], eps)
 
 
 def test_report_is_deterministic(table1):
-    kwargs = dict(epsilon=Fraction(0), mode="empirical")
+    kwargs = dict(epsilon=Fraction(0))
     first = check_intersectionality(
         None, table1, EMPTY, "t", ["a1", "a2"], **kwargs
     )
@@ -320,7 +327,7 @@ def test_report_is_deterministic(table1):
 
 def test_report_json_shape(table1):
     report = check_intersectionality(
-        None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0), mode="empirical"
+        None, table1, EMPTY, "t", ["a1", "a2"], Fraction(0)
     )
     payload = fairness_report_to_json(report)
     assert payload["passed"] is False
@@ -344,18 +351,17 @@ def test_each_request_scans_the_rows_once(monkeypatch, table1, data_dir, mode, s
         return matching_rows(self, ctx)
 
     monkeypatch.setattr(Dataset, "matching_rows", counted)
-    closure = close(load_graph(data_dir / "table1.cg"))
-    check_intersectionality(closure, table1, EMPTY, "t", ["a1", "a2"], mode=mode)
+    closure, dataset = routes(mode, close(load_graph(data_dir / "table1.cg")), table1)
+    check_intersectionality(closure, dataset, EMPTY, "t", ["a1", "a2"])
     assert len(calls) == scans
-    check_if(closure, table1, EMPTY, "t", "a1", mode=mode)
+    check_if(closure, dataset, EMPTY, "t", "a1")
     assert len(calls) == 2 * scans
 
 
 def test_unknown_protected_column_comes_before_the_context(table1):
     # The one table looks every protected column up before it matches the context.
     with pytest.raises(UnknownColumn, match="'zz'"):
-        check_intersectionality(None, table1, ctx_of(a2="nope"), "t", ["a1", "zz"],
-                                mode="empirical")
+        check_intersectionality(None, table1, ctx_of(a2="nope"), "t", ["a1", "zz"])
 
 
 WIDE_PROTECTED = {"p1": 2, "p2": 3, "p3": 3, "p4": 4}
@@ -383,16 +389,18 @@ def test_wide_table_matches_row_scans(ctx, mode):
     """Each member of a four-attribute audit has up to three rest columns."""
     dataset = wide_dataset()
     g = CausalGraph([*dataset.columns], [("p1", "t"), ("x", "t"), ("p2", "p3"), ("p3", "t")])
-    args = (close(g), dataset, ctx, "t")
+    closure = close(g)
+    args = (closure, dataset, ctx, "t")
+    audit = (*routes(mode, closure, dataset), ctx, "t")
     protected = list(WIDE_PROTECTED)
-    report = check_intersectionality(*args, protected, Fraction(1, 10), mode)
+    report = check_intersectionality(*audit, protected, Fraction(1, 10))
     expected = recount_intersectionality(*args, protected, Fraction(1, 10), mode)
     assert report == expected
     assert render_json(fairness_report_to_json(report)) == render_json(
         fairness_report_to_json(expected)
     )
     for attr in protected:
-        result = check_if(*args, attr, Fraction(1, 10), mode)
+        result = check_if(*audit, attr, Fraction(1, 10))
         expected = recount_if(*args, attr, Fraction(1, 10), mode)
         assert result == expected
         assert render_json(if_result_to_json(result)) == render_json(if_result_to_json(expected))
@@ -458,11 +466,11 @@ def test_sampled_data_tracks_graphical_verdict():
     eps = Fraction(1, 10)
     for m_value in ("m0", "m1"):
         ctx = ctx_of(m=m_value)
-        result = check_if(closure, ds, ctx, "t", "a", eps, mode="both")
+        result = check_if(closure, ds, ctx, "t", "a", eps)
         assert result.graphical.admissible
         assert result.empirical.passed, result.empirical.max_delta
         assert result.agreement is True
-    naked = check_if(closure, ds, EMPTY, "t", "a", eps, mode="graphical")
+    naked = check_if(closure, None, EMPTY, "t", "a", eps)
     assert not naked.passed
 
 

@@ -127,6 +127,20 @@ def test_syntax_errors_carry_position_and_expectation(wide_graph):
         parse_judgment(" => Loan=yes @ 1 extra", wide_graph)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_judgment, " => Loan=yes @ 1 extra", "trailing input after the judgment at position 17"),
+        (parse_context, "Age=27 GAI=40K", "trailing input after the context at position 7"),
+        (parse_attribution, "MS=married x", "trailing input after the attribution at position 11"),
+    ],
+)
+def test_trailing_input_names_what_was_parsed(wide_graph, parse, text, message):
+    with pytest.raises(JudgmentSyntaxError) as exc_info:
+        parse(text, wide_graph)
+    assert str(exc_info.value) == message
+
+
 def test_sum_value_rules(wide_graph):
     with pytest.raises(JudgmentSyntaxError, match="duplicate atom"):
         parse_judgment("MS=a+a => Loan=yes @ 1", wide_graph)

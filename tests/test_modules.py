@@ -57,17 +57,22 @@ def test_weakening_renders_no_facts():
 def test_benchmark_spans_find_every_name_they_wrap():
     # benchmark/spans.py wraps fairgate names by getattr and counts a traced
     # close through Closure.derivations; deleting or renaming one would
-    # break ``benchmark/run.py --trace 1``.
+    # break ``benchmark/run.py --trace 1``.  An ``if`` request runs the
+    # wrapped check_intersectionality, the one audit pipeline.
     root = Path(__file__).resolve().parent.parent
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmark")]),
         "PYTHONDONTWRITEBYTECODE": "1",
     }
+    dataset = root / "tests" / "data" / "table1.csv"
     code = (
-        "from spans import Tracer, install; install(Tracer())\n"
-        "from fairgate import closure, graph\n"
+        "from spans import Tracer, install; tracer = Tracer(); install(tracer)\n"
+        "from fairgate import cli, closure, graph\n"
         "closure.close(graph.CausalGraph('abc', [('a', 'b'), ('b', 'c')]))\n"
+        f"argv = ['if', '--dataset', {str(dataset)!r}, '--target', 't', '--protected', 'a1']\n"
+        "assert cli.main(argv) == 0\n"
+        "assert tracer.self_ns['fairness.intersect'] > 0\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -89,3 +94,29 @@ def test_reference_helpers_import_only_public_names(helper):
 
 def test_a_closure_carries_the_graph_it_closes(loan_graph):
     assert close(loan_graph).graph is loan_graph
+
+
+def test_a_failing_property_test_does_not_abort_the_run(tmp_path):
+    # Reporting a failing @given example imports libcst, whose import
+    # warns.  pyproject.toml ignores that one warning: as an error it stops
+    # pytest with an internal error (exit 3) before the remaining tests run.
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(root), "-p", "no:cacheprovider", "-q", "test_probe.py"],
+        cwd=tmp_path, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

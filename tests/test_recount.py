@@ -86,14 +86,15 @@ def test_tally_matches_row_scans(audit):
             )
     for mode in ("empirical", "both"):
         args = (closure, dataset, ctx, "t")
+        routed = (None if mode == "empirical" else closure, dataset, ctx, "t")
         for attr in protected:
-            result = outcome(check_if, *args, attr, epsilon, mode)
+            result = outcome(check_if, *routed, attr, epsilon)
             assert result == outcome(recount_if, *args, attr, epsilon, mode)
             if not isinstance(result, type):
                 assert dump(if_result_to_json(result)) == dump(
                     if_result_to_json(recount_if(*args, attr, epsilon, mode))
                 )
-        report = outcome(check_intersectionality, *args, protected, epsilon, mode)
+        report = outcome(check_intersectionality, *routed, protected, epsilon)
         assert report == outcome(recount_intersectionality, *args, protected, epsilon, mode)
         if not isinstance(report, type):
             assert dump(fairness_report_to_json(report)) == dump(
@@ -106,7 +107,7 @@ def test_tally_matches_row_scans(audit):
 def test_negative_epsilon_in_intersectionality_is_input_error(table1):
     with pytest.raises(InputError, match="nonnegative"):
         check_intersectionality(
-            None, table1, EMPTY, "t", ["a1", "a2"], Fraction(-1, 2), mode="empirical"
+            None, table1, EMPTY, "t", ["a1", "a2"], Fraction(-1, 2)
         )
 
 
@@ -114,10 +115,10 @@ def test_context_matching_no_rows_is_empty_conditioning_set(table1):
     nowhere = Context((Attribution("a1", Value.atomic("nope")),))
     with pytest.raises(EmptyConditioningSet):
         check_intersectionality(
-            None, table1, nowhere, "t", ["a2"], Fraction(0), mode="empirical"
+            None, table1, nowhere, "t", ["a2"], Fraction(0)
         )
     with pytest.raises(EmptyConditioningSet):
-        check_if(None, table1, nowhere, "t", "a2", Fraction(0), mode="empirical")
+        check_if(None, table1, nowhere, "t", "a2", Fraction(0))
 
 
 @pytest.mark.parametrize(
@@ -136,9 +137,9 @@ def test_each_bad_input_raises_what_the_row_scans_raise(table1, attrs, target, c
     args = (None, table1, ctx, target)
     expected = outcome(recount_intersectionality, *args, attrs, epsilon, "empirical")
     assert isinstance(expected, type)
-    assert outcome(check_intersectionality, *args, attrs, epsilon, "empirical") is expected
+    assert outcome(check_intersectionality, *args, attrs, epsilon) is expected
     (attr,) = attrs
-    assert outcome(check_if, *args, attr, epsilon, "empirical") is outcome(
+    assert outcome(check_if, *args, attr, epsilon) is outcome(
         recount_if, *args, attr, epsilon, "empirical"
     )
     assert outcome(empirical_ci, table1, attr, target, ctx, epsilon) is outcome(
