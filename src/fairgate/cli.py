@@ -106,10 +106,22 @@ def _unit_interval(value: float) -> None:
         raise InputError(f"--edge-prob must be a number in [0, 1], got {value}")
 
 
+def _protected_names(text: str) -> list[str]:
+    """``--protected``: comma-separated names, each stripped; at least one."""
+    names = [name for name in map(str.strip, text.split(",")) if name]
+    if not names:
+        raise InputError("at least one protected attribute is required")
+    return names
+
+
 def _single_attribute(text: str) -> str:
     if "," in text:
         raise InputError("if takes a single protected attribute; use intersect for sets")
-    return text
+    (name,) = _protected_names(text)
+    return name
+
+
+_is_str = str.__instancecheck__
 
 
 def render_json(value) -> str:
@@ -121,28 +133,39 @@ def render_json(value) -> str:
     ``encode_basestring`` and other scalars through ``json.dumps``, so
     numbers print as the stdlib prints them and an unsupported type
     raises ``TypeError``.  Dict keys must be ``str``.
+
+    A list object met again (a report shares its repeated verdict parts)
+    is not rendered again: the pieces of its first rendering are joined
+    and re-indented to the new depth.  That is exact because ``encode_basestring`` escapes every
+    newline inside a string, so each raw newline in the text starts an
+    indentation at least as deep as the list's own.  Every object met is
+    reachable from ``value``, so no id seen here is reused during the call.
     """
     pieces = []
     put = pieces.append
+    # id(list) -> (first piece, end piece, newline) of its first rendering.
+    seen = {}
 
     def emit(o, newline):
-        if isinstance(o, str):
-            put(encode_basestring(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, dict):
+        if isinstance(o, dict):
             if not o:
                 put("{}")
                 return
             inner = newline + "  "
             separator = "{" + inner
             for key, item in o.items():
-                put(separator + encode_basestring(key) + ": ")
-                emit(item, inner)
+                head = separator + encode_basestring(key) + ": "
+                if type(item) is str:
+                    put(head + encode_basestring(item))
+                elif item is None:
+                    put(head + "null")
+                elif item is True:
+                    put(head + "true")
+                elif item is False:
+                    put(head + "false")
+                else:
+                    put(head)
+                    emit(item, inner)
                 separator = "," + inner
             put(newline + "}")
         elif isinstance(o, (list, tuple)):
@@ -150,15 +173,31 @@ def render_json(value) -> str:
                 put("[]")
                 return
             inner = newline + "  "
-            if all(isinstance(item, str) for item in o):
+            if all(map(_is_str, o)):
                 put("[" + inner + ("," + inner).join(map(encode_basestring, o)) + newline + "]")
                 return
+            known = seen.get(id(o))
+            if known is not None:
+                start, end, first = known
+                text = "".join(pieces[start:end])
+                put(text if first == newline else text.replace(first, newline))
+                return
+            start = len(pieces)
             separator = "[" + inner
             for item in o:
                 put(separator)
                 emit(item, inner)
                 separator = "," + inner
             put(newline + "]")
+            seen[id(o)] = (start, len(pieces), newline)
+        elif isinstance(o, str):
+            put(encode_basestring(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
         else:
             put(json.dumps(o))
 
@@ -338,10 +377,9 @@ def _intersect_text(payload: dict) -> str:
 
 
 def _cmd_intersect(args) -> tuple[dict, bool]:
-    protected = [p.strip() for p in args.protected.split(",") if p.strip()]
-    closure, dataset, ctx = _audit_inputs(args, protected, args.subset_cap)
+    closure, dataset, ctx = _audit_inputs(args, args.protected, args.subset_cap)
     report = check_intersectionality(
-        closure, dataset, ctx, args.target, protected,
+        closure, dataset, ctx, args.target, args.protected,
         epsilon=args.epsilon, subset_cap=args.subset_cap,
     )
     return fairness_report_to_json(report), report.passed
@@ -495,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intersect", parents=[common, audit],
                        help="intersectional check over attribute subsets")
-    p.add_argument("--protected", required=True, help="comma-separated protected attributes")
+    p.add_argument("--protected", type=_protected_names, required=True,
+                   help="comma-separated protected attributes")
     p.add_argument("--subset-cap", type=_at_least_one("--subset-cap"), default=DEFAULT_SUBSET_CAP,
                    help=f"max protected attributes (default {DEFAULT_SUBSET_CAP})")
     p.set_defaults(handler=_cmd_intersect, text=_intersect_text)

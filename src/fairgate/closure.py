@@ -216,7 +216,8 @@ class Closure:
     """
 
     __slots__ = (
-        "graph", "mediate", "paths", "trace", "_certifying", "_derived", "_by_pair", "_rows"
+        "graph", "mediate", "paths", "trace", "_certifying", "_derived", "_by_pair", "_rows",
+        "_traces",
     )
 
     def __init__(self, graph, mediate, certifying, derived, trace):
@@ -238,14 +239,26 @@ class Closure:
         }
         # (x, y) -> the mask rows of facts_between(x, y), built on a pair's first scan.
         self._rows: dict[tuple[str, str], tuple[tuple[int, frozenset[int], PathFact], ...]] = {}
+        # (x, y) -> the trace records of facts_between(x, y), built on the pair's first call.
+        self._traces: dict[tuple[str, str], tuple[TraceRecord, ...]] = {}
 
     def certifying_path(self, fact: PathFact) -> tuple[str, ...]:
         """The first simple path that certified the fact, left to right."""
         return self._certifying[fact][0]
 
-    def trace_of(self, facts) -> tuple[TraceRecord, ...]:
-        """The records that derived the given path facts, in trace order."""
-        return tuple(self.trace[i] for i in sorted({self._certifying[f][1] for f in facts}))
+    def trace_between(self, x: str, y: str) -> tuple[TraceRecord, ...]:
+        """The records that derived ``facts_between(x, y)``, in trace order.
+
+        Built on the pair's first call, so every verdict of a pair shares one tuple.
+        """
+        key = (x, y) if x <= y else (y, x)
+        trace = self._traces.get(key)
+        if trace is None:
+            certifying = self._certifying
+            trace = self._traces[key] = tuple(
+                self.trace[i] for i in sorted(certifying[f][1] for f in self._by_pair.get(key, ()))
+            )
+        return trace
 
     def facts_between(self, x: str, y: str) -> tuple[PathFact, ...]:
         """All path facts with endpoints {x, y}, in canonical order."""

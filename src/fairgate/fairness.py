@@ -511,7 +511,7 @@ def if_result_to_json(result: IfCheckResult) -> dict:
     }
 
 
-def _decomposition_to_json(d: Decomposition) -> dict:
+def _decomposition_to_json(d: Decomposition, memo: dict) -> dict:
     empirical = None
     if d.empirical is not None:
         empirical = [
@@ -527,12 +527,15 @@ def _decomposition_to_json(d: Decomposition) -> dict:
         "passed": d.passed,
         "agreement": d.agreement,
         "maxDelta": None if d.max_delta is None else fraction_str(d.max_delta),
-        "graphical": None if d.graphical is None else verdict_to_json(d.graphical),
+        "graphical": None if d.graphical is None else verdict_to_json(d.graphical, memo),
         "empirical": empirical,
     }
 
 
 def fairness_report_to_json(report: FairnessReport) -> dict:
+    """JSON-ready report.  Its verdicts share one ``verdict_to_json`` memo, so a
+    ``facts`` or ``ruleTrace`` list that repeats is one list object."""
+    memo: dict = {}
     return {
         "protectedAttrs": list(report.protected_attrs),
         "target": report.target,
@@ -545,7 +548,7 @@ def fairness_report_to_json(report: FairnessReport) -> dict:
             {
                 "subset": list(s.subset),
                 "passed": s.passed,
-                "decompositions": [_decomposition_to_json(d) for d in s.decompositions],
+                "decompositions": [_decomposition_to_json(d, memo) for d in s.decompositions],
             }
             for s in report.subsets
         ],

@@ -136,7 +136,7 @@ def evaluate_conditions(closure: Closure, subject: str, target: str, context_var
         witness_edge=edge if failed == "Condition1" else None,
         witness_fact=open_fact if failed == "Condition2" else None,
         blocked_facts=examined,
-        rule_trace=closure.trace_of(fact for fact, _ in examined),
+        rule_trace=closure.trace_between(subject, target),
         subject=subject,
         target=target,
         context_vars=context_vars,
@@ -187,8 +187,16 @@ def _fact_json(fact: PathFact) -> dict:
     }
 
 
-def verdict_to_json(verdict: Verdict) -> dict:
-    """JSON-ready verdict with the blocked-fact audit and rule trace."""
+def verdict_to_json(verdict: Verdict, memo: dict | None = None) -> dict:
+    """JSON-ready verdict with the blocked-fact audit and rule trace.
+
+    ``memo`` is one dict shared by the verdicts of one report: through it,
+    verdicts with equal ``blocked_facts`` share one ``facts`` list and
+    verdicts with the same ``rule_trace`` tuple (one per node pair of a
+    closure) share one ``ruleTrace`` list.  Without it every list is new.
+    """
+    if memo is None:
+        memo = {}
     if verdict.witness_edge is not None:
         witness = {
             "kind": "edge",
@@ -199,14 +207,22 @@ def verdict_to_json(verdict: Verdict) -> dict:
         witness = {"kind": "pathFact", **_fact_json(verdict.witness_fact)}
     else:
         witness = None
-    facts = []
-    for fact, reason in verdict.blocked_facts:
-        entry = _fact_json(fact)
-        if reason is None:
-            entry["blockedBy"] = None
-        else:
-            entry["blockedBy"] = {"kind": reason.kind, "nodes": sorted(reason.nodes)}
-        facts.append(entry)
+    facts = memo.get(verdict.blocked_facts)
+    if facts is None:
+        facts = memo[verdict.blocked_facts] = []
+        for fact, reason in verdict.blocked_facts:
+            entry = _fact_json(fact)
+            if reason is None:
+                entry["blockedBy"] = None
+            else:
+                entry["blockedBy"] = {"kind": reason.kind, "nodes": sorted(reason.nodes)}
+            facts.append(entry)
+    # Keyed by identity, the tuple kept in the entry so its id is not reused.
+    trace = memo.get(id(verdict.rule_trace))
+    if trace is None:
+        trace = memo[id(verdict.rule_trace)] = (
+            verdict.rule_trace, [trace_record_json(r) for r in verdict.rule_trace]
+        )
     return {
         "subject": verdict.subject,
         "target": verdict.target,
@@ -215,5 +231,5 @@ def verdict_to_json(verdict: Verdict) -> dict:
         "failedCondition": verdict.failed_condition,
         "witness": witness,
         "facts": facts,
-        "ruleTrace": [trace_record_json(r) for r in verdict.rule_trace],
+        "ruleTrace": trace[1],
     }

@@ -142,15 +142,27 @@ _json_values = st.recursive(
         st.lists(children, max_size=4).map(tuple),
         st.lists(_text, max_size=4),
         st.dictionaries(_text, children, max_size=4),
+        # One object at several depths, as a report shares its repeated parts.
+        children.map(lambda x: {"a": x, "b": [x, [x]]}),
+        st.tuples(children, children).map(lambda xy: [xy[0], {"k": [xy[1], xy[0]]}, [[xy[0]]]]),
     ),
     max_leaves=20,
 )
+
+_SHARED_LIST = [{"k": ["v", "w\n"]}, None, [1, []]]
+_SHARED_DICT = {"x": [1, {"y": "\n  "}], "z": []}
+_INNER = [{"a": 1}, [True]]
+_OUTER = [_INNER, {"b": _INNER}]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_json_values)
 @example(["a", ("b", "c"), {}, [], ()])
 @example({"k": [1, {"x": b"bytes"}]})
+@example({"a": _SHARED_LIST, "b": [_SHARED_LIST, [_SHARED_LIST]]})
+@example([[[_SHARED_LIST]], _SHARED_LIST, {"c": {"d": _SHARED_LIST}}])
+@example([_SHARED_DICT, {"z": [_SHARED_DICT, [[_SHARED_DICT]]]}])
+@example({"p": _OUTER, "q": [[_OUTER, _INNER]], "r": _INNER})
 def test_render_json_is_the_stdlib_indent_2_text(value):
     try:
         expected = json.dumps(value, indent=2, ensure_ascii=False)
@@ -334,6 +346,30 @@ def test_if_rejects_attribute_list(capsys, data_dir):
     )
     assert code == 2
     assert "intersect" in err
+
+
+@pytest.mark.parametrize("command", ["if", "intersect"])
+@pytest.mark.parametrize("protected", [",", "", " ", " , "])
+def test_empty_protected_list_is_refused_before_any_file_is_read(capsys, command, protected):
+    # The graph file does not exist: the flag is refused before it is read.
+    if command == "if" and "," in protected:
+        complaint = "if takes a single protected attribute"
+    else:
+        complaint = "at least one protected attribute is required"
+    assert_input_error(
+        capsys, [command, "--graph", "nope.cg", "--target", "t", "--protected", protected],
+        complaint,
+    )
+
+
+@pytest.mark.parametrize(
+    "command, spaced, plain",
+    [("if", " MS ", "MS"), ("intersect", " MS , Age,", "MS,Age")],
+)
+def test_protected_names_are_stripped(capsys, data_dir, command, spaced, plain):
+    base = [command, "--graph", str(data_dir / "loan.cg"), "--target", "Loan", "--protected"]
+    result = run(capsys, [*base, spaced])
+    assert result[0] in (0, 1) and result == run(capsys, [*base, plain])
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,7 +1,8 @@
+import copy
 import csv
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from fairgate.fairness import (
 )
 from fairgate.graph import CausalGraph, load_graph
 from fairgate.judgments import Attribution, Context, Value, parse_context
+from fairgate.weakening import verdict_to_json
 
 EMPTY = Context(())
 
@@ -336,6 +338,47 @@ def test_report_json_shape(table1):
     assert payload["mode"] == "empirical"
     assert [s["subset"] for s in payload["subsets"]] == [["a1"], ["a2"], ["a1", "a2"]]
     json.dumps(payload)
+
+
+def _verdict_payloads(payload):
+    return [d["graphical"] for s in payload["subsets"] for d in s["decompositions"]]
+
+
+def test_a_report_builds_each_repeated_verdict_part_once(loan_closure):
+    report = check_intersectionality(loan_closure, None, EMPTY, "Loan", ["Age", "GAI", "MS"])
+    verdicts = _verdict_payloads(fairness_report_to_json(report))
+    by_pair = defaultdict(list)
+    for v in verdicts:
+        by_pair[v["subject"]].append(v["ruleTrace"])
+    assert sorted(map(len, by_pair.values())) == [4, 4, 4]
+    for traces in by_pair.values():
+        assert traces[0] and all(t is traces[0] for t in traces)
+    # One facts list object per distinct audit, shared by every verdict that prints it.
+    distinct = {json.dumps(v["facts"]) for v in verdicts}
+    assert len({id(v["facts"]) for v in verdicts}) == len(distinct) < len(verdicts)
+
+
+def test_payloads_are_fresh_on_every_call(loan_closure):
+    report = check_intersectionality(loan_closure, None, EMPTY, "Loan", ["Age", "GAI", "MS"])
+    first = fairness_report_to_json(report)
+    expected = copy.deepcopy(first)
+    for v in _verdict_payloads(first):
+        v["facts"].append(None)
+        v["ruleTrace"].clear()
+        v["context"].append("x")
+    first["subsets"].clear()
+    assert fairness_report_to_json(report) == expected
+
+    verdict = report.subsets[-1].decompositions[-1].graphical
+    one, two = verdict_to_json(verdict), verdict_to_json(verdict)
+    assert one == two and one["facts"] and one["ruleTrace"]
+    expected = copy.deepcopy(two)
+    one["facts"][0]["noncolliders"].append("x")
+    one["facts"].append(None)
+    one["ruleTrace"][0]["premises"].append("x")
+    one["ruleTrace"].append(None)
+    assert two == expected
+    assert verdict_to_json(verdict) == expected
 
 
 # --- one contingency table per request ---------------------------------------------

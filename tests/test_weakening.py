@@ -243,7 +243,7 @@ def test_verdict_to_json_shape(loan_closure):
 
 
 def reference_rule_trace(records, verdict):
-    """The lookup verdicts made before ``Closure.trace_of``: of the rendered
+    """The lookup verdicts made before ``Closure.trace_between``: of the rendered
     trace records, those whose conclusion is the text of an examined fact."""
     examined = {render_path_fact(fact) for fact, _ in verdict.blocked_facts}
     return [r for r in records if r["conclusion"] in examined]
