@@ -18,18 +18,21 @@ one-member case of ``check_intersectionality``, the one audit pipeline.
 
 Every empirical verdict of a request reads one contingency table: the
 counts of (protected columns, target) over the rows that match the
-context, tallied in one scan.  A member's comparison is a marginal of
-that table, so the rows are scanned once per request, not once per
-(subset, member).
+context, tallied in one scan.  The context is decided once per distinct
+cell of each column it names, not once per row.  Each subset's counts
+are summed once, from those of a subset with one more column, and its
+members' comparisons regroup them, so the rows are scanned once per
+request and the table once per subset.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
+from operator import itemgetter
 
 from .closure import Closure
 from .errors import (
@@ -37,6 +40,7 @@ from .errors import (
     EmptyConditioningSet,
     InputError,
     MalformedDataset,
+    MalformedValue,
     SubsetExplosion,
     UndecodableFile,
     UnknownColumn,
@@ -85,7 +89,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         for name in self.columns:
             validate_name(name)
         if len(set(self.columns)) != len(self.columns):
@@ -99,9 +103,14 @@ class Dataset:
                 raise MalformedDataset(
                     f"row {i + 1} has {len(row)} cells, expected {width}"
                 )
-            for cell in row:
+            if checked.issuperset(row):
+                continue
+            for name, cell in zip(self.columns, row):
                 if cell not in checked:
-                    Value.atomic(cell)
+                    try:
+                        Value.atomic(cell)
+                    except MalformedValue as exc:
+                        raise MalformedValue(f"row {i + 1}, column {name!r}: {exc}") from None
                     checked.add(cell)
 
     def col(self, name: str) -> int:
@@ -127,7 +136,7 @@ class Dataset:
                     fh.seek(0)
                 # A blank line reads as no cells, a whitespace-only one as one blank cell.
                 lines = [
-                    tuple(cell.strip() for cell in row)
+                    tuple(map(str.strip, row))
                     for row in reader
                     if len(row) > 1 or row and row[0].strip()
                 ]
@@ -140,13 +149,18 @@ class Dataset:
         return cls(columns=lines[0], rows=tuple(lines[1:]), target_column=target_column)
 
     def matching_rows(self, ctx: Context) -> tuple[tuple[str, ...], ...]:
-        """Rows whose cells satisfy every attribution of the context."""
-        tests = [(self.col(attr.variable), attr.value) for attr in ctx]
-        return tuple(
-            row
-            for row in self.rows
-            if all(value_matches(value, row[idx]) for idx, value in tests)
-        )
+        """Rows whose cells satisfy every attribution of the context.
+
+        One attribution at a time: its column is pulled out of the rows
+        still kept, each distinct cell is decided once, and the rows whose
+        cell is allowed are kept.
+        """
+        rows = self.rows
+        for attr in ctx:
+            column = list(map(itemgetter(self.col(attr.variable)), rows))
+            allowed = {cell for cell in set(column) if value_matches(attr.value, cell)}
+            rows = tuple(compress(rows, map(allowed.__contains__, column)))
+        return rows
 
 
 def _tally(dataset: Dataset, ctx: Context, columns) -> Counter:
@@ -155,11 +169,14 @@ def _tally(dataset: Dataset, ctx: Context, columns) -> Counter:
     The only row scan, once per request: every frequency in this module is
     a sum of these counts.
     """
-    idx = [dataset.col(name) for name in columns]
+    getters = [itemgetter(dataset.col(name)) for name in columns]
     matching = dataset.matching_rows(ctx)
     if not matching:
-        raise EmptyConditioningSet("no rows match the conditioning context")
-    return Counter(tuple(row[i] for i in idx) for row in matching)
+        raise EmptyConditioningSet(
+            "no rows match the conditioning context" if dataset.rows
+            else "the dataset has no rows"
+        )
+    return Counter(zip(*(map(get, matching) for get in getters)))
 
 
 def empirical_probability(dataset: Dataset, ctx: Context, outcome: Value) -> Fraction:
@@ -187,34 +204,36 @@ class CiResult:
     conditional: dict  # attribute value -> {outcome -> Fraction}
 
 
-def _ci_from_counts(counts: Counter, epsilon: Fraction) -> CiResult:
+def _ci_from_counts(counts: dict, epsilon: Fraction) -> CiResult:
     """The CI comparison from exact (attribute value, outcome) counts.
 
-    The gap of a cell is |n(a,b)·N − n(b)·n(a)| / (n(a)·N); gaps are
-    compared by integer cross-multiplication, and only the largest one is
-    built as a Fraction.
+    ``counts`` maps each observed (attribute value, outcome) cell to its
+    count; a cell it lacks counts 0.  The gap of a cell is
+    |n(a,b)·N − n(b)·n(a)| / (n(a)·N); gaps are compared by integer
+    cross-multiplication, and only the largest one is built as a Fraction.
     """
-    per_alpha: Counter = Counter()
-    per_beta: Counter = Counter()
+    per_alpha: dict = {}
+    per_beta: dict = {}
     for (alpha, beta), n in counts.items():
-        per_alpha[alpha] += n
-        per_beta[beta] += n
+        per_alpha[alpha] = per_alpha.get(alpha, 0) + n
+        per_beta[beta] = per_beta.get(beta, 0) + n
     alphas = sorted(per_alpha)
     betas = sorted(per_beta)
     total = sum(per_beta.values())
+    cell = counts.get
     marginal = {beta: Fraction(per_beta[beta], total) for beta in betas}
-    conditional = {
-        alpha: {beta: Fraction(counts[alpha, beta], per_alpha[alpha]) for beta in betas}
-        for alpha in alphas
-    }
+    conditional = {}
 
     gap, scale = 0, 1  # the largest gap so far is gap / scale
     witness = None
     for alpha in alphas:
         n_alpha = per_alpha[alpha]
         den = n_alpha * total
+        row = conditional[alpha] = {}
         for beta in betas:
-            num = abs(counts[alpha, beta] * total - per_beta[beta] * n_alpha)
+            n = cell((alpha, beta), 0)
+            row[beta] = Fraction(n, n_alpha)
+            num = abs(n * total - per_beta[beta] * n_alpha)
             if num * scale > gap * den:
                 gap, scale = num, den
                 witness = (alpha, beta)
@@ -318,29 +337,56 @@ def check_audit(
     return protected
 
 
-def _check_member(
-    closure, table: Counter | None, columns: tuple, ctx: Context, target: str, attr: str,
-    rest: tuple, epsilon: Fraction,
-) -> Decomposition:
-    """Test attr with the rest folded into the conditioning side.
+def _subset_marginals(table: Counter, columns: tuple) -> dict:
+    """The counts over (subset, target) of every non-empty subset of the columns.
 
-    The graphical route runs when there is a closure.  ``table``, when
-    given, is the request's one contingency table, keyed by the values of
-    ``columns`` and then the target.  The empirical route sums its cells
-    over (rest, attr, target) and compares within each observed
+    ``table`` is keyed by the values of ``columns`` and then the target.
+    Each subset's counts are summed once, from those of the subset with
+    its first missing column added, so the larger subsets come first and
+    the full table is the root.
+    """
+    marginals = {columns: table}
+    for size in range(len(columns) - 1, 0, -1):
+        for subset in combinations(columns, size):
+            # Every column before the first missing one is in the subset,
+            # so the missing one sits at the same position in the parent's keys.
+            drop = next((i for i, (a, b) in enumerate(zip(subset, columns)) if a != b), size)
+            parent = marginals[subset[:drop] + (columns[drop],) + subset[drop:]]
+            keep = itemgetter(*(i for i in range(size + 2) if i != drop))
+            counts: dict = {}
+            for key, n in parent.items():
+                key = keep(key)
+                counts[key] = counts.get(key, 0) + n
+            marginals[subset] = counts
+    return marginals
+
+
+def _check_member(
+    closure, marginal: dict | None, subset: tuple, ctx: Context, target: str, attr: str,
+    epsilon: Fraction,
+) -> Decomposition:
+    """Test attr with the rest of the subset folded into the conditioning side.
+
+    The graphical route runs when there is a closure.  ``marginal``, when
+    given, holds the counts over (subset, target), keyed by the subset's
+    values in order and then the target.  The empirical route regroups
+    them by the rest's values and compares within each observed
     combination of the rest; no row is read here.
     """
+    i = subset.index(attr)
+    rest = subset[:i] + subset[i + 1:]
     verdict = None
     per_combo = None
     max_delta = None
     if closure is not None:
         verdict = evaluate_conditions(closure, attr, target, ctx.variables() | set(rest))
-    if table is not None:
-        rest_idx = [columns.index(v) for v in rest]
-        attr_idx = columns.index(attr)
-        groups: defaultdict[tuple, Counter] = defaultdict(Counter)
-        for key, n in table.items():
-            groups[tuple(key[i] for i in rest_idx)][key[attr_idx], key[-1]] += n
+    if marginal is not None:
+        # (rest, attr, target) only reorders a key of the subset's counts,
+        # so each cell of a group is one count, not a sum.
+        cell = itemgetter(i, -1)
+        groups: dict = {}
+        for key, n in marginal.items():
+            groups.setdefault(key[:i] + key[i + 1:-1], {})[cell(key)] = n
         per_combo = tuple(
             (tuple(zip(rest, combo)), _ci_from_counts(groups[combo], epsilon))
             for combo in sorted(groups)
@@ -413,9 +459,9 @@ def check_intersectionality(
     conditioning side.  On the empirical route the rest is instantiated
     with every value combination observed among context-matching rows.
     The context-matching rows are scanned once, into one table over
-    (protected, target), and every member's comparison is a marginal of
-    it.  The report never depends on enumeration order; everything is
-    sorted.
+    (protected, target).  Each subset's marginal of it is summed once, and
+    its members' comparisons regroup that marginal.  The report never
+    depends on enumeration order; everything is sorted.
     """
     protected = check_audit(None if closure is None else closure.graph, dataset, ctx, target,
                             protected_set, subset_cap)
@@ -423,14 +469,15 @@ def check_intersectionality(
     if epsilon < 0:
         raise InputError(f"epsilon must be nonnegative, got {epsilon}")
     columns = tuple(protected)
-    table = None if dataset is None else _tally(dataset, ctx, [*columns, target])
+    marginals = {}
+    if dataset is not None:
+        marginals = _subset_marginals(_tally(dataset, ctx, [*columns, target]), columns)
 
     subsets = []
     for size in range(1, len(protected) + 1):
         for subset in combinations(protected, size):
             decomps = tuple(
-                _check_member(closure, table, columns, ctx, target, attr,
-                              tuple(v for v in subset if v != attr), epsilon)
+                _check_member(closure, marginals.get(subset), subset, ctx, target, attr, epsilon)
                 for attr in subset
             )
             subsets.append(

@@ -516,6 +516,24 @@ def test_dataset_that_is_not_utf8(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["if", "intersect"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a,t\n", "the dataset has no rows"),
+        ("a,t\nx,1\n,\n", "row 2, column 'a': value atoms must be non-empty strings"),
+    ],
+    ids=["header-only", "blank-cell"],
+)
+def test_dataset_errors_say_what_is_wrong_and_where(capsys, tmp_path, command, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys, [command, "--dataset", str(path), "--target", "t", "--protected", "a"]
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_graph_that_is_not_utf8(capsys, tmp_path):
     path = tmp_path / "bad.cg"
     path.write_bytes(NOT_UTF8)

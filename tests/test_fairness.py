@@ -53,8 +53,13 @@ def test_dataset_validation():
         Dataset(columns=("a", "b"), rows=(), target_column="t")
     with pytest.raises(MalformedDataset, match="row 2 has 1 cells, expected 2"):
         Dataset(columns=("a", "t"), rows=(("x", "y"), ("x",)), target_column="t")
-    with pytest.raises(Exception):
+    with pytest.raises(MalformedValue, match=r"^row 1, column 't': atom 'y\+z' contains reserved"):
         Dataset(columns=("a", "t"), rows=(("x", "y+z"),), target_column="t")
+    # The first fault in row order is the one reported, whichever kind it is.
+    with pytest.raises(MalformedValue, match=r"^row 2, column 'a': value atoms must be non-empty"):
+        Dataset(columns=("a", "t"), rows=(("x", "y"), ("", "y"), ("x",)), target_column="t")
+    with pytest.raises(MalformedDataset, match=r"^row 2 has 1 cells, expected 2$"):
+        Dataset(columns=("a", "t"), rows=(("x", "y"), ("x",), ("x", "")), target_column="t")
     with pytest.raises(Exception):
         Dataset(columns=("a=b", "t"), rows=(), target_column="t")
 
@@ -427,15 +432,23 @@ def wide_dataset() -> Dataset:
     ctx_of(x="u"),
     Context((Attribution("x", Value.sum_of(["u", "v"])),)),
     Context((Attribution("x", Value.complement("w")),)),
-], ids=["none", "atomic", "sum", "complement"])
+    Context((
+        Attribution("x", Value.sum_of(["u", "v"])),
+        Attribution("p4", Value.complement("p4v1")),
+    )),
+], ids=["none", "atomic", "sum", "complement", "two-attributions"])
 def test_wide_table_matches_row_scans(ctx, mode):
-    """Each member of a four-attribute audit has up to three rest columns."""
+    """Each member of a four-attribute audit has up to three rest columns.
+
+    A protected column the context fixes is left out of the audit, so the
+    two-attribution context filters on two columns and audits three.
+    """
     dataset = wide_dataset()
     g = CausalGraph([*dataset.columns], [("p1", "t"), ("x", "t"), ("p2", "p3"), ("p3", "t")])
     closure = close(g)
     args = (closure, dataset, ctx, "t")
     audit = (*routes(mode, closure, dataset), ctx, "t")
-    protected = list(WIDE_PROTECTED)
+    protected = [p for p in WIDE_PROTECTED if p not in ctx.variables()]
     report = check_intersectionality(*audit, protected, Fraction(1, 10))
     expected = recount_intersectionality(*args, protected, Fraction(1, 10), mode)
     assert report == expected
