@@ -10,6 +10,7 @@ byte-identical for identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import sys
 from fractions import Fraction
@@ -125,14 +126,20 @@ _is_str = str.__instancecheck__
 
 
 def render_json(value) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte.
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte: the
+    pieces of ``_json_pieces``, joined."""
+    return "".join(_json_pieces(value))
+
+
+def _json_pieces(value) -> list[str]:
+    """The text of ``render_json(value)`` as a list of pieces, in order.
 
     With ``indent`` the stdlib leaves its C encoder and runs one Python
     generator per nesting level; this writes the same text into one list
-    of pieces, joined once.  Strings go through the stdlib's own
-    ``encode_basestring`` and other scalars through ``json.dumps``, so
-    numbers print as the stdlib prints them and an unsupported type
-    raises ``TypeError``.  Dict keys must be ``str``.
+    of pieces.  Strings go through the stdlib's own ``encode_basestring``
+    and other scalars through ``json.dumps``, so numbers print as the
+    stdlib prints them and an unsupported type raises ``TypeError``.  Dict
+    keys must be ``str``.
 
     A list object met again (a report shares its repeated verdict parts)
     is not rendered again: the pieces of its first rendering are joined
@@ -140,6 +147,8 @@ def render_json(value) -> str:
     newline inside a string, so each raw newline in the text starts an
     indentation at least as deep as the list's own.  Every object met is
     reachable from ``value``, so no id seen here is reused during the call.
+    A dict met again is rendered again: a memo for dicts costs more than
+    it saves on the reports this renders.
     """
     pieces = []
     put = pieces.append
@@ -202,7 +211,7 @@ def render_json(value) -> str:
             put(json.dumps(o))
 
     emit(value, "\n")
-    return "".join(pieces)
+    return pieces
 
 
 def _frac_text(s: str) -> str:
@@ -562,12 +571,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 PARSER = build_parser()
 
+# Pieces of a JSON report joined per write to standard output.
+WRITE_CHUNK_PIECES = 1024
+
+
+def _write_pieces(pieces: list[str]) -> None:
+    """Write the pieces and a final newline to standard output, joining
+    ``WRITE_CHUNK_PIECES`` at a time, so no copy of the whole text is made.
+
+    A stream that does not encode UTF-8 may refuse some text (a name
+    outside its charset), so there every chunk is encoded once before any
+    is written: a refused report leaves nothing on standard output.
+    """
+    stream = sys.stdout
+    step = WRITE_CHUNK_PIECES
+    starts = range(0, len(pieces), step)
+    encoding = getattr(stream, "encoding", None)
+    if encoding and codecs.lookup(encoding).name != "utf-8":
+        errors = getattr(stream, "errors", None) or "strict"
+        for start in starts:
+            "".join(pieces[start:start + step]).encode(encoding, errors)
+    for start in starts:
+        stream.write("".join(pieces[start:start + step]))
+    stream.write("\n")
+
 
 def main(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
         payload, passed = args.handler(args)
-        print(render_json(payload) if args.format == "json" else args.text(payload))
+        # A report is rendered in full before any of it is written, so a
+        # crash while rendering leaves standard output empty.
+        if args.format == "json":
+            _write_pieces(_json_pieces(payload))
+        else:
+            print(args.text(payload))
         return 0 if passed else 1
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -32,8 +32,9 @@ from __future__ import annotations
 import os
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 from typing import NamedTuple
 
 from .errors import InputError, ResourceLimit, UnknownVariable
@@ -213,11 +214,13 @@ class Closure:
     as int mask rows (noncollider mask, collider-set masks, fact), built
     from ``close``'s masks on the pair's first scan.  Bit i of a mask is the
     i-th graph node in sorted order, as in ``CausalGraph.node_mask``.
+    ``audit`` pairs the same facts with their ``blocking_reason``s, each
+    distinct pair and each distinct audit built once per closure.
     """
 
     __slots__ = (
         "graph", "mediate", "paths", "trace", "_certifying", "_derived", "_by_pair", "_rows",
-        "_traces",
+        "_traces", "_audits", "_entries", "_consed",
     )
 
     def __init__(self, graph, mediate, certifying, derived, trace):
@@ -241,6 +244,13 @@ class Closure:
         self._rows: dict[tuple[str, str], tuple[tuple[int, frozenset[int], PathFact], ...]] = {}
         # (x, y) -> the trace records of facts_between(x, y), built on the pair's first call.
         self._traces: dict[tuple[str, str], tuple[TraceRecord, ...]] = {}
+        # (x, y) -> (union of the read masks, per fact of facts_between(x, y) the
+        # mask of the nodes its reason reads, {conditioning & union: audit}).
+        self._audits: dict[tuple[str, str], tuple[int, tuple[int, ...], dict]] = {}
+        # ((x, y), fact position, conditioning & its read mask) -> (fact, reason).
+        self._entries: dict[tuple, tuple[PathFact, BlockReason | None]] = {}
+        # Hash-consing table: an entry or an audit -> the one equal object kept.
+        self._consed: dict[tuple, tuple] = {}
 
     def certifying_path(self, fact: PathFact) -> tuple[str, ...]:
         """The first simple path that certified the fact, left to right."""
@@ -285,6 +295,45 @@ class Closure:
             if not noncolliders & conditioning and all(map(met, collider_sets)):
                 return fact
         return None
+
+    def audit(
+        self, x: str, y: str, conditioning: int
+    ) -> tuple[tuple[PathFact, BlockReason | None], ...]:
+        """``facts_between(x, y)``, each fact paired with its ``blocking_reason``
+        given the conditioning node mask: the audit a verdict prints.
+
+        A reason reads only the conditioning nodes among its fact's
+        noncolliders and collider sets.  So a (fact, reason) pair is keyed
+        by the fact's position and the conditioning mask ANDed with those
+        nodes, and ``blocking_reason`` runs only when that key is new; an
+        audit is keyed by the mask ANDed with every fact's nodes.  Equal
+        pairs, and equal audits, are one object per closure.
+        """
+        key = (x, y) if x <= y else (y, x)
+        found = self._audits.get(key)
+        if found is None:
+            certifying = self._certifying
+            reads = tuple(
+                reduce(or_, certifying[f][3], certifying[f][2]) for f in self._by_pair.get(key, ())
+            )
+            found = self._audits[key] = (reduce(or_, reads, 0), reads, {})
+        read_all, reads, audits = found
+        audit = audits.get(conditioning & read_all)
+        if audit is None:
+            names = sorted(self.graph.nodes)
+            entries, consed = self._entries, self._consed
+            pairs = []
+            for i, (fact, read) in enumerate(zip(self._by_pair.get(key, ()), reads)):
+                seen = conditioning & read
+                pair = entries.get((key, i, seen))
+                if pair is None:
+                    nodes = [v for j, v in enumerate(names) if seen >> j & 1]
+                    pair = (fact, blocking_reason(fact, nodes))
+                    pair = entries[key, i, seen] = consed.setdefault(pair, pair)
+                pairs.append(pair)
+            audit = tuple(pairs)
+            audit = audits[conditioning & read_all] = consed.setdefault(audit, audit)
+        return audit
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
         """Every recorded (fact, certifying path) pair."""

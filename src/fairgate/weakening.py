@@ -23,7 +23,6 @@ from .closure import (
     Closure,
     PathFact,
     TraceRecord,
-    blocking_reason,
     sorted_collider_sets,
     trace_record_json,
 )
@@ -85,25 +84,27 @@ def check_condition1(g: CausalGraph, subject: str, target: str):
 def check_condition2(closure: Closure, subject: str, target: str, context_vars):
     """Every path fact between subject and target is blocked by the context.
 
-    The decision and the witness come from ``Closure.first_open``, the one
-    mask scan the agreement sweep also runs; each fact's ``blocking_reason``
-    is computed only for the audit a verdict prints.
+    The context becomes a node mask once.  The decision and the witness come
+    from ``Closure.first_open``, the one mask scan the agreement sweep also
+    runs; the audit a verdict prints comes from ``Closure.audit``, which
+    words each distinct (fact, reason) pair once per closure and returns
+    one tuple for equal audits.
 
     Returns (ok, examined facts with reasons, first transmitting fact or None).
     """
-    cond = frozenset(context_vars)
-    first_open = closure.first_open(subject, target, closure.graph.node_mask(cond))
-    examined = tuple(
-        (fact, blocking_reason(fact, cond)) for fact in closure.facts_between(subject, target)
-    )
-    return first_open is None, examined, first_open
+    mask = closure.graph.node_mask(context_vars)
+    first_open = closure.first_open(subject, target, mask)
+    return first_open is None, closure.audit(subject, target, mask), first_open
 
 
 def check_variables(g: CausalGraph, subject: str, target: str, context_vars) -> None:
     """A verdict's name and role checks.  They read only the graph, so a caller
     may run them before it closes ``g`` and refuse bad input whatever the budget."""
-    for name in (subject, target, *sorted(context_vars)):
-        g.require_node(name)
+    nodes = g.nodes
+    if not (subject in nodes and target in nodes and nodes.issuperset(context_vars)):
+        # Some name is unknown: report the first one in this order.
+        for name in (subject, target, *sorted(context_vars)):
+            g.require_node(name)
     if subject == target:
         raise WeakeningTargetIsGoal(f"cannot weaken with the judgment's own target {target!r}")
     if subject in context_vars:
@@ -187,13 +188,39 @@ def _fact_json(fact: PathFact) -> dict:
     }
 
 
+def _once(memo: dict, kind: str, obj, build):
+    """``build(obj)``, made once per memo for each object of a kind.  Keyed by
+    identity, with ``obj`` kept in the entry so its id is not reused."""
+    key = (kind, id(obj))
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = (obj, build(obj))
+    return found[1]
+
+
+def _witness_json(fact: PathFact) -> dict:
+    return {"kind": "pathFact", **_fact_json(fact)}
+
+
+def _entry_json(entry: tuple[PathFact, BlockReason | None]) -> dict:
+    fact, reason = entry
+    blocked_by = None if reason is None else {"kind": reason.kind, "nodes": sorted(reason.nodes)}
+    return {**_fact_json(fact), "blockedBy": blocked_by}
+
+
+def _trace_json(trace: tuple[TraceRecord, ...]) -> list:
+    return [trace_record_json(r) for r in trace]
+
+
 def verdict_to_json(verdict: Verdict, memo: dict | None = None) -> dict:
     """JSON-ready verdict with the blocked-fact audit and rule trace.
 
-    ``memo`` is one dict shared by the verdicts of one report: through it,
-    verdicts with equal ``blocked_facts`` share one ``facts`` list and
-    verdicts with the same ``rule_trace`` tuple (one per node pair of a
-    closure) share one ``ruleTrace`` list.  Without it every list is new.
+    ``memo`` is one dict shared by the verdicts of one report.  Through it,
+    each ``blocked_facts`` tuple (``Closure.audit`` returns one per distinct
+    audit), each of its (fact, reason) pairs, each ``pathFact`` witness and
+    each ``rule_trace`` tuple (one per node pair of a closure) is turned
+    into JSON once, keyed by identity, and the verdicts share the result.
+    Without it every list and dict is new.
     """
     if memo is None:
         memo = {}
@@ -204,25 +231,13 @@ def verdict_to_json(verdict: Verdict, memo: dict | None = None) -> dict:
             "target": verdict.witness_edge[1],
         }
     elif verdict.witness_fact is not None:
-        witness = {"kind": "pathFact", **_fact_json(verdict.witness_fact)}
+        witness = _once(memo, "witness", verdict.witness_fact, _witness_json)
     else:
         witness = None
-    facts = memo.get(verdict.blocked_facts)
-    if facts is None:
-        facts = memo[verdict.blocked_facts] = []
-        for fact, reason in verdict.blocked_facts:
-            entry = _fact_json(fact)
-            if reason is None:
-                entry["blockedBy"] = None
-            else:
-                entry["blockedBy"] = {"kind": reason.kind, "nodes": sorted(reason.nodes)}
-            facts.append(entry)
-    # Keyed by identity, the tuple kept in the entry so its id is not reused.
-    trace = memo.get(id(verdict.rule_trace))
-    if trace is None:
-        trace = memo[id(verdict.rule_trace)] = (
-            verdict.rule_trace, [trace_record_json(r) for r in verdict.rule_trace]
-        )
+    facts = _once(
+        memo, "facts", verdict.blocked_facts,
+        lambda audit: [_once(memo, "entry", entry, _entry_json) for entry in audit],
+    )
     return {
         "subject": verdict.subject,
         "target": verdict.target,
@@ -231,5 +246,5 @@ def verdict_to_json(verdict: Verdict, memo: dict | None = None) -> dict:
         "failedCondition": verdict.failed_condition,
         "witness": witness,
         "facts": facts,
-        "ruleTrace": trace[1],
+        "ruleTrace": _once(memo, "trace", verdict.rule_trace, _trace_json),
     }

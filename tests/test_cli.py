@@ -619,6 +619,32 @@ def test_unexpected_exception_exits_4(capsys, data_dir, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_crash_while_rendering_writes_nothing(capsys, data_dir, monkeypatch):
+    # Thousands of pieces render before the bytes value, more than one
+    # chunk of the write: a report is rendered in full before it is written.
+    def dump_with_bytes(closure):
+        return {"rows": [{"n": str(i)} for i in range(5000)], "late": b"x"}
+
+    monkeypatch.setattr("fairgate.cli.closure_dump", dump_with_bytes)
+    code, out, err = run(capsys, ["paths", "--graph", str(data_dir / "loan.cg")])
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: TypeError: ")
+
+
+def test_stream_that_cannot_encode_a_report_gets_none_of_it(capsys, tmp_path, monkeypatch):
+    graph = tmp_path / "g.cg"
+    graph.write_text("A -> B\nB -> Zé\n", encoding="utf-8")
+    buffer = io.BytesIO()
+    stream = io.TextIOWrapper(buffer, encoding="ascii")
+    # One piece per write: the first pieces are ASCII, a later one is not.
+    monkeypatch.setattr("fairgate.cli.WRITE_CHUNK_PIECES", 1)
+    monkeypatch.setattr("sys.stdout", stream)
+    code = main(["paths", "--graph", str(graph)])
+    stream.flush()
+    assert (code, buffer.getvalue()) == (4, b"")
+    assert capsys.readouterr().err.startswith("internal error: UnicodeEncodeError: ")
+
+
 @pytest.mark.parametrize(
     "flags, complaint",
     [

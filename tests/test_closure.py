@@ -258,6 +258,31 @@ def test_blocking_reason_prefers_noncolliders_then_least_set():
     assert blocking_reason(mixed, frozenset(["B", "C"])) is None
 
 
+def test_audit_pairs_each_fact_with_its_blocking_reason_and_shares_equal_ones():
+    rng = random.Random(19)
+    graphs = [g for n in range(1, 6) for g in enumerate_dags(n)]
+    graphs += [random_dag(rng, max_nodes=8) for _ in range(100)]
+    audits_checked = 0
+    for g in graphs:
+        closure = close(g)
+        names = sorted(g.nodes)
+        audits, entries = {}, {}
+        for (i, x), (j, y) in itertools.combinations(enumerate(names), 2):
+            facts = closure.facts_between(x, y)
+            others = [k for k in range(len(names)) if k not in (i, j)]
+            for size in range(len(others) + 1):
+                for chosen in itertools.combinations(others, size):
+                    mask = sum(1 << k for k in chosen)
+                    conditioning = [names[k] for k in chosen]
+                    audit = closure.audit(x, y, mask)
+                    assert audit == tuple((f, blocking_reason(f, conditioning)) for f in facts)
+                    assert audits.setdefault(audit, audit) is audit
+                    for entry in audit:
+                        assert entries.setdefault(entry, entry) is entry
+                    audits_checked += 1
+    assert audits_checked > 50_000
+
+
 # --- path enumeration and the oracle -----------------------------------------
 
 
