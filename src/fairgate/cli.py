@@ -141,18 +141,20 @@ def _json_pieces(value) -> list[str]:
     stdlib prints them and an unsupported type raises ``TypeError``.  Dict
     keys must be ``str``.
 
-    A list object met again (a report shares its repeated verdict parts)
-    is not rendered again: the pieces of its first rendering are joined
-    and re-indented to the new depth.  That is exact because ``encode_basestring`` escapes every
-    newline inside a string, so each raw newline in the text starts an
-    indentation at least as deep as the list's own.  Every object met is
-    reachable from ``value``, so no id seen here is reused during the call.
-    A dict met again is rendered again: a memo for dicts costs more than
-    it saves on the reports this renders.
+    A list object met again at the same depth (a report shares its
+    repeated verdict parts) is not rendered again: its first repeat joins
+    the pieces of its first rendering into one string, and that repeat and
+    every later one append that same string object, so the pieces hold
+    each repeated list's text once.  A list met at another depth is
+    rendered again.  Every object met is reachable from ``value``, so no
+    id seen here is reused during the call.  A dict met again is rendered
+    again: a memo for dicts costs more than it saves on the reports this
+    renders.
     """
     pieces = []
     put = pieces.append
-    # id(list) -> (first piece, end piece, newline) of its first rendering.
+    # (id(list), newline) -> its text once joined, or the (first piece, end
+    # piece) of its first rendering until then.
     seen = {}
 
     def emit(o, newline):
@@ -185,11 +187,12 @@ def _json_pieces(value) -> list[str]:
             if all(map(_is_str, o)):
                 put("[" + inner + ("," + inner).join(map(encode_basestring, o)) + newline + "]")
                 return
-            known = seen.get(id(o))
+            key = (id(o), newline)
+            known = seen.get(key)
             if known is not None:
-                start, end, first = known
-                text = "".join(pieces[start:end])
-                put(text if first == newline else text.replace(first, newline))
+                if type(known) is tuple:
+                    known = seen[key] = "".join(pieces[known[0]:known[1]])
+                put(known)
                 return
             start = len(pieces)
             separator = "[" + inner
@@ -198,7 +201,7 @@ def _json_pieces(value) -> list[str]:
                 emit(item, inner)
                 separator = "," + inner
             put(newline + "]")
-            seen[id(o)] = (start, len(pieces), newline)
+            seen[key] = (start, len(pieces))
         elif isinstance(o, str):
             put(encode_basestring(o))
         elif o is None:
@@ -322,26 +325,17 @@ def _if_text(payload: dict) -> str:
 
 
 def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
-    """Closure, dataset and context of ``if`` or ``intersect``.  ``--mode`` is
-    checked against the inputs before any file is read; every file given is
-    read and checked, then the input ``--mode`` leaves out is dropped, and
+    """Closure, dataset and context of ``if`` or ``intersect``: the inputs
+    given are the routes run.  Every file given is read and checked, and
     the request is checked before the graph is closed."""
     if args.context and args.context_inline:
         raise InputError("pass either --context or --context-inline, not both")
-    if args.mode in ("graphical", "both") and not args.graph:
-        raise InputError("graphical mode requires a graph")
-    if args.mode in ("empirical", "both") and not args.dataset:
-        raise InputError("empirical mode requires a dataset")
     g = load_graph(args.graph) if args.graph else None
     dataset = Dataset.from_csv(args.dataset, args.target) if args.dataset else None
     if args.context:
         ctx = load_context(args.context, g)
     else:
         ctx = parse_context(args.context_inline, g)
-    if args.mode == "empirical":
-        g = None
-    elif args.mode == "graphical":
-        dataset = None
     check_audit(g, dataset, ctx, args.target, protected, subset_cap)
     closure = None if g is None else close(g, fact_budget=args.fact_budget)
     return closure, dataset, ctx
@@ -516,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--target", required=True, help="target variable / column")
     audit.add_argument("--epsilon", type=_parse_epsilon, default=Fraction(0),
                        help="tolerance as a rational (default 0)")
-    audit.add_argument("--mode", choices=("graphical", "empirical", "both"), default=None,
-                       help="default: both when graph and dataset are given")
 
     parser = argparse.ArgumentParser(
         prog="fairgate",

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 import fairgate
-from fairgate.cli import main, render_json
+from fairgate.cli import _json_pieces, main, render_json
 from fairgate.fairness import fraction_str
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"
@@ -97,7 +97,7 @@ PRIOR_CALLS = {
     ],
     "demo_table1.json": lambda d: ["demo-table1", "--format", "text"],
     "if_loan_ms.json": lambda d: [
-        "if", "--dataset", str(d / "table1.csv"), "--mode", "empirical", "--epsilon", "1/20",
+        "if", "--dataset", str(d / "table1.csv"), "--epsilon", "1/20",
         "--context-inline", "a2=v21", "--target", "t", "--protected", "a1",
     ],
     "intersect_loan_ms_age.json": lambda d: [
@@ -171,6 +171,17 @@ def test_render_json_is_the_stdlib_indent_2_text(value):
             render_json(value)
     else:
         assert render_json(value) == expected
+
+
+def test_a_list_repeated_at_one_depth_is_one_piece_after_its_first_rendering():
+    shared = [{"a": 1}, [True, None]]
+    pieces = _json_pieces([shared, shared, shared])
+    assert "".join(pieces) == json.dumps([shared] * 3, indent=2)
+    # ..., second occurrence, ",\n  ", third occurrence, "\n]"
+    second, third = pieces[-4], pieces[-2]
+    assert type(second) is str
+    assert second is third
+    assert second == json.dumps([shared], indent=2)[4:-2]
 
 
 # --- schema conformance ---------------------------------------------------------
@@ -712,19 +723,16 @@ def test_if_mode_resolution(capsys, data_dir):
     assert payload["passed"] is True
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["if", "--mode", "graphical", "--dataset", "nope.csv", "--target", "t",
-          "--protected", "a1"], "graphical mode requires a graph"),
-        (["intersect", "--mode", "both", "--graph", "nope.cg", "--target", "t",
-          "--protected", "a1,a2"], "empirical mode requires a dataset"),
-    ],
-)
-def test_mode_is_checked_against_the_inputs_before_any_file_is_read(capsys, argv, message):
-    code, out, err = run(capsys, argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: {message}\n"
+@pytest.mark.parametrize("subcommand, protected", [("if", "a1"), ("intersect", "a1,a2")])
+def test_mode_is_not_a_flag(capsys, data_dir, subcommand, protected):
+    # The inputs given are the routes run; there is no flag to pick them.
+    with pytest.raises(SystemExit) as exc_info:
+        main([subcommand, "--mode", "both", "--graph", str(data_dir / "table1.cg"),
+              "--dataset", str(data_dir / "table1.csv"), "--target", "t",
+              "--protected", protected])
+    captured = capsys.readouterr()
+    assert (exc_info.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --mode both" in captured.err
 
 
 def test_intersect_graphical_with_context(capsys, data_dir):
@@ -790,6 +798,43 @@ def test_text_format_intersect(capsys, data_dir):
 def test_text_format_demo(capsys):
     _, out, _ = run(capsys, ["demo-table1", "--format", "text"])
     assert "overall P(t=β): 27/34" in out
+
+
+@pytest.mark.parametrize(
+    "inputs, mode, expected_code",
+    [
+        (["--graph", "table1.cg"], "graphical", 1),
+        (["--dataset", "table1.csv"], "empirical", 0),
+        (["--graph", "table1.cg", "--dataset", "table1.csv"], "both", 1),
+    ],
+)
+def test_text_format_if(capsys, data_dir, inputs, mode, expected_code):
+    inputs = [str(data_dir / a) if a.startswith("table1.") else a for a in inputs]
+    code, out, err = run(
+        capsys, ["if", *inputs, "--target", "t", "--protected", "a1", "--format", "text"]
+    )
+    assert (code, err) == (expected_code, "")
+    lines = out.splitlines()
+    assert f"mode: {mode}" in lines
+    assert ("graphical: inadmissible (Condition1)" in lines) == (mode != "empirical")
+    assert ("empirical: pass, max delta 0/1 (~0.0000) at epsilon 0/1" in lines) == (
+        mode != "graphical"
+    )
+    assert ("routes agree: no" in lines) == (mode == "both")
+
+
+def test_text_format_paths(capsys, data_dir):
+    code, out, err = run(capsys, ["paths", "--graph", str(data_dir / "loan.cg"), "--format", "text"])
+    assert (code, err) == (0, "")
+    assert out.startswith("mediate facts: 9\n")
+
+
+def test_text_format_oracle(capsys):
+    code, out, err = run(capsys, ["oracle", "--max-nodes", "3", "--format", "text"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "discrepancies: 0" in lines
+    assert "passed: yes" in lines
 
 
 # --- determinism ---------------------------------------------------------------------
@@ -862,7 +907,6 @@ _AUDIT = {
     "--context": st.just("c.ctx"),
     "--context-inline": _context_text,
     "--epsilon": st.sampled_from(("0", "1/20", "0.05", "1/3", "1e-3", "-1", "1/0", "nan")),
-    "--mode": st.sampled_from(("graphical", "empirical", "both")),
 }
 # Per subcommand: the flags always given, then the flags given half the time.
 # The oracle always gets a --max-nodes of at most 4, so a sweep stays small.
