@@ -213,9 +213,10 @@ class Closure:
     ``facts_between``.  ``first_open``, the one Condition 2 scan, reads them
     as int mask rows (noncollider mask, collider-set masks, fact), built
     from ``close``'s masks on the pair's first scan.  Bit i of a mask is the
-    i-th graph node in sorted order, as in ``CausalGraph.node_mask``.
-    ``audit`` pairs the same facts with their ``blocking_reason``s, each
-    distinct pair and each distinct audit built once per closure.
+    i-th graph node in sorted order, as in ``CausalGraph.node_mask``, and
+    ``read_mask`` is the union of a pair's rows.  ``audit`` pairs the same
+    facts with their ``blocking_reason``s, each distinct pair and each
+    distinct audit built once per closure.
     """
 
     __slots__ = (
@@ -296,6 +297,23 @@ class Closure:
                 return fact
         return None
 
+    def read_mask(self, x: str, y: str) -> int:
+        """The node mask of every noncollider and collider-set node of
+        ``facts_between(x, y)``: ``first_open(x, y, c)`` and ``audit(x, y, c)``
+        read ``c`` only through its AND with this mask."""
+        return self._reads((x, y) if x <= y else (y, x))[0]
+
+    def _reads(self, key: tuple[str, str]) -> tuple[int, tuple[int, ...], dict]:
+        """The pair's ``_audits`` entry, built on its first call."""
+        found = self._audits.get(key)
+        if found is None:
+            certifying = self._certifying
+            reads = tuple(
+                reduce(or_, certifying[f][3], certifying[f][2]) for f in self._by_pair.get(key, ())
+            )
+            found = self._audits[key] = (reduce(or_, reads, 0), reads, {})
+        return found
+
     def audit(
         self, x: str, y: str, conditioning: int
     ) -> tuple[tuple[PathFact, BlockReason | None], ...]:
@@ -310,14 +328,7 @@ class Closure:
         pairs, and equal audits, are one object per closure.
         """
         key = (x, y) if x <= y else (y, x)
-        found = self._audits.get(key)
-        if found is None:
-            certifying = self._certifying
-            reads = tuple(
-                reduce(or_, certifying[f][3], certifying[f][2]) for f in self._by_pair.get(key, ())
-            )
-            found = self._audits[key] = (reduce(or_, reads, 0), reads, {})
-        read_all, reads, audits = found
+        read_all, reads, audits = self._reads(key)
         audit = audits.get(conditioning & read_all)
         if audit is None:
             names = sorted(self.graph.nodes)

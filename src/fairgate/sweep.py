@@ -3,15 +3,18 @@
 The two independence routes are developed separately on purpose; this
 module drives them against each other over whole graph families: every
 DAG up to isomorphism for small sizes, and seeded random DAGs for larger
-ones.  Every (pair, conditioning set) triple is checked and any mismatch
-is captured as a structured discrepancy rather than a bare failure.
+ones.  Every (pair, conditioning set) triple is checked, each distinct
+projection of the conditioning set decided once, and any mismatch is
+captured as a structured discrepancy rather than a bare failure.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, groupby, permutations, product
+from operator import or_
 
 from .closure import close, dsep_oracle, enumerate_classified_paths, oracle_rows
 from .graph import CausalGraph
@@ -46,9 +49,10 @@ DEFAULT_EXHAUSTIVE_NODES = 5
 # The fewest nodes a random sweep's graphs have.
 RANDOM_MIN_NODES = 4
 
-# The most nodes a random sweep may draw: each node pair is checked under
-# all 2^(n-2) conditioning sets (67,584 checks per graph at n=12), and no
-# budget bounds those checks.
+# The most nodes a random sweep may draw: each node pair counts a check for
+# each of its 2^(n-2) conditioning sets (67,584 per graph at n=12) and is
+# decided once per subset of the nodes its facts and paths read, up to
+# 2^(n-2) times; no budget bounds those decisions.
 RANDOM_MAX_NODES = 12
 DEFAULT_RANDOM_NODES = 8
 DEFAULT_SEED = 0
@@ -169,9 +173,15 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     ``Closure.first_open``, the Condition 2 decision a weakening verdict
     takes, without the audit a verdict prints; the oracle side is
     ``dsep_oracle`` over the rows of paths classified once per pair.
-    Conditioning sets range over all subsets of the other nodes, walked as
-    int node masks in ascending order; names are built only for a
-    discrepancy.
+
+    Conditioning sets range over all subsets of the other nodes, as int
+    node masks.  Both decisions read a mask only through its AND with the
+    pair's ``read`` nodes: the rows' masks and ``Closure.read_mask``.  So
+    each is made once per subset of ``read``, and a conditioning set takes
+    the decisions of its projection onto ``read``.  The checks run still
+    count every (pair, conditioning set) triple.  Only a pair with a
+    disagreeing subset walks its conditioning sets in ascending order, to
+    report each whose projection disagreed; names are built only then.
     """
     closure = close(g, fact_budget=fact_budget)
     nodes = sorted(g.nodes)
@@ -182,12 +192,28 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
         rows = oracle_rows(g, enumerate_classified_paths(g, x, y))
         nonadjacent = check_condition1(g, x, y)[0]
         rest = everything & ~g.node_mask((x, y))
+        read = closure.read_mask(x, y)
+        for noncolliders, colliders in rows:
+            read |= reduce(or_, colliders, noncolliders)
+        read &= rest
+        checks += 1 << rest.bit_count()
+        # The subsets of read whose decisions disagree, each mapped to by_rules.
+        disagreeing = {}
         cond = 0
         while True:
             by_rules = nonadjacent and closure.first_open(x, y, cond) is None
-            by_oracle = dsep_oracle(rows, cond)
-            checks += 1
-            if by_rules != by_oracle:
+            if by_rules != dsep_oracle(rows, cond):
+                disagreeing[cond] = by_rules
+            # The next subset in ascending order; 0 once all are done.
+            cond = (cond - read) & read
+            if not cond:
+                break
+        if not disagreeing:
+            continue
+        # cond is 0 again: every subset of rest, in ascending order.
+        while True:
+            by_rules = disagreeing.get(cond & read)
+            if by_rules is not None:
                 discrepancies.append(
                     Discrepancy(
                         nodes=tuple(nodes),
@@ -196,10 +222,9 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
                         y=y,
                         conditioning=tuple(v for i, v in enumerate(nodes) if cond >> i & 1),
                         by_rules=by_rules,
-                        by_oracle=by_oracle,
+                        by_oracle=not by_rules,
                     )
                 )
-            # The next subset of rest in ascending order; 0 once all are done.
             cond = (cond - rest) & rest
             if not cond:
                 break

@@ -162,11 +162,15 @@ def test_rules_and_oracle_agree_everywhere():
         exhaustive = exhaustive_sweep(max_nodes=5)
         assert exhaustive.passed, exhaustive.discrepancies
         assert exhaustive.graphs_checked == 342
-        assert exhaustive.checks_run > 20_000
+        assert exhaustive.checks_run == 24_942
 
         randomized = random_sweep(trials=500, max_nodes=8, seed=0)
         assert randomized.passed, randomized.discrepancies
         assert randomized.graphs_checked == 500
+        assert randomized.checks_run == 272_968
+
+        small = exhaustive_sweep(max_nodes=4)
+        assert (small.graphs_checked, small.checks_run) == (40, 782)
 
         schema = json.loads((SCHEMA_DIR / "oracle.schema.json").read_text("utf-8"))
         validator = Draft202012Validator(schema)
