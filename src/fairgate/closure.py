@@ -22,9 +22,13 @@ two nodes, which keeps each interior node classified by exactly one
 premise and therefore keeps one collider-descendant set per collider.
 The engine tracks (fact, certifying path) pairs so that a fact reachable
 along several paths can keep feeding compositions through each of them.
-Path facts are worked on int node bitmasks, and one step of ``close``,
-``derive``, makes each of them, whether a window or Transitivity*
-concludes it, and keeps one record per derivation.
+``close`` works on int keys only: nodes are indices, a fact is its
+endpoints and node masks, and a trace entry names its rule, premises and
+conclusion key.  One step of ``close``, ``derive``, makes each path fact,
+whether a window or Transitivity* concludes it, and keeps one key per
+derivation.  ``Closure`` builds each named fact and trace record once, on
+its first read, so a verdict names only the node pair it reads.  A fact is
+rendered to text only where it is printed.
 """
 
 from __future__ import annotations
@@ -193,57 +197,61 @@ def render_path_fact(fact: PathFact) -> str:
     )
 
 
-def _mediate_sort_key(fact: MediateCauseFact):
-    return (fact.source, fact.target, tuple(sorted(fact.intermediates)))
-
-
-def _fact_sort_key(fact: PathFact):
-    return (
-        fact.left,
-        fact.right,
-        tuple(sorted(fact.noncolliders)),
-        sorted_collider_sets(fact.collider_sets),
-    )
-
-
 class Closure:
     """The fixpoint of the six derivation rules over ``graph``, the graph it closes.
 
-    Each node pair's path facts are kept in canonical order for
-    ``facts_between``.  ``first_open``, the one Condition 2 scan, reads them
-    as int mask rows (noncollider mask, collider-set masks, fact), built
-    from ``close``'s masks on the pair's first scan.  Bit i of a mask is the
-    i-th graph node in sorted order, as in ``CausalGraph.node_mask``, and
-    ``read_mask`` is the union of a pair's rows.  ``audit`` pairs the same
-    facts with their ``blocking_reason``s, each distinct pair and each
-    distinct audit built once per closure.
+    ``close`` leaves every fact as an int key: a mediate fact as (source,
+    target, intermediates mask), a path fact as (left, right, noncollider
+    mask, collider-set masks), with node i the i-th graph node in sorted
+    order, as in ``CausalGraph.node_mask``.  The named objects are built
+    here on first read, each once: equal facts are one ``PathFact`` or
+    ``MediateCauseFact``, and each trace position one ``TraceRecord``,
+    whichever of ``paths``, ``mediate``, ``trace``, ``facts_between``,
+    ``first_open``, ``audit``, ``trace_between`` or ``derivations``
+    reads it first.  A node pair's fact keys are sorted into canonical
+    order on the pair's first read, and index order is name order, so the
+    ints sort as the names do.  ``first_open``, the one Condition 2 scan,
+    reads the keys' masks and names only the fact it returns;
+    ``read_mask`` is the union of a pair's masks.  ``audit`` pairs the
+    pair's facts with their ``blocking_reason``s, each distinct pair and
+    each distinct audit built once per closure.  A fact is rendered to
+    text only where it is printed.
     """
 
     __slots__ = (
-        "graph", "mediate", "paths", "trace", "_certifying", "_derived", "_by_pair", "_rows",
+        "graph", "_names", "_index", "_mediate", "_certifying", "_derived", "_trace",
+        "_named", "_sets", "_indices", "_records", "_whole", "_groups", "_pairs", "_facts",
         "_traces", "_audits", "_entries", "_consed",
     )
 
-    def __init__(self, graph, mediate, certifying, derived, trace):
+    def __init__(self, graph, names, mediate, certifying, derived, trace):
         self.graph: CausalGraph = graph
-        self.mediate: frozenset[MediateCauseFact] = frozenset(mediate)
-        self.paths: frozenset[PathFact] = frozenset(certifying)
-        self.trace: tuple[TraceRecord, ...] = tuple(trace)
-        # fact -> (first certifying path, position of the fact's trace record,
-        #          noncollider mask, collider-set masks)
-        self._certifying: dict[PathFact, tuple] = dict(certifying)
-        # (node-index path, noncollider mask, collider-set masks) -> fact, one
-        # entry per derivation; node i is the i-th graph node in sorted order.
-        self._derived: dict[tuple, PathFact] = derived
-        by_pair: dict[tuple[str, str], list[PathFact]] = defaultdict(list)
-        for fact in self.paths:
-            by_pair[(fact.left, fact.right)].append(fact)
-        self._by_pair = {
-            pair: tuple(sorted(facts, key=_fact_sort_key)) for pair, facts in by_pair.items()
-        }
-        # (x, y) -> the mask rows of facts_between(x, y), built on a pair's first scan.
-        self._rows: dict[tuple[str, str], tuple[tuple[int, frozenset[int], PathFact], ...]] = {}
-        # (x, y) -> the trace records of facts_between(x, y), built on the pair's first call.
+        self._names: list[str] = names
+        self._index = {v: i for i, v in enumerate(names)}
+        # Mediate fact keys, in derivation order.
+        self._mediate: dict[tuple[int, int, int], None] = mediate
+        # Path fact key -> (its first certifying node-index path, position of
+        # its trace record).
+        self._certifying: dict[tuple, tuple[tuple[int, ...], int]] = certifying
+        # (node-index path, noncollider mask, collider-set masks), one per derivation.
+        self._derived: set[tuple] = derived
+        # (rule, premises, conclusion key) per record; a premise is an edge's
+        # text or a fact key.
+        self._trace: list[tuple] = trace
+        # Fact key -> its one named fact; trace position -> its one TraceRecord.
+        self._named: dict[tuple, MediateCauseFact | PathFact] = {}
+        self._records: dict[int, TraceRecord] = {}
+        # Node mask -> its frozenset of names, and -> its bit indices ascending.
+        self._sets: dict[int, frozenset[str]] = {}
+        self._indices: dict[int, tuple[int, ...]] = {}
+        # "mediate", "paths", "trace" -> the property's value, built on first read.
+        self._whole: dict[str, object] = {}
+        # (left, right) -> that pair's fact keys, grouped on the first pair read.
+        self._groups: dict[tuple[int, int], list[tuple]] | None = None
+        # (x, y) -> the fact keys of facts_between(x, y), sorted on the pair's first read.
+        self._pairs: dict[tuple[str, str], tuple[tuple, ...]] = {}
+        # (x, y) -> facts_between(x, y) and trace_between(x, y), built on first call.
+        self._facts: dict[tuple[str, str], tuple[PathFact, ...]] = {}
         self._traces: dict[tuple[str, str], tuple[TraceRecord, ...]] = {}
         # (x, y) -> (union of the read masks, per fact of facts_between(x, y) the
         # mask of the nodes its reason reads, {conditioning & union: audit}).
@@ -253,28 +261,126 @@ class Closure:
         # Hash-consing table: an entry or an audit -> the one equal object kept.
         self._consed: dict[tuple, tuple] = {}
 
+    # -- naming, once per key ---------------------------------------------------
+
+    def _nodes(self, mask: int) -> frozenset[str]:
+        found = self._sets.get(mask)
+        if found is None:
+            names = self._names
+            found = self._sets[mask] = frozenset([names[i] for i in self._bits(mask)])
+        return found
+
+    def _bits(self, mask: int) -> tuple[int, ...]:
+        """The indices of the set bits of ``mask``, ascending."""
+        found = self._indices.get(mask)
+        if found is None:
+            found = self._indices[mask] = tuple(
+                [i for i in range(mask.bit_length()) if mask >> i & 1]
+            )
+        return found
+
+    def _fact(self, key: tuple):
+        """The named fact of a mediate (3-int) or path (4-field) fact key."""
+        fact = self._named.get(key)
+        if fact is None:
+            names, nodes = self._names, self._nodes
+            if len(key) == 3:
+                fact = MediateCauseFact(names[key[0]], names[key[1]], nodes(key[2]))
+            else:
+                fact = PathFact(
+                    names[key[0]], names[key[1]], nodes(key[2]), frozenset(map(nodes, key[3]))
+                )
+            self._named[key] = fact
+        return fact
+
+    def _record(self, position: int) -> TraceRecord:
+        record = self._records.get(position)
+        if record is None:
+            rule, premises, key = self._trace[position]
+            fact = self._fact
+            record = self._records[position] = TraceRecord(
+                rule, tuple([p if type(p) is str else fact(p) for p in premises]), fact(key)
+            )
+        return record
+
+    def _order(self, key: tuple):
+        """A path fact key's canonical sort key: endpoints, noncolliders, then
+        the sorted collider sets, each as ascending node indices."""
+        bits = self._bits
+        return (key[0], key[1], bits(key[2]), sorted(map(bits, key[3])))
+
+    @property
+    def mediate(self) -> frozenset[MediateCauseFact]:
+        whole = self._whole
+        if "mediate" not in whole:
+            whole["mediate"] = frozenset(map(self._fact, self._mediate))
+        return whole["mediate"]
+
+    @property
+    def paths(self) -> frozenset[PathFact]:
+        whole = self._whole
+        if "paths" not in whole:
+            whole["paths"] = frozenset(map(self._fact, self._certifying))
+        return whole["paths"]
+
+    @property
+    def trace(self) -> tuple[TraceRecord, ...]:
+        """Every productive rule firing, in derivation order."""
+        whole = self._whole
+        if "trace" not in whole:
+            whole["trace"] = tuple(map(self._record, range(len(self._trace))))
+        return whole["trace"]
+
+    # -- one node pair ----------------------------------------------------------
+
+    def _keys(self, x: str, y: str) -> tuple[tuple, ...]:
+        """The fact keys of ``facts_between(x, y)``, sorted on the pair's first read."""
+        pair = (x, y) if x <= y else (y, x)
+        keys = self._pairs.get(pair)
+        if keys is None:
+            groups = self._groups
+            if groups is None:
+                groups = self._groups = defaultdict(list)
+                for key in self._certifying:
+                    groups[key[0], key[1]].append(key)
+            index = self._index
+            found = groups.get((index.get(pair[0]), index.get(pair[1])), ())
+            keys = self._pairs[pair] = tuple(sorted(found, key=self._order))
+        return keys
+
     def certifying_path(self, fact: PathFact) -> tuple[str, ...]:
         """The first simple path that certified the fact, left to right."""
-        return self._certifying[fact][0]
+        mask = self.graph.node_mask
+        key = (
+            self._index[fact.left],
+            self._index[fact.right],
+            mask(fact.noncolliders),
+            frozenset(map(mask, fact.collider_sets)),
+        )
+        names = self._names
+        return tuple([names[i] for i in self._certifying[key][0]])
 
     def trace_between(self, x: str, y: str) -> tuple[TraceRecord, ...]:
         """The records that derived ``facts_between(x, y)``, in trace order.
 
         Built on the pair's first call, so every verdict of a pair shares one tuple.
         """
-        key = (x, y) if x <= y else (y, x)
-        trace = self._traces.get(key)
+        pair = (x, y) if x <= y else (y, x)
+        trace = self._traces.get(pair)
         if trace is None:
             certifying = self._certifying
-            trace = self._traces[key] = tuple(
-                self.trace[i] for i in sorted(certifying[f][1] for f in self._by_pair.get(key, ()))
+            trace = self._traces[pair] = tuple(
+                map(self._record, sorted([certifying[k][1] for k in self._keys(x, y)]))
             )
         return trace
 
     def facts_between(self, x: str, y: str) -> tuple[PathFact, ...]:
         """All path facts with endpoints {x, y}, in canonical order."""
-        key = (x, y) if x <= y else (y, x)
-        return self._by_pair.get(key, ())
+        pair = (x, y) if x <= y else (y, x)
+        facts = self._facts.get(pair)
+        if facts is None:
+            facts = self._facts[pair] = tuple(map(self._fact, self._keys(x, y)))
+        return facts
 
     def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
         """The first fact of ``facts_between(x, y)`` that transmits given the
@@ -282,36 +388,28 @@ class Closure:
 
         A fact transmits when no noncollider is conditioned on and every
         collider set meets the conditioning set.  This is the one Condition 2
-        decision: verdicts and the agreement sweep both call it.
+        decision: verdicts and the agreement sweep both call it.  It scans the
+        facts' keys and names only the fact it returns.
         """
-        key = (x, y) if x <= y else (y, x)
-        rows = self._rows.get(key)
-        if rows is None:
-            certifying = self._certifying
-            rows = self._rows[key] = tuple(
-                [(*certifying[f][2:], f) for f in self._by_pair.get(key, ())]
-            )
         met = conditioning.__and__
-        for noncolliders, collider_sets, fact in rows:
-            if not noncolliders & conditioning and all(map(met, collider_sets)):
-                return fact
+        for key in self._keys(x, y):
+            if not key[2] & conditioning and all(map(met, key[3])):
+                return self._fact(key)
         return None
 
     def read_mask(self, x: str, y: str) -> int:
         """The node mask of every noncollider and collider-set node of
         ``facts_between(x, y)``: ``first_open(x, y, c)`` and ``audit(x, y, c)``
         read ``c`` only through its AND with this mask."""
-        return self._reads((x, y) if x <= y else (y, x))[0]
+        return self._reads(x, y)[0]
 
-    def _reads(self, key: tuple[str, str]) -> tuple[int, tuple[int, ...], dict]:
+    def _reads(self, x: str, y: str) -> tuple[int, tuple[int, ...], dict]:
         """The pair's ``_audits`` entry, built on its first call."""
-        found = self._audits.get(key)
+        pair = (x, y) if x <= y else (y, x)
+        found = self._audits.get(pair)
         if found is None:
-            certifying = self._certifying
-            reads = tuple(
-                reduce(or_, certifying[f][3], certifying[f][2]) for f in self._by_pair.get(key, ())
-            )
-            found = self._audits[key] = (reduce(or_, reads, 0), reads, {})
+            reads = tuple([reduce(or_, key[3], key[2]) for key in self._keys(x, y)])
+            found = self._audits[pair] = (reduce(or_, reads, 0), reads, {})
         return found
 
     def audit(
@@ -327,30 +425,29 @@ class Closure:
         audit is keyed by the mask ANDed with every fact's nodes.  Equal
         pairs, and equal audits, are one object per closure.
         """
-        key = (x, y) if x <= y else (y, x)
-        read_all, reads, audits = self._reads(key)
+        pair = (x, y) if x <= y else (y, x)
+        read_all, reads, audits = self._reads(x, y)
         audit = audits.get(conditioning & read_all)
         if audit is None:
-            names = sorted(self.graph.nodes)
             entries, consed = self._entries, self._consed
             pairs = []
-            for i, (fact, read) in enumerate(zip(self._by_pair.get(key, ()), reads)):
+            for i, (fact, read) in enumerate(zip(self.facts_between(x, y), reads)):
                 seen = conditioning & read
-                pair = entries.get((key, i, seen))
-                if pair is None:
-                    nodes = [v for j, v in enumerate(names) if seen >> j & 1]
-                    pair = (fact, blocking_reason(fact, nodes))
-                    pair = entries[key, i, seen] = consed.setdefault(pair, pair)
-                pairs.append(pair)
+                entry = entries.get((pair, i, seen))
+                if entry is None:
+                    entry = (fact, blocking_reason(fact, self._nodes(seen)))
+                    entry = entries[pair, i, seen] = consed.setdefault(entry, entry)
+                pairs.append(entry)
             audit = tuple(pairs)
             audit = audits[conditioning & read_all] = consed.setdefault(audit, audit)
         return audit
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
         """Every recorded (fact, certifying path) pair."""
-        names = sorted(self.graph.nodes)
+        names, fact = self._names, self._fact
         return frozenset(
-            (fact, tuple(names[i] for i in key[0])) for key, fact in self._derived.items()
+            (fact((path[0], path[-1], nc, cs)), tuple([names[i] for i in path]))
+            for path, nc, cs in self._derived
         )
 
 
@@ -364,25 +461,30 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     fact and per new (path fact, certifying path) pair; rejected and
     repeated Transitivity* attempts are not charged.
 
-    Path facts are worked on int node bitmasks (bit i for the i-th node in
-    sorted order).  One inner step, ``derive``, makes every path fact: it
-    orients a node-index path, drops a repeated (path, noncollider mask,
-    collider-set masks) key, charges the budget, builds the PathFact,
-    records a new fact's TraceRecord and indexes the derivation's two
-    views, one per direction of its path, by the path's first two nodes.
-    The Chain, Fork and Collider windows call it with 3-node paths, the
-    ``while pqueue`` loop with Transitivity* conclusions: each view of a
-    popped derivation glues to the indexed views that start with its last
-    two nodes and meet its node mask in exactly those two junction bits.
-    The rule's junction condition needs no test: the index key makes each
-    junction node an interior node of both premises' paths, and every
-    interior node of a certified path is a noncollider or lies in a
-    collider set.  The endpoint exclusion is one AND against the views'
-    collider-set masks.  A fact is rendered to text only where it is printed.
+    Nodes are ints (node i is the i-th node in sorted order) and every
+    fact is an int key: a mediate fact (source, target, intermediates
+    mask), a path fact (left, right, noncollider mask, collider-set
+    masks).  A trace entry is (rule, premises, conclusion key), where a
+    premise is an edge's text ``"X -> Y"`` or a fact key.  No named fact
+    or ``TraceRecord`` is built here; ``Closure`` builds each on first
+    read.  One inner step, ``derive``, makes every path fact: it orients
+    a node-index path, drops a repeated (path, noncollider mask,
+    collider-set masks) key, charges the budget, records a new fact's
+    trace entry and indexes the derivation's two views, one per direction
+    of its path, by the path's first two nodes.  The Chain, Fork and
+    Collider windows call it with 3-node paths, the ``while pqueue`` loop
+    with Transitivity* conclusions: each view of a popped derivation glues
+    to the indexed views that start with its last two nodes and meet its
+    node mask in exactly those two junction bits.  The rule's junction
+    condition needs no test: the index key makes each junction node an
+    interior node of both premises' paths, and every interior node of a
+    certified path is a noncollider or lies in a collider set.  The
+    endpoint exclusion is one AND against the views' collider-set masks.
+    A fact is rendered to text only where it is printed.
     """
     budget = resolve_fact_budget(fact_budget)
     count = 0
-    trace: list[TraceRecord] = []
+    trace: list[tuple] = []
 
     def spend():
         nonlocal count
@@ -394,49 +496,38 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     names = sorted(g.nodes)
     index = {v: i for i, v in enumerate(names)}
     bit = [1 << i for i in range(len(names))]
+    parents = [[index[p] for p in g.parents(v)] for v in names]
+    children = [[index[c] for c in g.children(v)] for v in names]
 
-    # Each mediate fact maps to the node mask of its intermediates.
-    mediate: dict[MediateCauseFact, int] = {}
-    by_source: dict[str, list[MediateCauseFact]] = defaultdict(list)
-    mqueue: deque[MediateCauseFact] = deque()
+    # Mediate fact keys (source, target, intermediates mask), in derivation order.
+    mediate: dict[tuple[int, int, int], None] = {}
+    by_source: list[list[tuple[int, int, int]]] = [[] for _ in names]
+    mqueue: deque[tuple[int, int, int]] = deque()
 
-    def add_mediate(fact, mask, rule, premises):
-        if fact in mediate:
+    def add_mediate(key, rule, premises):
+        if key in mediate:
             return
         spend()
-        mediate[fact] = mask
-        by_source[fact.source].append(fact)
-        trace.append(TraceRecord(rule, premises, fact))
-        mqueue.append(fact)
+        mediate[key] = None
+        by_source[key[0]].append(key)
+        trace.append((rule, premises, key))
+        mqueue.append(key)
 
-    for i, x in enumerate(names):
-        add_mediate(MediateCauseFact(x, x, frozenset([x])), bit[i], "Reflexive cause", ())
+    for i in range(len(names)):
+        add_mediate((i, i, bit[i]), "Reflexive cause", ())
     while mqueue:
-        fact = mqueue.popleft()
-        for k in g.children(fact.target):
-            add_mediate(
-                MediateCauseFact(fact.source, k, fact.intermediates | {k}),
-                mediate[fact] | bit[index[k]],
-                "Transitive cause",
-                (fact, _render_edge(fact.target, k)),
-            )
+        chain = mqueue.popleft()
+        source, target, mask = chain
+        for k in children[target]:
+            add_mediate((source, k, mask | bit[k]), "Transitive cause",
+                        (chain, _render_edge(names[target], names[k])))
 
-    node_sets: dict[int, frozenset[str]] = {}
-
-    def nodes_of(mask):
-        found = node_sets.get(mask)
-        if found is None:
-            found = node_sets[mask] = frozenset(v for i, v in enumerate(names) if mask >> i & 1)
-        return found
-
-    # fact -> (first certifying path, position of its trace record, and the
-    # noncollider and collider-set masks every derivation of it shares).
-    certifying: dict[PathFact, tuple] = {}
-    # One entry per derivation: (oriented path, noncollider mask,
-    # collider-set masks) -> its PathFact.
-    derived: dict[tuple, PathFact] = {}
+    # Path fact key -> (first certifying path, position of its trace entry).
+    certifying: dict[tuple, tuple[tuple[int, ...], int]] = {}
+    # One key per derivation: (oriented path, noncollider mask, collider-set masks).
+    derived: set[tuple] = set()
     # A view is one direction of a derivation's path:
-    # (fact, path, path mask, noncollider mask, collider-set masks,
+    # (fact key, path, path mask, noncollider mask, collider-set masks,
     #  union of the collider-set masks).
     by_first2: dict[tuple[int, int], list[tuple]] = defaultdict(list)
     pqueue: deque[tuple[tuple, tuple]] = deque()
@@ -448,12 +539,11 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
         if key in derived:
             return
         spend()
-        fact = derived[key] = PathFact(
-            names[path[0]], names[path[-1]], nodes_of(nc), frozenset(nodes_of(s) for s in cs)
-        )
+        derived.add(key)
+        fact = (path[0], path[-1], nc, cs)
         if fact not in certifying:
-            certifying[fact] = (tuple(names[i] for i in path), len(trace), nc, cs)
-            trace.append(TraceRecord(rule, premises, fact))
+            certifying[fact] = (path, len(trace))
+            trace.append((rule, premises, fact))
         in_sets = 0
         for s in cs:
             in_sets |= s
@@ -466,20 +556,18 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     # The windows: a 3-node path is a chain, a fork or a collider, and
     # distinct mediate facts carry distinct node sets, so none repeats.
     for y, v in enumerate(names):
-        parents = [index[p] for p in g.parents(v)]
-        children = [index[c] for c in g.children(v)]
-        for x in parents:
-            for z in children:
+        for x in parents[y]:
+            for z in children[y]:
                 derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Chain",
                        (_render_edge(names[x], v), _render_edge(v, names[z])))
-        for x, z in combinations(children, 2):
+        for x, z in combinations(children[y], 2):
             derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Fork",
                    (_render_edge(v, names[x]), _render_edge(v, names[z])))
-        for x, z in combinations(parents, 2):
-            for chain in by_source.get(v, ()):
-                if mediate[chain] & (bit[x] | bit[z]):
+        for x, z in combinations(parents[y], 2):
+            for chain in by_source[y]:
+                if chain[2] & (bit[x] | bit[z]):
                     continue
-                derive((x, y, z), bit[x] | bit[y] | bit[z], 0, frozenset([mediate[chain]]),
+                derive((x, y, z), bit[x] | bit[y] | bit[z], 0, frozenset([chain[2]]),
                        "Collider", (_render_edge(names[x], v), _render_edge(names[z], v), chain))
 
     while pqueue:
@@ -503,7 +591,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
                 derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs1 | cs2, "Transitivity*",
                        (fact2, fact1) if is_backward else (fact1, fact2))
 
-    return Closure(g, mediate, certifying, derived, trace)
+    return Closure(g, names, mediate, certifying, derived, trace)
 
 
 def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:
@@ -601,26 +689,56 @@ def dsep_oracle(rows, conditioning: int) -> bool:
 
 
 def closure_dump(closure: Closure) -> dict:
-    """JSON-ready closure listing with a deterministic order throughout."""
+    """JSON-ready closure listing with a deterministic order throughout.
+
+    Read from the closure's int keys: the keys are sorted on indices, which
+    sort as the names do, each mask's name list is built once and shared,
+    and each trace entry is written from its raw record.
+    """
+    names, bits, fact = closure._names, closure._bits, closure._fact
+    lists: dict[int, list[str]] = {}
+    families: dict[frozenset[int], list[list[str]]] = {}
+
+    def named(mask):
+        found = lists.get(mask)
+        if found is None:
+            found = lists[mask] = [names[i] for i in bits(mask)]
+        return found
+
+    def family(sets):
+        found = families.get(sets)
+        if found is None:
+            found = families[sets] = [named(s) for s in sorted(sets, key=bits)]
+        return found
+
     mediate = [
-        {
-            "source": f.source,
-            "target": f.target,
-            "intermediates": sorted(f.intermediates),
-        }
-        for f in sorted(closure.mediate, key=_mediate_sort_key)
+        {"source": names[source], "target": names[target], "intermediates": named(mask)}
+        for source, target, mask in sorted(
+            closure._mediate, key=lambda key: (key[0], key[1], bits(key[2]))
+        )
     ]
+    certifying = closure._certifying
     paths = [
         {
-            "left": f.left,
-            "right": f.right,
-            "noncolliders": sorted(f.noncolliders),
-            "colliderSets": sorted_collider_sets(f.collider_sets),
-            "certifyingPath": list(closure.certifying_path(f)),
+            "left": names[key[0]],
+            "right": names[key[1]],
+            "noncolliders": named(key[2]),
+            "colliderSets": family(key[3]),
+            "certifyingPath": [names[i] for i in certifying[key][0]],
         }
-        for f in sorted(closure.paths, key=_fact_sort_key)
+        for key in sorted(certifying, key=closure._order)
     ]
-    trace = [trace_record_json(r) for r in closure.trace]
+    # A premise fact is the conclusion of an earlier record, so each fact's
+    # text is rendered once, for the record that concludes it.
+    texts: dict[tuple, str] = {}
+    trace = []
+    for rule, premises, key in closure._trace:
+        text = texts[key] = fact(key).text
+        trace.append({
+            "rule": rule,
+            "premises": [p if type(p) is str else texts[p] for p in premises],
+            "conclusion": text,
+        })
     return {"mediate": mediate, "paths": paths, "trace": trace}
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from fairgate.closure import (
     BlockReason,
     MediateCauseFact,
     PathFact,
+    TraceRecord,
     blocking_reason,
     close,
     closure_dump,
@@ -27,6 +29,7 @@ from fairgate.weakening import evaluate_conditions
 
 from _graphs import topological_order
 from _saturation import saturation_gap
+from test_closure_bytes import DENSE_N10
 
 RULE_NAMES = {
     "Reflexive cause",
@@ -432,3 +435,109 @@ def test_closure_dump_shape(loan_closure):
     for record in dump["trace"]:
         assert set(record) == {"rule", "premises", "conclusion"}
         assert record["rule"] in RULE_NAMES
+
+
+# --- naming on read -------------------------------------------------------------
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts each PathFact, MediateCauseFact and TraceRecord constructed."""
+    counts = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            counts[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in (PathFact, MediateCauseFact, TraceRecord):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    return counts
+
+
+def _dense_n10():
+    names = [chr(ord("A") + i) for i in range(10)]
+    return CausalGraph(names, [tuple(edge.split(">")) for edge in DENSE_N10[0].split()])
+
+
+def test_close_builds_no_named_fact_or_trace_record(built, loan_graph):
+    for g in (loan_graph, _dense_n10()):
+        closure = close(g)
+        closure.read_mask(*sorted(g.nodes)[:2])
+        assert not built, sorted(g.edges)
+        assert closure.paths and closure.trace
+        built.clear()
+
+
+def test_facts_between_builds_exactly_that_pairs_facts(built, loan_graph):
+    for g, (x, y) in ((loan_graph, ("MS", "Loan")), (_dense_n10(), ("J", "A"))):
+        closure = close(g)
+        facts = closure.facts_between(x, y)
+        assert facts and built == {"PathFact": len(facts)}
+        assert closure.facts_between(y, x) is facts
+        # The first transmitting fact is one already named.
+        assert closure.first_open(x, y, 0) is facts[0]
+        assert built == {"PathFact": len(facts)}
+        built.clear()
+
+
+def test_first_open_names_only_the_fact_it_returns(built):
+    closure = close(_dense_n10())
+    assert closure.first_open("A", "J", 0) is not None
+    assert built == {"PathFact": 1}
+
+
+READ_FIRST = {
+    "trace": lambda closure, pairs: closure.trace,
+    "paths": lambda closure, pairs: closure.paths,
+    "facts_between": lambda closure, pairs: [closure.facts_between(x, y) for x, y in pairs],
+    "closure_dump": lambda closure, pairs: closure_dump(closure),
+}
+
+
+def _naming_family():
+    rng = random.Random(41)
+    yield from (g for n in range(1, 5) for g in enumerate_dags(n))
+    yield from (random_dag(rng, max_nodes=7) for _ in range(50))
+
+
+def test_every_read_order_gives_one_dump_and_one_object_per_fact():
+    for g in _naming_family():
+        names = sorted(g.nodes)
+        pairs = list(itertools.combinations(names, 2))
+        masks = (0, (1 << len(names)) - 1, *(1 << i for i in range(len(names))))
+        want = closure_dump(close(g))
+        for first, read in READ_FIRST.items():
+            closure = close(g)
+            read(closure, pairs)
+            assert closure_dump(closure) == want, (first, sorted(g.edges))
+            seen = {}
+
+            def one(fact):
+                assert seen.setdefault(fact, fact) is fact, (first, fact)
+
+            for fact in (*closure.paths, *closure.mediate):
+                one(fact)
+            for record in closure.trace:
+                one(record.conclusion)
+                for premise in record.premises:
+                    if not isinstance(premise, str):
+                        one(premise)
+            for x, y in pairs:
+                for fact in closure.facts_between(y, x):
+                    one(fact)
+                for mask in masks:
+                    fact = closure.first_open(x, y, mask)
+                    if fact is not None:
+                        one(fact)
+                    for fact, _ in closure.audit(x, y, mask):
+                        one(fact)
+                for record in closure.trace_between(x, y):
+                    one(record.conclusion)
+            for fact, _ in closure.derivations():
+                one(fact)
+            assert set(seen) == closure.paths | closure.mediate
