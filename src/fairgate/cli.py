@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .closure import close, closure_dump, resolve_fact_budget
+from .closure import close, closure_dump, mediate_text, path_fact_text, resolve_fact_budget
 from .errors import InputError, ResourceLimit
 from .fairness import (
     DEFAULT_SUBSET_CAP,
@@ -227,15 +227,11 @@ def _frac_text(s: str) -> str:
 def _paths_text(payload: dict) -> str:
     lines = [f"mediate facts: {len(payload['mediate'])}"]
     for m in payload["mediate"]:
-        joined = ",".join(m["intermediates"])
-        lines.append(f"  {m['source']} |>^{{{joined}}} {m['target']}")
+        lines.append("  " + mediate_text(m["source"], m["target"], m["intermediates"]))
     lines.append(f"path facts: {len(payload['paths'])}")
     for p in payload["paths"]:
-        sets = ",".join("{" + ",".join(s) + "}" for s in p["colliderSets"])
-        lines.append(
-            f"  {p['left']} <>^{{{','.join(p['noncolliders'])}}}_{{{sets}}} {p['right']}"
-            f"  via {'-'.join(p['certifyingPath'])}"
-        )
+        text = path_fact_text(p["left"], p["right"], p["noncolliders"], p["colliderSets"])
+        lines.append(f"  {text}  via {'-'.join(p['certifyingPath'])}")
     lines.append(f"rule firings: {len(payload['trace'])}")
     return "\n".join(lines)
 
@@ -270,11 +266,8 @@ def _weaken_text(payload: dict) -> str:
             status = "OPEN"
         else:
             status = f"blocked by {reason['kind']} {{{','.join(reason['nodes'])}}}"
-        sets = ",".join("{" + ",".join(s) + "}" for s in f["colliderSets"])
-        lines.append(
-            f"  fact {f['endpoints'][0]} <>^{{{','.join(f['noncolliders'])}}}_{{{sets}}}"
-            f" {f['endpoints'][1]}: {status}"
-        )
+        text = path_fact_text(*f["endpoints"], f["noncolliders"], f["colliderSets"])
+        lines.append(f"  fact {text}: {status}")
     if "weakened" in payload and payload["weakened"] is not None:
         lines.append(f"weakened judgment: {payload['weakened']}")
     return "\n".join(lines)

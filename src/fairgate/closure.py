@@ -12,7 +12,7 @@ deliberately kept separate:
 
 Cross-checking the two is part of the test contract; nothing in this
 module shares state between them.  Each decides on int node masks (bit i
-for the i-th node in sorted order, ``CausalGraph.node_mask``) with its own
+for ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with its own
 scan: ``Closure.first_open`` over the facts' masks, ``dsep_oracle`` over
 ``oracle_rows``, which are read from the graph alone.
 
@@ -28,7 +28,8 @@ conclusion key.  One step of ``close``, ``derive``, makes each path fact,
 whether a window or Transitivity* concludes it, and keeps one key per
 derivation.  ``Closure`` builds each named fact and trace record once, on
 its first read, so a verdict names only the node pair it reads.  A fact is
-rendered to text only where it is printed.
+rendered to text only where it is printed, by ``path_fact_text`` or
+``mediate_text``, the one renderer of each notation.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ __all__ = [
     "trace_record_json",
     "sorted_collider_sets",
     "render_path_fact",
+    "path_fact_text",
+    "mediate_text",
 ]
 
 DEFAULT_FACT_BUDGET = 10**6
@@ -109,8 +112,8 @@ class MediateCauseFact:
 
     @cached_property
     def text(self) -> str:
-        """``_render_mediate(self)``, rendered on first use."""
-        return _render_mediate(self)
+        """The fact's ``mediate_text``, rendered on first use."""
+        return mediate_text(self.source, self.target, sorted(self.intermediates))
 
 
 @dataclass(frozen=True)
@@ -173,28 +176,45 @@ def _render_edge(source: str, target: str) -> str:
     return f"{source} -> {target}"
 
 
-def _render_set(nodes) -> str:
-    return "{" + ",".join(sorted(nodes)) + "}"
-
-
 def sorted_collider_sets(sets) -> list[list[str]]:
     """A fact's collider sets as sorted name lists, in their one canonical order."""
     return sorted(sorted(s) for s in sets)
 
 
-def _render_family(sets) -> str:
-    return "{" + ",".join(map(_render_set, sorted_collider_sets(sets))) + "}"
+def mediate_text(source: str, target: str, intermediates) -> str:
+    """The notation ``X |>^{I} Y`` of a mediate fact, from its sorted name list."""
+    return f"{source} |>^{{{','.join(intermediates)}}} {target}"
 
 
-def _render_mediate(fact: MediateCauseFact) -> str:
-    return f"{fact.source} |>^{_render_set(fact.intermediates)} {fact.target}"
+def path_fact_text(left: str, right: str, noncolliders, collider_sets) -> str:
+    """The notation ``X <>^{N}_{C} Y`` of a path fact, from its sorted name
+    list and its collider sets as ``sorted_collider_sets`` orders them."""
+    sets = ",".join(["{" + ",".join(s) + "}" for s in collider_sets])
+    return f"{left} <>^{{{','.join(noncolliders)}}}_{{{sets}}} {right}"
 
 
 def render_path_fact(fact: PathFact) -> str:
-    return (
-        f"{fact.left} <>^{_render_set(fact.noncolliders)}"
-        f"_{_render_family(fact.collider_sets)} {fact.right}"
+    return path_fact_text(
+        fact.left, fact.right, sorted(fact.noncolliders), sorted_collider_sets(fact.collider_sets)
     )
+
+
+class _Memo(dict):
+    """A dict that builds, stores and returns ``build(key)`` for a missing key."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        # dict.__new__ has made the empty dict; dict.__init__ would add nothing.
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _pair(x: str, y: str) -> tuple[str, str]:
+    return (x, y) if x <= y else (y, x)
 
 
 class Closure:
@@ -202,32 +222,32 @@ class Closure:
 
     ``close`` leaves every fact as an int key: a mediate fact as (source,
     target, intermediates mask), a path fact as (left, right, noncollider
-    mask, collider-set masks), with node i the i-th graph node in sorted
-    order, as in ``CausalGraph.node_mask``.  The named objects are built
-    here on first read, each once: equal facts are one ``PathFact`` or
-    ``MediateCauseFact``, and each trace position one ``TraceRecord``,
-    whichever of ``paths``, ``mediate``, ``trace``, ``facts_between``,
-    ``first_open``, ``audit``, ``trace_between`` or ``derivations``
-    reads it first.  A node pair's fact keys are sorted into canonical
-    order on the pair's first read, and index order is name order, so the
-    ints sort as the names do.  ``first_open``, the one Condition 2 scan,
-    reads the keys' masks and names only the fact it returns;
-    ``read_mask`` is the union of a pair's masks.  ``audit`` pairs the
-    pair's facts with their ``blocking_reason``s, each distinct pair and
-    each distinct audit built once per closure.  A fact is rendered to
-    text only where it is printed.
+    mask, collider-set masks), with node i ``graph.names[i]``, as in
+    ``CausalGraph.node_mask``.  The named objects are built here on first
+    read, each once, by one ``_Memo`` per kind of key: equal facts are one
+    ``PathFact`` or ``MediateCauseFact``, and each trace position one
+    ``TraceRecord``, whichever of ``paths``, ``mediate``, ``trace``,
+    ``facts_between``, ``first_open``, ``audit``, ``trace_between`` or
+    ``derivations`` reads it first.  A memo's build reads the closure's data
+    and the other memos, never the closure, so no reference cycle keeps a
+    dropped closure alive.  A node pair's fact keys are sorted into
+    canonical order on the pair's first read, and index order is name
+    order, so the ints sort as the names do.  ``first_open``, the one
+    Condition 2 scan, reads the keys' masks and names only the fact it
+    returns; ``read_mask`` is the union of a pair's masks.  ``audit`` pairs
+    the pair's facts with their ``blocking_reason``s, each distinct pair and
+    each distinct audit built once per closure.  A fact is rendered to text
+    only where it is printed.
     """
 
     __slots__ = (
-        "graph", "_names", "_index", "_mediate", "_certifying", "_derived", "_trace",
-        "_named", "_sets", "_indices", "_records", "_whole", "_groups", "_pairs", "_facts",
-        "_traces", "_audits", "_entries", "_consed",
+        "graph", "_mediate", "_certifying", "_derived", "_trace", "_bits", "_nodes", "_facts",
+        "_records", "_whole", "_pairs", "_between", "_traces", "_entries", "_consed",
     )
 
-    def __init__(self, graph, names, mediate, certifying, derived, trace):
+    def __init__(self, graph, mediate, certifying, derived, trace):
         self.graph: CausalGraph = graph
-        self._names: list[str] = names
-        self._index = {v: i for i, v in enumerate(names)}
+        names, index = graph.names, graph.index
         # Mediate fact keys, in derivation order.
         self._mediate: dict[tuple[int, int, int], None] = mediate
         # Path fact key -> (its first certifying node-index path, position of
@@ -238,149 +258,106 @@ class Closure:
         # (rule, premises, conclusion key) per record; a premise is an edge's
         # text or a fact key.
         self._trace: list[tuple] = trace
+
+        # Node mask -> its bit indices ascending, and -> its frozenset of names.
+        bits = self._bits = _Memo(
+            lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+        )
+        nodes = self._nodes = _Memo(lambda mask: frozenset([names[i] for i in bits[mask]]))
+
+        def name_fact(key):
+            if len(key) == 3:
+                return MediateCauseFact(names[key[0]], names[key[1]], nodes[key[2]])
+            return PathFact(
+                names[key[0]], names[key[1]], nodes[key[2]], frozenset([nodes[s] for s in key[3]])
+            )
+
         # Fact key -> its one named fact; trace position -> its one TraceRecord.
-        self._named: dict[tuple, MediateCauseFact | PathFact] = {}
-        self._records: dict[int, TraceRecord] = {}
-        # Node mask -> its frozenset of names, and -> its bit indices ascending.
-        self._sets: dict[int, frozenset[str]] = {}
-        self._indices: dict[int, tuple[int, ...]] = {}
-        # "mediate", "paths", "trace" -> the property's value, built on first read.
-        self._whole: dict[str, object] = {}
-        # (left, right) -> that pair's fact keys, grouped on the first pair read.
-        self._groups: dict[tuple[int, int], list[tuple]] | None = None
-        # (x, y) -> the fact keys of facts_between(x, y), sorted on the pair's first read.
-        self._pairs: dict[tuple[str, str], tuple[tuple, ...]] = {}
-        # (x, y) -> facts_between(x, y) and trace_between(x, y), built on first call.
-        self._facts: dict[tuple[str, str], tuple[PathFact, ...]] = {}
-        self._traces: dict[tuple[str, str], tuple[TraceRecord, ...]] = {}
-        # (x, y) -> (union of the read masks, per fact of facts_between(x, y) the
-        # mask of the nodes its reason reads, {conditioning & union: audit}).
-        self._audits: dict[tuple[str, str], tuple[int, tuple[int, ...], dict]] = {}
+        facts = self._facts = _Memo(name_fact)
+        fact = facts.__getitem__
+
+        def name_record(position):
+            rule, premises, key = trace[position]
+            premises = tuple([p if type(p) is str else fact(p) for p in premises])
+            return TraceRecord(rule, premises, fact(key))
+
+        records = self._records = _Memo(name_record)
+        record = records.__getitem__
+
+        def group_pairs():
+            groups = defaultdict(list)
+            for key in certifying:
+                groups[key[0], key[1]].append(key)
+            return groups
+
+        # "mediate", "paths", "trace" -> that property's value; "groups" ->
+        # (left, right) -> that pair's fact keys.
+        builds = {
+            "mediate": lambda: frozenset(map(fact, mediate)),
+            "paths": lambda: frozenset(map(fact, certifying)),
+            "trace": lambda: tuple(map(record, range(len(trace)))),
+            "groups": group_pairs,
+        }
+        whole = self._whole = _Memo(lambda name: builds[name]())
+
+        # The rest are keyed by a node pair (x, y) with x <= y.
+        order = _order(bits)
+
+        def read_pair(pair):
+            found = whole["groups"].get((index.get(pair[0]), index.get(pair[1])), ())
+            keys = tuple(sorted(found, key=order))
+            reads = tuple([reduce(or_, key[3], key[2]) for key in keys])
+            return keys, reduce(or_, reads, 0), reads, {}
+
+        # Pair -> (the fact keys of facts_between(x, y) in canonical order, the
+        # union of their read masks, per key the mask of the nodes its reason
+        # reads, {conditioning & union: audit}).
+        pairs = self._pairs = _Memo(read_pair)
+        self._between = _Memo(lambda pair: tuple(map(fact, pairs[pair][0])))
+        self._traces = _Memo(
+            lambda pair: tuple(map(record, sorted([certifying[k][1] for k in pairs[pair][0]])))
+        )
         # ((x, y), fact position, conditioning & its read mask) -> (fact, reason).
         self._entries: dict[tuple, tuple[PathFact, BlockReason | None]] = {}
         # Hash-consing table: an entry or an audit -> the one equal object kept.
         self._consed: dict[tuple, tuple] = {}
 
-    # -- naming, once per key ---------------------------------------------------
-
-    def _nodes(self, mask: int) -> frozenset[str]:
-        found = self._sets.get(mask)
-        if found is None:
-            names = self._names
-            found = self._sets[mask] = frozenset([names[i] for i in self._bits(mask)])
-        return found
-
-    def _bits(self, mask: int) -> tuple[int, ...]:
-        """The indices of the set bits of ``mask``, ascending."""
-        found = self._indices.get(mask)
-        if found is None:
-            found = self._indices[mask] = tuple(
-                [i for i in range(mask.bit_length()) if mask >> i & 1]
-            )
-        return found
-
-    def _fact(self, key: tuple):
-        """The named fact of a mediate (3-int) or path (4-field) fact key."""
-        fact = self._named.get(key)
-        if fact is None:
-            names, nodes = self._names, self._nodes
-            if len(key) == 3:
-                fact = MediateCauseFact(names[key[0]], names[key[1]], nodes(key[2]))
-            else:
-                fact = PathFact(
-                    names[key[0]], names[key[1]], nodes(key[2]), frozenset(map(nodes, key[3]))
-                )
-            self._named[key] = fact
-        return fact
-
-    def _record(self, position: int) -> TraceRecord:
-        record = self._records.get(position)
-        if record is None:
-            rule, premises, key = self._trace[position]
-            fact = self._fact
-            record = self._records[position] = TraceRecord(
-                rule, tuple([p if type(p) is str else fact(p) for p in premises]), fact(key)
-            )
-        return record
-
-    def _order(self, key: tuple):
-        """A path fact key's canonical sort key: endpoints, noncolliders, then
-        the sorted collider sets, each as ascending node indices."""
-        bits = self._bits
-        return (key[0], key[1], bits(key[2]), sorted(map(bits, key[3])))
-
     @property
     def mediate(self) -> frozenset[MediateCauseFact]:
-        whole = self._whole
-        if "mediate" not in whole:
-            whole["mediate"] = frozenset(map(self._fact, self._mediate))
-        return whole["mediate"]
+        return self._whole["mediate"]
 
     @property
     def paths(self) -> frozenset[PathFact]:
-        whole = self._whole
-        if "paths" not in whole:
-            whole["paths"] = frozenset(map(self._fact, self._certifying))
-        return whole["paths"]
+        return self._whole["paths"]
 
     @property
     def trace(self) -> tuple[TraceRecord, ...]:
         """Every productive rule firing, in derivation order."""
-        whole = self._whole
-        if "trace" not in whole:
-            whole["trace"] = tuple(map(self._record, range(len(self._trace))))
-        return whole["trace"]
+        return self._whole["trace"]
 
     # -- one node pair ----------------------------------------------------------
 
-    def _keys(self, x: str, y: str) -> tuple[tuple, ...]:
-        """The fact keys of ``facts_between(x, y)``, sorted on the pair's first read."""
-        pair = (x, y) if x <= y else (y, x)
-        keys = self._pairs.get(pair)
-        if keys is None:
-            groups = self._groups
-            if groups is None:
-                groups = self._groups = defaultdict(list)
-                for key in self._certifying:
-                    groups[key[0], key[1]].append(key)
-            index = self._index
-            found = groups.get((index.get(pair[0]), index.get(pair[1])), ())
-            keys = self._pairs[pair] = tuple(sorted(found, key=self._order))
-        return keys
-
     def certifying_path(self, fact: PathFact) -> tuple[str, ...]:
         """The first simple path that certified the fact, left to right."""
-        mask = self.graph.node_mask
+        g = self.graph
         key = (
-            self._index[fact.left],
-            self._index[fact.right],
-            mask(fact.noncolliders),
-            frozenset(map(mask, fact.collider_sets)),
+            g.index[fact.left],
+            g.index[fact.right],
+            g.node_mask(fact.noncolliders),
+            frozenset(map(g.node_mask, fact.collider_sets)),
         )
-        names = self._names
-        return tuple([names[i] for i in self._certifying[key][0]])
+        return tuple([g.names[i] for i in self._certifying[key][0]])
 
     def trace_between(self, x: str, y: str) -> tuple[TraceRecord, ...]:
         """The records that derived ``facts_between(x, y)``, in trace order.
 
         Built on the pair's first call, so every verdict of a pair shares one tuple.
         """
-        pair = (x, y) if x <= y else (y, x)
-        trace = self._traces.get(pair)
-        if trace is None:
-            certifying = self._certifying
-            trace = self._traces[pair] = tuple(
-                map(self._record, sorted([certifying[k][1] for k in self._keys(x, y)]))
-            )
-        return trace
+        return self._traces[_pair(x, y)]
 
     def facts_between(self, x: str, y: str) -> tuple[PathFact, ...]:
         """All path facts with endpoints {x, y}, in canonical order."""
-        pair = (x, y) if x <= y else (y, x)
-        facts = self._facts.get(pair)
-        if facts is None:
-            facts = self._facts[pair] = tuple(map(self._fact, self._keys(x, y)))
-        return facts
+        return self._between[_pair(x, y)]
 
     def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
         """The first fact of ``facts_between(x, y)`` that transmits given the
@@ -392,25 +369,16 @@ class Closure:
         facts' keys and names only the fact it returns.
         """
         met = conditioning.__and__
-        for key in self._keys(x, y):
+        for key in self._pairs[_pair(x, y)][0]:
             if not key[2] & conditioning and all(map(met, key[3])):
-                return self._fact(key)
+                return self._facts[key]
         return None
 
     def read_mask(self, x: str, y: str) -> int:
         """The node mask of every noncollider and collider-set node of
         ``facts_between(x, y)``: ``first_open(x, y, c)`` and ``audit(x, y, c)``
         read ``c`` only through its AND with this mask."""
-        return self._reads(x, y)[0]
-
-    def _reads(self, x: str, y: str) -> tuple[int, tuple[int, ...], dict]:
-        """The pair's ``_audits`` entry, built on its first call."""
-        pair = (x, y) if x <= y else (y, x)
-        found = self._audits.get(pair)
-        if found is None:
-            reads = tuple([reduce(or_, key[3], key[2]) for key in self._keys(x, y)])
-            found = self._audits[pair] = (reduce(or_, reads, 0), reads, {})
-        return found
+        return self._pairs[_pair(x, y)][1]
 
     def audit(
         self, x: str, y: str, conditioning: int
@@ -425,17 +393,17 @@ class Closure:
         audit is keyed by the mask ANDed with every fact's nodes.  Equal
         pairs, and equal audits, are one object per closure.
         """
-        pair = (x, y) if x <= y else (y, x)
-        read_all, reads, audits = self._reads(x, y)
+        pair = _pair(x, y)
+        _, read_all, reads, audits = self._pairs[pair]
         audit = audits.get(conditioning & read_all)
         if audit is None:
             entries, consed = self._entries, self._consed
             pairs = []
-            for i, (fact, read) in enumerate(zip(self.facts_between(x, y), reads)):
+            for i, (fact, read) in enumerate(zip(self._between[pair], reads)):
                 seen = conditioning & read
                 entry = entries.get((pair, i, seen))
                 if entry is None:
-                    entry = (fact, blocking_reason(fact, self._nodes(seen)))
+                    entry = (fact, blocking_reason(fact, self._nodes[seen]))
                     entry = entries[pair, i, seen] = consed.setdefault(entry, entry)
                 pairs.append(entry)
             audit = tuple(pairs)
@@ -444,11 +412,17 @@ class Closure:
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
         """Every recorded (fact, certifying path) pair."""
-        names, fact = self._names, self._fact
+        names, facts = self.graph.names, self._facts
         return frozenset(
-            (fact((path[0], path[-1], nc, cs)), tuple([names[i] for i in path]))
+            (facts[path[0], path[-1], nc, cs], tuple([names[i] for i in path]))
             for path, nc, cs in self._derived
         )
+
+
+def _order(bits: _Memo):
+    """A path fact key's canonical sort key: endpoints, noncolliders, then the
+    sorted collider sets, each as ascending node indices (``bits`` of a mask)."""
+    return lambda key: (key[0], key[1], bits[key[2]], sorted([bits[s] for s in key[3]]))
 
 
 def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
@@ -461,7 +435,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     fact and per new (path fact, certifying path) pair; rejected and
     repeated Transitivity* attempts are not charged.
 
-    Nodes are ints (node i is the i-th node in sorted order) and every
+    Nodes are ints (node i is ``g.names[i]``) and every
     fact is an int key: a mediate fact (source, target, intermediates
     mask), a path fact (left, right, noncollider mask, collider-set
     masks).  A trace entry is (rule, premises, conclusion key), where a
@@ -493,8 +467,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
             raise ResourceLimit(f"fact budget of {budget} exceeded while closing the graph")
 
     # Nodes are numbered in sorted order, so comparing indices compares names.
-    names = sorted(g.nodes)
-    index = {v: i for i, v in enumerate(names)}
+    names, index = g.names, g.index
     bit = [1 << i for i in range(len(names))]
     parents = [[index[p] for p in g.parents(v)] for v in names]
     children = [[index[c] for c in g.children(v)] for v in names]
@@ -591,7 +564,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
                 derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs1 | cs2, "Transitivity*",
                        (fact2, fact1) if is_backward else (fact1, fact2))
 
-    return Closure(g, names, mediate, certifying, derived, trace)
+    return Closure(g, mediate, certifying, derived, trace)
 
 
 def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:
@@ -692,29 +665,24 @@ def closure_dump(closure: Closure) -> dict:
     """JSON-ready closure listing with a deterministic order throughout.
 
     Read from the closure's int keys: the keys are sorted on indices, which
-    sort as the names do, each mask's name list is built once and shared,
-    and each trace entry is written from its raw record.
+    sort as the names do, and each mask's name list, each collider-set
+    family's and each fact's text are built once and shared.  No named
+    fact or ``TraceRecord`` is built.
     """
-    names, bits, fact = closure._names, closure._bits, closure._fact
-    lists: dict[int, list[str]] = {}
-    families: dict[frozenset[int], list[list[str]]] = {}
+    names, bits = closure.graph.names, closure._bits
+    named = _Memo(lambda mask: [names[i] for i in bits[mask]])
+    family = _Memo(lambda sets: [named[s] for s in sorted(sets, key=bits.__getitem__)])
 
-    def named(mask):
-        found = lists.get(mask)
-        if found is None:
-            found = lists[mask] = [names[i] for i in bits(mask)]
-        return found
+    def fact_text(key):
+        if len(key) == 3:
+            return mediate_text(names[key[0]], names[key[1]], named[key[2]])
+        return path_fact_text(names[key[0]], names[key[1]], named[key[2]], family[key[3]])
 
-    def family(sets):
-        found = families.get(sets)
-        if found is None:
-            found = families[sets] = [named(s) for s in sorted(sets, key=bits)]
-        return found
-
+    text = _Memo(fact_text)
     mediate = [
-        {"source": names[source], "target": names[target], "intermediates": named(mask)}
+        {"source": names[source], "target": names[target], "intermediates": named[mask]}
         for source, target, mask in sorted(
-            closure._mediate, key=lambda key: (key[0], key[1], bits(key[2]))
+            closure._mediate, key=lambda key: (key[0], key[1], bits[key[2]])
         )
     ]
     certifying = closure._certifying
@@ -722,23 +690,20 @@ def closure_dump(closure: Closure) -> dict:
         {
             "left": names[key[0]],
             "right": names[key[1]],
-            "noncolliders": named(key[2]),
-            "colliderSets": family(key[3]),
+            "noncolliders": named[key[2]],
+            "colliderSets": family[key[3]],
             "certifyingPath": [names[i] for i in certifying[key][0]],
         }
-        for key in sorted(certifying, key=closure._order)
+        for key in sorted(certifying, key=_order(bits))
     ]
-    # A premise fact is the conclusion of an earlier record, so each fact's
-    # text is rendered once, for the record that concludes it.
-    texts: dict[tuple, str] = {}
-    trace = []
-    for rule, premises, key in closure._trace:
-        text = texts[key] = fact(key).text
-        trace.append({
+    trace = [
+        {
             "rule": rule,
-            "premises": [p if type(p) is str else texts[p] for p in premises],
-            "conclusion": text,
-        })
+            "premises": [p if type(p) is str else text[p] for p in premises],
+            "conclusion": text[key],
+        }
+        for rule, premises, key in closure._trace
+    ]
     return {"mediate": mediate, "paths": paths, "trace": trace}
 
 

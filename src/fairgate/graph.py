@@ -46,10 +46,14 @@ class CausalGraph:
     """A directed acyclic graph of variables.
 
     ``nodes`` and ``edges`` are frozensets; all query methods are pure, so
-    instances can be shared freely (including across threads).
+    instances can be shared freely (including across threads).  ``names``
+    is the nodes in sorted order and ``index`` maps each name to its
+    position there: node i is ``names[i]`` in every int node mask and key.
     """
 
-    __slots__ = ("nodes", "edges", "_parents", "_children", "_neighbors", "_descendants", "_bits")
+    __slots__ = (
+        "nodes", "edges", "names", "index", "_parents", "_children", "_neighbors", "_descendants",
+    )
 
     def __init__(self, nodes=(), edges=()):
         node_set = set()
@@ -73,6 +77,8 @@ class CausalGraph:
 
         self.nodes: frozenset[str] = frozenset(node_set)
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_list)
+        self.names: tuple[str, ...] = tuple(sorted(node_set))
+        self.index: dict[str, int] = {v: i for i, v in enumerate(self.names)}
 
         parents: dict[str, list[str]] = {v: [] for v in node_set}
         children: dict[str, list[str]] = {v: [] for v in node_set}
@@ -85,7 +91,6 @@ class CausalGraph:
             v: tuple(sorted(set(parents[v]) | set(children[v]))) for v in node_set
         }
         self._descendants: dict[str, frozenset[str]] = {}
-        self._bits = {v: 1 << i for i, v in enumerate(sorted(node_set))}
 
         cycle = self._find_cycle()
         if cycle is not None:
@@ -95,7 +100,7 @@ class CausalGraph:
         # Iterative colored DFS; returns a closed walk [a, ..., a] if one exists.
         WHITE, GRAY, BLACK = 0, 1, 2
         color = {v: WHITE for v in self.nodes}
-        for root in sorted(self.nodes):
+        for root in self.names:
             if color[root] != WHITE:
                 continue
             stack: list[tuple[str, int]] = [(root, 0)]
@@ -156,12 +161,12 @@ class CausalGraph:
         return result
 
     def node_mask(self, names) -> int:
-        """The int with bit i set for each given name that is the i-th node in
-        sorted order: the node numbering every int node mask uses."""
+        """The int with bit i set for each given name that is ``names[i]``:
+        the node numbering every int node mask uses."""
         mask = 0
         try:
             for name in names:
-                mask |= self._bits[name]
+                mask |= 1 << self.index[name]
         except KeyError as exc:
             raise UnknownVariable(f"variable {exc.args[0]!r} is not a node of the graph") from None
         return mask

@@ -63,6 +63,12 @@ def _check_atom(atom) -> str:
     bad = sorted(set(atom) & RESERVED_ATOM_CHARS)
     if bad:
         raise MalformedValue(f"atom {atom!r} contains reserved characters: {''.join(bad)!r}")
+    # A command-line byte that is not UTF-8 arrives as a lone surrogate,
+    # which no report could print as UTF-8.
+    try:
+        atom.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedValue(f"atom {atom!r} is not UTF-8 text") from None
     return atom
 
 

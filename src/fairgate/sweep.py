@@ -184,8 +184,8 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     report each whose projection disagreed; names are built only then.
     """
     closure = close(g, fact_budget=fact_budget)
-    nodes = sorted(g.nodes)
-    everything = g.node_mask(nodes)
+    nodes = g.names
+    everything = (1 << len(nodes)) - 1
     discrepancies = []
     checks = 0
     for x, y in combinations(nodes, 2):
@@ -216,7 +216,7 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
             if by_rules is not None:
                 discrepancies.append(
                     Discrepancy(
-                        nodes=tuple(nodes),
+                        nodes=nodes,
                         edges=tuple(sorted(g.edges)),
                         x=x,
                         y=y,

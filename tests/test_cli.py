@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +16,7 @@ from jsonschema import Draft202012Validator
 import fairgate
 from fairgate.cli import _json_pieces, main, render_json
 from fairgate.fairness import fraction_str
+from fairgate.sweep import random_dag
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"
 
@@ -656,6 +661,37 @@ def test_stream_that_cannot_encode_a_report_gets_none_of_it(capsys, tmp_path, mo
     assert capsys.readouterr().err.startswith("internal error: UnicodeEncodeError: ")
 
 
+def _weaken_inputs(data_dir, tmp_path, graph):
+    """Graph and judgment files of a ``weaken`` request, and its attribute
+    variable: ``loan`` or ``random19``, a 10-node ``random_dag`` with 19 edges."""
+    if graph == "loan":
+        return data_dir / "loan.cg", data_dir / "loan.jdg", "MS"
+    g = random_dag(random.Random(1), max_nodes=10, min_nodes=10, edge_prob=0.4)
+    assert len(g.edges) == 19
+    (tmp_path / "g.cg").write_text("".join(f"{a} -> {b}\n" for a, b in sorted(g.edges)))
+    (tmp_path / "j.jdg").write_text("H=a => B=yes @ 1/2\n")
+    return tmp_path / "g.cg", tmp_path / "j.jdg", "A"
+
+
+@pytest.mark.parametrize("graph", ["loan", "random19"])
+@pytest.mark.parametrize("io_encoding", ["utf-8:surrogateescape", "utf-8:strict"])
+def test_a_value_that_is_not_utf8_is_refused_before_any_report(
+    data_dir, tmp_path, graph, io_encoding
+):
+    # A command-line byte that is not UTF-8 reaches Python as a lone
+    # surrogate; as an atom it would be printed in "weakened".
+    graph_file, judgment, variable = _weaken_inputs(data_dir, tmp_path, graph)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONIOENCODING": io_encoding}
+    argv = [
+        sys.executable, "-m", "fairgate.cli", "weaken", "--graph", str(graph_file),
+        "--judgment", str(judgment), "--attr", os.fsencode(variable) + b"=\xff",
+    ]
+    result = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stdout) == (2, b""), result.stderr
+    assert b"is not UTF-8 text" in result.stderr
+
+
 @pytest.mark.parametrize(
     "flags, complaint",
     [
@@ -829,6 +865,39 @@ def test_text_format_paths(capsys, data_dir):
     assert out.startswith("mediate facts: 9\n")
 
 
+def _between(lines, first, last):
+    return lines[lines.index(first) + 1:lines.index(last)]
+
+
+@pytest.mark.parametrize("graph", ["loan", "random19"])
+def test_text_fact_lines_carry_the_notation_of_the_json_trace(capsys, data_dir, tmp_path, graph):
+    graph_file, judgment, variable = _weaken_inputs(data_dir, tmp_path, graph)
+    # paths: every fact is the conclusion of exactly one trace record.
+    argv = ["paths", "--graph", str(graph_file)]
+    _, out, _ = run(capsys, argv)
+    payload = json.loads(out)
+    _, text, _ = run(capsys, [*argv, "--format", "text"])
+    lines = text.splitlines()
+    mediate = _between(lines, f"mediate facts: {len(payload['mediate'])}",
+                       f"path facts: {len(payload['paths'])}")
+    paths = _between(lines, f"path facts: {len(payload['paths'])}",
+                     f"rule firings: {len(payload['trace'])}")
+    assert all(line.startswith("  ") and " |>^{" in line for line in mediate)
+    assert all(line.startswith("  ") and " <>^{" in line for line in paths)
+    shown = [line.strip() for line in mediate] + [line.split("  via ")[0].strip() for line in paths]
+    assert sorted(shown) == sorted(record["conclusion"] for record in payload["trace"])
+    # weaken: the rule trace concludes each examined fact once.
+    argv = ["weaken", "--graph", str(graph_file), "--judgment", str(judgment),
+            "--attr", f"{variable}=x"]
+    _, out, _ = run(capsys, argv)
+    payload = json.loads(out)
+    _, text, _ = run(capsys, [*argv, "--format", "text"])
+    facts = [line for line in text.splitlines() if line.startswith("  fact ")]
+    assert len(facts) == len(payload["facts"]) > 0
+    shown = [line.removeprefix("  fact ").partition(": ")[0] for line in facts]
+    assert sorted(shown) == sorted(record["conclusion"] for record in payload["ruleTrace"])
+
+
 def test_text_format_oracle(capsys):
     code, out, err = run(capsys, ["oracle", "--max-nodes", "3", "--format", "text"])
     assert (code, err) == (0, "")
@@ -874,10 +943,20 @@ def _or_bytes(draw, text):
 
 
 _name = st.sampled_from(NAMES)
-_attribution = st.builds("{}={}".format, _name, st.sampled_from(VALUES))
-_context_text = st.dictionaries(_name, st.sampled_from(VALUES), max_size=3).map(
-    lambda d: ", ".join(f"{k}={v}" for k, v in d.items())
-)
+_value = st.sampled_from(VALUES)
+# A command-line byte that is not UTF-8 arrives as a lone surrogate.  Only
+# argv draws it: the file texts stay UTF-8, as _or_bytes encodes them.
+_argv_value = st.sampled_from((*VALUES, "x\udcff"))
+_attribution = st.builds("{}={}".format, _name, _argv_value)
+
+
+def _context(values):
+    return st.dictionaries(_name, values, max_size=3).map(
+        lambda d: ", ".join(f"{k}={v}" for k, v in d.items())
+    )
+
+
+_context_text = _context(_value)
 # Every name is a node and edges follow the order of NAMES, so the text
 # parses to a DAG; malformed graphs come from the bytes branch.
 _edge = st.tuples(_name, _name).filter(lambda e: e[0] != e[1])
@@ -905,7 +984,7 @@ _AUDIT = {
     "--graph": st.just("g.cg"),
     "--dataset": st.just("d.csv"),
     "--context": st.just("c.ctx"),
-    "--context-inline": _context_text,
+    "--context-inline": _context(_argv_value),
     "--epsilon": st.sampled_from(("0", "1/20", "0.05", "1/3", "1e-3", "-1", "1/0", "nan")),
 }
 # Per subcommand: the flags always given, then the flags given half the time.
@@ -955,6 +1034,11 @@ def _invocations(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_invocations())
+# An admissible weakening whose new value is not UTF-8.
+@example((
+    ["weaken", "--graph", "g.cg", "--judgment", "j.jdg", "--attr", "A=x\udcff"],
+    {"g.cg": b"node A\nnode B\n", "j.jdg": b" => B=x @ 1/2\n"},
+))
 def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path_factory, invocation):
     argv, files = invocation
     workdir = tmp_path_factory.mktemp("fuzz")
@@ -972,6 +1056,7 @@ def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path_factory, invoca
     assert "Traceback" not in err.getvalue()
     if code in (0, 1):
         out = out.getvalue()
+        out.encode("utf-8")
         payload = json.loads(out)
         validate(payload, f"{argv[0]}.schema.json")
         assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

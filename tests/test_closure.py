@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -468,6 +469,8 @@ def test_close_builds_no_named_fact_or_trace_record(built, loan_graph):
     for g in (loan_graph, _dense_n10()):
         closure = close(g)
         closure.read_mask(*sorted(g.nodes)[:2])
+        # The paths report renders every fact's text from the keys alone.
+        closure_dump(closure)
         assert not built, sorted(g.edges)
         assert closure.paths and closure.trace
         built.clear()
@@ -541,3 +544,23 @@ def test_every_read_order_gives_one_dump_and_one_object_per_fact():
             for fact, _ in closure.derivations():
                 one(fact)
             assert set(seen) == closure.paths | closure.mediate
+
+
+def test_a_fully_read_closure_is_freed_by_reference_counting(loan_graph):
+    # Each memo's build reads the closure's data and the other memos, never
+    # the closure, so dropping the closure leaves no cycle to collect.
+    for g in (loan_graph, _dense_n10()):
+        gc.collect()
+        closure = close(g)
+        closure_dump(closure)
+        for fact, _ in closure.derivations():
+            closure.certifying_path(fact)
+        assert closure.mediate and closure.trace
+        names = g.names
+        for x, y in itertools.permutations(names, 2):
+            closure.trace_between(x, y)
+            for mask in (0, (1 << len(names)) - 1):
+                closure.first_open(x, y, mask)
+                closure.audit(x, y, mask)
+        del closure
+        assert gc.collect() == 0, sorted(g.edges)
