@@ -13,7 +13,9 @@ deliberately kept separate:
 Cross-checking the two is part of the test contract; nothing in this
 module shares state between them.  Each decides on int node masks (bit i
 for ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with its own
-scan: ``Closure.first_open`` over the facts' masks, ``dsep_oracle`` over
+test: Condition 2 has one, ``_block``, on a fact's masks, which both
+``Closure.first_open`` (the sweep's decision) and ``Closure.audit`` (a
+verdict's decision and printed reasons) read; ``dsep_oracle`` scans
 ``oracle_rows``, which are read from the graph alone.
 
 Every path fact is certified by a concrete simple undirected path.
@@ -55,7 +57,6 @@ __all__ = [
     "Closure",
     "close",
     "resolve_fact_budget",
-    "blocking_reason",
     "dsep_oracle",
     "enumerate_classified_paths",
     "oracle_rows",
@@ -230,19 +231,18 @@ class Closure:
     ``facts_between``, ``first_open``, ``audit``, ``trace_between`` or
     ``derivations`` reads it first.  A memo's build reads the closure's data
     and the other memos, never the closure, so no reference cycle keeps a
-    dropped closure alive.  A node pair's fact keys are sorted into
-    canonical order on the pair's first read, and index order is name
-    order, so the ints sort as the names do.  ``first_open``, the one
-    Condition 2 scan, reads the keys' masks and names only the fact it
-    returns; ``read_mask`` is the union of a pair's masks.  ``audit`` pairs
-    the pair's facts with their ``blocking_reason``s, each distinct pair and
-    each distinct audit built once per closure.  A fact is rendered to text
-    only where it is printed.
+    dropped closure alive.  A node pair's record is built on the pair's
+    first read: its fact keys in canonical order (index order is name
+    order, so the ints sort as the names do), ``read_mask``, the union of
+    their masks, and its audit tables.  Condition 2 is one mask test,
+    ``_block``: ``first_open`` returns the first key it leaves unblocked
+    and names only that fact, and ``audit`` words each key's block as a
+    ``BlockReason``.  A fact is rendered to text only where it is printed.
     """
 
     __slots__ = (
         "graph", "_mediate", "_certifying", "_derived", "_trace", "_bits", "_nodes", "_facts",
-        "_records", "_whole", "_pairs", "_between", "_traces", "_entries", "_consed",
+        "_records", "_whole", "_pairs", "_between", "_traces",
     )
 
     def __init__(self, graph, mediate, certifying, derived, trace):
@@ -300,27 +300,33 @@ class Closure:
         }
         whole = self._whole = _Memo(lambda name: builds[name]())
 
+        def name_entry(entry):
+            key, block = entry
+            if block is None:
+                return fact(key), None
+            # A collider set holds its collider, which is no noncollider of
+            # the fact, so only a noncollider block lies inside the noncolliders.
+            kind = "collider-set" if block & ~key[2] else "noncollider"
+            return fact(key), BlockReason(kind, nodes[block])
+
         # The rest are keyed by a node pair (x, y) with x <= y.
         order = _order(bits)
 
         def read_pair(pair):
             found = whole["groups"].get((index.get(pair[0]), index.get(pair[1])), ())
             keys = tuple(sorted(found, key=order))
-            reads = tuple([reduce(or_, key[3], key[2]) for key in keys])
-            return keys, reduce(or_, reads, 0), reads, {}
+            read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
+            return keys, read, {}, _Memo(name_entry)
 
         # Pair -> (the fact keys of facts_between(x, y) in canonical order, the
-        # union of their read masks, per key the mask of the nodes its reason
-        # reads, {conditioning & union: audit}).
+        # union of their noncollider and collider-set masks, {conditioning &
+        # that union, or the tuple of the keys' blocks: audit}, (key, block) ->
+        # (fact, reason)).  An int key never equals a tuple key.
         pairs = self._pairs = _Memo(read_pair)
         self._between = _Memo(lambda pair: tuple(map(fact, pairs[pair][0])))
         self._traces = _Memo(
             lambda pair: tuple(map(record, sorted([certifying[k][1] for k in pairs[pair][0]])))
         )
-        # ((x, y), fact position, conditioning & its read mask) -> (fact, reason).
-        self._entries: dict[tuple, tuple[PathFact, BlockReason | None]] = {}
-        # Hash-consing table: an entry or an audit -> the one equal object kept.
-        self._consed: dict[tuple, tuple] = {}
 
     @property
     def mediate(self) -> frozenset[MediateCauseFact]:
@@ -337,17 +343,6 @@ class Closure:
 
     # -- one node pair ----------------------------------------------------------
 
-    def certifying_path(self, fact: PathFact) -> tuple[str, ...]:
-        """The first simple path that certified the fact, left to right."""
-        g = self.graph
-        key = (
-            g.index[fact.left],
-            g.index[fact.right],
-            g.node_mask(fact.noncolliders),
-            frozenset(map(g.node_mask, fact.collider_sets)),
-        )
-        return tuple([g.names[i] for i in self._certifying[key][0]])
-
     def trace_between(self, x: str, y: str) -> tuple[TraceRecord, ...]:
         """The records that derived ``facts_between(x, y)``, in trace order.
 
@@ -363,14 +358,12 @@ class Closure:
         """The first fact of ``facts_between(x, y)`` that transmits given the
         conditioning node mask, or None when every one is blocked.
 
-        A fact transmits when no noncollider is conditioned on and every
-        collider set meets the conditioning set.  This is the one Condition 2
-        decision: verdicts and the agreement sweep both call it.  It scans the
-        facts' keys and names only the fact it returns.
+        A fact transmits when ``_block`` finds no block.  The agreement sweep
+        decides Condition 2 by this scan, which names only the fact it returns.
         """
-        met = conditioning.__and__
+        bits = self._bits
         for key in self._pairs[_pair(x, y)][0]:
-            if not key[2] & conditioning and all(map(met, key[3])):
+            if _block(key, conditioning, bits) is None:
                 return self._facts[key]
         return None
 
@@ -383,31 +376,23 @@ class Closure:
     def audit(
         self, x: str, y: str, conditioning: int
     ) -> tuple[tuple[PathFact, BlockReason | None], ...]:
-        """``facts_between(x, y)``, each fact paired with its ``blocking_reason``
-        given the conditioning node mask: the audit a verdict prints.
+        """``facts_between(x, y)``, each fact paired with its ``_block`` given
+        the conditioning node mask, worded as a ``BlockReason`` (None when the
+        fact transmits): the audit a verdict prints and decides by.
 
-        A reason reads only the conditioning nodes among its fact's
-        noncolliders and collider sets.  So a (fact, reason) pair is keyed
-        by the fact's position and the conditioning mask ANDed with those
-        nodes, and ``blocking_reason`` runs only when that key is new; an
-        audit is keyed by the mask ANDed with every fact's nodes.  Equal
-        pairs, and equal audits, are one object per closure.
+        Kept in the pair's record under the mask ANDed with ``read_mask`` and,
+        on a miss, under the facts' blocks; each (fact, block) entry is built
+        once, so equal audits and equal entries are one object.
         """
-        pair = _pair(x, y)
-        _, read_all, reads, audits = self._pairs[pair]
-        audit = audits.get(conditioning & read_all)
+        keys, read, audits, entries = self._pairs[_pair(x, y)]
+        audit = audits.get(conditioning & read)
         if audit is None:
-            entries, consed = self._entries, self._consed
-            pairs = []
-            for i, (fact, read) in enumerate(zip(self._between[pair], reads)):
-                seen = conditioning & read
-                entry = entries.get((pair, i, seen))
-                if entry is None:
-                    entry = (fact, blocking_reason(fact, self._nodes[seen]))
-                    entry = entries[pair, i, seen] = consed.setdefault(entry, entry)
-                pairs.append(entry)
-            audit = tuple(pairs)
-            audit = audits[conditioning & read_all] = consed.setdefault(audit, audit)
+            bits = self._bits
+            blocks = tuple([_block(key, conditioning, bits) for key in keys])
+            audit = audits.get(blocks)
+            if audit is None:
+                audit = audits[blocks] = tuple(map(entries.__getitem__, zip(keys, blocks)))
+            audits[conditioning & read] = audit
         return audit
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
@@ -423,6 +408,18 @@ def _order(bits: _Memo):
     """A path fact key's canonical sort key: endpoints, noncolliders, then the
     sorted collider sets, each as ascending node indices (``bits`` of a mask)."""
     return lambda key: (key[0], key[1], bits[key[2]], sorted([bits[s] for s in key[3]]))
+
+
+def _block(key: tuple, conditioning: int, bits: _Memo) -> int | None:
+    """Condition 2 on one path fact key: the mask of its conditioned
+    noncolliders, else its least collider-set mask that misses the
+    conditioning mask (least by ascending node indices, ``bits`` of a mask,
+    which is name order), else None, when the fact transmits."""
+    hit = key[2] & conditioning
+    if hit:
+        return hit
+    unmet = [s for s in key[3] if not s & conditioning]
+    return min(unmet, key=bits.__getitem__) if unmet else None
 
 
 def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
@@ -565,21 +562,6 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
                        (fact2, fact1) if is_backward else (fact1, fact2))
 
     return Closure(g, mediate, certifying, derived, trace)
-
-
-def blocking_reason(fact: PathFact, conditioning) -> BlockReason | None:
-    """The deterministic reason a fact is blocked, or None when it transmits.
-
-    Of several unmet collider sets, the least by sorted node names is reported.
-    """
-    cond = frozenset(conditioning)
-    hit = fact.noncolliders & cond
-    if hit:
-        return BlockReason("noncollider", frozenset(hit))
-    unmet = [s for s in fact.collider_sets if not (s & cond)]
-    if unmet:
-        return BlockReason("collider-set", min(unmet, key=sorted))
-    return None
 
 
 # --- Independent textbook oracle -----------------------------------------

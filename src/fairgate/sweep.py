@@ -170,9 +170,10 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     """Compare both routes on every pair and every conditioning set of g.
 
     Returns (discrepancies, checks run).  The rules side is Condition 1 and
-    ``Closure.first_open``, the Condition 2 decision a weakening verdict
-    takes, without the audit a verdict prints; the oracle side is
-    ``dsep_oracle`` over the rows of paths classified once per pair.
+    ``Closure.first_open``, a scan by the one Condition 2 mask test that a
+    weakening verdict's ``Closure.audit`` also reads, without wording the
+    reasons a verdict prints; the oracle side is ``dsep_oracle`` over the
+    rows of paths classified once per pair.
 
     Conditioning sets range over all subsets of the other nodes, as int
     node masks.  Both decisions read a mask only through its AND with the

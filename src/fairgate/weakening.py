@@ -84,17 +84,16 @@ def check_condition1(g: CausalGraph, subject: str, target: str):
 def check_condition2(closure: Closure, subject: str, target: str, context_vars):
     """Every path fact between subject and target is blocked by the context.
 
-    The context becomes a node mask once.  The decision and the witness come
-    from ``Closure.first_open``, the one mask scan the agreement sweep also
-    runs; the audit a verdict prints comes from ``Closure.audit``, which
-    words each distinct (fact, reason) pair once per closure and returns
-    one tuple for equal audits.
+    The context becomes a node mask once.  ``Closure.audit`` pairs each fact
+    with its block, from the same mask test the agreement sweep's
+    ``Closure.first_open`` scans with; the witness is the first fact the
+    audit leaves unblocked, so a verdict reads its node pair once.
 
     Returns (ok, examined facts with reasons, first transmitting fact or None).
     """
-    mask = closure.graph.node_mask(context_vars)
-    first_open = closure.first_open(subject, target, mask)
-    return first_open is None, closure.audit(subject, target, mask), first_open
+    audit = closure.audit(subject, target, closure.graph.node_mask(context_vars))
+    open_fact = next((fact for fact, reason in audit if reason is None), None)
+    return open_fact is None, audit, open_fact
 
 
 def check_variables(g: CausalGraph, subject: str, target: str, context_vars) -> None:

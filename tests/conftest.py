@@ -37,8 +37,8 @@ def table1() -> Dataset:
 
 @pytest.fixture
 def all_facts_open(monkeypatch):
-    """Make the one Condition 2 decision, ``Closure.first_open``, report the
-    first path fact of every pair open, whatever the conditioning set."""
+    """Make the agreement sweep's Condition 2 decision, ``Closure.first_open``,
+    report the first path fact of every pair open, whatever the conditioning set."""
 
     def first_open(closure, x, y, conditioning):
         facts = closure.facts_between(x, y)

@@ -17,7 +17,6 @@ from jsonschema import Draft202012Validator
 
 import fairgate
 from fairgate.closure import (
-    blocking_reason,
     close,
     dsep_oracle,
     enumerate_classified_paths,
@@ -43,6 +42,7 @@ from fairgate.sweep import (
 )
 from fairgate.weakening import apply_weakening, check_weakening, evaluate_conditions
 
+from _blocking import blocking_reason
 from _saturation import saturation_gap
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"

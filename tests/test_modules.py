@@ -54,6 +54,15 @@ def test_weakening_renders_no_facts():
     assert not hasattr(importlib.import_module("fairgate.weakening"), "render_path_fact")
 
 
+def test_closure_has_one_condition2_test():
+    # Closure.first_open and Closure.audit read one mask test, and the
+    # set-based blocking_reason is the tests' reference for it; closure_dump
+    # is the one reader of certifying paths.
+    module = importlib.import_module("fairgate.closure")
+    assert not hasattr(module, "blocking_reason")
+    assert not hasattr(module.Closure, "certifying_path")
+
+
 def test_benchmark_spans_find_every_name_they_wrap():
     # benchmark/spans.py wraps fairgate names by getattr and counts a traced
     # close through Closure.derivations; deleting or renaming one would
@@ -80,7 +89,7 @@ def test_benchmark_spans_find_every_name_they_wrap():
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("helper", ["_saturation.py", "_recount.py"])
+@pytest.mark.parametrize("helper", ["_saturation.py", "_recount.py", "_blocking.py"])
 def test_reference_helpers_import_only_public_names(helper):
     # A reference that imported the engine's private helpers would check
     # that code against itself.

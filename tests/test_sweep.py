@@ -18,7 +18,6 @@ import pytest
 
 from fairgate.closure import (
     Closure,
-    blocking_reason,
     close,
     dsep_oracle,
     enumerate_classified_paths,
@@ -29,6 +28,8 @@ from fairgate import sweep
 from fairgate.graph import CausalGraph
 from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, random_dag
 from fairgate.weakening import check_condition1
+
+from _blocking import blocking_reason
 
 
 def separated_by_sets(g, paths, conditioning):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from fairgate.closure import (
-    blocking_reason,
     close,
     dsep_oracle,
     enumerate_classified_paths,
@@ -31,6 +30,8 @@ from fairgate.weakening import (
     evaluate_conditions,
     verdict_to_json,
 )
+
+from _blocking import blocking_reason
 
 
 def test_condition1_checks_only_immediate_edges(loan_graph):
@@ -198,6 +199,12 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                 for r in range(len(rest) + 1):
                     for ctx in itertools.combinations(rest, r):
                         verdict = evaluate_conditions(closure, subject, target, frozenset(ctx))
+                        # The audit a verdict decides by and the sweep's scan
+                        # find the same first open fact.
+                        audit_open = next(
+                            (f for f, reason in verdict.blocked_facts if reason is None), None
+                        )
+                        assert audit_open is closure.first_open(subject, target, g.node_mask(ctx))
                         no_edge = (subject, target) not in g.edges and (
                             target,
                             subject,
