@@ -278,7 +278,8 @@ def _cmd_weaken(args) -> tuple[dict, bool]:
     judgment = load_judgment(args.judgment, g)
     attr = parse_attribution(args.attr, g)
     check_variables(g, attr.variable, judgment.target, judgment.context.variables())
-    verdict = check_weakening(close(g, fact_budget=args.fact_budget), judgment, attr)
+    closure = close(g, fact_budget=args.fact_budget, pairs=[(attr.variable, judgment.target)])
+    verdict = check_weakening(closure, judgment, attr)
     payload = verdict_to_json(verdict)
     if verdict.admissible:
         payload["weakened"] = serialize_judgment(apply_weakening(judgment, attr, verdict))
@@ -320,7 +321,8 @@ def _if_text(payload: dict) -> str:
 def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
     """Closure, dataset and context of ``if`` or ``intersect``: the inputs
     given are the routes run.  Every file given is read and checked, and
-    the request is checked before the graph is closed."""
+    the request is checked before the graph is closed, for the (protected,
+    target) pairs the verdicts read."""
     if args.context and args.context_inline:
         raise InputError("pass either --context or --context-inline, not both")
     g = load_graph(args.graph) if args.graph else None
@@ -330,7 +332,10 @@ def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
     else:
         ctx = parse_context(args.context_inline, g)
     check_audit(g, dataset, ctx, args.target, protected, subset_cap)
-    closure = None if g is None else close(g, fact_budget=args.fact_budget)
+    closure = None
+    if g is not None:
+        pairs = [(p, args.target) for p in protected]
+        closure = close(g, fact_budget=args.fact_budget, pairs=pairs)
     return closure, dataset, ctx
 
 

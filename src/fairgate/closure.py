@@ -32,6 +32,15 @@ derivation.  ``Closure`` builds each named fact and trace record once, on
 its first read, so a verdict names only the node pair it reads.  A fact is
 rendered to text only where it is printed, by ``path_fact_text`` or
 ``mediate_text``, the one renderer of each notation.
+
+``close`` can also derive only what given node pairs can read.  ``weaken``
+closes for its (attribute, target) pair, ``if`` and ``intersect`` for each
+(protected attribute, target) pair; ``paths`` and the agreement sweep read
+every pair and close the whole graph.  A restricted ``Closure`` answers
+the pair reads of its own pairs exactly as the whole closure would, raises
+ValueError for any other pair, and has no ``closure_dump``; its
+``mediate``, ``paths``, ``trace`` and ``derivations()`` are what it
+derived.
 """
 
 from __future__ import annotations
@@ -218,8 +227,100 @@ def _pair(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
 
+class _Memos(NamedTuple):
+    """A closure's memos, built together by ``_build_memos`` on its first read."""
+
+    bits: _Memo  # node mask -> its bit indices ascending
+    nodes: _Memo  # node mask -> its frozenset of names
+    facts: _Memo  # fact key -> its one named fact
+    records: _Memo  # trace position -> its one TraceRecord
+    # "mediate", "paths", "trace" -> that property's value; "groups" ->
+    # (left, right) -> that pair's fact keys.
+    whole: _Memo
+    # The rest are keyed by a node pair (x, y) with x <= y.  A pair's record:
+    # the fact keys of facts_between(x, y) in canonical order, the union of
+    # their noncollider and collider-set masks, {conditioning & that union,
+    # or the tuple of the keys' blocks: audit}, (key, block) -> (fact, reason).
+    pairs: _Memo
+    between: _Memo  # facts_between(x, y)
+    traces: _Memo  # trace_between(x, y)
+
+
+def _build_memos(graph, mediate, certifying, trace, allowed) -> _Memos:
+    """A closure's memos, built from its data alone, never from the closure,
+    so no reference cycle keeps a dropped closure alive.  A pair read raises
+    ValueError for a pair outside ``allowed`` unless that is None."""
+    names, index = graph.names, graph.index
+    bits = _Memo(lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1]))
+    nodes = _Memo(lambda mask: frozenset([names[i] for i in bits[mask]]))
+
+    def name_fact(key):
+        if len(key) == 3:
+            return MediateCauseFact(names[key[0]], names[key[1]], nodes[key[2]])
+        return PathFact(
+            names[key[0]], names[key[1]], nodes[key[2]], frozenset([nodes[s] for s in key[3]])
+        )
+
+    facts = _Memo(name_fact)
+    fact = facts.__getitem__
+
+    def name_record(position):
+        rule, premises, key = trace[position]
+        premises = tuple([p if type(p) is str else fact(p) for p in premises])
+        return TraceRecord(rule, premises, fact(key))
+
+    records = _Memo(name_record)
+    record = records.__getitem__
+
+    def group_pairs():
+        groups = defaultdict(list)
+        for key in certifying:
+            groups[key[0], key[1]].append(key)
+        return groups
+
+    builds = {
+        "mediate": lambda: frozenset(map(fact, mediate)),
+        "paths": lambda: frozenset(map(fact, certifying)),
+        "trace": lambda: tuple(map(record, range(len(trace)))),
+        "groups": group_pairs,
+    }
+    whole = _Memo(lambda name: builds[name]())
+
+    def name_entry(entry):
+        key, block = entry
+        if block is None:
+            return fact(key), None
+        # A collider set holds its collider, which is no noncollider of
+        # the fact, so only a noncollider block lies inside the noncolliders.
+        kind = "collider-set" if block & ~key[2] else "noncollider"
+        return fact(key), BlockReason(kind, nodes[block])
+
+    order = _order(bits)
+
+    def read_pair(pair):
+        if allowed is not None and pair not in allowed:
+            raise ValueError(
+                f"this closure was restricted to the node pairs {sorted(allowed)};"
+                f" it cannot read {pair}"
+            )
+        found = whole["groups"].get((index.get(pair[0]), index.get(pair[1])), ())
+        keys = tuple(sorted(found, key=order))
+        read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
+        return keys, read, {}, _Memo(name_entry)
+
+    # An int key never equals a tuple key in a record's audit tables.
+    pairs = _Memo(read_pair)
+    between = _Memo(lambda pair: tuple(map(fact, pairs[pair][0])))
+    traces = _Memo(
+        lambda pair: tuple(map(record, sorted([certifying[k][1] for k in pairs[pair][0]])))
+    )
+    return _Memos(bits, nodes, facts, records, whole, pairs, between, traces)
+
+
 class Closure:
-    """The fixpoint of the six derivation rules over ``graph``, the graph it closes.
+    """The fixpoint of the six derivation rules over ``graph``, the graph it
+    closes, or, for a closure restricted to node ``pairs``, the part of it
+    those pairs can read.
 
     ``close`` leaves every fact as an int key: a mediate fact as (source,
     target, intermediates mask), a path fact as (left, right, noncollider
@@ -229,25 +330,36 @@ class Closure:
     ``PathFact`` or ``MediateCauseFact``, and each trace position one
     ``TraceRecord``, whichever of ``paths``, ``mediate``, ``trace``,
     ``facts_between``, ``first_open``, ``audit``, ``trace_between`` or
-    ``derivations`` reads it first.  A memo's build reads the closure's data
-    and the other memos, never the closure, so no reference cycle keeps a
-    dropped closure alive.  A node pair's record is built on the pair's
-    first read: its fact keys in canonical order (index order is name
-    order, so the ints sort as the names do), ``read_mask``, the union of
-    their masks, and its audit tables.  Condition 2 is one mask test,
+    ``derivations`` reads it first.  The memos themselves are built
+    together, by ``_build_memos``, on the first read that needs one, so an
+    unread closure costs only its slots.  A memo's build reads the
+    closure's data and the other memos, never the closure, so no reference
+    cycle keeps a dropped closure alive.  A node pair's record is built on
+    the pair's first read: its fact keys in canonical order (index order is
+    name order, so the ints sort as the names do), ``read_mask``, the union
+    of their masks, and its audit tables.  Condition 2 is one mask test,
     ``_block``: ``first_open`` returns the first key it leaves unblocked
     and names only that fact, and ``audit`` words each key's block as a
     ``BlockReason``.  A fact is rendered to text only where it is printed.
+
+    ``pairs`` is None for a whole closure, which ``paths`` and the agreement
+    sweep read.  A restricted closure, which ``weaken``, ``if`` and
+    ``intersect`` read, holds its requested pairs, each as (x, y) with
+    x <= y: its pair reads
+    (``facts_between``, ``trace_between``, ``first_open``, ``audit``,
+    ``read_mask``) answer those pairs exactly as the whole closure would,
+    and raise ValueError for any other pair; ``closure_dump`` refuses it.
+    ``mediate``, ``paths``, ``trace`` and ``derivations()`` report what this
+    closure derived: every mediate fact, but only the path facts, trace
+    records and derivations its pairs can read.
     """
 
-    __slots__ = (
-        "graph", "_mediate", "_certifying", "_derived", "_trace", "_bits", "_nodes", "_facts",
-        "_records", "_whole", "_pairs", "_between", "_traces",
-    )
+    __slots__ = ("graph", "pairs", "_mediate", "_certifying", "_derived", "_trace", "_memos")
 
-    def __init__(self, graph, mediate, certifying, derived, trace):
+    def __init__(self, graph, mediate, certifying, derived, trace, pairs=None):
         self.graph: CausalGraph = graph
-        names, index = graph.names, graph.index
+        # None, or the frozenset of (x, y), x <= y, the pair reads answer.
+        self.pairs: frozenset[tuple[str, str]] | None = pairs
         # Mediate fact keys, in derivation order.
         self._mediate: dict[tuple[int, int, int], None] = mediate
         # Path fact key -> (its first certifying node-index path, position of
@@ -258,88 +370,31 @@ class Closure:
         # (rule, premises, conclusion key) per record; a premise is an edge's
         # text or a fact key.
         self._trace: list[tuple] = trace
+        self._memos: _Memos | None = None
 
-        # Node mask -> its bit indices ascending, and -> its frozenset of names.
-        bits = self._bits = _Memo(
-            lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
-        )
-        nodes = self._nodes = _Memo(lambda mask: frozenset([names[i] for i in bits[mask]]))
-
-        def name_fact(key):
-            if len(key) == 3:
-                return MediateCauseFact(names[key[0]], names[key[1]], nodes[key[2]])
-            return PathFact(
-                names[key[0]], names[key[1]], nodes[key[2]], frozenset([nodes[s] for s in key[3]])
+    def _read(self) -> _Memos:
+        """The memos, built on the first read that needs one."""
+        memos = self._memos
+        if memos is None:
+            memos = self._memos = _build_memos(
+                self.graph, self._mediate, self._certifying, self._trace, self.pairs
             )
-
-        # Fact key -> its one named fact; trace position -> its one TraceRecord.
-        facts = self._facts = _Memo(name_fact)
-        fact = facts.__getitem__
-
-        def name_record(position):
-            rule, premises, key = trace[position]
-            premises = tuple([p if type(p) is str else fact(p) for p in premises])
-            return TraceRecord(rule, premises, fact(key))
-
-        records = self._records = _Memo(name_record)
-        record = records.__getitem__
-
-        def group_pairs():
-            groups = defaultdict(list)
-            for key in certifying:
-                groups[key[0], key[1]].append(key)
-            return groups
-
-        # "mediate", "paths", "trace" -> that property's value; "groups" ->
-        # (left, right) -> that pair's fact keys.
-        builds = {
-            "mediate": lambda: frozenset(map(fact, mediate)),
-            "paths": lambda: frozenset(map(fact, certifying)),
-            "trace": lambda: tuple(map(record, range(len(trace)))),
-            "groups": group_pairs,
-        }
-        whole = self._whole = _Memo(lambda name: builds[name]())
-
-        def name_entry(entry):
-            key, block = entry
-            if block is None:
-                return fact(key), None
-            # A collider set holds its collider, which is no noncollider of
-            # the fact, so only a noncollider block lies inside the noncolliders.
-            kind = "collider-set" if block & ~key[2] else "noncollider"
-            return fact(key), BlockReason(kind, nodes[block])
-
-        # The rest are keyed by a node pair (x, y) with x <= y.
-        order = _order(bits)
-
-        def read_pair(pair):
-            found = whole["groups"].get((index.get(pair[0]), index.get(pair[1])), ())
-            keys = tuple(sorted(found, key=order))
-            read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
-            return keys, read, {}, _Memo(name_entry)
-
-        # Pair -> (the fact keys of facts_between(x, y) in canonical order, the
-        # union of their noncollider and collider-set masks, {conditioning &
-        # that union, or the tuple of the keys' blocks: audit}, (key, block) ->
-        # (fact, reason)).  An int key never equals a tuple key.
-        pairs = self._pairs = _Memo(read_pair)
-        self._between = _Memo(lambda pair: tuple(map(fact, pairs[pair][0])))
-        self._traces = _Memo(
-            lambda pair: tuple(map(record, sorted([certifying[k][1] for k in pairs[pair][0]])))
-        )
+        return memos
 
     @property
     def mediate(self) -> frozenset[MediateCauseFact]:
-        return self._whole["mediate"]
+        """Every mediate fact: no closure restricts them."""
+        return self._read().whole["mediate"]
 
     @property
     def paths(self) -> frozenset[PathFact]:
-        return self._whole["paths"]
+        """Every path fact this closure derived."""
+        return self._read().whole["paths"]
 
     @property
     def trace(self) -> tuple[TraceRecord, ...]:
-        """Every productive rule firing, in derivation order."""
-        return self._whole["trace"]
+        """Every productive rule firing of this closure, in derivation order."""
+        return self._read().whole["trace"]
 
     # -- one node pair ----------------------------------------------------------
 
@@ -348,11 +403,11 @@ class Closure:
 
         Built on the pair's first call, so every verdict of a pair shares one tuple.
         """
-        return self._traces[_pair(x, y)]
+        return self._read().traces[_pair(x, y)]
 
     def facts_between(self, x: str, y: str) -> tuple[PathFact, ...]:
         """All path facts with endpoints {x, y}, in canonical order."""
-        return self._between[_pair(x, y)]
+        return self._read().between[_pair(x, y)]
 
     def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
         """The first fact of ``facts_between(x, y)`` that transmits given the
@@ -361,17 +416,18 @@ class Closure:
         A fact transmits when ``_block`` finds no block.  The agreement sweep
         decides Condition 2 by this scan, which names only the fact it returns.
         """
-        bits = self._bits
-        for key in self._pairs[_pair(x, y)][0]:
+        memos = self._read()
+        bits = memos.bits
+        for key in memos.pairs[_pair(x, y)][0]:
             if _block(key, conditioning, bits) is None:
-                return self._facts[key]
+                return memos.facts[key]
         return None
 
     def read_mask(self, x: str, y: str) -> int:
         """The node mask of every noncollider and collider-set node of
         ``facts_between(x, y)``: ``first_open(x, y, c)`` and ``audit(x, y, c)``
         read ``c`` only through its AND with this mask."""
-        return self._pairs[_pair(x, y)][1]
+        return self._read().pairs[_pair(x, y)][1]
 
     def audit(
         self, x: str, y: str, conditioning: int
@@ -384,10 +440,11 @@ class Closure:
         on a miss, under the facts' blocks; each (fact, block) entry is built
         once, so equal audits and equal entries are one object.
         """
-        keys, read, audits, entries = self._pairs[_pair(x, y)]
+        memos = self._read()
+        keys, read, audits, entries = memos.pairs[_pair(x, y)]
         audit = audits.get(conditioning & read)
         if audit is None:
-            bits = self._bits
+            bits = memos.bits
             blocks = tuple([_block(key, conditioning, bits) for key in keys])
             audit = audits.get(blocks)
             if audit is None:
@@ -396,8 +453,8 @@ class Closure:
         return audit
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
-        """Every recorded (fact, certifying path) pair."""
-        names, facts = self.graph.names, self._facts
+        """Every (fact, certifying path) pair this closure derived."""
+        names, facts = self.graph.names, self._read().facts
         return frozenset(
             (facts[path[0], path[-1], nc, cs], tuple([names[i] for i in path]))
             for path, nc, cs in self._derived
@@ -422,8 +479,9 @@ def _block(key: tuple, conditioning: int, bits: _Memo) -> int | None:
     return min(unmet, key=bits.__getitem__) if unmet else None
 
 
-def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
-    """Close the graph under all six rules and return the least fixpoint.
+def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Closure:
+    """Close the graph under all six rules and return the least fixpoint,
+    or, given node ``pairs``, the part of it that those pairs can read.
 
     Deterministic: seeds and rule applications run in sorted order, so
     identical graphs yield identical closures, traces included.  Raises
@@ -431,6 +489,23 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     certifying-path variant) have been derived: one unit per new mediate
     fact and per new (path fact, certifying path) pair; rejected and
     repeated Transitivity* attempts are not charged.
+
+    ``pairs``, an iterable of (x, y) node names, restricts the path facts
+    to those an x-y read can use: ``weaken`` closes for its (attribute,
+    target) pair, ``if`` and ``intersect`` for (protected, target) per
+    protected name, while ``paths`` and the agreement sweep close the
+    whole graph.  A derivation is dropped, and costs no budget, when for
+    every requested pair (x, y) its noncolliders or collider sets
+    (``nc | in_sets``, which covers its path interior) hold x or y.  The
+    drop is sound because a Transitivity*
+    conclusion's interior holds both premises' interiors, collider sets
+    only grow, and the endpoint exclusion keeps x and y out of an x-y
+    fact's collider sets: so every premise of a kept derivation is kept,
+    the queue, buckets and dedup set meet the kept derivations in their
+    whole-closure order, and each x-y fact keeps its first derivation and
+    its place among the pair's trace records.  Mediate facts are not
+    restricted.  The returned ``Closure`` answers pair reads for the
+    requested pairs only.
 
     Nodes are ints (node i is ``g.names[i]``) and every
     fact is an int key: a mediate fact (source, target, intermediates
@@ -466,6 +541,10 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
     # Nodes are numbered in sorted order, so comparing indices compares names.
     names, index = g.names, g.index
     bit = [1 << i for i in range(len(names))]
+    if pairs is not None:
+        pairs = frozenset([_pair(x, y) for x, y in pairs])
+        # The node mask of each requested pair.
+        targets = [g.node_mask(pair) for pair in pairs]
     parents = [[index[p] for p in g.parents(v)] for v in names]
     children = [[index[c] for c in g.children(v)] for v in names]
 
@@ -508,15 +587,19 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
         key = (path, nc, cs)
         if key in derived:
             return
+        in_sets = 0
+        for s in cs:
+            in_sets |= s
+        if pairs is not None:
+            inside = nc | in_sets
+            if all([inside & t for t in targets]):
+                return
         spend()
         derived.add(key)
         fact = (path[0], path[-1], nc, cs)
         if fact not in certifying:
             certifying[fact] = (path, len(trace))
             trace.append((rule, premises, fact))
-        in_sets = 0
-        for s in cs:
-            in_sets |= s
         forward = (fact, path, mask, nc, cs, in_sets)
         backward = (fact, path[::-1], mask, nc, cs, in_sets)
         by_first2[path[0], path[1]].append(forward)
@@ -561,7 +644,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None) -> Closure:
                 derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs1 | cs2, "Transitivity*",
                        (fact2, fact1) if is_backward else (fact1, fact2))
 
-    return Closure(g, mediate, certifying, derived, trace)
+    return Closure(g, mediate, certifying, derived, trace, pairs)
 
 
 # --- Independent textbook oracle -----------------------------------------
@@ -646,12 +729,17 @@ def dsep_oracle(rows, conditioning: int) -> bool:
 def closure_dump(closure: Closure) -> dict:
     """JSON-ready closure listing with a deterministic order throughout.
 
+    Only a whole closure has one; a closure restricted to node pairs
+    raises ValueError.
+
     Read from the closure's int keys: the keys are sorted on indices, which
     sort as the names do, and each mask's name list, each collider-set
     family's and each fact's text are built once and shared.  No named
     fact or ``TraceRecord`` is built.
     """
-    names, bits = closure.graph.names, closure._bits
+    if closure.pairs is not None:
+        raise ValueError("closure_dump lists a whole closure, not one restricted to node pairs")
+    names, bits = closure.graph.names, closure._read().bits
     named = _Memo(lambda mask: [names[i] for i in bits[mask]])
     family = _Memo(lambda sets: [named[s] for s in sorted(sets, key=bits.__getitem__)])
 

@@ -437,6 +437,22 @@ def test_fact_budget_flag_bounds_the_closure_of_if_and_intersect(capsys, data_di
     assert code == 0
 
 
+def test_fact_budget_charges_only_what_the_verdicts_node_pairs_can_read(capsys, data_dir):
+    # loan.cg closes to 9 mediate facts and 7 path derivations, 16 units;
+    # if --protected MS closes for the pair MS-Loan, which can read 5 of the
+    # derivations, 14 units.  So a budget of 14 stops paths but not if.
+    graph = str(data_dir / "loan.cg")
+    argv = ["if", "--graph", graph, "--target", "Loan", "--protected", "MS"]
+    unbudgeted = run(capsys, argv)
+    assert unbudgeted[0] == 1
+    assert run(capsys, argv + ["--fact-budget", "14"]) == unbudgeted
+    code, out, err = run(capsys, argv + ["--fact-budget", "13"])
+    assert (code, out) == (3, "") and err.startswith("resource limit:")
+    code, out, err = run(capsys, ["paths", "--graph", graph, "--fact-budget", "14"])
+    assert (code, out) == (3, "") and err.startswith("resource limit:")
+    assert run(capsys, ["paths", "--graph", graph, "--fact-budget", "16"])[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
