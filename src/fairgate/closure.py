@@ -24,14 +24,16 @@ two nodes, which keeps each interior node classified by exactly one
 premise and therefore keeps one collider-descendant set per collider.
 The engine tracks (fact, certifying path) pairs so that a fact reachable
 along several paths can keep feeding compositions through each of them.
-``close`` works on int keys only: nodes are indices, a fact is its
-endpoints and node masks, and a trace entry names its rule, premises and
+``close`` works on int keys only and renders no text: nodes are indices,
+a fact is its endpoints and node masks, and a trace entry names its rule,
+its premises (a premise is an edge (source, target) or a fact key) and its
 conclusion key.  One step of ``close``, ``derive``, makes each path fact,
 whether a window or Transitivity* concludes it, and keeps one key per
-derivation.  ``Closure`` builds each named fact and trace record once, on
-its first read, so a verdict names only the node pair it reads.  A fact is
-rendered to text only where it is printed, by ``path_fact_text`` or
-``mediate_text``, the one renderer of each notation.
+derivation.  ``Closure`` builds its memos when it is built, and they name
+each fact, edge and trace record once, on its first read, so a verdict
+names only the node pair it reads.  A fact is rendered to text only where
+it is printed, by ``path_fact_text`` or ``mediate_text``, the one renderer
+of each notation, and an edge only where a trace is read.
 
 ``close`` can also derive only what given node pairs can read.  ``weaken``
 closes for its (attribute, target) pair, ``if`` and ``intersect`` for each
@@ -227,96 +229,6 @@ def _pair(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
 
-class _Memos(NamedTuple):
-    """A closure's memos, built together by ``_build_memos`` on its first read."""
-
-    bits: _Memo  # node mask -> its bit indices ascending
-    nodes: _Memo  # node mask -> its frozenset of names
-    facts: _Memo  # fact key -> its one named fact
-    records: _Memo  # trace position -> its one TraceRecord
-    # "mediate", "paths", "trace" -> that property's value; "groups" ->
-    # (left, right) -> that pair's fact keys.
-    whole: _Memo
-    # The rest are keyed by a node pair (x, y) with x <= y.  A pair's record:
-    # the fact keys of facts_between(x, y) in canonical order, the union of
-    # their noncollider and collider-set masks, {conditioning & that union,
-    # or the tuple of the keys' blocks: audit}, (key, block) -> (fact, reason).
-    pairs: _Memo
-    between: _Memo  # facts_between(x, y)
-    traces: _Memo  # trace_between(x, y)
-
-
-def _build_memos(graph, mediate, certifying, trace, allowed) -> _Memos:
-    """A closure's memos, built from its data alone, never from the closure,
-    so no reference cycle keeps a dropped closure alive.  A pair read raises
-    ValueError for a pair outside ``allowed`` unless that is None."""
-    names, index = graph.names, graph.index
-    bits = _Memo(lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1]))
-    nodes = _Memo(lambda mask: frozenset([names[i] for i in bits[mask]]))
-
-    def name_fact(key):
-        if len(key) == 3:
-            return MediateCauseFact(names[key[0]], names[key[1]], nodes[key[2]])
-        return PathFact(
-            names[key[0]], names[key[1]], nodes[key[2]], frozenset([nodes[s] for s in key[3]])
-        )
-
-    facts = _Memo(name_fact)
-    fact = facts.__getitem__
-
-    def name_record(position):
-        rule, premises, key = trace[position]
-        premises = tuple([p if type(p) is str else fact(p) for p in premises])
-        return TraceRecord(rule, premises, fact(key))
-
-    records = _Memo(name_record)
-    record = records.__getitem__
-
-    def group_pairs():
-        groups = defaultdict(list)
-        for key in certifying:
-            groups[key[0], key[1]].append(key)
-        return groups
-
-    builds = {
-        "mediate": lambda: frozenset(map(fact, mediate)),
-        "paths": lambda: frozenset(map(fact, certifying)),
-        "trace": lambda: tuple(map(record, range(len(trace)))),
-        "groups": group_pairs,
-    }
-    whole = _Memo(lambda name: builds[name]())
-
-    def name_entry(entry):
-        key, block = entry
-        if block is None:
-            return fact(key), None
-        # A collider set holds its collider, which is no noncollider of
-        # the fact, so only a noncollider block lies inside the noncolliders.
-        kind = "collider-set" if block & ~key[2] else "noncollider"
-        return fact(key), BlockReason(kind, nodes[block])
-
-    order = _order(bits)
-
-    def read_pair(pair):
-        if allowed is not None and pair not in allowed:
-            raise ValueError(
-                f"this closure was restricted to the node pairs {sorted(allowed)};"
-                f" it cannot read {pair}"
-            )
-        found = whole["groups"].get((index.get(pair[0]), index.get(pair[1])), ())
-        keys = tuple(sorted(found, key=order))
-        read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
-        return keys, read, {}, _Memo(name_entry)
-
-    # An int key never equals a tuple key in a record's audit tables.
-    pairs = _Memo(read_pair)
-    between = _Memo(lambda pair: tuple(map(fact, pairs[pair][0])))
-    traces = _Memo(
-        lambda pair: tuple(map(record, sorted([certifying[k][1] for k in pairs[pair][0]])))
-    )
-    return _Memos(bits, nodes, facts, records, whole, pairs, between, traces)
-
-
 class Closure:
     """The fixpoint of the six derivation rules over ``graph``, the graph it
     closes, or, for a closure restricted to node ``pairs``, the part of it
@@ -325,19 +237,20 @@ class Closure:
     ``close`` leaves every fact as an int key: a mediate fact as (source,
     target, intermediates mask), a path fact as (left, right, noncollider
     mask, collider-set masks), with node i ``graph.names[i]``, as in
-    ``CausalGraph.node_mask``.  The named objects are built here on first
-    read, each once, by one ``_Memo`` per kind of key: equal facts are one
-    ``PathFact`` or ``MediateCauseFact``, and each trace position one
-    ``TraceRecord``, whichever of ``paths``, ``mediate``, ``trace``,
-    ``facts_between``, ``first_open``, ``audit``, ``trace_between`` or
-    ``derivations`` reads it first.  The memos themselves are built
-    together, by ``_build_memos``, on the first read that needs one, so an
-    unread closure costs only its slots.  A memo's build reads the
-    closure's data and the other memos, never the closure, so no reference
-    cycle keeps a dropped closure alive.  A node pair's record is built on
-    the pair's first read: its fact keys in canonical order (index order is
-    name order, so the ints sort as the names do), ``read_mask``, the union
-    of their masks, and its audit tables.  Condition 2 is one mask test,
+    ``CausalGraph.node_mask``; a trace premise is an edge (source, target)
+    or a fact key.  The memos are built with the closure, as slots, and
+    each names a key once, on its first read: one ``_Memo`` names every
+    premise key, an edge as its text and a fact as its one ``PathFact`` or
+    ``MediateCauseFact``, and another each trace position as its one
+    ``TraceRecord``, whichever of ``facts_between``, ``first_open``,
+    ``audit``, ``trace_between``, ``derivations``, ``mediate``, ``paths``
+    or ``trace`` reads it first.  A memo's build reads the closure's data
+    and the other memos, never the closure, so no reference cycle keeps a
+    dropped closure alive.  A node pair's record is built on the pair's
+    first read from the pair's fact keys, which ``close`` groups by
+    endpoints: the keys in canonical order (index order is name order, so
+    the ints sort as the names do), ``read_mask``, the union of their
+    masks, and its audit tables.  Condition 2 is one mask test,
     ``_block``: ``first_open`` returns the first key it leaves unblocked
     and names only that fact, and ``audit`` words each key's block as a
     ``BlockReason``.  A fact is rendered to text only where it is printed.
@@ -350,14 +263,18 @@ class Closure:
     ``read_mask``) answer those pairs exactly as the whole closure would,
     and raise ValueError for any other pair; ``closure_dump`` refuses it.
     ``mediate``, ``paths``, ``trace`` and ``derivations()`` report what this
-    closure derived: every mediate fact, but only the path facts, trace
-    records and derivations its pairs can read.
+    closure derived, built on each read: every mediate fact, but only the
+    path facts, trace records and derivations its pairs can read.
     """
 
-    __slots__ = ("graph", "pairs", "_mediate", "_certifying", "_derived", "_trace", "_memos")
+    __slots__ = (
+        "graph", "pairs", "_mediate", "_certifying", "_derived", "_trace", "_bits", "_named",
+        "_records", "_by_pair", "_between", "_traces",
+    )
 
-    def __init__(self, graph, mediate, certifying, derived, trace, pairs=None):
+    def __init__(self, graph, mediate, certifying, derived, trace, groups, pairs=None):
         self.graph: CausalGraph = graph
+        names, index = graph.names, graph.index
         # None, or the frozenset of (x, y), x <= y, the pair reads answer.
         self.pairs: frozenset[tuple[str, str]] | None = pairs
         # Mediate fact keys, in derivation order.
@@ -367,34 +284,84 @@ class Closure:
         self._certifying: dict[tuple, tuple[tuple[int, ...], int]] = certifying
         # (node-index path, noncollider mask, collider-set masks), one per derivation.
         self._derived: set[tuple] = derived
-        # (rule, premises, conclusion key) per record; a premise is an edge's
-        # text or a fact key.
+        # (rule, premises, conclusion key) per record; a premise is an edge
+        # (source, target) or a fact key.
         self._trace: list[tuple] = trace
-        self._memos: _Memos | None = None
 
-    def _read(self) -> _Memos:
-        """The memos, built on the first read that needs one."""
-        memos = self._memos
-        if memos is None:
-            memos = self._memos = _build_memos(
-                self.graph, self._mediate, self._certifying, self._trace, self.pairs
+        # Node mask -> its bit indices ascending, and -> its frozenset of names.
+        bits = self._bits = _Memo(
+            lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
+        )
+        nodes = _Memo(lambda mask: frozenset([names[i] for i in bits[mask]]))
+
+        def name(key):
+            if len(key) == 2:
+                return _render_edge(names[key[0]], names[key[1]])
+            if len(key) == 3:
+                return MediateCauseFact(names[key[0]], names[key[1]], nodes[key[2]])
+            return PathFact(
+                names[key[0]], names[key[1]], nodes[key[2]], frozenset([nodes[s] for s in key[3]])
             )
-        return memos
+
+        # Premise key -> an edge's text or its one named fact; trace position
+        # -> its one TraceRecord.
+        named = self._named = _Memo(name)
+        fact = named.__getitem__
+
+        def name_record(position):
+            rule, premises, key = trace[position]
+            return TraceRecord(rule, tuple(map(fact, premises)), fact(key))
+
+        records = self._records = _Memo(name_record)
+        record = records.__getitem__
+
+        def name_entry(entry):
+            key, block = entry
+            if block is None:
+                return fact(key), None
+            # A collider set holds its collider, which is no noncollider of
+            # the fact, so only a noncollider block lies inside the noncolliders.
+            kind = "collider-set" if block & ~key[2] else "noncollider"
+            return fact(key), BlockReason(kind, nodes[block])
+
+        # The rest are keyed by a node pair (x, y) with x <= y.
+        order = _order(bits)
+
+        def read_pair(pair):
+            if pairs is not None and pair not in pairs:
+                raise ValueError(
+                    f"this closure was restricted to the node pairs {sorted(pairs)};"
+                    f" it cannot read {pair}"
+                )
+            found = groups.get((index.get(pair[0]), index.get(pair[1])), ())
+            keys = tuple(sorted(found, key=order))
+            read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
+            return keys, read, {}, _Memo(name_entry)
+
+        # Pair -> (the fact keys of facts_between(x, y) in canonical order, the
+        # union of their noncollider and collider-set masks, {conditioning &
+        # that union, or the tuple of the keys' blocks: audit}, (key, block) ->
+        # (fact, reason)).  An int key never equals a tuple key.
+        by_pair = self._by_pair = _Memo(read_pair)
+        self._between = _Memo(lambda pair: tuple(map(fact, by_pair[pair][0])))
+        self._traces = _Memo(
+            lambda pair: tuple(map(record, sorted([certifying[k][1] for k in by_pair[pair][0]])))
+        )
 
     @property
     def mediate(self) -> frozenset[MediateCauseFact]:
         """Every mediate fact: no closure restricts them."""
-        return self._read().whole["mediate"]
+        return frozenset(map(self._named.__getitem__, self._mediate))
 
     @property
     def paths(self) -> frozenset[PathFact]:
         """Every path fact this closure derived."""
-        return self._read().whole["paths"]
+        return frozenset(map(self._named.__getitem__, self._certifying))
 
     @property
     def trace(self) -> tuple[TraceRecord, ...]:
         """Every productive rule firing of this closure, in derivation order."""
-        return self._read().whole["trace"]
+        return tuple(map(self._records.__getitem__, range(len(self._trace))))
 
     # -- one node pair ----------------------------------------------------------
 
@@ -403,11 +370,11 @@ class Closure:
 
         Built on the pair's first call, so every verdict of a pair shares one tuple.
         """
-        return self._read().traces[_pair(x, y)]
+        return self._traces[_pair(x, y)]
 
     def facts_between(self, x: str, y: str) -> tuple[PathFact, ...]:
         """All path facts with endpoints {x, y}, in canonical order."""
-        return self._read().between[_pair(x, y)]
+        return self._between[_pair(x, y)]
 
     def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
         """The first fact of ``facts_between(x, y)`` that transmits given the
@@ -416,18 +383,17 @@ class Closure:
         A fact transmits when ``_block`` finds no block.  The agreement sweep
         decides Condition 2 by this scan, which names only the fact it returns.
         """
-        memos = self._read()
-        bits = memos.bits
-        for key in memos.pairs[_pair(x, y)][0]:
+        bits = self._bits
+        for key in self._by_pair[_pair(x, y)][0]:
             if _block(key, conditioning, bits) is None:
-                return memos.facts[key]
+                return self._named[key]
         return None
 
     def read_mask(self, x: str, y: str) -> int:
         """The node mask of every noncollider and collider-set node of
         ``facts_between(x, y)``: ``first_open(x, y, c)`` and ``audit(x, y, c)``
         read ``c`` only through its AND with this mask."""
-        return self._read().pairs[_pair(x, y)][1]
+        return self._by_pair[_pair(x, y)][1]
 
     def audit(
         self, x: str, y: str, conditioning: int
@@ -440,11 +406,10 @@ class Closure:
         on a miss, under the facts' blocks; each (fact, block) entry is built
         once, so equal audits and equal entries are one object.
         """
-        memos = self._read()
-        keys, read, audits, entries = memos.pairs[_pair(x, y)]
+        keys, read, audits, entries = self._by_pair[_pair(x, y)]
         audit = audits.get(conditioning & read)
         if audit is None:
-            bits = memos.bits
+            bits = self._bits
             blocks = tuple([_block(key, conditioning, bits) for key in keys])
             audit = audits.get(blocks)
             if audit is None:
@@ -454,9 +419,9 @@ class Closure:
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
         """Every (fact, certifying path) pair this closure derived."""
-        names, facts = self.graph.names, self._read().facts
+        names, named = self.graph.names, self._named
         return frozenset(
-            (facts[path[0], path[-1], nc, cs], tuple([names[i] for i in path]))
+            (named[path[0], path[-1], nc, cs], tuple([names[i] for i in path]))
             for path, nc, cs in self._derived
         )
 
@@ -507,26 +472,25 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     restricted.  The returned ``Closure`` answers pair reads for the
     requested pairs only.
 
-    Nodes are ints (node i is ``g.names[i]``) and every
-    fact is an int key: a mediate fact (source, target, intermediates
-    mask), a path fact (left, right, noncollider mask, collider-set
-    masks).  A trace entry is (rule, premises, conclusion key), where a
-    premise is an edge's text ``"X -> Y"`` or a fact key.  No named fact
-    or ``TraceRecord`` is built here; ``Closure`` builds each on first
-    read.  One inner step, ``derive``, makes every path fact: it orients
-    a node-index path, drops a repeated (path, noncollider mask,
-    collider-set masks) key, charges the budget, records a new fact's
-    trace entry and indexes the derivation's two views, one per direction
-    of its path, by the path's first two nodes.  The Chain, Fork and
-    Collider windows call it with 3-node paths, the ``while pqueue`` loop
-    with Transitivity* conclusions: each view of a popped derivation glues
-    to the indexed views that start with its last two nodes and meet its
-    node mask in exactly those two junction bits.  The rule's junction
+    Nodes are ints (node i is ``g.names[i]``) and every fact is an int key:
+    a mediate fact (source, target, intermediates mask), a path fact (left,
+    right, noncollider mask, collider-set masks).  A trace entry is (rule,
+    premises, conclusion key), where a premise is an edge (source, target)
+    or a fact key.  No text, named fact or ``TraceRecord`` is built here;
+    ``Closure`` builds each on first read.  One inner step, ``derive``,
+    makes every path fact: it orients a node-index path, drops a repeated
+    (path, noncollider mask, collider-set masks) key, charges the budget,
+    records a new fact's trace entry and appends its key to the fact's
+    (left, right) group, and indexes the derivation's two views, one per
+    direction of its path, by the path's first two nodes.  The Chain, Fork
+    and Collider windows call it with 3-node paths, the ``while pqueue``
+    loop with Transitivity* conclusions: each view of a popped derivation
+    glues to the indexed views that start with its last two nodes and meet
+    its node mask in exactly those two junction bits.  The rule's junction
     condition needs no test: the index key makes each junction node an
     interior node of both premises' paths, and every interior node of a
-    certified path is a noncollider or lies in a collider set.  The
-    endpoint exclusion is one AND against the views' collider-set masks.
-    A fact is rendered to text only where it is printed.
+    certified path is a noncollider or lies in a collider set.  The endpoint
+    exclusion is one AND against the views' collider-set masks.
     """
     budget = resolve_fact_budget(fact_budget)
     count = 0
@@ -568,11 +532,12 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
         chain = mqueue.popleft()
         source, target, mask = chain
         for k in children[target]:
-            add_mediate((source, k, mask | bit[k]), "Transitive cause",
-                        (chain, _render_edge(names[target], names[k])))
+            add_mediate((source, k, mask | bit[k]), "Transitive cause", (chain, (target, k)))
 
     # Path fact key -> (first certifying path, position of its trace entry).
     certifying: dict[tuple, tuple[tuple[int, ...], int]] = {}
+    # (left, right) -> its path fact keys, in derivation order.
+    groups: dict[tuple[int, int], list[tuple]] = defaultdict(list)
     # One key per derivation: (oriented path, noncollider mask, collider-set masks).
     derived: set[tuple] = set()
     # A view is one direction of a derivation's path:
@@ -599,6 +564,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
         fact = (path[0], path[-1], nc, cs)
         if fact not in certifying:
             certifying[fact] = (path, len(trace))
+            groups[path[0], path[-1]].append(fact)
             trace.append((rule, premises, fact))
         forward = (fact, path, mask, nc, cs, in_sets)
         backward = (fact, path[::-1], mask, nc, cs, in_sets)
@@ -608,20 +574,20 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
 
     # The windows: a 3-node path is a chain, a fork or a collider, and
     # distinct mediate facts carry distinct node sets, so none repeats.
-    for y, v in enumerate(names):
+    for y in range(len(names)):
         for x in parents[y]:
             for z in children[y]:
                 derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Chain",
-                       (_render_edge(names[x], v), _render_edge(v, names[z])))
+                       ((x, y), (y, z)))
         for x, z in combinations(children[y], 2):
             derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Fork",
-                   (_render_edge(v, names[x]), _render_edge(v, names[z])))
+                   ((y, x), (y, z)))
         for x, z in combinations(parents[y], 2):
             for chain in by_source[y]:
                 if chain[2] & (bit[x] | bit[z]):
                     continue
                 derive((x, y, z), bit[x] | bit[y] | bit[z], 0, frozenset([chain[2]]),
-                       "Collider", (_render_edge(names[x], v), _render_edge(names[z], v), chain))
+                       "Collider", ((x, y), (z, y), chain))
 
     while pqueue:
         forward, backward = pqueue.popleft()
@@ -644,7 +610,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
                 derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs1 | cs2, "Transitivity*",
                        (fact2, fact1) if is_backward else (fact1, fact2))
 
-    return Closure(g, mediate, certifying, derived, trace, pairs)
+    return Closure(g, mediate, certifying, derived, trace, groups, pairs)
 
 
 # --- Independent textbook oracle -----------------------------------------
@@ -739,16 +705,18 @@ def closure_dump(closure: Closure) -> dict:
     """
     if closure.pairs is not None:
         raise ValueError("closure_dump lists a whole closure, not one restricted to node pairs")
-    names, bits = closure.graph.names, closure._read().bits
+    names, bits = closure.graph.names, closure._bits
     named = _Memo(lambda mask: [names[i] for i in bits[mask]])
     family = _Memo(lambda sets: [named[s] for s in sorted(sets, key=bits.__getitem__)])
 
-    def fact_text(key):
+    def premise_text(key):
+        if len(key) == 2:
+            return _render_edge(names[key[0]], names[key[1]])
         if len(key) == 3:
             return mediate_text(names[key[0]], names[key[1]], named[key[2]])
         return path_fact_text(names[key[0]], names[key[1]], named[key[2]], family[key[3]])
 
-    text = _Memo(fact_text)
+    text = _Memo(premise_text)
     mediate = [
         {"source": names[source], "target": names[target], "intermediates": named[mask]}
         for source, target, mask in sorted(
@@ -769,7 +737,7 @@ def closure_dump(closure: Closure) -> dict:
     trace = [
         {
             "rule": rule,
-            "premises": [p if type(p) is str else text[p] for p in premises],
+            "premises": [text[p] for p in premises],
             "conclusion": text[key],
         }
         for rule, premises, key in closure._trace

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairgate import closure as closure_module
 from fairgate.closure import (
     DEFAULT_FACT_BUDGET,
     FACT_BUDGET_ENV_VAR,
@@ -469,14 +470,31 @@ def _dense_n10():
     return CausalGraph(names, [tuple(edge.split(">")) for edge in DENSE_N10[0].split()])
 
 
-def test_close_builds_no_named_fact_or_trace_record(built, loan_graph):
+def test_close_builds_no_named_fact_or_trace_record(built, loan_graph, monkeypatch):
+    rendered = Counter()
+
+    def counting(name):
+        render = getattr(closure_module, name)
+
+        def counted(*args):
+            rendered[name] += 1
+            return render(*args)
+
+        return counted
+
+    for name in ("_render_edge", "mediate_text", "path_fact_text"):
+        monkeypatch.setattr(closure_module, name, counting(name))
     for g in (loan_graph, _dense_n10()):
         closure = close(g)
+        # close renders no edge and no fact: its trace premises are int keys.
+        assert not rendered, sorted(g.edges)
         closure.read_mask(*sorted(g.nodes)[:2])
         # The paths report renders every fact's text from the keys alone.
         closure_dump(closure)
         assert not built, sorted(g.edges)
         assert closure.paths and closure.trace
+        assert set(rendered) == {"_render_edge", "mediate_text", "path_fact_text"}
+        rendered.clear()
         built.clear()
 
 
@@ -555,6 +573,10 @@ def test_a_fully_read_closure_is_freed_by_reference_counting(loan_graph):
     # the closure, so dropping the closure leaves no cycle to collect.
     for g in (loan_graph, _dense_n10()):
         gc.collect()
+        # The memos are built with the closure, read or not.
+        closure = close(g)
+        del closure
+        assert gc.collect() == 0, sorted(g.edges)
         closure = close(g)
         closure_dump(closure)
         closure.derivations()

@@ -63,25 +63,49 @@ def test_closure_has_one_condition2_test():
     assert not hasattr(module.Closure, "certifying_path")
 
 
-def test_benchmark_spans_find_every_name_they_wrap():
+def test_benchmark_spans_find_every_name_they_wrap(tmp_path):
     # benchmark/spans.py wraps fairgate names by getattr and counts a traced
     # close through Closure.derivations; deleting or renaming one would
     # break ``benchmark/run.py --trace 1``.  An ``if`` request runs the
-    # wrapped check_intersectionality, the one audit pipeline.
+    # wrapped check_intersectionality, the one audit pipeline.  The traced
+    # close and verdict counts read Closure.paths, trace and derivations(),
+    # which are built on each read, for a whole closure (paths, oracle) and
+    # for restricted ones (weaken, intersect).
     root = Path(__file__).resolve().parent.parent
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmark")]),
         "PYTHONDONTWRITEBYTECODE": "1",
     }
-    dataset = root / "tests" / "data" / "table1.csv"
+    data = root / "tests" / "data"
+    dataset = data / "table1.csv"
+    # table1.cg with a1 -> a2 added, so the (a1, t) pair has path facts.
+    chain = tmp_path / "chain.cg"
+    chain.write_text("node a1\nnode a2\nnode t\n\na1 -> a2\na1 -> t\na2 -> t\n", encoding="utf-8")
+    requests = [
+        (["paths", "--graph", str(data / "loan.cg")], 0),
+        (["weaken", "--graph", str(data / "loan.cg"), "--judgment", str(data / "loan.jdg"),
+          "--attr", "MS=married"], 0),
+        (["intersect", "--graph", str(chain), "--dataset", str(dataset), "--target", "t",
+          "--protected", "a1,a2"], 1),
+        (["oracle", "--max-nodes", "3"], 0),
+    ]
     code = (
+        "import contextlib, io\n"
         "from spans import Tracer, install; tracer = Tracer(); install(tracer)\n"
         "from fairgate import cli, closure, graph\n"
         "closure.close(graph.CausalGraph('abc', [('a', 'b'), ('b', 'c')]))\n"
         f"argv = ['if', '--dataset', {str(dataset)!r}, '--target', 't', '--protected', 'a1']\n"
         "assert cli.main(argv) == 0\n"
         "assert tracer.self_ns['fairness.intersect'] > 0\n"
+        f"for argv, exit_code in {requests!r}:\n"
+        "    tracer.reset()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == exit_code, argv\n"
+        "    for name in ('path_facts', 'trace_records', 'derivations'):\n"
+        "        assert tracer.counts['closure.' + name] > 0, (argv, name)\n"
+        "    if argv[0] in ('weaken', 'intersect'):\n"
+        "        assert tracer.counts['weakening.evaluate_calls'] > 0, argv\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
