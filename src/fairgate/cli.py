@@ -319,12 +319,14 @@ def _if_text(payload: dict) -> str:
 
 
 def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
-    """Closure, dataset and context of ``if`` or ``intersect``: the inputs
-    given are the routes run.  Every file given is read and checked, and
-    the request is checked before the graph is closed, for the (protected,
-    target) pairs the verdicts read."""
+    """Closure, dataset, context and epsilon of ``if`` or ``intersect``: the
+    inputs given are the routes run, and only a dataset reads an epsilon.
+    Every file given is read and checked, and the request is checked before
+    the graph is closed, for the (protected, target) pairs the verdicts read."""
     if args.context and args.context_inline:
         raise InputError("pass either --context or --context-inline, not both")
+    if args.epsilon is not None and not args.dataset:
+        raise InputError("--epsilon needs --dataset (only the empirical check has a tolerance)")
     g = load_graph(args.graph) if args.graph else None
     dataset = Dataset.from_csv(args.dataset, args.target) if args.dataset else None
     if args.context:
@@ -336,12 +338,12 @@ def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
     if g is not None:
         pairs = [(p, args.target) for p in protected]
         closure = close(g, fact_budget=args.fact_budget, pairs=pairs)
-    return closure, dataset, ctx
+    return closure, dataset, ctx, args.epsilon or Fraction(0)
 
 
 def _cmd_if(args) -> tuple[dict, bool]:
-    closure, dataset, ctx = _audit_inputs(args, [args.protected])
-    result = check_if(closure, dataset, ctx, args.target, args.protected, epsilon=args.epsilon)
+    closure, dataset, ctx, epsilon = _audit_inputs(args, [args.protected])
+    result = check_if(closure, dataset, ctx, args.target, args.protected, epsilon=epsilon)
     return if_result_to_json(result), result.passed
 
 
@@ -378,10 +380,10 @@ def _intersect_text(payload: dict) -> str:
 
 
 def _cmd_intersect(args) -> tuple[dict, bool]:
-    closure, dataset, ctx = _audit_inputs(args, args.protected, args.subset_cap)
+    closure, dataset, ctx, epsilon = _audit_inputs(args, args.protected, args.subset_cap)
     report = check_intersectionality(
         closure, dataset, ctx, args.target, args.protected,
-        epsilon=args.epsilon, subset_cap=args.subset_cap,
+        epsilon=epsilon, subset_cap=args.subset_cap,
     )
     return fairness_report_to_json(report), report.passed
 
@@ -506,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--context-inline", default="",
                        help="context given directly, e.g. 'Age=27, GAI=40K'")
     audit.add_argument("--target", required=True, help="target variable / column")
-    audit.add_argument("--epsilon", type=_parse_epsilon, default=Fraction(0),
-                       help="tolerance as a rational (default 0)")
+    audit.add_argument("--epsilon", type=_parse_epsilon, default=None,
+                       help="tolerance as a rational (default 0; needs --dataset)")
 
     parser = argparse.ArgumentParser(
         prog="fairgate",

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import or_
@@ -57,6 +56,7 @@ from typing import NamedTuple
 
 from .errors import InputError, ResourceLimit, UnknownVariable
 from .graph import CausalGraph
+from .record import Record
 
 __all__ = [
     "DEFAULT_FACT_BUDGET",
@@ -101,8 +101,7 @@ def resolve_fact_budget(explicit: int | None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class MediateCauseFact:
+class MediateCauseFact(Record):
     """``source`` causes ``target`` through the given intermediate nodes.
 
     The intermediates are the nodes of one directed path from source to
@@ -114,13 +113,14 @@ class MediateCauseFact:
     target: str
     intermediates: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "intermediates", frozenset(self.intermediates))
-        if self.source == self.target:
-            if self.intermediates != frozenset([self.source]):
+    def __init__(self, source, target, intermediates):
+        intermediates = frozenset(intermediates)
+        if source == target:
+            if intermediates != {source}:
                 raise ValueError("reflexive facts carry exactly their own node")
-        elif self.target not in self.intermediates:
+        elif target not in intermediates:
             raise ValueError("intermediates must contain the target")
+        self.__dict__.update(source=source, target=target, intermediates=intermediates)
 
     @cached_property
     def text(self) -> str:
@@ -128,8 +128,7 @@ class MediateCauseFact:
         return mediate_text(self.source, self.target, sorted(self.intermediates))
 
 
-@dataclass(frozen=True)
-class PathFact:
+class PathFact(Record):
     """A potential dependence channel between two distinct variables.
 
     ``noncolliders`` holds the interior path nodes that transmit unless
@@ -145,21 +144,22 @@ class PathFact:
     noncolliders: frozenset[str]
     collider_sets: frozenset[frozenset[str]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "noncolliders", frozenset(self.noncolliders))
-        object.__setattr__(
-            self, "collider_sets", frozenset(frozenset(s) for s in self.collider_sets)
-        )
-        if self.left == self.right:
+    def __init__(self, left, right, noncolliders, collider_sets):
+        noncolliders = frozenset(noncolliders)
+        collider_sets = frozenset(map(frozenset, collider_sets))
+        if left == right:
             raise ValueError("path facts relate two distinct variables")
-        ends = {self.left, self.right}
-        if self.noncolliders & ends:
+        ends = {left, right}
+        if noncolliders & ends:
             raise ValueError("endpoints cannot be noncolliders of their own fact")
-        for group in self.collider_sets:
+        for group in collider_sets:
             if not group:
                 raise ValueError("collider sets are non-empty")
             if group & ends:
                 raise ValueError("endpoints cannot appear in a collider set")
+        self.__dict__.update(
+            left=left, right=right, noncolliders=noncolliders, collider_sets=collider_sets
+        )
 
     @cached_property
     def text(self) -> str:
@@ -167,14 +167,16 @@ class PathFact:
         return render_path_fact(self)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Record):
     """One productive rule firing: the new fact, its premise facts and, for the rules
     that read edges, the edges as ``"X -> Y"``; ``trace_record_json`` renders it."""
 
     rule: str
     premises: tuple[str | MediateCauseFact | PathFact, ...]
     conclusion: MediateCauseFact | PathFact
+
+    def __init__(self, rule, premises, conclusion):
+        self.__dict__.update(rule=rule, premises=premises, conclusion=conclusion)
 
 
 class BlockReason(NamedTuple):

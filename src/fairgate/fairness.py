@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
 from operator import itemgetter
+from typing import NamedTuple
 
 from .closure import Closure
 from .errors import (
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .graph import BOM, validate_name
 from .judgments import Context, Value, value_matches
+from .record import Record
 from .weakening import Verdict, check_variables, evaluate_conditions, verdict_to_json
 
 __all__ = [
@@ -79,39 +80,39 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """An immutable table of atomic value strings with a designated target column."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
     target_column: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        for name in self.columns:
+    def __init__(self, columns, rows, target_column):
+        columns = tuple(columns)
+        rows = tuple(map(tuple, rows))
+        for name in columns:
             validate_name(name)
-        if len(set(self.columns)) != len(self.columns):
+        if len(set(columns)) != len(columns):
             raise MalformedDataset("duplicate column names")
-        if self.target_column not in self.columns:
-            raise UnknownColumn(f"target column {self.target_column!r} is not a column")
-        width = len(self.columns)
+        if target_column not in columns:
+            raise UnknownColumn(f"target column {target_column!r} is not a column")
+        width = len(columns)
         checked = set()  # each distinct cell once, in first-occurrence order
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if len(row) != width:
                 raise MalformedDataset(
                     f"row {i + 1} has {len(row)} cells, expected {width}"
                 )
             if checked.issuperset(row):
                 continue
-            for name, cell in zip(self.columns, row):
+            for name, cell in zip(columns, row):
                 if cell not in checked:
                     try:
                         Value.atomic(cell)
                     except MalformedValue as exc:
                         raise MalformedValue(f"row {i + 1}, column {name!r}: {exc}") from None
                     checked.add(cell)
+        self.__dict__.update(columns=columns, rows=rows, target_column=target_column)
 
     def col(self, name: str) -> int:
         """Column index, or UnknownColumn."""
@@ -186,8 +187,7 @@ def empirical_probability(dataset: Dataset, ctx: Context, outcome: Value) -> Fra
     return Fraction(hits, sum(counts.values()))
 
 
-@dataclass(frozen=True)
-class CiResult:
+class CiResult(NamedTuple):
     """Exact empirical conditional-independence comparison.
 
     For every observed value of the tested attribute and every observed
@@ -248,8 +248,7 @@ def _ci_from_counts(counts: dict, epsilon: Fraction) -> CiResult:
     )
 
 
-@dataclass(frozen=True)
-class IfCheckResult:
+class IfCheckResult(NamedTuple):
     """One protected attribute checked against one context."""
 
     protected_attr: str
@@ -262,8 +261,7 @@ class IfCheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """One member of a subset checked with the rest folded into the context.
 
     ``empirical`` holds one CiResult per observed value combination of
@@ -279,15 +277,13 @@ class Decomposition:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SubsetResult:
+class SubsetResult(NamedTuple):
     subset: tuple[str, ...]
     decompositions: tuple[Decomposition, ...]
     passed: bool
 
 
-@dataclass(frozen=True)
-class FairnessReport:
+class FairnessReport(NamedTuple):
     """Verdicts for every non-empty subset of the protected attributes."""
 
     protected_attrs: tuple[str, ...]

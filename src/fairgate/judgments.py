@@ -18,7 +18,6 @@ decimal or ``m/n`` fraction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -29,6 +28,7 @@ from .errors import (
     ProbabilityOutOfRange,
 )
 from .graph import CausalGraph, read_text, validate_name
+from .record import Record
 
 __all__ = [
     "MAX_RATIONAL_DIGITS",
@@ -72,25 +72,25 @@ def _check_atom(atom) -> str:
     return atom
 
 
-@dataclass(frozen=True)
-class Value:
+class Value(Record):
     """An atomic value, a sum of atoms, or the complement of one atom."""
 
     kind: str
     atoms: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", frozenset(self.atoms))
-        for atom in self.atoms:
+    def __init__(self, kind, atoms):
+        atoms = frozenset(atoms)
+        for atom in atoms:
             _check_atom(atom)
-        if self.kind in ("atomic", "complement"):
-            if len(self.atoms) != 1:
-                raise MalformedValue(f"{self.kind} values hold exactly one atom")
-        elif self.kind == "sum":
-            if len(self.atoms) < 2:
+        if kind in ("atomic", "complement"):
+            if len(atoms) != 1:
+                raise MalformedValue(f"{kind} values hold exactly one atom")
+        elif kind == "sum":
+            if len(atoms) < 2:
                 raise MalformedValue("sum values need at least two distinct atoms")
         else:
-            raise MalformedValue(f"unknown value kind {self.kind!r}")
+            raise MalformedValue(f"unknown value kind {kind!r}")
+        self.__dict__.update(kind=kind, atoms=atoms)
 
     @classmethod
     def atomic(cls, atom: str) -> "Value":
@@ -133,34 +133,34 @@ def value_to_text(value: Value) -> str:
     return value.atom + "^~"
 
 
-@dataclass(frozen=True)
-class Attribution:
+class Attribution(Record):
     """One ``variable = value`` assignment."""
 
     variable: str
     value: Value
 
-    def __post_init__(self):
-        validate_name(self.variable)
+    def __init__(self, variable, value):
+        validate_name(variable)
+        self.__dict__.update(variable=variable, value=value)
 
 
-@dataclass(frozen=True, eq=False)
-class Context:
+class Context(Record):
     """An ordered list of attributions over distinct variables.
 
     Two contexts are equal when they hold the same attribution set; the
     stored order is presentation only.
     """
 
-    attributions: tuple[Attribution, ...] = ()
+    attributions: tuple[Attribution, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributions", tuple(self.attributions))
+    def __init__(self, attributions=()):
+        attributions = tuple(attributions)
         seen: set[str] = set()
-        for attr in self.attributions:
+        for attr in attributions:
             if attr.variable in seen:
                 raise DuplicateVariable(f"variable {attr.variable!r} occurs twice in the context")
             seen.add(attr.variable)
+        self.__dict__.update(attributions=attributions)
 
     def variables(self) -> frozenset[str]:
         return frozenset(a.variable for a in self.attributions)
@@ -192,8 +192,7 @@ class Context:
         return f"Context({serialize_context(self)!r})"
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
     """``context => target=outcome @ probability`` with an exact probability."""
 
     context: Context
@@ -201,17 +200,20 @@ class Judgment:
     outcome: Value
     probability: Fraction
 
-    def __post_init__(self):
-        validate_name(self.target)
-        if self.outcome.kind != "atomic":
+    def __init__(self, context, target, outcome, probability):
+        validate_name(target)
+        if outcome.kind != "atomic":
             raise MalformedValue("judgment outcomes must be atomic values")
-        if isinstance(self.probability, float):
+        if isinstance(probability, float):
             raise TypeError("probability must be an exact rational, not a float")
-        object.__setattr__(self, "probability", Fraction(self.probability))
-        if not 0 <= self.probability <= 1:
-            raise ProbabilityOutOfRange(f"probability {self.probability} outside [0, 1]")
-        if self.target in self.context.variables():
-            raise DuplicateVariable(f"target {self.target!r} occurs in the context")
+        probability = Fraction(probability)
+        if not 0 <= probability <= 1:
+            raise ProbabilityOutOfRange(f"probability {probability} outside [0, 1]")
+        if target in context.variables():
+            raise DuplicateVariable(f"target {target!r} occurs in the context")
+        self.__dict__.update(
+            context=context, target=target, outcome=outcome, probability=probability
+        )
 
 
 # --- DSL parsing ---------------------------------------------------------

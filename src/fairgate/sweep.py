@@ -11,10 +11,10 @@ captured as a structured discrepancy rather than a bare failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, groupby, permutations, product
 from operator import or_
+from typing import NamedTuple
 
 from .closure import close, dsep_oracle, enumerate_classified_paths, oracle_rows
 from .graph import CausalGraph
@@ -59,8 +59,7 @@ DEFAULT_SEED = 0
 DEFAULT_EDGE_PROB = 0.3
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """One triple where the two routes disagreed, with the full graph."""
 
     nodes: tuple[str, ...]
@@ -72,8 +71,7 @@ class Discrepancy:
     by_oracle: bool
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     mode: str  # "exhaustive" or "random"
     max_nodes: int
     trials: int | None

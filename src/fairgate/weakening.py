@@ -16,7 +16,7 @@ here; only variable positions in the graph matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closure import (
     BlockReason,
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one admissibility check, with its full audit trail.
 
     ``blocked_facts`` pairs every examined path fact with its blocking

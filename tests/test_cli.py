@@ -493,6 +493,27 @@ def test_bad_epsilon_is_refused_before_the_closure(capsys, data_dir, command, ep
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["intersect", "--protected", "MS,Age", "--epsilon", "1/10"],
+        ["if", "--protected", "MS", "--epsilon", "1/2"],
+        ["if", "--protected", "MS", "--epsilon", "0"],
+    ],
+    ids=["intersect", "if", "if-zero"],
+)
+def test_epsilon_without_a_dataset_is_refused(capsys, data_dir, argv):
+    # Only the empirical route has a tolerance, so on a graph alone the flag
+    # would be ignored.  A fact budget of 3 stops the loan closure with exit
+    # 3, so exit 2 shows the flag is refused before the graph is closed.
+    assert_input_error(
+        capsys,
+        [argv[0], "--graph", str(data_dir / "loan.cg"), "--target", "Loan", "--fact-budget", "3",
+         *argv[1:]],
+        "--epsilon needs --dataset",
+    )
+
+
 @pytest.mark.parametrize("command", ["if", "intersect"])
 @pytest.mark.parametrize(
     "source",

@@ -113,6 +113,28 @@ def test_benchmark_spans_find_every_name_they_wrap(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Every command pays for this import first; dataclasses, with the inspect
+    # it loads, would add about a third to it, and no verdict needs either.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    code = "import sys, fairgate.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_module_imports_dataclasses(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert "dataclasses" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "dataclasses"
+
+
 @pytest.mark.parametrize("helper", ["_saturation.py", "_recount.py", "_blocking.py"])
 def test_reference_helpers_import_only_public_names(helper):
     # A reference that imported the engine's private helpers would check
