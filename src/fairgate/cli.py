@@ -9,12 +9,13 @@ byte-identical for identical inputs and seeds.
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .closure import close, closure_dump, mediate_text, path_fact_text, resolve_fact_budget
 from .errors import InputError, ResourceLimit
@@ -323,13 +324,13 @@ def _audit_inputs(args, protected, subset_cap=DEFAULT_SUBSET_CAP):
     inputs given are the routes run, and only a dataset reads an epsilon.
     Every file given is read and checked, and the request is checked before
     the graph is closed, for the (protected, target) pairs the verdicts read."""
-    if args.context and args.context_inline:
+    if args.context is not None and args.context_inline:
         raise InputError("pass either --context or --context-inline, not both")
-    if args.epsilon is not None and not args.dataset:
+    if args.epsilon is not None and args.dataset is None:
         raise InputError("--epsilon needs --dataset (only the empirical check has a tolerance)")
-    g = load_graph(args.graph) if args.graph else None
-    dataset = Dataset.from_csv(args.dataset, args.target) if args.dataset else None
-    if args.context:
+    g = None if args.graph is None else load_graph(args.graph)
+    dataset = None if args.dataset is None else Dataset.from_csv(args.dataset, args.target)
+    if args.context is not None:
         ctx = load_context(args.context, g)
     else:
         ctx = parse_context(args.context_inline, g)
@@ -491,77 +492,158 @@ def _cmd_demo_table1(args) -> tuple[dict, bool]:
     return payload, report.passed
 
 
-# --- parser ------------------------------------------------------------------
+# --- command line ------------------------------------------------------------
+
+
+class Flag(NamedTuple):
+    """One flag of a subcommand: the keywords argparse's ``add_argument`` gets."""
+
+    dest: str
+    type: object = None  # converter from the flag's text; None keeps the text
+    default: object = None
+    required: bool = False
+    help: str = ""
+    choices: tuple | None = None
+
+
+class Command(NamedTuple):
+    """One subcommand: its handler, text renderer, help and flags in order."""
+
+    handler: object
+    text: object
+    help: str
+    flags: dict[str, Flag]
+
+
+_COMMON = {
+    "--format": Flag("format", default="json", help="output format (default: json)",
+                     choices=("json", "text")),
+    "--fact-budget": Flag("fact_budget", _typed(int, resolve_fact_budget),
+                          help="cap on derived facts (default 10^6; FAIRGATE_FACT_BUDGET overrides)"),
+}
+
+_GRAPH = Flag("graph", required=True, help="causal graph file (.cg)")
+
+_AUDIT = {
+    **_COMMON,
+    "--graph": _GRAPH._replace(required=False),
+    "--dataset": Flag("dataset", help="CSV dataset with a header row"),
+    "--context": Flag("context", help="context file (.ctx), one Var=value list"),
+    "--context-inline": Flag("context_inline", default="",
+                             help="context given directly, e.g. 'Age=27, GAI=40K'"),
+    "--target": Flag("target", required=True, help="target variable / column"),
+    "--epsilon": Flag("epsilon", _parse_epsilon,
+                      help="tolerance as a rational (default 0; needs --dataset)"),
+}
+
+# Every subcommand and its flags, in the order argparse lists them.
+COMMANDS = {
+    "paths": Command(
+        _cmd_paths, _paths_text, "derive and dump all mediate and path facts",
+        {**_COMMON, "--graph": _GRAPH},
+    ),
+    "weaken": Command(
+        _cmd_weaken, _weaken_text, "check one judgment weakening",
+        {
+            **_COMMON,
+            "--graph": _GRAPH,
+            "--judgment": Flag("judgment", required=True, help="judgment file (.jdg)"),
+            "--attr": Flag("attr", required=True, help="new attribution, e.g. MS=married"),
+        },
+    ),
+    "if": Command(
+        _cmd_if, _if_text, "individual-fairness check for one attribute",
+        {
+            **_AUDIT,
+            "--protected": Flag("protected", _single_attribute, required=True,
+                                help="protected attribute"),
+        },
+    ),
+    "intersect": Command(
+        _cmd_intersect, _intersect_text, "intersectional check over attribute subsets",
+        {
+            **_AUDIT,
+            "--protected": Flag("protected", _protected_names, required=True,
+                                help="comma-separated protected attributes"),
+            "--subset-cap": Flag("subset_cap", _at_least_one("--subset-cap"), DEFAULT_SUBSET_CAP,
+                                 help=f"max protected attributes (default {DEFAULT_SUBSET_CAP})"),
+        },
+    ),
+    "oracle": Command(
+        _cmd_oracle, _oracle_text, "rule closure vs d-separation agreement sweep",
+        {
+            **_COMMON,
+            "--trials": Flag("trials", _at_least_one("--trials"),
+                             help="random graphs to test; omit for the exhaustive sweep"),
+            "--max-nodes": Flag("max_nodes", _at_least_one("--max-nodes"),
+                                help=f"node cap (default {DEFAULT_EXHAUSTIVE_NODES} exhaustive,"
+                                     f" {DEFAULT_RANDOM_NODES} random)"),
+            "--seed": Flag("seed", int, help="RNG seed for random sweeps"
+                                             f" (default {DEFAULT_SEED}; needs --trials)"),
+            "--edge-prob": Flag("edge_prob", _typed(float, _unit_interval),
+                                help="edge probability for random graphs"
+                                     f" (default {DEFAULT_EDGE_PROB}; needs --trials)"),
+        },
+    ),
+    "demo-table1": Command(
+        _cmd_demo_table1, _demo_text, "generate the two-attribute counterexample", _COMMON,
+    ),
+}
+
+
+def read_command_line(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives, read from ``COMMANDS``,
+    or None when ``argv`` is not of the one shape read here.
+
+    That shape is ``SUBCOMMAND (--flag VALUE)*``: every flag declared for
+    the subcommand and spelled in full, every value present and not
+    starting with "-", every value of a flag with choices one of them, and
+    every required flag given.  The whole line is checked before any value
+    is converted, as argparse classifies every token before it converts
+    any.  Values are then converted left to right by the flags' converters,
+    and a repeated flag keeps its last value.  An ``InputError`` from a
+    converter propagates, as it does through argparse; a ``ValueError`` or
+    ``TypeError`` returns None, so that argparse words the usage error.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    flags = command.flags
+    names, texts = argv[1::2], argv[2::2]
+    for name, text in zip(names, texts):
+        flag = flags.get(name)
+        if flag is None or text.startswith("-") or flag.choices and text not in flag.choices:
+            return None
+    if any(flag.required and name not in names for name, flag in flags.items()):
+        return None
+    values = {flag.dest: flag.default for flag in flags.values()}
+    try:
+        for name, text in zip(names, texts):
+            flag = flags[name]
+            values[flag.dest] = text if flag.type is None else flag.type(text)
+    except (ValueError, TypeError):
+        return None
+    return SimpleNamespace(subcommand=argv[0], **values, handler=command.handler, text=command.text)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json",
-                        help="output format (default: json)")
-    common.add_argument("--fact-budget", type=_typed(int, resolve_fact_budget), default=None,
-                        help="cap on derived facts (default 10^6; FAIRGATE_FACT_BUDGET overrides)")
-
-    audit = argparse.ArgumentParser(add_help=False)
-    audit.add_argument("--graph", help="causal graph file (.cg)")
-    audit.add_argument("--dataset", help="CSV dataset with a header row")
-    audit.add_argument("--context", help="context file (.ctx), one Var=value list")
-    audit.add_argument("--context-inline", default="",
-                       help="context given directly, e.g. 'Age=27, GAI=40K'")
-    audit.add_argument("--target", required=True, help="target variable / column")
-    audit.add_argument("--epsilon", type=_parse_epsilon, default=None,
-                       help="tolerance as a rational (default 0; needs --dataset)")
+    """The argparse parser of ``COMMANDS``.  It answers every command line
+    ``read_command_line`` declines: help, usage errors and the forms argparse
+    reads besides (abbreviated flags, ``--flag=value``, negative numbers)."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="fairgate",
         description="Causal-graph fairness checks with exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("paths", parents=[common], help="derive and dump all mediate and path facts")
-    p.add_argument("--graph", required=True, help="causal graph file (.cg)")
-    p.set_defaults(handler=_cmd_paths, text=_paths_text)
-
-    p = sub.add_parser("weaken", parents=[common], help="check one judgment weakening")
-    p.add_argument("--graph", required=True, help="causal graph file (.cg)")
-    p.add_argument("--judgment", required=True, help="judgment file (.jdg)")
-    p.add_argument("--attr", required=True, help="new attribution, e.g. MS=married")
-    p.set_defaults(handler=_cmd_weaken, text=_weaken_text)
-
-    p = sub.add_parser("if", parents=[common, audit],
-                       help="individual-fairness check for one attribute")
-    p.add_argument("--protected", type=_single_attribute, required=True, help="protected attribute")
-    p.set_defaults(handler=_cmd_if, text=_if_text)
-
-    p = sub.add_parser("intersect", parents=[common, audit],
-                       help="intersectional check over attribute subsets")
-    p.add_argument("--protected", type=_protected_names, required=True,
-                   help="comma-separated protected attributes")
-    p.add_argument("--subset-cap", type=_at_least_one("--subset-cap"), default=DEFAULT_SUBSET_CAP,
-                   help=f"max protected attributes (default {DEFAULT_SUBSET_CAP})")
-    p.set_defaults(handler=_cmd_intersect, text=_intersect_text)
-
-    p = sub.add_parser("oracle", parents=[common],
-                       help="rule closure vs d-separation agreement sweep")
-    p.add_argument("--trials", type=_at_least_one("--trials"), default=None,
-                   help="random graphs to test; omit for the exhaustive sweep")
-    p.add_argument("--max-nodes", type=_at_least_one("--max-nodes"), default=None,
-                   help=f"node cap (default {DEFAULT_EXHAUSTIVE_NODES} exhaustive,"
-                        f" {DEFAULT_RANDOM_NODES} random)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed for random sweeps (default {DEFAULT_SEED}; needs --trials)")
-    p.add_argument("--edge-prob", type=_typed(float, _unit_interval), default=None,
-                   help=f"edge probability for random graphs (default {DEFAULT_EDGE_PROB};"
-                        " needs --trials)")
-    p.set_defaults(handler=_cmd_oracle, text=_oracle_text)
-
-    p = sub.add_parser("demo-table1", parents=[common],
-                       help="generate the two-attribute counterexample")
-    p.set_defaults(handler=_cmd_demo_table1, text=_demo_text)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, keywords in command.flags.items():
+            p.add_argument(flag, **keywords._asdict())
+        p.set_defaults(handler=command.handler, text=command.text)
     return parser
 
-
-PARSER = build_parser()
 
 # Pieces of a JSON report joined per write to standard output.
 WRITE_CHUNK_PIECES = 1024
@@ -590,7 +672,10 @@ def _write_pieces(pieces: list[str]) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = read_command_line(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         payload, passed = args.handler(args)
         # A report is rendered in full before any of it is written, so a
         # crash while rendering leaves standard output empty.

@@ -89,7 +89,7 @@ def test_golden_output(capsys, data_dir, golden_dir, golden_name, argv_builder):
 
 
 # Per golden: a call of the same subcommand with other flags, made first in
-# the same process; main parses every call with one shared parser.
+# the same process; main reads every call from one shared flag table.
 PRIOR_CALLS = {
     "weaken_loan_ms.json": lambda d: [
         "weaken", "--graph", str(d / "loan.cg"), "--judgment", str(d / "loan_gai_only.jdg"),
@@ -352,6 +352,25 @@ def test_conflicting_context_flags(capsys, data_dir):
     )
     assert code == 2
     assert "either --context or --context-inline" in err
+
+
+@pytest.mark.parametrize("command", ["if", "intersect"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--graph", "", "--dataset", "table1.csv", "--target", "t", "--protected", "a1"],
+        ["--graph", "loan.cg", "--dataset", "", "--target", "Loan", "--protected", "MS"],
+        ["--graph", "loan.cg", "--context", "", "--target", "Loan", "--protected", "MS"],
+        ["--graph", "loan.cg", "--context", "", "--context-inline", "Age=27", "--target", "Loan",
+         "--protected", "MS"],
+    ],
+    ids=["graph", "dataset", "context", "context-and-inline"],
+)
+def test_an_empty_path_is_refused_not_dropped(capsys, data_dir, command, flags):
+    argv = [command, *(str(data_dir / f) if f.endswith((".cg", ".csv")) else f for f in flags)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_if_rejects_attribute_list(capsys, data_dir):

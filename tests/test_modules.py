@@ -116,13 +116,41 @@ def test_benchmark_spans_find_every_name_they_wrap(tmp_path):
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # Every command pays for this import first; dataclasses, with the inspect
     # it loads, would add about a third to it, and no verdict needs either.
+    # argparse, with the gettext and locale its parser builds load, is
+    # imported only for a command line the flag table declines.
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    code = "import sys, fairgate.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import sys, fairgate.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}"
+        " & set(sys.modules)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [(["paths", "--graph", str(Path(__file__).parent / "data" / "loan.cg")], False),
+     (["paths", "--help"], True)],
+    ids=["graph", "help"],
+)
+def test_only_a_line_the_flag_table_declines_imports_argparse(argv, imported):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    code = (
+        "import contextlib, io, sys\n"
+        "from fairgate.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        f"    main({argv!r})\n"
+        "print('argparse' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (result.returncode, result.stdout) == (0, f"{imported}\n"), result.stderr
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
