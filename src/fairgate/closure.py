@@ -35,7 +35,9 @@ names only the node pair it reads.  A fact is rendered to text only where
 it is printed, by ``path_fact_text`` or ``mediate_text``, the one renderer
 of each notation, and an edge only where a trace is read.
 
-``close`` can also derive only what given node pairs can read.  ``weaken``
+``close`` can also derive only what given node pairs can read: an x-y read
+uses only derivations that avoid x and y inside and whose path lies on
+simple x-y paths, in the blocks ``_span`` finds.  ``weaken``
 closes for its (attribute, target) pair, ``if`` and ``intersect`` for each
 (protected attribute, target) pair; ``paths`` and the agreement sweep read
 every pair and close the whole graph.  A restricted ``Closure`` answers
@@ -446,6 +448,41 @@ def _block(key: tuple, conditioning: int, bits: _Memo) -> int | None:
     return min(unmet, key=bits.__getitem__) if unmet else None
 
 
+def _span(neighbors: list[list[int]], x: int, y: int) -> int:
+    """The node mask of every simple x-y path of the skeleton (node i's
+    ``neighbors[i]``), or 0 when y is not reachable from x: the blocks on
+    the block-cut-tree path from x to y (Hopcroft & Tarjan, CACM 1973).  A
+    tree edge (p, w) of the depth-first search from x starts a block when
+    no edge from w's subtree reaches above p: ``low[w] >= pre[p]``."""
+    pre, low, parent = {x: 0}, {x: 0}, {x: x}
+    stack = [(x, iter(neighbors[x]))]
+    while stack:
+        v, rest = stack[-1]
+        for w in rest:
+            if w not in pre:
+                pre[w] = low[w] = len(pre)
+                parent[w] = v
+                stack.append((w, iter(neighbors[w])))
+                break
+            low[v] = min(low[v], pre[w])
+        else:
+            stack.pop()
+            low[parent[v]] = min(low[parent[v]], low[v])
+    if y not in pre:
+        return 0
+    # top[w]: the node whose tree edge starts the block of w's tree edge, set
+    # in preorder, which reaches a parent before its children.
+    top = {}
+    for w in list(pre)[1:]:
+        top[w] = w if low[w] >= pre[parent[w]] else top[parent[w]]
+    # The blocks of the path: y's, then that of its block's head, up to x.
+    tops = set()
+    while y != x:
+        tops.add(top[y])
+        y = parent[top[y]]
+    return reduce(or_, [1 << w for w, t in top.items() if t in tops], 1 << x)
+
+
 def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Closure:
     """Close the graph under all six rules and return the least fixpoint,
     or, given node ``pairs``, the part of it that those pairs can read.
@@ -463,16 +500,17 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     protected name, while ``paths`` and the agreement sweep close the
     whole graph.  A derivation is dropped, and costs no budget, when for
     every requested pair (x, y) its noncolliders or collider sets
-    (``nc | in_sets``, which covers its path interior) hold x or y.  The
-    drop is sound because a Transitivity*
-    conclusion's interior holds both premises' interiors, collider sets
-    only grow, and the endpoint exclusion keeps x and y out of an x-y
-    fact's collider sets: so every premise of a kept derivation is kept,
-    the queue, buckets and dedup set meet the kept derivations in their
-    whole-closure order, and each x-y fact keeps its first derivation and
-    its place among the pair's trace records.  Mediate facts are not
-    restricted.  The returned ``Closure`` answers pair reads for the
-    requested pairs only.
+    (``nc | in_sets``, which covers its path interior) hold x or y, or its
+    path leaves the pair's ``_span``, the nodes of the simple x-y paths
+    (none when x and y lie in different components).  The drop is sound
+    because a Transitivity* premise's path is a sub-path of its
+    conclusion's, collider sets only grow, and the endpoint exclusion
+    keeps x and y out of an x-y fact's collider sets: so every premise of
+    a kept derivation is kept, the queue, buckets and dedup set meet the
+    kept derivations in their whole-closure order, and each x-y fact keeps
+    its first derivation and its place among the pair's trace records.
+    Mediate facts are not restricted.  The returned ``Closure`` answers
+    pair reads for the requested pairs only.
 
     Nodes are ints (node i is ``g.names[i]``) and every fact is an int key:
     a mediate fact (source, target, intermediates mask), a path fact (left,
@@ -507,12 +545,13 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     # Nodes are numbered in sorted order, so comparing indices compares names.
     names, index = g.names, g.index
     bit = [1 << i for i in range(len(names))]
-    if pairs is not None:
-        pairs = frozenset([_pair(x, y) for x, y in pairs])
-        # The node mask of each requested pair.
-        targets = [g.node_mask(pair) for pair in pairs]
     parents = [[index[p] for p in g.parents(v)] for v in names]
     children = [[index[c] for c in g.children(v)] for v in names]
+    if pairs is not None:
+        pairs = frozenset([_pair(x, y) for x, y in pairs])
+        # Per requested pair, its node mask and the complement of its span.
+        neighbors = [p + c for p, c in zip(parents, children)]
+        targets = [(g.node_mask(p), ~_span(neighbors, index[p[0]], index[p[1]])) for p in pairs]
 
     # Mediate fact keys (source, target, intermediates mask), in derivation order.
     mediate: dict[tuple[int, int, int], None] = {}
@@ -520,8 +559,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     mqueue: deque[tuple[int, int, int]] = deque()
 
     def add_mediate(key, rule, premises):
-        if key in mediate:
-            return
+        # No key repeats: in a DAG a directed path is fixed by its source and node set.
         spend()
         mediate[key] = None
         by_source[key[0]].append(key)
@@ -559,7 +597,7 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
             in_sets |= s
         if pairs is not None:
             inside = nc | in_sets
-            if all([inside & t for t in targets]):
+            if all([inside & t or mask & outside for t, outside in targets]):
                 return
         spend()
         derived.add(key)
@@ -585,9 +623,8 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
             derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Fork",
                    ((y, x), (y, z)))
         for x, z in combinations(parents[y], 2):
+            # No chain from y holds x or z, a parent of y: that would close a cycle.
             for chain in by_source[y]:
-                if chain[2] & (bit[x] | bit[z]):
-                    continue
                 derive((x, y, z), bit[x] | bit[y] | bit[z], 0, frozenset([chain[2]]),
                        "Collider", ((x, y), (z, y), chain))
 

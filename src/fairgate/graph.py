@@ -57,14 +57,20 @@ class CausalGraph:
 
     def __init__(self, nodes=(), edges=()):
         node_set = set()
+
+        def add(name):
+            # Each distinct name is validated once, where it first appears.
+            if not isinstance(name, str) or name not in node_set:
+                node_set.add(validate_name(name))
+
         for name in nodes:
-            node_set.add(validate_name(name))
+            add(name)
         edge_list = []
         seen = set()
         for edge in edges:
             source, target = edge
-            validate_name(source)
-            validate_name(target)
+            add(source)
+            add(target)
             if source == target:
                 raise SelfLoop(f"self-loop on {source!r}")
             pair = (source, target)
@@ -72,8 +78,6 @@ class CausalGraph:
                 raise DuplicateEdge(f"edge {source} -> {target} given twice")
             seen.add(pair)
             edge_list.append(pair)
-            node_set.add(source)
-            node_set.add(target)
 
         self.nodes: frozenset[str] = frozenset(node_set)
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_list)
@@ -191,30 +195,28 @@ def parse_graph(text: str) -> CausalGraph:
     """
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
+    valid: set[str] = set()  # the names validated so far, each once
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("node "):
-            name = line[len("node "):].strip()
-            try:
-                validate_name(name)
-            except MalformedName as exc:
-                raise MalformedName(f"line {lineno}: {exc}") from None
-            nodes.append(name)
-            continue
-        if "->" not in line:
+            names = (line[len("node "):].strip(),)
+            nodes.append(names[0])
+        elif "->" in line:
+            left, _, right = line.partition("->")
+            names = (left.strip(), right.strip())
+            edges.append(names)
+        else:
             raise InputError(
                 f"line {lineno}: expected 'A -> B', 'node X', comment or blank, got {line!r}"
             )
-        left, _, right = line.partition("->")
-        source, target = left.strip(), right.strip()
         try:
-            validate_name(source)
-            validate_name(target)
+            for name in names:
+                if name not in valid:
+                    valid.add(validate_name(name))
         except MalformedName as exc:
             raise MalformedName(f"line {lineno}: {exc}") from None
-        edges.append((source, target))
     return CausalGraph(nodes, edges)
 
 

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from jsonschema import Draft202012Validator
 
 import fairgate
 from fairgate.cli import _json_pieces, main, render_json
@@ -27,13 +26,19 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+# The schema tests import jsonschema themselves, so that the other tests here
+# run where its compiled dependencies do not import.
 def load_schema(name):
+    from jsonschema import Draft202012Validator
+
     schema = json.loads((SCHEMA_DIR / name).read_text(encoding="utf-8"))
     Draft202012Validator.check_schema(schema)
     return schema
 
 
 def validate(payload, schema_name):
+    from jsonschema import Draft202012Validator
+
     Draft202012Validator(load_schema(schema_name)).validate(payload)
 
 
@@ -470,6 +475,19 @@ def test_fact_budget_charges_only_what_the_verdicts_node_pairs_can_read(capsys, 
     code, out, err = run(capsys, ["paths", "--graph", graph, "--fact-budget", "14"])
     assert (code, out) == (3, "") and err.startswith("resource limit:")
     assert run(capsys, ["paths", "--graph", graph, "--fact-budget", "16"])[0] == 0
+
+
+def test_fact_budget_charges_only_derivations_on_the_pairs_simple_paths(capsys, data_dir):
+    # Every simple GAI-Loan path stays in the block Age, GAI, Loan, so of the
+    # derivations that avoid GAI and Loan inside, only the fork GAI <- Age ->
+    # Loan is charged, not the two through MS: 9 mediate facts and 1
+    # derivation, 10 units.
+    argv = ["if", "--graph", str(data_dir / "loan.cg"), "--target", "Loan", "--protected", "GAI"]
+    unbudgeted = run(capsys, argv)
+    assert unbudgeted[0] == 1
+    assert run(capsys, argv + ["--fact-budget", "10"]) == unbudgeted
+    code, out, err = run(capsys, argv + ["--fact-budget", "9"])
+    assert (code, out) == (3, "") and err.startswith("resource limit:")
 
 
 @pytest.mark.parametrize(

@@ -133,6 +133,34 @@ def test_parse_graph_errors_carry_line_numbers():
         parse_graph("A -> B\n\nA -> x@y")
 
 
+def test_each_distinct_name_is_validated_once_per_step(monkeypatch, data_dir):
+    import fairgate.graph
+
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return validate_name(name)
+
+    monkeypatch.setattr(fairgate.graph, "validate_name", counting)
+    g = parse_graph((data_dir / "loan.cg").read_text(encoding="utf-8"))
+    # Once as parse_graph reads the lines, once as CausalGraph builds the graph.
+    assert sorted(calls) == sorted(g.names * 2)
+
+
+def test_the_first_invalid_name_raises():
+    with pytest.raises(MalformedName, match="line 2: variable name 'x y'"):
+        parse_graph("A -> B\nnode x y\nA -> x y\nnot an edge\nC -> D@")
+    with pytest.raises(MalformedName, match="line 1: variable name 'A@'"):
+        parse_graph("A@ -> B\nB -> A@")
+    with pytest.raises(SelfLoop):
+        CausalGraph([], [("A", "B"), ("A", "A"), ("B", "x y")])
+    with pytest.raises(MalformedName, match="'x y'"):
+        CausalGraph(["A"], [("A", "B"), ("B", "x y"), ("x y", "x y")])
+    with pytest.raises(MalformedName, match="non-empty strings"):
+        CausalGraph([], [(["A"], "B")])
+
+
 def test_load_graph_roundtrips(loan_graph, data_dir):
     text = (data_dir / "loan.cg").read_text(encoding="utf-8")
     assert parse_graph(text) == loan_graph

@@ -3,7 +3,8 @@
 ``close(g, pairs=...)`` derives only what those pairs can read.  Its pair
 reads must equal the whole closure's, its derivations must be exactly the
 whole closure's relevant ones, and it must refuse every other pair and
-the whole-closure dump.
+the whole-closure dump.  The span it keeps a pair's derivations inside
+must be the nodes of the pair's simple paths, as the oracle lists them.
 """
 
 import itertools
@@ -11,16 +12,77 @@ import random
 
 import pytest
 
-from fairgate.closure import close, closure_dump, trace_record_json
-from fairgate.errors import UnknownVariable
+from fairgate.closure import (
+    _span,
+    close,
+    closure_dump,
+    enumerate_classified_paths,
+    trace_record_json,
+)
+from fairgate.errors import ResourceLimit, UnknownVariable
+from fairgate.graph import parse_graph
 from fairgate.sweep import enumerate_dags, random_dag
+
+# Graphs whose blocks the span must follow: two triangles and a pendant
+# edge on a chain of cut vertices, two components, and an isolated node.
+SHAPES = [
+    "A -> B\nA -> C\nB -> C\nC -> D\nC -> E\nD -> E\nE -> F\nnode G",
+    "A -> B\nC -> B\nD -> E\nD -> F\nE -> F",
+    "A -> B\nB -> C\nA -> C\nnode D",
+]
 
 
 def _family():
-    """Every DAG on 2-4 nodes, then 50 random DAGs on 6-8 nodes."""
+    """The ``SHAPES``, every DAG on 2-4 nodes, then 50 random DAGs on 6-8 nodes."""
     rng = random.Random(7)
+    yield from map(parse_graph, SHAPES)
     yield from (g for n in range(2, 5) for g in enumerate_dags(n))
     yield from (random_dag(rng, max_nodes=8, min_nodes=6, edge_prob=0.3) for _ in range(50))
+
+
+def _joined(rng):
+    """Two random DAGs on 2-5 nodes each, joined at one node, which is then
+    a cut vertex, or (one time in four) left apart, plus an isolated node."""
+    left = random_dag(rng, max_nodes=5, min_nodes=2, edge_prob=0.5)
+    right = random_dag(rng, max_nodes=5, min_nodes=2, edge_prob=0.5)
+    rename = {v: v.lower() for v in right.names}
+    if rng.random() < 0.75:
+        rename[rng.choice(right.names)] = rng.choice(left.names)
+    lines = [f"{s} -> {t}" for s, t in left.edges]
+    lines += [f"{rename[s]} -> {rename[t]}" for s, t in right.edges]
+    lines += [f"node {v}" for v in (*left.names, *rename.values(), "Z")]
+    return parse_graph("\n".join(lines))
+
+
+def _path_nodes(g, x, y):
+    """Every node of a simple x-y path, read from the oracle's path enumeration."""
+    return {v for path, _, _ in enumerate_classified_paths(g, x, y) for v in path}
+
+
+def test_the_span_is_every_node_of_the_pairs_simple_paths():
+    rng = random.Random(11)
+    graphs = [g for n in range(2, 6) for g in enumerate_dags(n)]
+    graphs += [_joined(rng) for _ in range(100)]
+    for g in graphs:
+        index = g.index
+        neighbors = [[index[w] for w in g.undirected_neighbors(v)] for v in g.names]
+        for x, y in itertools.permutations(g.names, 2):
+            want = g.node_mask(_path_nodes(g, x, y))
+            assert _span(neighbors, index[x], index[y]) == want, (x, y, sorted(g.edges))
+
+
+def test_a_pair_with_no_path_closes_to_its_mediate_facts_alone():
+    # Dense: 12 nodes, 24 edges; its whole closure takes tens of seconds.
+    # I has no edge, so no I-C or I-H path exists and no derivation is kept.
+    g = random_dag(random.Random(5), max_nodes=12, min_nodes=12, edge_prob=0.3)
+    assert g.undirected_neighbors("I") == ()
+    mediate = 73
+    for pair in [("I", "C"), ("I", "H")]:
+        closure = close(g, fact_budget=mediate, pairs=[pair])
+        assert closure.facts_between(*pair) == ()
+        assert len(closure.mediate) == mediate
+    with pytest.raises(ResourceLimit, match=f"fact budget of {mediate} exceeded"):
+        close(g, fact_budget=mediate)
 
 
 def _wide_family():
@@ -73,12 +135,13 @@ def test_a_restricted_closure_reads_its_pairs_as_the_whole_closure_does():
     check_reads(_family())
 
 
-def _relevant(derivation, pairs):
-    """The relevance test, restated on names: some pair misses both the
-    derivation's path interior and its collider-set nodes."""
+def _relevant(derivation, spans):
+    """The relevance test, restated on names: for some pair, the derivation's
+    path interior and collider-set nodes miss both ends, and every node of
+    its path lies on a simple path between them."""
     fact, path = derivation
     inside = set(path[1:-1]).union(*fact.collider_sets)
-    return any(inside.isdisjoint(pair) for pair in pairs)
+    return any(inside.isdisjoint(pair) and span.issuperset(path) for pair, span in spans)
 
 
 def test_a_restricted_closure_derives_the_relevant_part_of_the_whole_closure():
@@ -87,7 +150,8 @@ def test_a_restricted_closure_derives_the_relevant_part_of_the_whole_closure():
         derivations = whole.derivations()
         for pairs in _requests(g):
             restricted = close(g, pairs=pairs)
-            want = frozenset(d for d in derivations if _relevant(d, pairs))
+            spans = [(pair, _path_nodes(g, *pair)) for pair in pairs]
+            want = frozenset(d for d in derivations if _relevant(d, spans))
             assert restricted.derivations() == want, (pairs, sorted(g.edges))
             assert restricted.paths == frozenset(fact for fact, _ in want)
             # Mediate facts are not restricted.
