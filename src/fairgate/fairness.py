@@ -3,8 +3,8 @@
 The graphical route asks whether a protected attribute could be added to
 a context without changing any prediction (the two admissibility
 conditions over the causal graph).  The empirical route compares exact
-conditional frequencies in a dataset.  Both use reduced rationals end to
-end; no floats enter the arithmetic.
+conditional frequencies in a dataset.  Both are exact, and no float enters:
+the empirical route keeps integer counts until each ratio is printed.
 
 Intersectionality is not a separate notion here: a set of protected
 attributes is checked by testing each member with the others folded into
@@ -31,6 +31,7 @@ import csv
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -78,6 +79,17 @@ DEFAULT_SUBSET_CAP = 12
 def fraction_str(q: Fraction) -> str:
     """Reduced "m/n" form; the denominator is always written."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def _ratio_str(m: int, n: int) -> str:
+    """fraction_str(Fraction(m, n)), with one gcd."""
+    return f"{m // (k := gcd(m, n))}/{n // k}"
+
+
+def _shares(counts: dict, ratio) -> dict:
+    """{key: ratio(count, sum of the counts)}, in the dict's key order."""
+    total = sum(counts.values())
+    return {key: ratio(n, total) for key, n in counts.items()}
 
 
 class Dataset(Record):
@@ -193,58 +205,64 @@ class CiResult(NamedTuple):
     For every observed value of the tested attribute and every observed
     outcome, the conditional frequency is compared against the marginal
     one (both within the given context); passed iff the largest gap is
-    at most epsilon.
+    at most epsilon.  The frequencies are kept as counts, each dict in
+    sorted key order; ``marginal`` and ``conditional`` are Fraction views.
     """
 
     passed: bool
     epsilon: Fraction
     max_delta: Fraction
     witness: tuple[str, str] | None  # (attribute value, outcome value)
-    marginal: dict  # outcome -> Fraction
-    conditional: dict  # attribute value -> {outcome -> Fraction}
+    outcome_counts: dict  # outcome -> rows with it
+    cell_counts: dict  # attribute value -> {outcome -> rows with both}, 0s included
+
+    @property
+    def marginal(self) -> dict:  # outcome -> Fraction
+        return _shares(self.outcome_counts, Fraction)
+
+    @property
+    def conditional(self) -> dict:  # attribute value -> {outcome -> Fraction}
+        return {alpha: _shares(row, Fraction) for alpha, row in self.cell_counts.items()}
 
 
 def _ci_from_counts(counts: dict, epsilon: Fraction) -> CiResult:
     """The CI comparison from exact (attribute value, outcome) counts.
 
     ``counts`` maps each observed (attribute value, outcome) cell to its
-    count; a cell it lacks counts 0.  The gap of a cell is
-    |n(a,b)·N − n(b)·n(a)| / (n(a)·N); gaps are compared by integer
-    cross-multiplication, and only the largest one is built as a Fraction.
+    count; a cell it lacks counts 0, and the result keeps it as 0.  The gap
+    of a cell is |n(a,b)·N − n(b)·n(a)| / (n(a)·N).  Gaps are compared with
+    each other and with epsilon by integer cross-multiplication, and only
+    the largest one is built as a Fraction.
     """
     per_alpha: dict = {}
     per_beta: dict = {}
     for (alpha, beta), n in counts.items():
         per_alpha[alpha] = per_alpha.get(alpha, 0) + n
         per_beta[beta] = per_beta.get(beta, 0) + n
-    alphas = sorted(per_alpha)
-    betas = sorted(per_beta)
+    per_beta = {beta: per_beta[beta] for beta in sorted(per_beta)}
     total = sum(per_beta.values())
     cell = counts.get
-    marginal = {beta: Fraction(per_beta[beta], total) for beta in betas}
-    conditional = {}
+    cells = {}
 
     gap, scale = 0, 1  # the largest gap so far is gap / scale
     witness = None
-    for alpha in alphas:
+    for alpha in sorted(per_alpha):
         n_alpha = per_alpha[alpha]
         den = n_alpha * total
-        row = conditional[alpha] = {}
-        for beta in betas:
-            n = cell((alpha, beta), 0)
-            row[beta] = Fraction(n, n_alpha)
-            num = abs(n * total - per_beta[beta] * n_alpha)
+        row = cells[alpha] = {}
+        for beta, n_beta in per_beta.items():
+            n = row[beta] = cell((alpha, beta), 0)
+            num = abs(n * total - n_beta * n_alpha)
             if num * scale > gap * den:
                 gap, scale = num, den
                 witness = (alpha, beta)
-    max_delta = Fraction(gap, scale)
     return CiResult(
-        passed=max_delta <= epsilon,
+        passed=gap * epsilon.denominator <= epsilon.numerator * scale,
         epsilon=epsilon,
-        max_delta=max_delta,
+        max_delta=Fraction(gap, scale),
         witness=witness,
-        marginal=marginal,
-        conditional=conditional,
+        outcome_counts=per_beta,
+        cell_counts=cells,
     )
 
 
@@ -533,11 +551,8 @@ def ci_result_to_json(ci: CiResult) -> dict:
         "witness": None
         if ci.witness is None
         else {"value": ci.witness[0], "outcome": ci.witness[1]},
-        "marginal": {beta: fraction_str(p) for beta, p in sorted(ci.marginal.items())},
-        "conditional": {
-            alpha: {beta: fraction_str(p) for beta, p in sorted(row.items())}
-            for alpha, row in sorted(ci.conditional.items())
-        },
+        "marginal": _shares(ci.outcome_counts, _ratio_str),
+        "conditional": {alpha: _shares(row, _ratio_str) for alpha, row in ci.cell_counts.items()},
     }
 
 

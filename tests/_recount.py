@@ -83,8 +83,16 @@ def recount_ci(dataset, attr, target, ctx, epsilon) -> CiResult:
         epsilon=epsilon,
         max_delta=max_delta,
         witness=witness,
-        marginal=marginal,
-        conditional=conditional,
+        outcome_counts={
+            beta: sum(1 for row in matching if row[ti] == beta) for beta in betas
+        },
+        cell_counts={
+            alpha: {
+                beta: sum(1 for row in matching if row[ai] == alpha and row[ti] == beta)
+                for beta in betas
+            }
+            for alpha in alphas
+        },
     )
 
 

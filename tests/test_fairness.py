@@ -415,13 +415,13 @@ def test_unknown_protected_column_comes_before_the_context(table1):
 WIDE_PROTECTED = {"p1": 2, "p2": 3, "p3": 3, "p4": 4}
 
 
-def wide_dataset() -> Dataset:
-    """About 200 seeded rows over four protected columns, a region and a target."""
+def wide_dataset(n_rows=200) -> Dataset:
+    """Seeded rows over four protected columns, a region and a target."""
     rng = random.Random(0)
     rows = tuple(
         (*(f"{name}v{rng.randrange(k)}" for name, k in WIDE_PROTECTED.items()),
          rng.choice("uvwz"), rng.choice(("yes", "no", "maybe")))
-        for _ in range(200)
+        for _ in range(n_rows)
     )
     return Dataset(columns=(*WIDE_PROTECTED, "x", "t"), rows=rows, target_column="t")
 
@@ -470,11 +470,35 @@ def test_tied_gaps_keep_the_first_witness():
     assert ci.max_delta == Fraction(1, 4)
 
 
-@pytest.mark.parametrize("later_is_larger", [True, False])
-def test_gaps_closer_than_a_float_can_tell(later_is_larger):
-    # n(a) = A and n(b) = B with x/A − y/B = ±1/(A·B), about 1e-18: both
-    # gaps are near 0.27 and round to the same float.  "c" holds the
-    # marginal below both.
+def test_an_audit_builds_one_fraction_per_comparison(monkeypatch):
+    # Counts stay integers until printed: a comparison builds its max_delta,
+    # the audit its epsilon, and the JSON none.
+    import fairgate.fairness
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(fairgate.fairness, "Fraction", counting)
+    report = check_intersectionality(
+        None, wide_dataset(1200), EMPTY, "t", list(WIDE_PROTECTED), Fraction(1, 10)
+    )
+    comparisons = sum(len(d.empirical) for s in report.subsets for d in s.decompositions)
+    assert comparisons > 200
+    assert len(built) <= comparisons + 2
+    before = len(built)
+    fairness_report_to_json(report)
+    assert len(built) == before
+
+
+def near_tied_counts(later_is_larger):
+    """Counts whose two largest gaps differ by about 1e-18, and those gaps by value.
+
+    n(a) = A and n(b) = B with x/A − y/B = ±1/(A·B): both gaps are near
+    0.27 and round to the same float.  "c" holds the marginal below both.
+    """
     big_a, big_b = 10**9, 10**9 + 7
     x = pow(big_b, -1, big_a)  # x·B ≡ 1 (mod A)
     if later_is_larger:
@@ -490,11 +514,28 @@ def test_gaps_closer_than_a_float_can_tell(later_is_larger):
     marginal = Fraction(x + y, total)
     gaps = {alpha: abs(Fraction(counts[alpha, "p"], n) - marginal)
             for alpha, n in (("a", big_a), ("b", big_b))}
+    return counts, gaps
+
+
+@pytest.mark.parametrize("later_is_larger", [True, False])
+def test_gaps_closer_than_a_float_can_tell(later_is_larger):
+    counts, gaps = near_tied_counts(later_is_larger)
     assert 0 < abs(gaps["a"] - gaps["b"]) < Fraction(1, 10**12)
     ci = _ci_from_counts(counts, Fraction(0))
     first = "b" if later_is_larger else "a"
     assert ci.witness == (first, "p")
     assert ci.max_delta == gaps[first]
+
+
+@pytest.mark.parametrize("shift, passed", [
+    (Fraction(0), True), (-Fraction(1, 10**40), False), (Fraction(1, 10**40), True),
+], ids=["at-the-gap", "just-below", "just-above"])
+def test_epsilon_passes_from_the_gap_up(table1, shift, passed):
+    result = empirical_ci(table1, "a1", "t", ctx_of(a2="v21"), Fraction(9, 85) + shift)
+    assert result.passed is passed
+    for later_is_larger in (True, False):
+        counts, gaps = near_tied_counts(later_is_larger)
+        assert _ci_from_counts(counts, max(gaps.values()) + shift).passed is passed
 
 
 # --- sampled data stays near the graph it came from ------------------------------

@@ -40,7 +40,7 @@ VERDICT_FIELDS = {
 VERDICT = Verdict(**VERDICT_FIELDS)
 CI_FIELDS = {
     "passed": True, "epsilon": Fraction(1, 10), "max_delta": Fraction(0), "witness": ("u", "v"),
-    "marginal": {"v": Fraction(1)}, "conditional": {"u": {"v": Fraction(1)}},
+    "outcome_counts": {"v": 1}, "cell_counts": {"u": {"v": 1}},
 }
 CI = CiResult(**CI_FIELDS)
 DECOMPOSITION_FIELDS = {

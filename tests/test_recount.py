@@ -16,6 +16,7 @@ from fairgate.fairness import (
     ci_result_to_json,
     empirical_ci,
     fairness_report_to_json,
+    fraction_str,
     if_result_to_json,
 )
 from fairgate.graph import CausalGraph
@@ -37,6 +38,27 @@ def outcome(call, *args, **kwargs):
 
 def dump(payload) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=False)
+
+
+def comparisons(report):
+    return [ci for s in report.subsets for d in s.decompositions for _, ci in d.empirical or ()]
+
+
+def check_fraction_views(ci, expected):
+    """ci's marginal and conditional are the recount's: Fractions in sorted key
+    order, every row over every outcome, each summing to 1 and printed as the
+    JSON prints them."""
+    marginal, conditional = ci.marginal, ci.conditional
+    assert marginal == expected.marginal and conditional == expected.conditional
+    assert list(conditional) == sorted(conditional)
+    assert list(marginal) == sorted(marginal)
+    printed = ci_result_to_json(ci)
+    for row, shown in ((marginal, printed["marginal"]),
+                       *zip(conditional.values(), printed["conditional"].values())):
+        assert list(row) == list(marginal)
+        assert all(type(p) is Fraction for p in row.values())
+        assert sum(row.values()) == 1
+        assert shown == {beta: fraction_str(p) for beta, p in row.items()}
 
 
 @st.composite
@@ -84,6 +106,7 @@ def test_tally_matches_row_scans(audit):
             assert dump(ci_result_to_json(ci)) == dump(
                 ci_result_to_json(recount_ci(dataset, attr, "t", ctx, epsilon))
             )
+            check_fraction_views(ci, recount_ci(dataset, attr, "t", ctx, epsilon))
     for mode in ("empirical", "both"):
         args = (closure, dataset, ctx, "t")
         routed = (None if mode == "empirical" else closure, dataset, ctx, "t")
@@ -102,6 +125,9 @@ def test_tally_matches_row_scans(audit):
                     recount_intersectionality(*args, protected, epsilon, mode)
                 )
             )
+            expected = recount_intersectionality(*args, protected, epsilon, mode)
+            for ci, expected_ci in zip(comparisons(report), comparisons(expected), strict=True):
+                check_fraction_views(ci, expected_ci)
 
 
 def test_negative_epsilon_in_intersectionality_is_input_error(table1):
