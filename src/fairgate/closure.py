@@ -242,9 +242,11 @@ class Closure:
     target, intermediates mask), a path fact as (left, right, noncollider
     mask, collider-set masks), with node i ``graph.names[i]``, as in
     ``CausalGraph.node_mask``; a trace premise is an edge (source, target)
-    or a fact key.  The memos are built with the closure, as slots, and
-    each names a key once, on its first read: one ``_Memo`` names every
-    premise key, an edge as its text and a fact as its one ``PathFact`` or
+    or a fact key.  ``close`` keeps a key's collider-set masks in canonical
+    order and hands over its ``bits`` memo, so no read sorts them again.
+    The memos are built with the closure, as slots, and each names a key
+    once, on its first read: one ``_Memo`` names every premise key, an edge
+    as its text and a fact as its one ``PathFact`` or
     ``MediateCauseFact``, and another each trace position as its one
     ``TraceRecord``, whichever of ``facts_between``, ``first_open``,
     ``audit``, ``trace_between``, ``derivations``, ``mediate``, ``paths``
@@ -257,7 +259,9 @@ class Closure:
     masks, and its audit tables.  Condition 2 is one mask test,
     ``_block``: ``first_open`` returns the first key it leaves unblocked
     and names only that fact, and ``audit`` words each key's block as a
-    ``BlockReason``.  A fact is rendered to text only where it is printed.
+    ``BlockReason``.  Every pair read raises UnknownVariable for a name
+    that is not a node and ValueError for a node paired with itself.  A
+    fact is rendered to text only where it is printed.
 
     ``pairs`` is None for a whole closure, which ``paths`` and the agreement
     sweep read.  A restricted closure, which ``weaken``, ``if`` and
@@ -276,7 +280,7 @@ class Closure:
         "_records", "_by_pair", "_between", "_traces",
     )
 
-    def __init__(self, graph, mediate, certifying, derived, trace, groups, pairs=None):
+    def __init__(self, graph, mediate, certifying, derived, trace, groups, bits, pairs=None):
         self.graph: CausalGraph = graph
         names, index = graph.names, graph.index
         # None, or the frozenset of (x, y), x <= y, the pair reads answer.
@@ -292,10 +296,8 @@ class Closure:
         # (source, target) or a fact key.
         self._trace: list[tuple] = trace
 
-        # Node mask -> its bit indices ascending, and -> its frozenset of names.
-        bits = self._bits = _Memo(
-            lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1])
-        )
+        # Node mask -> its bit indices ascending (``close``'s), and -> its names.
+        self._bits = bits
         nodes = _Memo(lambda mask: frozenset([names[i] for i in bits[mask]]))
 
         def name(key):
@@ -332,12 +334,17 @@ class Closure:
         order = _order(bits)
 
         def read_pair(pair):
+            x, y = map(index.get, pair)
+            if x is None or y is None:
+                raise UnknownVariable(f"path endpoints must be graph nodes, got {pair}")
+            if x == y:
+                raise ValueError("path endpoints must differ")
             if pairs is not None and pair not in pairs:
                 raise ValueError(
                     f"this closure was restricted to the node pairs {sorted(pairs)};"
                     f" it cannot read {pair}"
                 )
-            found = groups.get((index.get(pair[0]), index.get(pair[1])), ())
+            found = groups.get((x, y), ())
             keys = tuple(sorted(found, key=order))
             read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
             return keys, read, {}, _Memo(name_entry)
@@ -387,9 +394,8 @@ class Closure:
         A fact transmits when ``_block`` finds no block.  The agreement sweep
         decides Condition 2 by this scan, which names only the fact it returns.
         """
-        bits = self._bits
         for key in self._by_pair[_pair(x, y)][0]:
-            if _block(key, conditioning, bits) is None:
+            if _block(key, conditioning) is None:
                 return self._named[key]
         return None
 
@@ -413,8 +419,7 @@ class Closure:
         keys, read, audits, entries = self._by_pair[_pair(x, y)]
         audit = audits.get(conditioning & read)
         if audit is None:
-            bits = self._bits
-            blocks = tuple([_block(key, conditioning, bits) for key in keys])
+            blocks = tuple([_block(key, conditioning) for key in keys])
             audit = audits.get(blocks)
             if audit is None:
                 audit = audits[blocks] = tuple(map(entries.__getitem__, zip(keys, blocks)))
@@ -432,20 +437,22 @@ class Closure:
 
 def _order(bits: _Memo):
     """A path fact key's canonical sort key: endpoints, noncolliders, then the
-    sorted collider sets, each as ascending node indices (``bits`` of a mask)."""
-    return lambda key: (key[0], key[1], bits[key[2]], sorted([bits[s] for s in key[3]]))
+    collider sets, each as ascending node indices (``bits`` of a mask); the
+    key already holds its collider sets in that order."""
+    return lambda key: (key[0], key[1], bits[key[2]], [bits[s] for s in key[3]])
 
 
-def _block(key: tuple, conditioning: int, bits: _Memo) -> int | None:
+def _block(key: tuple, conditioning: int) -> int | None:
     """Condition 2 on one path fact key: the mask of its conditioned
-    noncolliders, else its least collider-set mask that misses the
-    conditioning mask (least by ascending node indices, ``bits`` of a mask,
-    which is name order), else None, when the fact transmits."""
+    noncolliders, else its first collider-set mask that misses the conditioning
+    mask, the least by name as ``close`` orders them, else None: it transmits."""
     hit = key[2] & conditioning
     if hit:
         return hit
-    unmet = [s for s in key[3] if not s & conditioning]
-    return min(unmet, key=bits.__getitem__) if unmet else None
+    for s in key[3]:
+        if not s & conditioning:
+            return s
+    return None
 
 
 def _span(neighbors: list[list[int]], x: int, y: int) -> int:
@@ -514,10 +521,15 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
 
     Nodes are ints (node i is ``g.names[i]``) and every fact is an int key:
     a mediate fact (source, target, intermediates mask), a path fact (left,
-    right, noncollider mask, collider-set masks).  A trace entry is (rule,
-    premises, conclusion key), where a premise is an edge (source, target)
-    or a fact key.  No text, named fact or ``TraceRecord`` is built here;
-    ``Closure`` builds each on first read.  One inner step, ``derive``,
+    right, noncollider mask, collider-set masks), the last a tuple in
+    canonical order: ascending node-index tuples (``bits``), which is name
+    order.  Chain and Fork make ``()``, Collider ``(chain mask,)``, and
+    Transitivity* sorts its premises' two tuples together only when both
+    are non-empty; they share no set, since each junction node is interior
+    to one premise and a collider set holds its collider.  A trace entry is
+    (rule, premises, conclusion key), where a premise is an edge (source,
+    target) or a fact key.  No text, named fact or ``TraceRecord`` is built
+    here; ``Closure`` builds each on first read.  One inner step, ``derive``,
     makes every path fact: it orients a node-index path, drops a repeated
     (path, noncollider mask, collider-set masks) key, charges the budget,
     records a new fact's trace entry and appends its key to the fact's
@@ -545,6 +557,9 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     # Nodes are numbered in sorted order, so comparing indices compares names.
     names, index = g.names, g.index
     bit = [1 << i for i in range(len(names))]
+    # Node mask -> its bit indices ascending, by which collider sets are ordered.
+    bits = _Memo(lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1]))
+    rank = bits.__getitem__
     parents = [[index[p] for p in g.parents(v)] for v in names]
     children = [[index[c] for c in g.children(v)] for v in names]
     if pairs is not None:
@@ -617,15 +632,15 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     for y in range(len(names)):
         for x in parents[y]:
             for z in children[y]:
-                derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Chain",
+                derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], (), "Chain",
                        ((x, y), (y, z)))
         for x, z in combinations(children[y], 2):
-            derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], frozenset(), "Fork",
+            derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], (), "Fork",
                    ((y, x), (y, z)))
         for x, z in combinations(parents[y], 2):
             # No chain from y holds x or z, a parent of y: that would close a cycle.
             for chain in by_source[y]:
-                derive((x, y, z), bit[x] | bit[y] | bit[z], 0, frozenset([chain[2]]),
+                derive((x, y, z), bit[x] | bit[y] | bit[z], 0, (chain[2],),
                        "Collider", ((x, y), (z, y), chain))
 
     while pqueue:
@@ -646,10 +661,11 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
                 # tested endpoints.
                 if (in_sets1 | in_sets2) & (bit[p1[0]] | bit[p2[-1]]):
                     continue
-                derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs1 | cs2, "Transitivity*",
+                cs = tuple(sorted(cs1 + cs2, key=rank)) if cs1 and cs2 else cs1 or cs2
+                derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs, "Transitivity*",
                        (fact2, fact1) if is_backward else (fact1, fact2))
 
-    return Closure(g, mediate, certifying, derived, trace, groups, pairs)
+    return Closure(g, mediate, certifying, derived, trace, groups, bits, pairs)
 
 
 # --- Independent textbook oracle -----------------------------------------
@@ -738,15 +754,16 @@ def closure_dump(closure: Closure) -> dict:
     raises ValueError.
 
     Read from the closure's int keys: the keys are sorted on indices, which
-    sort as the names do, and each mask's name list, each collider-set
-    family's and each fact's text are built once and shared.  No named
-    fact or ``TraceRecord`` is built.
+    sort as the names do, and collider sets are listed in the order they
+    are kept in; each mask's name list, each collider-set family's and each
+    fact's text are built once and shared.  No named fact or ``TraceRecord``
+    is built.
     """
     if closure.pairs is not None:
         raise ValueError("closure_dump lists a whole closure, not one restricted to node pairs")
     names, bits = closure.graph.names, closure._bits
     named = _Memo(lambda mask: [names[i] for i in bits[mask]])
-    family = _Memo(lambda sets: [named[s] for s in sorted(sets, key=bits.__getitem__)])
+    family = _Memo(lambda sets: [named[s] for s in sets])
 
     def premise_text(key):
         if len(key) == 2:

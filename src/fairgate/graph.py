@@ -1,11 +1,14 @@
 """Causal graphs: validated DAGs over named variables.
 
 A graph is immutable once built.  Construction validates names, rejects
-self-loops, duplicate edges and cycles (with a witness walk), and
-precomputes the adjacency maps every other module queries.
+self-loops, duplicate edges and cycles (with the witness walk that
+``graphlib`` finds), and precomputes the adjacency maps every other
+module queries.
 """
 
 from __future__ import annotations
+
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import (
     CycleDetected,
@@ -96,38 +99,17 @@ class CausalGraph:
         }
         self._descendants: dict[str, frozenset[str]] = {}
 
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise CycleDetected(cycle)
-
-    def _find_cycle(self) -> list[str] | None:
-        # Iterative colored DFS; returns a closed walk [a, ..., a] if one exists.
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {v: WHITE for v in self.nodes}
-        for root in self.names:
-            if color[root] != WHITE:
-                continue
-            stack: list[tuple[str, int]] = [(root, 0)]
-            path = [root]
-            color[root] = GRAY
-            while stack:
-                node, i = stack[-1]
-                kids = self._children[node]
-                if i < len(kids):
-                    stack[-1] = (node, i + 1)
-                    child = kids[i]
-                    if color[child] == GRAY:
-                        start = path.index(child)
-                        return path[start:] + [child]
-                    if color[child] == WHITE:
-                        color[child] = GRAY
-                        stack.append((child, 0))
-                        path.append(child)
-                else:
-                    color[node] = BLACK
-                    stack.pop()
-                    path.pop()
-        return None
+        # graphlib reports the cycle it walks; fed every name, then each
+        # name's sorted parents, in name order, its walk is deterministic.
+        sorter = TopologicalSorter()
+        for v in self.names:
+            sorter.add(v)
+        for v in self.names:
+            sorter.add(v, *self._parents[v])
+        try:
+            sorter.prepare()
+        except CycleError as exc:
+            raise CycleDetected(exc.args[1]) from None
 
     def require_node(self, name: str) -> None:
         """UnknownVariable unless ``name`` is a node of the graph."""

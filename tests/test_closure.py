@@ -292,6 +292,50 @@ def test_audit_pairs_each_fact_with_its_blocking_reason_and_shares_equal_ones():
     assert audits_checked > 50_000
 
 
+def test_audit_words_the_least_unmet_collider_set_by_name():
+    # X -> B <- M -> C <- Y, and B -> Z: an X-Y fact carries the collider
+    # sets {B,Z} and {C}.  {B,Z} comes first by name, though its node mask
+    # (bits 0 and 5) is the larger int.
+    g = CausalGraph([], [("X", "B"), ("M", "B"), ("M", "C"), ("Y", "C"), ("B", "Z")])
+    closure = close(g)
+    fact = PathFact("X", "Y", ["M"], [["B", "Z"], ["C"]])
+    for conditioning, reason in [
+        ([], BlockReason("collider-set", frozenset(["B", "Z"]))),
+        (["Z"], BlockReason("collider-set", frozenset(["C"]))),
+        (["M", "Z"], BlockReason("noncollider", frozenset(["M"]))),
+        (["C", "Z"], None),
+    ]:
+        audit = dict(closure.audit("X", "Y", g.node_mask(conditioning)))
+        assert audit[fact] == reason == blocking_reason(fact, conditioning), conditioning
+
+
+def _assert_collider_sets_in_canonical_order(closure):
+    """Each path fact key and each derivation holds its collider-set masks
+    strictly ascending by node-index tuple, one mask per named set."""
+    names, bits = closure.graph.names, closure._bits
+    keys = [(key, key[3]) for key in closure._certifying]
+    keys += [((path[0], path[-1], nc, cs), cs) for path, nc, cs in closure._derived]
+    for key, sets in keys:
+        order = [bits[s] for s in sets]
+        assert all(a < b for a, b in zip(order, order[1:])), order
+        named = [frozenset(names[i] for i in index) for index in order]
+        assert len(named) == len(closure._named[key].collider_sets)
+        assert frozenset(named) == closure._named[key].collider_sets
+
+
+def test_collider_sets_are_kept_in_canonical_order_inside_each_key():
+    rng = random.Random(23)
+    graphs = [g for n in range(1, 5) for g in enumerate_dags(n)]
+    graphs += [_dense(spec) for spec in DENSE_N10]
+    graphs += [random_dag(rng, max_nodes=8, edge_prob=0.35) for _ in range(50)]
+    for g in graphs:
+        *protected, target = g.names
+        _assert_collider_sets_in_canonical_order(close(g))
+        _assert_collider_sets_in_canonical_order(
+            close(g, pairs=[(p, target) for p in protected])
+        )
+
+
 # --- path enumeration and the oracle -----------------------------------------
 
 
@@ -465,9 +509,13 @@ def built(monkeypatch):
     return counts
 
 
-def _dense_n10():
+def _dense(spec):
     names = [chr(ord("A") + i) for i in range(10)]
-    return CausalGraph(names, [tuple(edge.split(">")) for edge in DENSE_N10[0].split()])
+    return CausalGraph(names, [tuple(edge.split(">")) for edge in spec.split()])
+
+
+def _dense_n10():
+    return _dense(DENSE_N10[0])
 
 
 def test_close_builds_no_named_fact_or_trace_record(built, loan_graph, monkeypatch):

@@ -158,18 +158,38 @@ def test_a_restricted_closure_derives_the_relevant_part_of_the_whole_closure():
             assert restricted.mediate == whole.mediate
 
 
-@pytest.mark.parametrize(
-    "read", ["facts_between", "trace_between", "first_open", "audit", "read_mask"]
-)
+PAIR_READS = ["facts_between", "trace_between", "first_open", "audit", "read_mask"]
+
+
+def _read_args(read):
+    return (0,) if read in ("first_open", "audit") else ()
+
+
+@pytest.mark.parametrize("read", PAIR_READS)
 def test_a_restricted_closure_refuses_every_other_pair(loan_graph, read):
     closure = close(loan_graph, pairs=[("MS", "Loan"), ("Age", "Loan")])
-    args = (0,) if read in ("first_open", "audit") else ()
+    args = _read_args(read)
     for x, y in itertools.permutations(loan_graph.names, 2):
         if y == "Loan" and x in ("MS", "Age") or x == "Loan" and y in ("MS", "Age"):
             getattr(closure, read)(x, y, *args)
         else:
             with pytest.raises(ValueError, match="restricted"):
                 getattr(closure, read)(x, y, *args)
+
+
+@pytest.mark.parametrize("pairs", [None, [("MS", "Loan")]], ids=["whole", "restricted"])
+@pytest.mark.parametrize("read", PAIR_READS)
+def test_a_pair_read_refuses_a_non_node_and_a_node_with_itself(loan_graph, read, pairs):
+    # An answer here would read as "no path facts", which Condition 2 and
+    # the agreement sweep take for "blocked".
+    closure = close(loan_graph, pairs=pairs)
+    args = _read_args(read)
+    for x, y in [("Zzz", "Loan"), ("MS", "Zzz"), ("Zzz", "Zzz")]:
+        with pytest.raises(UnknownVariable, match="Zzz"):
+            getattr(closure, read)(x, y, *args)
+    for v in loan_graph.names:
+        with pytest.raises(ValueError, match="must differ"):
+            getattr(closure, read)(v, v, *args)
 
 
 def test_closure_dump_refuses_a_restricted_closure(loan_graph):

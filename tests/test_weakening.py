@@ -73,6 +73,15 @@ def test_condition2_collider_is_blocked_unconditionally():
     assert not ok and open_fact is not None
 
 
+def test_condition2_refuses_a_non_node_and_a_node_with_itself(loan_graph):
+    # An answer would read as "no path facts", so "Condition 2 holds".
+    closure = close(loan_graph)
+    with pytest.raises(UnknownVariable, match="Zzz"):
+        check_condition2(closure, "Zzz", "Loan", ())
+    with pytest.raises(ValueError, match="must differ"):
+        check_condition2(closure, "Loan", "Loan", ())
+
+
 def test_condition2_isolated_nodes():
     g = CausalGraph(["A", "B"], [])
     ok, examined, open_fact = check_condition2(close(g), "A", "B", frozenset())
