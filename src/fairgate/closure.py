@@ -8,15 +8,19 @@ deliberately kept separate:
   Collider, Transitivity*), producing mediate-cause facts and path facts
   whose blocking status decides independence, and
 * a textbook d-separation oracle that enumerates simple undirected paths
-  directly and never looks at derived facts.
+  directly and never looks at derived facts: one depth-first walk per
+  source node, on node indices, classifies each path as it extends it.
 
 Cross-checking the two is part of the test contract; nothing in this
 module shares state between them.  Each decides on int node masks (bit i
 for ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with its own
 test: Condition 2 has one, ``_block``, on a fact's masks, which both
 ``Closure.first_open`` (the sweep's decision) and ``Closure.audit`` (a
-verdict's decision and printed reasons) read; ``dsep_oracle`` scans
-``oracle_rows``, which are read from the graph alone.
+verdict's decision and printed reasons) read; ``dsep_oracle`` scans a
+pair's rows, which the walk reads from the graph alone: ``oracle_rows``
+for one pair, ``oracle_rows_by_pair`` (the sweep's) for every pair from
+one walk per node.  ``enumerate_classified_paths`` is the same walk's
+paths by name.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -73,6 +77,7 @@ __all__ = [
     "dsep_oracle",
     "enumerate_classified_paths",
     "oracle_rows",
+    "oracle_rows_by_pair",
     "closure_dump",
     "trace_record_json",
     "sorted_collider_sets",
@@ -671,67 +676,131 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
 # --- Independent textbook oracle -----------------------------------------
 
 
-def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
-    """Every simple undirected path x..y with its interior classification.
+def _skeleton(g: CausalGraph):
+    """The graph as the oracle's walk reads it, on node indices (node i is
+    ``g.names[i]``): each node's sorted undirected neighbours, each node's
+    parents as a mask, and ``reach``, the mask of a node and its
+    descendants, built for a node on its first read.  Read from ``g``
+    alone; ``close`` keeps its own adjacency."""
+    names, index = g.names, g.index
+    neighbors = [[index[w] for w in g.undirected_neighbors(v)] for v in names]
+    parents = [0] * len(names)
+    for source, target in g.edges:
+        parents[index[target]] |= 1 << index[source]
+    reach = _Memo(lambda v: g.node_mask((names[v], *g.descendants(names[v]))))
+    return neighbors, parents, reach
 
-    Returns tuples (path, noncolliders, colliders) in a deterministic
-    order.  A direct edge contributes a path with no interior nodes.
+
+def _walk(skeleton, x: int, y: int = -1):
+    """Every simple undirected path from node x, classified: yields
+    (path, noncollider mask, collider reaches) as each path is reached, where
+    ``path`` is the walk's own list of node indices, valid until the next
+    step, and the reaches are those of the interior colliders in path order.
+
+    One depth-first walk in sorted-neighbour order extends a path one edge
+    at a time, so the paths ending at any one node come in the order that a
+    walk stopping there finds them; given y, the walk does not go past y.
+    Leaving a node makes it interior, and it is a collider iff both of its
+    path neighbours are its parents.
     """
+    neighbors, parents, reach = skeleton
+    path = [x]
+    on_path = 1 << x
+    # Per path node: its neighbours not yet tried, the path's noncolliders
+    # and collider reaches up to it, the noncolliders if it leaves as one (x
+    # is no interior node), and its parents if the path entered it from one.
+    frames = [(iter(neighbors[x]), 0, 0, (), 0)]
+    while frames:
+        rest, nc, nc_after, colliders, into = frames[-1]
+        v = path[-1]
+        for w in rest:
+            if on_path >> w & 1:
+                continue
+            if into >> w & 1:
+                w_nc, w_colliders = nc, colliders + (reach[v],)
+            else:
+                w_nc, w_colliders = nc_after, colliders
+            path.append(w)
+            yield path, w_nc, w_colliders
+            if w == y:
+                path.pop()
+                continue
+            on_path |= 1 << w
+            w_into = parents[w] if parents[w] >> v & 1 else 0
+            frames.append((iter(neighbors[w]), w_nc, w_nc | 1 << w, w_colliders, w_into))
+            break
+        else:
+            frames.pop()
+            path.pop()
+            on_path ^= 1 << v
+
+
+def _rows(skeleton, x: int, y: int = -1) -> defaultdict:
+    """Node w -> the rows of pair (x, w), for every w above x, or for y alone
+    when given: a row is a walked path's noncollider mask and collider
+    reaches, and rows keep the order of their first path."""
+    keep = 1 << y if y >= 0 else -2 << x
+    found = defaultdict(dict)
+    for path, nc, colliders in _walk(skeleton, x, y):
+        if keep >> path[-1] & 1:
+            found[path[-1]][nc, colliders] = None
+    return found
+
+
+def _endpoints(g: CausalGraph, x: str, y: str) -> tuple[int, int]:
     if x not in g.nodes or y not in g.nodes:
         raise UnknownVariable(f"both path endpoints must be graph nodes: {x!r}, {y!r}")
     if x == y:
         raise ValueError("path endpoints must differ")
-    results = []
-    path = [x]
-    seen = {x}
-
-    def classify(nodes):
-        noncolliders = []
-        colliders = []
-        for prev, node, nxt in zip(nodes, nodes[1:], nodes[2:]):
-            if (prev, node) in g.edges and (nxt, node) in g.edges:
-                colliders.append(node)
-            else:
-                noncolliders.append(node)
-        return frozenset(noncolliders), tuple(colliders)
-
-    def walk(node):
-        if node == y:
-            nodes = tuple(path)
-            noncolliders, colliders = classify(nodes)
-            results.append((nodes, noncolliders, colliders))
-            return
-        for nxt in g.undirected_neighbors(node):
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            path.append(nxt)
-            walk(nxt)
-            path.pop()
-            seen.remove(nxt)
-
-    walk(x)
-    return tuple(results)
+    return g.index[x], g.index[y]
 
 
-def oracle_rows(g: CausalGraph, paths) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The output of ``enumerate_classified_paths`` as int node masks, read from
-    ``g`` alone: per path, its noncolliders' mask and, per collider, the mask
-    of the collider and its descendants (``CausalGraph.node_mask`` numbering).
-    Paths with equal masks give one row."""
-    reach: dict[str, int] = {}
-    rows = {}
-    for _, noncolliders, colliders in paths:
-        for c in colliders:
-            if c not in reach:
-                reach[c] = g.node_mask((c, *g.descendants(c)))
-        rows[g.node_mask(noncolliders), tuple(reach[c] for c in colliders)] = None
-    return tuple(rows)
+def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
+    """Every simple undirected path x..y with its interior classification,
+    the name view of the oracle's walk.
+
+    Returns tuples (path, noncolliders, colliders) in a deterministic
+    order.  A direct edge contributes a path with no interior nodes.
+    """
+    i, j = _endpoints(g, x, y)
+    names = g.names
+    return tuple(
+        (
+            tuple([names[v] for v in path]),
+            frozenset([names[v] for v in path if nc >> v & 1]),
+            tuple([names[v] for v in path[1:-1] if not nc >> v & 1]),
+        )
+        for path, nc, _ in _walk(_skeleton(g), i, j)
+        if path[-1] == j
+    )
+
+
+def oracle_rows(g: CausalGraph, x: str, y: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The x-y paths as int node masks (``CausalGraph.node_mask`` numbering),
+    read from ``g`` alone: per path, its noncolliders' mask and, per collider
+    in path order, the mask of the collider and its descendants.  Paths with
+    equal masks give one row."""
+    i, j = _endpoints(g, x, y)
+    return tuple(_rows(_skeleton(g), i, j)[j])
+
+
+def oracle_rows_by_pair(g: CausalGraph) -> dict[tuple[str, str], tuple]:
+    """``oracle_rows(g, x, y)`` for every pair x < y of ``g.names``, from one
+    walk per node but the last: each walk gives the rows of its node and
+    every node above."""
+    skeleton = _skeleton(g)
+    names = g.names
+    table = {}
+    for i in range(len(names) - 1):
+        found = _rows(skeleton, i)
+        for j in range(i + 1, len(names)):
+            table[names[i], names[j]] = tuple(found[j])
+    return table
 
 
 def dsep_oracle(rows, conditioning: int) -> bool:
-    """d-separation over the rows ``oracle_rows`` builds, given a conditioning
-    node mask.
+    """d-separation over one pair's rows, from ``oracle_rows`` or
+    ``oracle_rows_by_pair``, given a conditioning node mask.
 
     True iff every path is blocked: a noncollider is conditioned on, or some
     collider has neither itself nor a descendant conditioned on.  This route

@@ -1,9 +1,9 @@
 """Causal graphs: validated DAGs over named variables.
 
 A graph is immutable once built.  Construction validates names, rejects
-self-loops, duplicate edges and cycles (with the witness walk that
-``graphlib`` finds), and precomputes the adjacency maps every other
-module queries.
+self-loops, duplicate edges and cycles (found by a Kahn count, worded by
+the witness walk that ``graphlib`` finds), and precomputes the adjacency
+maps every other module queries.
 """
 
 from __future__ import annotations
@@ -99,17 +99,27 @@ class CausalGraph:
         }
         self._descendants: dict[str, frozenset[str]] = {}
 
-        # graphlib reports the cycle it walks; fed every name, then each
-        # name's sorted parents, in name order, its walk is deterministic.
-        sorter = TopologicalSorter()
-        for v in self.names:
-            sorter.add(v)
-        for v in self.names:
-            sorter.add(v, *self._parents[v])
-        try:
-            sorter.prepare()
-        except CycleError as exc:
-            raise CycleDetected(exc.args[1]) from None
+        # Kahn's count: the graph is acyclic iff every node can be removed
+        # once all of its parents have been.
+        waiting = {v: len(ps) for v, ps in self._parents.items()}
+        ready = [v for v, count in waiting.items() if not count]
+        for v in ready:  # ready grows while it is read
+            for c in self._children[v]:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ready.append(c)
+        if len(ready) < len(node_set):
+            # graphlib words the witness: fed every name, then each name's
+            # sorted parents, in name order, it walks a deterministic cycle.
+            sorter = TopologicalSorter()
+            for v in self.names:
+                sorter.add(v)
+            for v in self.names:
+                sorter.add(v, *self._parents[v])
+            try:
+                sorter.prepare()
+            except CycleError as exc:
+                raise CycleDetected(exc.args[1]) from None
 
     def require_node(self, name: str) -> None:
         """UnknownVariable unless ``name`` is a node of the graph."""

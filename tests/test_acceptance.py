@@ -17,7 +17,6 @@ import fairgate
 from fairgate.closure import (
     close,
     dsep_oracle,
-    enumerate_classified_paths,
     oracle_rows,
     render_path_fact,
 )
@@ -126,7 +125,7 @@ def test_loan_weakening_golden_cases():
         ]
         assert fork_records, [r.rule for r in bad.rule_trace]
 
-        ms_loan = oracle_rows(g, enumerate_classified_paths(g, "MS", "Loan"))
+        ms_loan = oracle_rows(g, "MS", "Loan")
         assert dsep_oracle(ms_loan, g.node_mask(["Age", "GAI"]))
         assert not dsep_oracle(ms_loan, g.node_mask(["GAI"]))
 
@@ -149,7 +148,7 @@ def test_triplet_verdicts_on_both_routes():
         for g, conditioning, expected in cases:
             closure = close(g)
             by_rules = evaluate_conditions(closure, "A", "C", conditioning).admissible
-            rows = oracle_rows(g, enumerate_classified_paths(g, "A", "C"))
+            rows = oracle_rows(g, "A", "C")
             by_oracle = dsep_oracle(rows, g.node_mask(conditioning))
             assert by_rules is expected, (g.edges, conditioning)
             assert by_oracle is expected, (g.edges, conditioning)

@@ -20,6 +20,7 @@ from fairgate.closure import (
     dsep_oracle,
     enumerate_classified_paths,
     oracle_rows,
+    oracle_rows_by_pair,
     render_path_fact,
     resolve_fact_budget,
 )
@@ -164,7 +165,7 @@ def test_triplet_verdicts_match_oracle_on_both_routes():
     for g, cond, want in cases:
         closure = close(g)
         assert evaluate_conditions(closure, "A", "C", cond).admissible is want
-        rows = oracle_rows(g, enumerate_classified_paths(g, "A", "C"))
+        rows = oracle_rows(g, "A", "C")
         assert dsep_oracle(rows, g.node_mask(cond)) is want
 
 
@@ -358,14 +359,30 @@ def test_enumerate_classified_paths_contents():
 def test_dsep_oracle_validates_nodes():
     g = chain_graph()
     with pytest.raises(UnknownVariable):
-        oracle_rows(g, enumerate_classified_paths(g, "A", "Z"))
+        oracle_rows(g, "A", "Z")
 
 
 def test_dsep_on_disconnected_nodes():
     g = CausalGraph(["A", "B"], [])
-    assert dsep_oracle(oracle_rows(g, enumerate_classified_paths(g, "A", "B")), 0)
+    assert dsep_oracle(oracle_rows(g, "A", "B"), 0)
     closure = close(g)
     assert evaluate_conditions(closure, "A", "B", frozenset()).admissible
+
+
+def test_rows_by_pair_equal_the_rows_of_each_pair():
+    # The sweep reads every pair's rows from one walk per node; a pair's own
+    # walk stops at its second node, and walked the other way round it
+    # meets the same paths with their colliders in reverse.
+    rng = random.Random(13)
+    graphs = [g for n in range(1, 6) for g in enumerate_dags(n)]
+    graphs += [random_dag(rng, max_nodes=9, min_nodes=6, edge_prob=0.3) for _ in range(30)]
+    for g in graphs:
+        table = oracle_rows_by_pair(g)
+        assert list(table) == list(itertools.combinations(g.names, 2))
+        for (x, y), rows in table.items():
+            assert rows == oracle_rows(g, x, y), (sorted(g.edges), x, y)
+            backward = {(nc, colliders[::-1]) for nc, colliders in oracle_rows(g, y, x)}
+            assert set(rows) == backward, (sorted(g.edges), x, y)
 
 
 def test_sweep_records_each_disagreement(all_facts_open):

@@ -22,6 +22,7 @@ from fairgate.closure import (
     dsep_oracle,
     enumerate_classified_paths,
     oracle_rows,
+    oracle_rows_by_pair,
 )
 from fairgate.errors import UnknownVariable
 from fairgate import sweep
@@ -61,7 +62,7 @@ def test_mask_decisions_equal_set_decisions(family):
         for x, y in combinations(nodes, 2):
             facts = closure.facts_between(x, y)
             paths = enumerate_classified_paths(g, x, y)
-            rows = oracle_rows(g, paths)
+            rows = oracle_rows(g, x, y)
             rest = [v for v in nodes if v != x and v != y]
             for r in range(len(rest) + 1):
                 for picked in combinations(rest, r):
@@ -81,7 +82,7 @@ def test_decisions_read_the_conditioning_set_only_through_the_read_masks(family)
     for g in FAMILIES[family]():
         closure = close(g)
         for x, y in combinations(sorted(g.nodes), 2):
-            rows = oracle_rows(g, enumerate_classified_paths(g, x, y))
+            rows = oracle_rows(g, x, y)
             facts_read = closure.read_mask(x, y)
             rows_read = reduce(or_, (reduce(or_, cs, nc) for nc, cs in rows), 0)
             for c in range(1 << len(g.nodes)):
@@ -90,17 +91,16 @@ def test_decisions_read_the_conditioning_set_only_through_the_read_masks(family)
                 assert dsep_oracle(rows, c) == dsep_oracle(rows, c & rows_read), where
 
 
-def reference_agreement(g, closure, paths):
+def reference_agreement(g, closure, table):
     """``check_graph_agreement`` as one decision per (pair, conditioning set)
     triple, walked in ascending mask order: the loop the projection replaces.
-    ``closure`` is ``close(g)`` and ``paths[x, y]`` is
-    ``enumerate_classified_paths(g, x, y)``."""
+    ``closure`` is ``close(g)`` and ``table`` is ``oracle_rows_by_pair(g)``."""
     nodes = sorted(g.nodes)
     everything = g.node_mask(nodes)
     discrepancies = []
     checks = 0
     for x, y in combinations(nodes, 2):
-        rows = oracle_rows(g, paths[x, y])
+        rows = table[x, y]
         nonadjacent = check_condition1(g, x, y)[0]
         rest = everything & ~g.node_mask((x, y))
         cond = 0
@@ -149,8 +149,8 @@ def _one_noncollider_facts_never_open(closure, x, y, conditioning):
 @pytest.fixture(scope="module")
 def agreement_graphs():
     """Every DAG with at most 5 nodes and 150 random ones, each with its
-    closure and its classified paths per pair, so that each fault below
-    re-runs only the two loops under comparison."""
+    closure and its oracle rows per pair, so that each fault below re-runs
+    only the two loops under comparison."""
     rng = random.Random(29)
     graphs = [g for n in range(1, 6) for g in enumerate_dags(n)] + [
         random_dag(rng, max_nodes=9, min_nodes=4, edge_prob=rng.uniform(0.2, 0.45))
@@ -160,7 +160,7 @@ def agreement_graphs():
         (
             g,
             close(g),
-            {(x, y): enumerate_classified_paths(g, x, y) for x, y in combinations(sorted(g.nodes), 2)},
+            oracle_rows_by_pair(g),
         )
         for g in graphs
     ]
@@ -229,10 +229,10 @@ def test_projected_sweep_equals_the_per_triple_loop(fault, agreement_graphs, req
         for name, method in FAULTS[fault].items():
             monkeypatch.setattr(Closure, name, method)
     found = 0
-    for g, closure, paths in agreement_graphs:
+    for g, closure, table in agreement_graphs:
         monkeypatch.setattr(sweep, "close", lambda _, fact_budget: closure)
-        monkeypatch.setattr(sweep, "enumerate_classified_paths", lambda _, x, y: paths[x, y])
-        expected = reference_agreement(g, closure, paths)
+        monkeypatch.setattr(sweep, "oracle_rows_by_pair", lambda _: table)
+        expected = reference_agreement(g, closure, table)
         assert check_graph_agreement(g) == expected, sorted(g.edges)
         found += len(expected[0])
     # Each fault shows as discrepancies, so the lists compared are not all empty.
