@@ -666,7 +666,13 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
                 # tested endpoints.
                 if (in_sets1 | in_sets2) & (bit[p1[0]] | bit[p2[-1]]):
                     continue
-                cs = tuple(sorted(cs1 + cs2, key=rank)) if cs1 and cs2 else cs1 or cs2
+                if not (cs1 and cs2):
+                    cs = cs1 or cs2
+                elif len(cs1) + len(cs2) == 2:
+                    # Two single sets, most merges: one comparison orders them.
+                    cs = cs1 + cs2 if rank(cs1[0]) <= rank(cs2[0]) else cs2 + cs1
+                else:
+                    cs = tuple(sorted(cs1 + cs2, key=rank))
                 derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs, "Transitivity*",
                        (fact2, fact1) if is_backward else (fact1, fact2))
 

@@ -23,14 +23,19 @@ cell of each column it names, not once per row.  Each subset's counts
 are summed once, from those of a subset with one more column, and its
 members' comparisons regroup them, so the rows are scanned once per
 request and the table once per subset.
+
+The table is loaded the same way: a CSV of categorical audit columns
+repeats its records, so each distinct line is parsed, stripped and
+checked once, and equal lines share one row tuple.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -49,7 +54,7 @@ from .errors import (
     WeakeningTargetIsGoal,
 )
 from .graph import BOM, validate_name
-from .judgments import Context, Value, value_matches
+from .judgments import Context, Value, validate_atom, value_matches
 from .record import Record
 from .weakening import Verdict, check_variables, evaluate_conditions, verdict_to_json
 
@@ -92,6 +97,11 @@ def _shares(counts: dict, ratio) -> dict:
     return {key: ratio(n, total) for key, n in counts.items()}
 
 
+def _stripped(records):
+    """Each csv record as a tuple of its cells stripped of surrounding whitespace."""
+    return map(tuple, map(map, repeat(str.strip), records))
+
+
 class Dataset(Record):
     """An immutable table of atomic value strings with a designated target column."""
 
@@ -108,22 +118,25 @@ class Dataset(Record):
             raise MalformedDataset("duplicate column names")
         if target_column not in columns:
             raise UnknownColumn(f"target column {target_column!r} is not a column")
+        # Each distinct row's width and each distinct cell are checked once;
+        # the rows are walked in order only to word the first fault.  A dict,
+        # not a set, keeps the distinct rows in table order, which a large
+        # table with few repeats reads back much faster than hash order.
         width = len(columns)
-        checked = set()  # each distinct cell once, in first-occurrence order
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise MalformedDataset(
-                    f"row {i + 1} has {len(row)} cells, expected {width}"
-                )
-            if checked.issuperset(row):
-                continue
-            for name, cell in zip(columns, row):
-                if cell not in checked:
-                    try:
-                        Value.atomic(cell)
-                    except MalformedValue as exc:
-                        raise MalformedValue(f"row {i + 1}, column {name!r}: {exc}") from None
-                    checked.add(cell)
+        distinct = dict.fromkeys(rows)
+        faults = {}
+        for cell in set().union(*distinct):
+            try:
+                validate_atom(cell)  # what Value.atomic checks, without building the Value
+            except MalformedValue as exc:
+                faults[cell] = exc
+        if faults or not {width}.issuperset(map(len, distinct)):
+            for i, row in enumerate(rows, 1):
+                if len(row) != width:
+                    raise MalformedDataset(f"row {i} has {len(row)} cells, expected {width}")
+                for name, cell in zip(columns, row):
+                    if cell in faults:
+                        raise MalformedValue(f"row {i}, column {name!r}: {faults[cell]}")
         self.__dict__.update(columns=columns, rows=rows, target_column=target_column)
 
     def col(self, name: str) -> int:
@@ -141,25 +154,46 @@ class Dataset(Record):
         dropped.  Cells are stripped of surrounding whitespace and must be
         atomic values.  Empty and whitespace-only lines are skipped; a row
         of empty cells such as ``,,`` is not.
+
+        Audit tables repeat their records, so a text with no quote
+        character is read by distinct line: unquoted, no record spans
+        lines, so each line is one record and equal lines are equal
+        records.  Each distinct line is parsed and stripped once, and
+        equal lines share one row tuple.  A text with a quote, or one whose
+        lines the csv module refuses one at a time (a lone carriage return
+        inside a line, a field over its size limit), is read record by
+        record, so its records and the line a csv error names are exact.
         """
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                text = fh.read().removeprefix(BOM)
+        except UnicodeDecodeError:
+            raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
+        records = None
+        if '"' not in text:
+            lines = text.split("\n")
+            row_of = dict.fromkeys(lines)
             try:
-                if fh.read(1) != BOM:
-                    fh.seek(0)
-                # A blank line reads as no cells, a whitespace-only one as one blank cell.
-                lines = [
-                    tuple(map(str.strip, row))
-                    for row in reader
-                    if len(row) > 1 or row and row[0].strip()
-                ]
-            except UnicodeDecodeError:
-                raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
+                # Each line's value becomes its row.  No key is added, so the
+                # keys may be read while the values change.
+                row_of.update(zip(row_of, _stripped(csv.reader(row_of))))
+            except csv.Error:
+                pass  # read again below, record by record, to name the line
+            else:
+                records = map(row_of.__getitem__, lines)
+        if records is None:
+            reader = csv.reader(io.StringIO(text, newline=""))
+            try:
+                records = list(_stripped(reader))
             except csv.Error as exc:
                 raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
-        if not lines:
+        # A blank line reads as no cells, a whitespace-only one as one blank cell.
+        rows = list(filter(None, records))
+        if ("",) in rows:
+            rows = [row for row in rows if row != ("",)]
+        if not rows:
             raise MalformedDataset(f"{path}: empty file")
-        return cls(columns=lines[0], rows=tuple(lines[1:]), target_column=target_column)
+        return cls(columns=rows[0], rows=rows[1:], target_column=target_column)
 
     def matching_rows(self, ctx: Context) -> tuple[tuple[str, ...], ...]:
         """Rows whose cells satisfy every attribution of the context.

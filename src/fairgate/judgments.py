@@ -33,6 +33,7 @@ from .record import Record
 __all__ = [
     "MAX_RATIONAL_DIGITS",
     "RESERVED_ATOM_CHARS",
+    "validate_atom",
     "Value",
     "Attribution",
     "Context",
@@ -57,7 +58,8 @@ MAX_RATIONAL_DIGITS = 100
 RESERVED_ATOM_CHARS = frozenset("+⊥,:=@")
 
 
-def _check_atom(atom) -> str:
+def validate_atom(atom) -> str:
+    """Return ``atom`` if it is a legal value atom, else raise MalformedValue."""
     if not isinstance(atom, str) or not atom:
         raise MalformedValue("value atoms must be non-empty strings")
     bad = sorted(set(atom) & RESERVED_ATOM_CHARS)
@@ -81,7 +83,7 @@ class Value(Record):
     def __init__(self, kind, atoms):
         atoms = frozenset(atoms)
         for atom in atoms:
-            _check_atom(atom)
+            validate_atom(atom)
         if kind in ("atomic", "complement"):
             if len(atoms) != 1:
                 raise MalformedValue(f"{kind} values hold exactly one atom")

@@ -5,30 +5,79 @@ into one table, and derives every frequency from it.  The functions
 here rescan the rows for every marginal and every attribute value, and
 rebuild a context per value combination of the rest, so the tally can
 be checked against an independent reading of the same definitions.
+
+``load_csv`` is the CSV loader as first written: one csv record at a
+time, and every row and cell checked in row order, against which
+``Dataset.from_csv``'s reading by distinct line is compared.
 """
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 from itertools import combinations
 
 from fairgate.errors import (
     EmptyConditioningSet,
     InputError,
+    MalformedDataset,
+    MalformedValue,
     SubsetExplosion,
+    UndecodableFile,
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
 )
 from fairgate.fairness import (
     DEFAULT_SUBSET_CAP,
     CiResult,
+    Dataset,
     Decomposition,
     FairnessReport,
     IfCheckResult,
     SubsetResult,
 )
+from fairgate.graph import BOM
 from fairgate.judgments import Attribution, Value, value_matches
 from fairgate.weakening import evaluate_conditions
+
+
+def load_csv(path, target_column):
+    """Dataset.from_csv, sequentially: the csv module reads the file record
+    by record, each record is stripped and blank-filtered, and each row's
+    width and then each of its cells are checked in row order."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            if fh.read(1) != BOM:
+                fh.seek(0)
+            # A blank line reads as no cells, a whitespace-only one as one blank cell.
+            lines = [
+                tuple(map(str.strip, row))
+                for row in reader
+                if len(row) > 1 or row and row[0].strip()
+            ]
+        except UnicodeDecodeError:
+            raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
+        except csv.Error as exc:
+            raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
+    if not lines:
+        raise MalformedDataset(f"{path}: empty file")
+    check_rows(lines[0], lines[1:], target_column)
+    return Dataset(columns=lines[0], rows=tuple(lines[1:]), target_column=target_column)
+
+
+def check_rows(columns, rows, target_column):
+    """Dataset's checks, one row and one cell at a time: the header's first,
+    then the first row whose width or one of whose cells is wrong."""
+    Dataset(columns=columns, rows=(), target_column=target_column)
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise MalformedDataset(f"row {i} has {len(row)} cells, expected {len(columns)}")
+        for name, cell in zip(columns, row):
+            try:
+                Value.atomic(cell)
+            except MalformedValue as exc:
+                raise MalformedValue(f"row {i}, column {name!r}: {exc}") from None
 
 
 def matching_rows(dataset, ctx):
