@@ -126,14 +126,9 @@ def _single_attribute(text: str) -> str:
 _is_str = str.__instancecheck__
 
 
-def render_json(value) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, byte for byte: the
-    pieces of ``_json_pieces``, joined."""
-    return "".join(_json_pieces(value))
-
-
 def _json_pieces(value) -> list[str]:
-    """The text of ``render_json(value)`` as a list of pieces, in order.
+    """The text of ``json.dumps(value, indent=2, ensure_ascii=False)``, byte
+    for byte, as a list of pieces, in order: the one JSON emitter.
 
     With ``indent`` the stdlib leaves its C encoder and runs one Python
     generator per nesting level; this writes the same text into one list

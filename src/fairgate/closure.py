@@ -17,10 +17,9 @@ for ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with its own
 test: Condition 2 has one, ``_block``, on a fact's masks, which both
 ``Closure.first_open`` (the sweep's decision) and ``Closure.audit`` (a
 verdict's decision and printed reasons) read; ``dsep_oracle`` scans a
-pair's rows, which the walk reads from the graph alone: ``oracle_rows``
-for one pair, ``oracle_rows_by_pair`` (the sweep's) for every pair from
-one walk per node.  ``enumerate_classified_paths`` is the same walk's
-paths by name.
+pair's rows, which ``oracle_rows_by_pair`` reads from the graph alone for
+every pair, from one walk per node.  ``enumerate_classified_paths`` is the
+same walk's paths by name, for one pair.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -76,7 +75,6 @@ __all__ = [
     "resolve_fact_budget",
     "dsep_oracle",
     "enumerate_classified_paths",
-    "oracle_rows",
     "oracle_rows_by_pair",
     "closure_dump",
     "trace_record_json",
@@ -253,9 +251,9 @@ class Closure:
     once, on its first read: one ``_Memo`` names every premise key, an edge
     as its text and a fact as its one ``PathFact`` or
     ``MediateCauseFact``, and another each trace position as its one
-    ``TraceRecord``, whichever of ``facts_between``, ``first_open``,
-    ``audit``, ``trace_between``, ``derivations``, ``mediate``, ``paths``
-    or ``trace`` reads it first.  A memo's build reads the closure's data
+    ``TraceRecord``, whichever of ``first_open``, ``audit``,
+    ``trace_between``, ``derivations``, ``mediate``, ``paths`` or ``trace``
+    reads it first.  A memo's build reads the closure's data
     and the other memos, never the closure, so no reference cycle keeps a
     dropped closure alive.  A node pair's record is built on the pair's
     first read from the pair's fact keys, which ``close`` groups by
@@ -271,8 +269,7 @@ class Closure:
     ``pairs`` is None for a whole closure, which ``paths`` and the agreement
     sweep read.  A restricted closure, which ``weaken``, ``if`` and
     ``intersect`` read, holds its requested pairs, each as (x, y) with
-    x <= y: its pair reads
-    (``facts_between``, ``trace_between``, ``first_open``, ``audit``,
+    x <= y: its pair reads (``trace_between``, ``first_open``, ``audit``,
     ``read_mask``) answer those pairs exactly as the whole closure would,
     and raise ValueError for any other pair; ``closure_dump`` refuses it.
     ``mediate``, ``paths``, ``trace`` and ``derivations()`` report what this
@@ -282,7 +279,7 @@ class Closure:
 
     __slots__ = (
         "graph", "pairs", "_mediate", "_certifying", "_derived", "_trace", "_bits", "_named",
-        "_records", "_by_pair", "_between", "_traces",
+        "_records", "_by_pair", "_traces",
     )
 
     def __init__(self, graph, mediate, certifying, derived, trace, groups, bits, pairs=None):
@@ -354,12 +351,11 @@ class Closure:
             read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
             return keys, read, {}, _Memo(name_entry)
 
-        # Pair -> (the fact keys of facts_between(x, y) in canonical order, the
-        # union of their noncollider and collider-set masks, {conditioning &
-        # that union, or the tuple of the keys' blocks: audit}, (key, block) ->
+        # Pair -> (the pair's path fact keys in canonical order, the union of
+        # their noncollider and collider-set masks, {conditioning & that
+        # union, or the tuple of the keys' blocks: audit}, (key, block) ->
         # (fact, reason)).  An int key never equals a tuple key.
         by_pair = self._by_pair = _Memo(read_pair)
-        self._between = _Memo(lambda pair: tuple(map(fact, by_pair[pair][0])))
         self._traces = _Memo(
             lambda pair: tuple(map(record, sorted([certifying[k][1] for k in by_pair[pair][0]])))
         )
@@ -382,19 +378,17 @@ class Closure:
     # -- one node pair ----------------------------------------------------------
 
     def trace_between(self, x: str, y: str) -> tuple[TraceRecord, ...]:
-        """The records that derived ``facts_between(x, y)``, in trace order.
+        """The records that derived the path facts with endpoints {x, y}, in
+        trace order.
 
         Built on the pair's first call, so every verdict of a pair shares one tuple.
         """
         return self._traces[_pair(x, y)]
 
-    def facts_between(self, x: str, y: str) -> tuple[PathFact, ...]:
-        """All path facts with endpoints {x, y}, in canonical order."""
-        return self._between[_pair(x, y)]
-
     def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
-        """The first fact of ``facts_between(x, y)`` that transmits given the
-        conditioning node mask, or None when every one is blocked.
+        """The first path fact with endpoints {x, y}, in ``audit``'s order,
+        that transmits given the conditioning node mask, or None when every
+        one is blocked.
 
         A fact transmits when ``_block`` finds no block.  The agreement sweep
         decides Condition 2 by this scan, which names only the fact it returns.
@@ -405,17 +399,19 @@ class Closure:
         return None
 
     def read_mask(self, x: str, y: str) -> int:
-        """The node mask of every noncollider and collider-set node of
-        ``facts_between(x, y)``: ``first_open(x, y, c)`` and ``audit(x, y, c)``
-        read ``c`` only through its AND with this mask."""
+        """The node mask of every noncollider and collider-set node of the
+        path facts with endpoints {x, y}: ``first_open(x, y, c)`` and
+        ``audit(x, y, c)`` read ``c`` only through its AND with this mask."""
         return self._by_pair[_pair(x, y)][1]
 
     def audit(
         self, x: str, y: str, conditioning: int
     ) -> tuple[tuple[PathFact, BlockReason | None], ...]:
-        """``facts_between(x, y)``, each fact paired with its ``_block`` given
-        the conditioning node mask, worded as a ``BlockReason`` (None when the
-        fact transmits): the audit a verdict prints and decides by.
+        """Every path fact with endpoints {x, y}, in canonical order, each
+        paired with its ``_block`` given the conditioning node mask, worded as
+        a ``BlockReason`` (None when the fact transmits): the audit a verdict
+        prints and decides by.  Every conditioning mask lists the same facts,
+        as the same objects.
 
         Kept in the pair's record under the mask ANDed with ``read_mask`` and,
         on a miss, under the facts' blocks; each (fact, block) entry is built
@@ -697,17 +693,15 @@ def _skeleton(g: CausalGraph):
     return neighbors, parents, reach
 
 
-def _walk(skeleton, x: int, y: int = -1):
+def _walk(skeleton, x: int):
     """Every simple undirected path from node x, classified: yields
     (path, noncollider mask, collider reaches) as each path is reached, where
     ``path`` is the walk's own list of node indices, valid until the next
     step, and the reaches are those of the interior colliders in path order.
 
     One depth-first walk in sorted-neighbour order extends a path one edge
-    at a time, so the paths ending at any one node come in the order that a
-    walk stopping there finds them; given y, the walk does not go past y.
-    Leaving a node makes it interior, and it is a collider iff both of its
-    path neighbours are its parents.
+    at a time.  Leaving a node makes it interior, and it is a collider iff
+    both of its path neighbours are its parents.
     """
     neighbors, parents, reach = skeleton
     path = [x]
@@ -728,9 +722,6 @@ def _walk(skeleton, x: int, y: int = -1):
                 w_nc, w_colliders = nc_after, colliders
             path.append(w)
             yield path, w_nc, w_colliders
-            if w == y:
-                path.pop()
-                continue
             on_path |= 1 << w
             w_into = parents[w] if parents[w] >> v & 1 else 0
             frames.append((iter(neighbors[w]), w_nc, w_nc | 1 << w, w_colliders, w_into))
@@ -741,34 +732,32 @@ def _walk(skeleton, x: int, y: int = -1):
             on_path ^= 1 << v
 
 
-def _rows(skeleton, x: int, y: int = -1) -> defaultdict:
-    """Node w -> the rows of pair (x, w), for every w above x, or for y alone
-    when given: a row is a walked path's noncollider mask and collider
-    reaches, and rows keep the order of their first path."""
-    keep = 1 << y if y >= 0 else -2 << x
+def _rows(skeleton, x: int) -> defaultdict:
+    """Node w -> the rows of pair (x, w), for every w above x: a row is a
+    walked path's noncollider mask and collider reaches, and rows keep the
+    order of their first path."""
     found = defaultdict(dict)
-    for path, nc, colliders in _walk(skeleton, x, y):
-        if keep >> path[-1] & 1:
+    for path, nc, colliders in _walk(skeleton, x):
+        if path[-1] > x:
             found[path[-1]][nc, colliders] = None
     return found
 
 
-def _endpoints(g: CausalGraph, x: str, y: str) -> tuple[int, int]:
+def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
+    """Every simple undirected path x..y with its interior classification,
+    the name view of the oracle's walk: the walk from x, kept where it ends
+    at y.
+
+    Returns tuples (path, noncolliders, colliders) in a deterministic
+    order.  A direct edge contributes a path with no interior nodes.
+    Raises UnknownVariable for a name that is not a node and ValueError
+    for a node paired with itself.
+    """
     if x not in g.nodes or y not in g.nodes:
         raise UnknownVariable(f"both path endpoints must be graph nodes: {x!r}, {y!r}")
     if x == y:
         raise ValueError("path endpoints must differ")
-    return g.index[x], g.index[y]
-
-
-def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
-    """Every simple undirected path x..y with its interior classification,
-    the name view of the oracle's walk.
-
-    Returns tuples (path, noncolliders, colliders) in a deterministic
-    order.  A direct edge contributes a path with no interior nodes.
-    """
-    i, j = _endpoints(g, x, y)
+    j = g.index[y]
     names = g.names
     return tuple(
         (
@@ -776,24 +765,18 @@ def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
             frozenset([names[v] for v in path if nc >> v & 1]),
             tuple([names[v] for v in path[1:-1] if not nc >> v & 1]),
         )
-        for path, nc, _ in _walk(_skeleton(g), i, j)
+        for path, nc, _ in _walk(_skeleton(g), g.index[x])
         if path[-1] == j
     )
 
 
-def oracle_rows(g: CausalGraph, x: str, y: str) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The x-y paths as int node masks (``CausalGraph.node_mask`` numbering),
-    read from ``g`` alone: per path, its noncolliders' mask and, per collider
-    in path order, the mask of the collider and its descendants.  Paths with
-    equal masks give one row."""
-    i, j = _endpoints(g, x, y)
-    return tuple(_rows(_skeleton(g), i, j)[j])
-
-
 def oracle_rows_by_pair(g: CausalGraph) -> dict[tuple[str, str], tuple]:
-    """``oracle_rows(g, x, y)`` for every pair x < y of ``g.names``, from one
-    walk per node but the last: each walk gives the rows of its node and
-    every node above."""
+    """The oracle's rows of every pair x < y of ``g.names``, read from ``g``
+    alone, from one walk per node but the last: each walk gives the rows of
+    its node and every node above.  A row is one x-y path as int node masks
+    (``CausalGraph.node_mask`` numbering): its noncolliders' mask and, per
+    collider in path order, the mask of the collider and its descendants.
+    Paths with equal masks give one row, in the order of their first path."""
     skeleton = _skeleton(g)
     names = g.names
     table = {}
@@ -805,8 +788,8 @@ def oracle_rows_by_pair(g: CausalGraph) -> dict[tuple[str, str], tuple]:
 
 
 def dsep_oracle(rows, conditioning: int) -> bool:
-    """d-separation over one pair's rows, from ``oracle_rows`` or
-    ``oracle_rows_by_pair``, given a conditioning node mask.
+    """d-separation over one pair's rows, from ``oracle_rows_by_pair``,
+    given a conditioning node mask.
 
     True iff every path is blocked: a noncollider is conditioned on, or some
     collider has neither itself nor a descendant conditioned on.  This route

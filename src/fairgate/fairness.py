@@ -48,12 +48,11 @@ from .errors import (
     MalformedDataset,
     MalformedValue,
     SubsetExplosion,
-    UndecodableFile,
     UnknownColumn,
     VariableAlreadyInContext,
     WeakeningTargetIsGoal,
 )
-from .graph import BOM, validate_name
+from .graph import read_text, validate_name
 from .judgments import Context, Value, validate_atom, value_matches
 from .record import Record
 from .weakening import Verdict, check_variables, evaluate_conditions, verdict_to_json
@@ -164,31 +163,30 @@ class Dataset(Record):
         inside a line, a field over its size limit), is read record by
         record, so its records and the line a csv error names are exact.
         """
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                text = fh.read().removeprefix(BOM)
-        except UnicodeDecodeError:
-            raise UndecodableFile(f"{path}: not valid UTF-8 text") from None
-        records = None
+        text = read_text(path)
+        rows = None
         if '"' not in text:
             lines = text.split("\n")
+            del text  # held once, as its lines
             row_of = dict.fromkeys(lines)
             try:
                 # Each line's value becomes its row.  No key is added, so the
                 # keys may be read while the values change.
                 row_of.update(zip(row_of, _stripped(csv.reader(row_of))))
             except csv.Error:
-                pass  # read again below, record by record, to name the line
+                text = "\n".join(lines)  # read again below, record by record, to name the line
             else:
-                records = map(row_of.__getitem__, lines)
-        if records is None:
+                rows = list(filter(None, map(row_of.__getitem__, lines)))
+            del lines, row_of
+        if rows is None:
             reader = csv.reader(io.StringIO(text, newline=""))
             try:
-                records = list(_stripped(reader))
+                rows = list(filter(None, _stripped(reader)))
             except csv.Error as exc:
                 raise MalformedDataset(f"{path}: line {reader.line_num}: {exc}") from None
-        # A blank line reads as no cells, a whitespace-only one as one blank cell.
-        rows = list(filter(None, records))
+            del text
+        # A blank line reads as no cells, which filter(None) dropped, and a
+        # whitespace-only one as one blank cell.
         if ("",) in rows:
             rows = [row for row in rows if row != ("",)]
         if not rows:

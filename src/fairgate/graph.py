@@ -221,8 +221,10 @@ BOM = "\ufeff"
 
 def read_text(path) -> str:
     """The whole of a UTF-8 text file, without a leading byte-order mark;
-    UndecodableFile if it is not UTF-8."""
-    with open(path, "r", encoding="utf-8") as handle:
+    UndecodableFile if it is not UTF-8.  Line ends are kept as written, so
+    a CSV reader sees its records' own; ``str.splitlines`` reads CRLF, a lone
+    CR and LF each as one line break."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             return handle.read().removeprefix(BOM)
         except UnicodeDecodeError:

@@ -167,12 +167,6 @@ class Context(Record):
     def variables(self) -> frozenset[str]:
         return frozenset(a.variable for a in self.attributions)
 
-    def get(self, variable: str) -> Value | None:
-        for attr in self.attributions:
-            if attr.variable == variable:
-                return attr.value
-        return None
-
     def extended(self, attr: Attribution) -> "Context":
         return Context(self.attributions + (attr,))
 

@@ -1,10 +1,28 @@
-"""Graph helpers that only the tests need."""
+"""Graph and closure helpers that only the tests need, built from public names."""
 
 from __future__ import annotations
 
 import heapq
 
+from fairgate.closure import enumerate_classified_paths
 from fairgate.graph import CausalGraph
+
+
+def pair_facts(closure, x: str, y: str) -> tuple:
+    """Every path fact with endpoints {x, y}, in canonical order: the facts
+    of ``closure.audit(x, y, 0)``."""
+    return tuple(fact for fact, _ in closure.audit(x, y, 0))
+
+
+def pair_rows(g: CausalGraph, x: str, y: str) -> tuple:
+    """The oracle's rows of the x-y paths, read from ``g`` alone: per path,
+    its noncolliders' node mask and, per collider in path order, the mask of
+    the collider and its descendants.  Paths with equal masks give one row,
+    in the order of their first path."""
+    return tuple(dict.fromkeys(
+        (g.node_mask(nc), tuple(g.node_mask([c, *g.descendants(c)]) for c in cols))
+        for _, nc, cols in enumerate_classified_paths(g, x, y)
+    ))
 
 
 def topological_order(g: CausalGraph) -> tuple[str, ...]:

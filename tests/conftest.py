@@ -6,6 +6,8 @@ from fairgate.closure import Closure, close
 from fairgate.fairness import Dataset, generate_table1
 from fairgate.graph import CausalGraph, load_graph
 
+from _graphs import pair_facts
+
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -41,7 +43,7 @@ def all_facts_open(monkeypatch):
     report the first path fact of every pair open, whatever the conditioning set."""
 
     def first_open(closure, x, y, conditioning):
-        facts = closure.facts_between(x, y)
+        facts = pair_facts(closure, x, y)
         return facts[0] if facts else None
 
     monkeypatch.setattr(Closure, "first_open", first_open)

@@ -17,7 +17,6 @@ import fairgate
 from fairgate.closure import (
     close,
     dsep_oracle,
-    oracle_rows,
     render_path_fact,
 )
 from fairgate.fairness import empirical_ci, empirical_probability, generate_table1
@@ -40,6 +39,7 @@ from fairgate.sweep import (
 from fairgate.weakening import apply_weakening, check_weakening, evaluate_conditions
 
 from _blocking import blocking_reason
+from _graphs import pair_facts, pair_rows
 from _saturation import saturation_gap
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"
@@ -125,7 +125,7 @@ def test_loan_weakening_golden_cases():
         ]
         assert fork_records, [r.rule for r in bad.rule_trace]
 
-        ms_loan = oracle_rows(g, "MS", "Loan")
+        ms_loan = pair_rows(g, "MS", "Loan")
         assert dsep_oracle(ms_loan, g.node_mask(["Age", "GAI"]))
         assert not dsep_oracle(ms_loan, g.node_mask(["GAI"]))
 
@@ -148,7 +148,7 @@ def test_triplet_verdicts_on_both_routes():
         for g, conditioning, expected in cases:
             closure = close(g)
             by_rules = evaluate_conditions(closure, "A", "C", conditioning).admissible
-            rows = oracle_rows(g, "A", "C")
+            rows = pair_rows(g, "A", "C")
             by_oracle = dsep_oracle(rows, g.node_mask(conditioning))
             assert by_rules is expected, (g.edges, conditioning)
             assert by_oracle is expected, (g.edges, conditioning)
@@ -197,7 +197,7 @@ def test_thousand_weakenings_preserve_probability():
                 rest = [n for n in nodes if n not in (subject, target)]
                 for r in range(len(rest) + 1):
                     for ctx_vars in itertools.combinations(rest, r):
-                        facts = closure.facts_between(subject, target)
+                        facts = pair_facts(closure, subject, target)
                         if all(blocking_reason(f, frozenset(ctx_vars)) is not None for f in facts):
                             candidates.append((subject, target, ctx_vars))
             if not candidates:

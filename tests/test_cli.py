@@ -13,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fairgate
-from fairgate.cli import _json_pieces, main, render_json
+from fairgate.cli import _json_pieces, main
 from fairgate.fairness import fraction_str
 from fairgate.sweep import random_dag
+
+from _golden import GOLDEN_COMMANDS
 
 SCHEMA_DIR = Path(fairgate.__file__).parent / "schemas"
 
@@ -43,47 +45,6 @@ def validate(payload, schema_name):
 
 
 # --- golden outputs -----------------------------------------------------------
-
-
-GOLDEN_COMMANDS = [
-    (
-        "weaken_loan_ms.json",
-        lambda d: [
-            "weaken",
-            "--graph", str(d / "loan.cg"),
-            "--judgment", str(d / "loan.jdg"),
-            "--attr", "MS=married",
-        ],
-    ),
-    ("paths_loan.json", lambda d: ["paths", "--graph", str(d / "loan.cg")]),
-    (
-        "intersect_table1.json",
-        lambda d: [
-            "intersect",
-            "--dataset", str(d / "table1.csv"),
-            "--target", "t",
-            "--protected", "a1,a2",
-        ],
-    ),
-    ("demo_table1.json", lambda d: ["demo-table1"]),
-    (
-        "if_loan_ms.json",
-        lambda d: ["if", "--graph", str(d / "loan.cg"), "--target", "Loan", "--protected", "MS"],
-    ),
-    (
-        "intersect_loan_ms_age.json",
-        lambda d: [
-            "intersect",
-            "--graph", str(d / "loan.cg"),
-            "--target", "Loan",
-            "--protected", "MS,Age",
-        ],
-    ),
-    (
-        "oracle_random_seed1.json",
-        lambda d: ["oracle", "--trials", "3", "--max-nodes", "5", "--seed", "1"],
-    ),
-]
 
 
 @pytest.mark.parametrize("golden_name, argv_builder", GOLDEN_COMMANDS)
@@ -116,6 +77,7 @@ PRIOR_CALLS = {
     ],
     "oracle_random_seed1.json": lambda d: ["oracle", "--max-nodes", "3"],
 }
+PRIOR_CALLS.update({name.replace(".json", ".txt"): call for name, call in PRIOR_CALLS.items()})
 
 
 @pytest.mark.parametrize("golden_name, argv_builder", GOLDEN_COMMANDS)
@@ -126,6 +88,32 @@ def test_shared_parser_carries_nothing_between_calls(
     _, out, err = run(capsys, argv_builder(data_dir))
     assert err == ""
     assert out == (golden_dir / golden_name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_loan_files_with_other_line_ends_give_the_golden_bytes(
+    capsys, data_dir, golden_dir, tmp_path, newline
+):
+    # The graph, judgment and context readers split lines as str.splitlines
+    # does, so CRLF and lone-CR copies of the loan files read as the LF ones.
+    for path in data_dir.iterdir():
+        data = path.read_bytes()
+        if path.name in ("loan.cg", "loan.jdg", "loan.ctx"):
+            assert b"\r" not in data
+            data = data.replace(b"\n", newline.encode())
+        (tmp_path / path.name).write_bytes(data)
+    for golden_name, argv_builder in GOLDEN_COMMANDS:
+        _, out, err = run(capsys, argv_builder(tmp_path))
+        assert err == ""
+        assert out == (golden_dir / golden_name).read_text(encoding="utf-8"), golden_name
+    # No golden reads loan.ctx: the README's example reads it.
+    def example(d):
+        return ["if", "--graph", str(d / "loan.cg"), "--context", str(d / "loan.ctx"),
+                "--target", "Loan", "--protected", "MS"]
+
+    want = run(capsys, example(data_dir))
+    assert want[0] == 0
+    assert run(capsys, example(tmp_path)) == want
 
 
 # --- JSON rendering ---------------------------------------------------------------
@@ -178,9 +166,9 @@ def test_render_json_is_the_stdlib_indent_2_text(value):
         expected = json.dumps(value, indent=2, ensure_ascii=False)
     except TypeError:
         with pytest.raises(TypeError):
-            render_json(value)
+            "".join(_json_pieces(value))
     else:
-        assert render_json(value) == expected
+        assert "".join(_json_pieces(value)) == expected
 
 
 def test_a_list_repeated_at_one_depth_is_one_piece_after_its_first_rendering():

@@ -19,7 +19,6 @@ from fairgate.closure import (
     closure_dump,
     dsep_oracle,
     enumerate_classified_paths,
-    oracle_rows,
     oracle_rows_by_pair,
     render_path_fact,
     resolve_fact_budget,
@@ -30,7 +29,7 @@ from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, r
 from fairgate.weakening import evaluate_conditions
 
 from _blocking import blocking_reason
-from _graphs import topological_order
+from _graphs import pair_facts, pair_rows, topological_order
 from _saturation import saturation_gap
 from test_closure_bytes import DENSE_N10
 
@@ -134,7 +133,7 @@ def test_render_path_fact_sorts_contents():
 def test_chain_and_fork_yield_one_noncollider_fact():
     for g in (chain_graph(), fork_graph()):
         closure = close(g)
-        facts = closure.facts_between("A", "C")
+        facts = pair_facts(closure, "A", "C")
         assert len(facts) == 1
         fact = facts[0]
         assert fact.noncolliders == frozenset(["B"])
@@ -143,7 +142,7 @@ def test_chain_and_fork_yield_one_noncollider_fact():
 
 def test_collider_yields_one_set_per_descendant_chain():
     closure = close(collider_graph(with_descendant=True))
-    facts = closure.facts_between("A", "C")
+    facts = pair_facts(closure, "A", "C")
     families = {fact.collider_sets for fact in facts}
     assert families == {
         frozenset([frozenset(["B"])]),
@@ -165,12 +164,12 @@ def test_triplet_verdicts_match_oracle_on_both_routes():
     for g, cond, want in cases:
         closure = close(g)
         assert evaluate_conditions(closure, "A", "C", cond).admissible is want
-        rows = oracle_rows(g, "A", "C")
+        rows = pair_rows(g, "A", "C")
         assert dsep_oracle(rows, g.node_mask(cond)) is want
 
 
 def test_loan_facts_between_ms_and_loan(loan_graph, loan_closure):
-    facts = loan_closure.facts_between("MS", "Loan")
+    facts = pair_facts(loan_closure, "MS", "Loan")
     assert [render_path_fact(f) for f in facts] == [
         "Loan <>^{Age}_{} MS",
         "Loan <>^{Age,GAI}_{} MS",
@@ -278,7 +277,7 @@ def test_audit_pairs_each_fact_with_its_blocking_reason_and_shares_equal_ones():
         names = sorted(g.nodes)
         audits, entries = {}, {}
         for (i, x), (j, y) in itertools.combinations(enumerate(names), 2):
-            facts = closure.facts_between(x, y)
+            facts = pair_facts(closure, x, y)
             others = [k for k in range(len(names)) if k not in (i, j)]
             for size in range(len(others) + 1):
                 for chosen in itertools.combinations(others, size):
@@ -359,20 +358,21 @@ def test_enumerate_classified_paths_contents():
 def test_dsep_oracle_validates_nodes():
     g = chain_graph()
     with pytest.raises(UnknownVariable):
-        oracle_rows(g, "A", "Z")
+        pair_rows(g, "A", "Z")
 
 
 def test_dsep_on_disconnected_nodes():
     g = CausalGraph(["A", "B"], [])
-    assert dsep_oracle(oracle_rows(g, "A", "B"), 0)
+    assert dsep_oracle(pair_rows(g, "A", "B"), 0)
     closure = close(g)
     assert evaluate_conditions(closure, "A", "B", frozenset()).admissible
 
 
 def test_rows_by_pair_equal_the_rows_of_each_pair():
-    # The sweep reads every pair's rows from one walk per node; a pair's own
-    # walk stops at its second node, and walked the other way round it
-    # meets the same paths with their colliders in reverse.
+    # The sweep reads every pair's rows from one walk per node; ``pair_rows``
+    # builds one pair's from the paths ``enumerate_classified_paths`` names,
+    # and walked the other way round it meets the same paths with their
+    # colliders in reverse.
     rng = random.Random(13)
     graphs = [g for n in range(1, 6) for g in enumerate_dags(n)]
     graphs += [random_dag(rng, max_nodes=9, min_nodes=6, edge_prob=0.3) for _ in range(30)]
@@ -380,8 +380,8 @@ def test_rows_by_pair_equal_the_rows_of_each_pair():
         table = oracle_rows_by_pair(g)
         assert list(table) == list(itertools.combinations(g.names, 2))
         for (x, y), rows in table.items():
-            assert rows == oracle_rows(g, x, y), (sorted(g.edges), x, y)
-            backward = {(nc, colliders[::-1]) for nc, colliders in oracle_rows(g, y, x)}
+            assert rows == pair_rows(g, x, y), (sorted(g.edges), x, y)
+            backward = {(nc, colliders[::-1]) for nc, colliders in pair_rows(g, y, x)}
             assert set(rows) == backward, (sorted(g.edges), x, y)
 
 
@@ -566,9 +566,9 @@ def test_close_builds_no_named_fact_or_trace_record(built, loan_graph, monkeypat
 def test_facts_between_builds_exactly_that_pairs_facts(built, loan_graph):
     for g, (x, y) in ((loan_graph, ("MS", "Loan")), (_dense_n10(), ("J", "A"))):
         closure = close(g)
-        facts = closure.facts_between(x, y)
+        facts = pair_facts(closure, x, y)
         assert facts and built == {"PathFact": len(facts)}
-        assert closure.facts_between(y, x) is facts
+        assert pair_facts(closure, y, x) == facts
         # The first transmitting fact is one already named.
         assert closure.first_open(x, y, 0) is facts[0]
         assert built == {"PathFact": len(facts)}
@@ -584,7 +584,7 @@ def test_first_open_names_only_the_fact_it_returns(built):
 READ_FIRST = {
     "trace": lambda closure, pairs: closure.trace,
     "paths": lambda closure, pairs: closure.paths,
-    "facts_between": lambda closure, pairs: [closure.facts_between(x, y) for x, y in pairs],
+    "pair_facts": lambda closure, pairs: [pair_facts(closure, x, y) for x, y in pairs],
     "closure_dump": lambda closure, pairs: closure_dump(closure),
 }
 
@@ -618,7 +618,7 @@ def test_every_read_order_gives_one_dump_and_one_object_per_fact():
                     if not isinstance(premise, str):
                         one(premise)
             for x, y in pairs:
-                for fact in closure.facts_between(y, x):
+                for fact in pair_facts(closure, y, x):
                     one(fact)
                 for mask in masks:
                     fact = closure.first_open(x, y, mask)

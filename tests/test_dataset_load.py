@@ -67,6 +67,7 @@ OPEN_QUOTE = 'h,k\ny",b\na,"x\ny",b'
 @example("a,t\nx," + OVERSIZED + "\nx,y\n")
 @example('a,t\n"x\n",y\nx,y\n')
 @example(OPEN_QUOTE.replace("h,k", "a,t"))
+@example('a,t\r\n"x\r\ny",y\r\n"x\ry",y\r\n')
 def test_from_csv_reads_as_the_sequential_loader_does(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("load") / "d.csv"
     path.write_bytes(text.encode("utf-8"))

@@ -46,8 +46,8 @@ def test_parse_loan_example(wide_graph):
     assert j.target == "Loan"
     assert j.outcome == Value.atomic("yes")
     assert j.probability == Fraction(3, 5)
-    assert j.context.get("MS") == Value.sum_of(["married", "divorced"])
-    assert j.context.get("Etn") == Value.complement("white")
+    assert Attribution("MS", Value.sum_of(["married", "divorced"])) in j.context
+    assert Attribution("Etn", Value.complement("white")) in j.context
 
 
 def test_serialize_is_canonical(wide_graph):

@@ -63,6 +63,16 @@ def test_closure_has_one_condition2_test():
     assert not hasattr(module.Closure, "certifying_path")
 
 
+def test_retired_second_readers_stay_gone():
+    # Closure.audit lists a pair's facts, oracle_rows_by_pair gives every
+    # pair's oracle rows and _json_pieces is the one JSON emitter.
+    module = importlib.import_module("fairgate.closure")
+    assert not hasattr(module.Closure, "facts_between")
+    assert not hasattr(module, "oracle_rows")
+    assert not hasattr(importlib.import_module("fairgate.cli"), "render_json")
+    assert not hasattr(importlib.import_module("fairgate.judgments").Context, "get")
+
+
 def test_benchmark_spans_find_every_name_they_wrap(tmp_path):
     # benchmark/spans.py wraps fairgate names by getattr and counts a traced
     # close through Closure.derivations; deleting or renaming one would
@@ -163,7 +173,7 @@ def test_no_module_imports_dataclasses(module):
             assert node.module != "dataclasses"
 
 
-@pytest.mark.parametrize("helper", ["_saturation.py", "_recount.py", "_blocking.py"])
+@pytest.mark.parametrize("helper", ["_saturation.py", "_recount.py", "_blocking.py", "_graphs.py"])
 def test_reference_helpers_import_only_public_names(helper):
     # A reference that imported the engine's private helpers would check
     # that code against itself.

@@ -23,6 +23,8 @@ from fairgate.errors import ResourceLimit, UnknownVariable
 from fairgate.graph import parse_graph
 from fairgate.sweep import enumerate_dags, random_dag
 
+from _graphs import pair_facts
+
 # Graphs whose blocks the span must follow: two triangles and a pendant
 # edge on a chain of cut vertices, two components, and an isolated node.
 SHAPES = [
@@ -79,7 +81,7 @@ def test_a_pair_with_no_path_closes_to_its_mediate_facts_alone():
     mediate = 73
     for pair in [("I", "C"), ("I", "H")]:
         closure = close(g, fact_budget=mediate, pairs=[pair])
-        assert closure.facts_between(*pair) == ()
+        assert pair_facts(closure, *pair) == ()
         assert len(closure.mediate) == mediate
     with pytest.raises(ResourceLimit, match=f"fact budget of {mediate} exceeded"):
         close(g, fact_budget=mediate)
@@ -105,7 +107,7 @@ def _requests(g):
 
 def _reads(closure, x, y, masks):
     return (
-        closure.facts_between(x, y),
+        pair_facts(closure, x, y),
         [trace_record_json(record) for record in closure.trace_between(x, y)],
         [closure.audit(x, y, mask) for mask in masks],
         [closure.first_open(x, y, mask) for mask in masks],
@@ -158,7 +160,7 @@ def test_a_restricted_closure_derives_the_relevant_part_of_the_whole_closure():
             assert restricted.mediate == whole.mediate
 
 
-PAIR_READS = ["facts_between", "trace_between", "first_open", "audit", "read_mask"]
+PAIR_READS = ["trace_between", "first_open", "audit", "read_mask"]
 
 
 def _read_args(read):

@@ -2,7 +2,7 @@
 
 Condition 2 is decided by one scan of the closure's mask rows
 (``Closure.first_open``) and d-separation by ``dsep_oracle`` over
-``oracle_rows``.  Both are compared here, decision by decision, with the
+``oracle_rows_by_pair``.  Both are compared here, decision by decision, with the
 set-based statements they replace: ``blocking_reason`` over every fact of
 the pair, and d-separation restated on frozensets of names.  The sweep
 decides each pair once per subset of the nodes both decisions read; it is
@@ -21,7 +21,6 @@ from fairgate.closure import (
     close,
     dsep_oracle,
     enumerate_classified_paths,
-    oracle_rows,
     oracle_rows_by_pair,
 )
 from fairgate.errors import UnknownVariable
@@ -31,6 +30,7 @@ from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, r
 from fairgate.weakening import check_condition1
 
 from _blocking import blocking_reason
+from _graphs import pair_facts, pair_rows
 
 
 def separated_by_sets(g, paths, conditioning):
@@ -60,9 +60,9 @@ def test_mask_decisions_equal_set_decisions(family):
         closure = close(g)
         nodes = sorted(g.nodes)
         for x, y in combinations(nodes, 2):
-            facts = closure.facts_between(x, y)
+            facts = pair_facts(closure, x, y)
             paths = enumerate_classified_paths(g, x, y)
-            rows = oracle_rows(g, x, y)
+            rows = pair_rows(g, x, y)
             rest = [v for v in nodes if v != x and v != y]
             for r in range(len(rest) + 1):
                 for picked in combinations(rest, r):
@@ -82,7 +82,7 @@ def test_decisions_read_the_conditioning_set_only_through_the_read_masks(family)
     for g in FAMILIES[family]():
         closure = close(g)
         for x, y in combinations(sorted(g.nodes), 2):
-            rows = oracle_rows(g, x, y)
+            rows = pair_rows(g, x, y)
             facts_read = closure.read_mask(x, y)
             rows_read = reduce(or_, (reduce(or_, cs, nc) for nc, cs in rows), 0)
             for c in range(1 << len(g.nodes)):
@@ -128,7 +128,7 @@ def reference_agreement(g, closure, table):
 
 def _collider_sets_count_as_met(closure, x, y, conditioning):
     mask = closure.graph.node_mask
-    for fact in closure.facts_between(x, y):
+    for fact in pair_facts(closure, x, y):
         if not mask(fact.noncolliders) & conditioning:
             return fact
     return None
@@ -136,7 +136,7 @@ def _collider_sets_count_as_met(closure, x, y, conditioning):
 
 def _one_noncollider_facts_never_open(closure, x, y, conditioning):
     mask = closure.graph.node_mask
-    for fact in closure.facts_between(x, y):
+    for fact in pair_facts(closure, x, y):
         if len(fact.noncolliders) == 1 and not fact.collider_sets:
             continue
         if not mask(fact.noncolliders) & conditioning and all(
@@ -167,7 +167,7 @@ def agreement_graphs():
 
 
 def _without_collider_facts(closure, x, y):
-    return [f for f in closure.facts_between(x, y) if not f.collider_sets]
+    return [f for f in pair_facts(closure, x, y) if not f.collider_sets]
 
 
 def _first_open_without_collider_facts(closure, x, y, conditioning):

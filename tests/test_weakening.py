@@ -8,7 +8,6 @@ import pytest
 from fairgate.closure import (
     close,
     dsep_oracle,
-    oracle_rows,
     render_path_fact,
     trace_record_json,
 )
@@ -31,6 +30,7 @@ from fairgate.weakening import (
 )
 
 from _blocking import blocking_reason
+from _graphs import pair_facts, pair_rows
 
 
 def test_condition1_checks_only_immediate_edges(loan_graph):
@@ -191,7 +191,7 @@ def test_verdict_witnesses_replay(loan_closure):
     for ctx in (frozenset(), frozenset(["Age"]), frozenset(["GAI"])):
         verdict = evaluate_conditions(loan_closure, "MS", "Loan", ctx)
         assert len(verdict.blocked_facts) == len(
-            loan_closure.facts_between("MS", "Loan")
+            pair_facts(loan_closure, "MS", "Loan")
         )
         if verdict.witness_fact is not None:
             assert blocking_reason(verdict.witness_fact, ctx) is None
@@ -217,7 +217,7 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                             target,
                             subject,
                         ) not in g.edges
-                        separated = dsep_oracle(oracle_rows(g, subject, target), g.node_mask(ctx))
+                        separated = dsep_oracle(pair_rows(g, subject, target), g.node_mask(ctx))
                         assert verdict.admissible == (no_edge and separated), (
                             g.edges,
                             subject,
