@@ -14,12 +14,13 @@ deliberately kept separate:
 Cross-checking the two is part of the test contract; nothing in this
 module shares state between them.  Each decides on int node masks (bit i
 for ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with its own
-test: Condition 2 has one, ``_block``, on a fact's masks, which both
-``Closure.first_open`` (the sweep's decision) and ``Closure.audit`` (a
-verdict's decision and printed reasons) read; ``dsep_oracle`` scans a
-pair's rows, which ``oracle_rows_by_pair`` reads from the graph alone for
-every pair, from one walk per node.  ``enumerate_classified_paths`` is the
-same walk's paths by name, for one pair.
+test: Condition 2 has one, ``_block``, on a fact's masks, which the
+agreement sweep applies to the keys of ``Closure.pair_record`` (a node
+pair's record, by index) and ``Closure.audit`` (a verdict's decision and
+printed reasons) reads; ``dsep_oracle`` scans a pair's rows, which
+``_rows`` reads from the graph alone for every pair from one source node,
+from one walk.  ``enumerate_classified_paths`` is the same walk's paths
+by name, for one pair.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -75,7 +76,6 @@ __all__ = [
     "resolve_fact_budget",
     "dsep_oracle",
     "enumerate_classified_paths",
-    "oracle_rows_by_pair",
     "closure_dump",
     "trace_record_json",
     "sorted_collider_sets",
@@ -236,6 +236,10 @@ def _pair(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
 
+# The record of a node pair with no path fact: no keys, nothing read.
+_NO_FACTS = ((), 0)
+
+
 class Closure:
     """The fixpoint of the six derivation rules over ``graph``, the graph it
     closes, or, for a closure restricted to node ``pairs``, the part of it
@@ -255,14 +259,19 @@ class Closure:
     ``trace_between``, ``derivations``, ``mediate``, ``paths`` or ``trace``
     reads it first.  A memo's build reads the closure's data
     and the other memos, never the closure, so no reference cycle keeps a
-    dropped closure alive.  A node pair's record is built on the pair's
-    first read from the pair's fact keys, which ``close`` groups by
-    endpoints: the keys in canonical order (index order is name order, so
-    the ints sort as the names do), ``read_mask``, the union of their
-    masks, and its audit tables.  Condition 2 is one mask test,
-    ``_block``: ``first_open`` returns the first key it leaves unblocked
+    dropped closure alive.  A node pair's record is keyed by its node
+    indices (i, j), i < j, and built on the pair's first read from the
+    pair's fact keys, which ``close`` groups by endpoints: the keys in
+    canonical order (index order is name order, so the ints sort as the
+    names do) and ``read_mask``, the union of their masks.  The agreement
+    sweep reads it by index, ``pair_record``; the name reads
+    (``trace_between``, ``first_open``, ``read_mask``, ``audit``) translate
+    their names and read the same record, one memo for both.  A pair's
+    audit tables are filled on its first ``audit``.  Condition 2 is one
+    mask test, ``_block``: the sweep applies it to a record's keys and
+    names no fact, ``first_open`` returns the first key it leaves unblocked
     and names only that fact, and ``audit`` words each key's block as a
-    ``BlockReason``.  Every pair read raises UnknownVariable for a name
+    ``BlockReason``.  Every name read raises UnknownVariable for a name
     that is not a node and ValueError for a node paired with itself.  A
     fact is rendered to text only where it is printed.
 
@@ -272,6 +281,7 @@ class Closure:
     x <= y: its pair reads (``trace_between``, ``first_open``, ``audit``,
     ``read_mask``) answer those pairs exactly as the whole closure would,
     and raise ValueError for any other pair; ``closure_dump`` refuses it.
+    ``pair_record`` checks no pair, so only a whole closure is read by index.
     ``mediate``, ``paths``, ``trace`` and ``derivations()`` report what this
     closure derived, built on each read: every mediate fact, but only the
     path facts, trace records and derivations its pairs can read.
@@ -279,12 +289,12 @@ class Closure:
 
     __slots__ = (
         "graph", "pairs", "_mediate", "_certifying", "_derived", "_trace", "_bits", "_named",
-        "_records", "_by_pair", "_traces",
+        "_records", "_entries", "_audits", "_by_pair", "_traces",
     )
 
     def __init__(self, graph, mediate, certifying, derived, trace, groups, bits, pairs=None):
         self.graph: CausalGraph = graph
-        names, index = graph.names, graph.index
+        names = graph.names
         # None, or the frozenset of (x, y), x <= y, the pair reads answer.
         self.pairs: frozenset[tuple[str, str]] | None = pairs
         # Mediate fact keys, in derivation order.
@@ -332,29 +342,24 @@ class Closure:
             kind = "collider-set" if block & ~key[2] else "noncollider"
             return fact(key), BlockReason(kind, nodes[block])
 
-        # The rest are keyed by a node pair (x, y) with x <= y.
+        # (key, block) -> (fact, reason), for every pair's audits.
+        self._entries = _Memo(name_entry)
+        # The audit tables of every pair, filled on its first ``audit``:
+        # ((i, j), conditioning & read mask) or ((i, j), the keys' blocks) ->
+        # the audit.  An int never equals a tuple.
+        self._audits = {}
         order = _order(bits)
 
         def read_pair(pair):
-            x, y = map(index.get, pair)
-            if x is None or y is None:
-                raise UnknownVariable(f"path endpoints must be graph nodes, got {pair}")
-            if x == y:
-                raise ValueError("path endpoints must differ")
-            if pairs is not None and pair not in pairs:
-                raise ValueError(
-                    f"this closure was restricted to the node pairs {sorted(pairs)};"
-                    f" it cannot read {pair}"
-                )
-            found = groups.get((x, y), ())
+            found = groups.get(pair)
+            if not found:
+                return _NO_FACTS
             keys = tuple(sorted(found, key=order))
-            read = reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
-            return keys, read, {}, _Memo(name_entry)
+            return keys, reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
 
-        # Pair -> (the pair's path fact keys in canonical order, the union of
-        # their noncollider and collider-set masks, {conditioning & that
-        # union, or the tuple of the keys' blocks: audit}, (key, block) ->
-        # (fact, reason)).  An int key never equals a tuple key.
+        # Node pair (i, j), i < j -> its record: the pair's path fact keys in
+        # canonical order and the union of their noncollider and collider-set
+        # masks.  Every pair read, by name or by index, reads this one memo.
         by_pair = self._by_pair = _Memo(read_pair)
         self._traces = _Memo(
             lambda pair: tuple(map(record, sorted([certifying[k][1] for k in by_pair[pair][0]])))
@@ -377,23 +382,41 @@ class Closure:
 
     # -- one node pair ----------------------------------------------------------
 
+    def pair_record(self, i: int, j: int) -> tuple[tuple[tuple, ...], int]:
+        """Node pair (i, j)'s record, i < j: its path fact keys in canonical
+        order and their ``read_mask``.  The sweep's read; it checks no pair."""
+        return self._by_pair[i, j]
+
+    def _at(self, x: str, y: str) -> tuple[int, int]:
+        """The record key (i, j) of names x and y, with every name read's errors."""
+        pair = _pair(x, y)
+        i, j = map(self.graph.index.get, pair)
+        if i is None or j is None:
+            raise UnknownVariable(f"path endpoints must be graph nodes, got {pair}")
+        if i == j:
+            raise ValueError("path endpoints must differ")
+        pairs = self.pairs
+        if pairs is not None and pair not in pairs:
+            raise ValueError(
+                f"this closure was restricted to the node pairs {sorted(pairs)};"
+                f" it cannot read {pair}"
+            )
+        return i, j
+
     def trace_between(self, x: str, y: str) -> tuple[TraceRecord, ...]:
         """The records that derived the path facts with endpoints {x, y}, in
         trace order.
 
         Built on the pair's first call, so every verdict of a pair shares one tuple.
         """
-        return self._traces[_pair(x, y)]
+        return self._traces[self._at(x, y)]
 
     def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
         """The first path fact with endpoints {x, y}, in ``audit``'s order,
         that transmits given the conditioning node mask, or None when every
-        one is blocked.
-
-        A fact transmits when ``_block`` finds no block.  The agreement sweep
-        decides Condition 2 by this scan, which names only the fact it returns.
-        """
-        for key in self._by_pair[_pair(x, y)][0]:
+        one is blocked: a fact transmits when ``_block`` finds no block.
+        Names only the fact it returns."""
+        for key in self.pair_record(*self._at(x, y))[0]:
             if _block(key, conditioning) is None:
                 return self._named[key]
         return None
@@ -402,7 +425,7 @@ class Closure:
         """The node mask of every noncollider and collider-set node of the
         path facts with endpoints {x, y}: ``first_open(x, y, c)`` and
         ``audit(x, y, c)`` read ``c`` only through its AND with this mask."""
-        return self._by_pair[_pair(x, y)][1]
+        return self.pair_record(*self._at(x, y))[1]
 
     def audit(
         self, x: str, y: str, conditioning: int
@@ -413,18 +436,22 @@ class Closure:
         prints and decides by.  Every conditioning mask lists the same facts,
         as the same objects.
 
-        Kept in the pair's record under the mask ANDed with ``read_mask`` and,
-        on a miss, under the facts' blocks; each (fact, block) entry is built
-        once, so equal audits and equal entries are one object.
+        Kept under the pair and the mask ANDed with ``read_mask`` and, on a
+        miss, under the pair and the facts' blocks; each (fact, block) entry
+        is built once, so equal audits and equal entries are one object.
         """
-        keys, read, audits, entries = self._by_pair[_pair(x, y)]
-        audit = audits.get(conditioning & read)
+        pair = self._at(x, y)
+        keys, read = self.pair_record(*pair)
+        audits = self._audits
+        audit = audits.get((pair, conditioning & read))
         if audit is None:
             blocks = tuple([_block(key, conditioning) for key in keys])
-            audit = audits.get(blocks)
+            audit = audits.get((pair, blocks))
             if audit is None:
-                audit = audits[blocks] = tuple(map(entries.__getitem__, zip(keys, blocks)))
-            audits[conditioning & read] = audit
+                audit = audits[pair, blocks] = tuple(
+                    map(self._entries.__getitem__, zip(keys, blocks))
+                )
+            audits[pair, conditioning & read] = audit
         return audit
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
@@ -733,9 +760,13 @@ def _walk(skeleton, x: int):
 
 
 def _rows(skeleton, x: int) -> defaultdict:
-    """Node w -> the rows of pair (x, w), for every w above x: a row is a
-    walked path's noncollider mask and collider reaches, and rows keep the
-    order of their first path."""
+    """Node w -> the oracle's rows of pair (x, w), for every w above x that
+    a path reaches, read from the graph alone by one walk from x.  A row is
+    one x-w path as int node masks (``CausalGraph.node_mask`` numbering):
+    its noncolliders' mask and, per collider in path order, the mask of the
+    collider and its descendants.  Paths with equal masks give one row, in
+    the order of their first path, as the keys of the pair's dict.  The
+    agreement sweep reads one source node's rows at a time."""
     found = defaultdict(dict)
     for path, nc, colliders in _walk(skeleton, x):
         if path[-1] > x:
@@ -770,26 +801,9 @@ def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
     )
 
 
-def oracle_rows_by_pair(g: CausalGraph) -> dict[tuple[str, str], tuple]:
-    """The oracle's rows of every pair x < y of ``g.names``, read from ``g``
-    alone, from one walk per node but the last: each walk gives the rows of
-    its node and every node above.  A row is one x-y path as int node masks
-    (``CausalGraph.node_mask`` numbering): its noncolliders' mask and, per
-    collider in path order, the mask of the collider and its descendants.
-    Paths with equal masks give one row, in the order of their first path."""
-    skeleton = _skeleton(g)
-    names = g.names
-    table = {}
-    for i in range(len(names) - 1):
-        found = _rows(skeleton, i)
-        for j in range(i + 1, len(names)):
-            table[names[i], names[j]] = tuple(found[j])
-    return table
-
-
 def dsep_oracle(rows, conditioning: int) -> bool:
-    """d-separation over one pair's rows, from ``oracle_rows_by_pair``,
-    given a conditioning node mask.
+    """d-separation over one pair's rows, from ``_rows``, given a
+    conditioning node mask.
 
     True iff every path is blocked: a noncollider is conditioned on, or some
     collider has neither itself nor a descendant conditioned on.  This route

@@ -35,7 +35,7 @@ import csv
 import io
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -124,7 +124,7 @@ class Dataset(Record):
         width = len(columns)
         distinct = dict.fromkeys(rows)
         faults = {}
-        for cell in set().union(*distinct):
+        for cell in set(chain.from_iterable(distinct)):
             try:
                 validate_atom(cell)  # what Value.atomic checks, without building the Value
             except MalformedValue as exc:

@@ -36,6 +36,10 @@ RESERVED_NAME_CHARS = frozenset("->:,=@#")
 
 def validate_name(name: str) -> str:
     """Return ``name`` if it is a legal variable name, else raise MalformedName."""
+    # An identifier holds no whitespace and no reserved character, and
+    # str.isidentifier tests that in C, so most names stop here.
+    if isinstance(name, str) and name.isidentifier():
+        return name
     if not isinstance(name, str) or not name:
         raise MalformedName("variable names must be non-empty strings")
     bad = {c for c in name if c in RESERVED_NAME_CHARS or c.isspace()}
@@ -137,6 +141,14 @@ class CausalGraph:
     def undirected_neighbors(self, v: str) -> tuple[str, ...]:
         self.require_node(v)
         return self._neighbors[v]
+
+    def edge_between(self, i: int, j: int) -> tuple[str, str] | None:
+        """The edge between nodes ``names[i]`` and ``names[j]``, i's out-edge
+        first, or None: Condition 1 by index, for ``check_condition1`` and the sweep."""
+        for edge in ((self.names[i], self.names[j]), (self.names[j], self.names[i])):
+            if edge in self.edges:
+                return edge
+        return None
 
     def descendants(self, x: str) -> frozenset[str]:
         """All nodes reachable from ``x`` by directed edges, excluding ``x``."""

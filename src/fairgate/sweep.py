@@ -7,24 +7,25 @@ ones.  Every (pair, conditioning set) triple is checked, each distinct
 projection of the conditioning set decided once, and any mismatch is
 captured as a structured discrepancy rather than a bare failure.  Per
 graph, the rules side is one ``close`` and the oracle side one path walk
-per node, which gives the rows of every pair at once.
+per source node, which gives the rows of every pair from that node.  Both
+sides are read on node indices: a pair is (i, j), i < j, a conditioning
+set a node mask, and names are built only for a discrepancy.
 """
 
 from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import combinations, groupby, permutations, product
+from itertools import groupby, permutations, product
 from operator import or_
 from typing import NamedTuple
 
-from .closure import close, dsep_oracle, oracle_rows_by_pair
+from .closure import _block, _rows, _skeleton, close, dsep_oracle
 
 # Not called here: benchmark/spans.py wraps sweep.enumerate_classified_paths
 # for its sweep.oracle span, so the name stays importable from this module.
 from .closure import enumerate_classified_paths  # noqa: F401
 from .graph import CausalGraph
-from .weakening import check_condition1
 
 __all__ = [
     "EXHAUSTIVE_MAX_NODES",
@@ -173,68 +174,81 @@ def random_dag(
 def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     """Compare both routes on every pair and every conditioning set of g.
 
-    Returns (discrepancies, checks run).  The rules side is Condition 1 and
-    ``Closure.first_open``, a scan by the one Condition 2 mask test that a
-    weakening verdict's ``Closure.audit`` also reads, without wording the
-    reasons a verdict prints; the oracle side is ``dsep_oracle`` over the
-    rows of ``oracle_rows_by_pair``: one walk per node, on node indices,
-    gives the rows of every pair from that node to a node above it.
+    Returns (discrepancies, checks run).  Both routes work on node indices
+    (node i is ``g.names[i]``) and conditioning sets are int node masks.
+    The rules side is Condition 1, ``CausalGraph.edge_between``, and
+    Condition 2, ``_block`` over the keys of ``Closure.pair_record``: the
+    one mask test that a weakening verdict's ``Closure.audit`` also reads,
+    with no fact named.  The oracle side is ``dsep_oracle`` over the rows
+    ``_rows`` gives: one walk per source node gives the rows of every pair
+    from that node to a node above it.
 
-    Conditioning sets range over all subsets of the other nodes, as int
-    node masks.  Both decisions read a mask only through its AND with the
-    pair's ``read`` nodes: the rows' masks and ``Closure.read_mask``.  So
+    Both decisions read a conditioning mask only through its AND with the
+    pair's ``read`` nodes: the record's read mask and the rows' masks.  So
     each is made once per subset of ``read``, and a conditioning set takes
-    the decisions of its projection onto ``read``.  The checks run still
-    count every (pair, conditioning set) triple.  Only a pair with a
-    disagreeing subset walks its conditioning sets in ascending order, to
-    report each whose projection disagreed; names are built only then.
+    the decisions of its projection onto ``read``.  A pair with no path
+    fact and no row (so no edge) is independent by both routes under every
+    conditioning set and takes no decision.  The checks run still count
+    every (pair, conditioning set) triple.  Only a pair with a disagreeing
+    subset walks its conditioning sets in ascending order, to report each
+    whose projection disagreed; names are built only then.
     """
     closure = close(g, fact_budget=fact_budget)
-    table = oracle_rows_by_pair(g)
-    nodes = g.names
-    everything = (1 << len(nodes)) - 1
+    skeleton = _skeleton(g)
+    n = len(g.names)
+    everything = (1 << n) - 1
     discrepancies = []
     checks = 0
-    for x, y in combinations(nodes, 2):
-        rows = table[x, y]
-        nonadjacent = check_condition1(g, x, y)[0]
-        rest = everything & ~g.node_mask((x, y))
-        read = closure.read_mask(x, y)
-        for noncolliders, colliders in rows:
-            read |= reduce(or_, colliders, noncolliders)
-        read &= rest
-        checks += 1 << rest.bit_count()
-        # The subsets of read whose decisions disagree, each mapped to by_rules.
-        disagreeing = {}
-        cond = 0
-        while True:
-            by_rules = nonadjacent and closure.first_open(x, y, cond) is None
-            if by_rules != dsep_oracle(rows, cond):
-                disagreeing[cond] = by_rules
-            # The next subset in ascending order; 0 once all are done.
-            cond = (cond - read) & read
-            if not cond:
-                break
-        if not disagreeing:
-            continue
-        # cond is 0 again: every subset of rest, in ascending order.
-        while True:
-            by_rules = disagreeing.get(cond & read)
-            if by_rules is not None:
-                discrepancies.append(
-                    Discrepancy(
-                        nodes=nodes,
-                        edges=tuple(sorted(g.edges)),
-                        x=x,
-                        y=y,
-                        conditioning=tuple(v for i, v in enumerate(nodes) if cond >> i & 1),
-                        by_rules=by_rules,
-                        by_oracle=not by_rules,
+    for i in range(n - 1):
+        rows_from = _rows(skeleton, i)
+        for j in range(i + 1, n):
+            keys, read = closure.pair_record(i, j)
+            rows = rows_from.get(j, ())
+            rest = everything & ~(1 << i | 1 << j)
+            checks += 1 << rest.bit_count()
+            if not (keys or rows):
+                continue
+            nonadjacent = g.edge_between(i, j) is None
+            for noncolliders, colliders in rows:
+                read |= reduce(or_, colliders, noncolliders)
+            read &= rest
+            # The subsets of read whose decisions disagree, each mapped to by_rules.
+            disagreeing = {}
+            cond = 0
+            while True:
+                by_rules = nonadjacent
+                if nonadjacent:
+                    for key in keys:
+                        if _block(key, cond) is None:
+                            by_rules = False
+                            break
+                if by_rules != dsep_oracle(rows, cond):
+                    disagreeing[cond] = by_rules
+                # The next subset in ascending order; 0 once all are done.
+                cond = (cond - read) & read
+                if not cond:
+                    break
+            if not disagreeing:
+                continue
+            # cond is 0 again: every subset of rest, in ascending order.
+            nodes = g.names
+            while True:
+                by_rules = disagreeing.get(cond & read)
+                if by_rules is not None:
+                    discrepancies.append(
+                        Discrepancy(
+                            nodes=nodes,
+                            edges=tuple(sorted(g.edges)),
+                            x=nodes[i],
+                            y=nodes[j],
+                            conditioning=tuple(v for k, v in enumerate(nodes) if cond >> k & 1),
+                            by_rules=by_rules,
+                            by_oracle=not by_rules,
+                        )
                     )
-                )
-            cond = (cond - rest) & rest
-            if not cond:
-                break
+                cond = (cond - rest) & rest
+                if not cond:
+                    break
     return discrepancies, checks
 
 

@@ -69,24 +69,22 @@ class Verdict(NamedTuple):
 def check_condition1(g: CausalGraph, subject: str, target: str):
     """No immediate edge either way between subject and target.
 
-    Returns (ok, offending edge or None).
+    Returns (ok, offending edge or None), from ``CausalGraph.edge_between``,
+    which the agreement sweep reads by node index.
     """
     for name in (subject, target):
         g.require_node(name)
-    if (subject, target) in g.edges:
-        return False, (subject, target)
-    if (target, subject) in g.edges:
-        return False, (target, subject)
-    return True, None
+    edge = g.edge_between(g.index[subject], g.index[target])
+    return edge is None, edge
 
 
 def check_condition2(closure: Closure, subject: str, target: str, context_vars):
     """Every path fact between subject and target is blocked by the context.
 
     The context becomes a node mask once.  ``Closure.audit`` pairs each fact
-    with its block, from the same mask test the agreement sweep's
-    ``Closure.first_open`` scans with; the witness is the first fact the
-    audit leaves unblocked, so a verdict reads its node pair once.
+    with its block, from the same mask test the agreement sweep applies to
+    the pair's record; the witness is the first fact the audit leaves
+    unblocked, so a verdict reads its node pair once.
 
     Returns (ok, examined facts with reasons, first transmitting fact or None).
     """

@@ -2,11 +2,10 @@ from pathlib import Path
 
 import pytest
 
+from fairgate import closure as closure_module, sweep
 from fairgate.closure import Closure, close
 from fairgate.fairness import Dataset, generate_table1
 from fairgate.graph import CausalGraph, load_graph
-
-from _graphs import pair_facts
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -38,12 +37,20 @@ def table1() -> Dataset:
 
 
 @pytest.fixture
-def all_facts_open(monkeypatch):
-    """Make the agreement sweep's Condition 2 decision, ``Closure.first_open``,
-    report the first path fact of every pair open, whatever the conditioning set."""
+def patch_block(monkeypatch):
+    """A function that replaces Condition 2's one mask test, ``_block``,
+    where the agreement sweep and the closure's name reads call it."""
 
-    def first_open(closure, x, y, conditioning):
-        facts = pair_facts(closure, x, y)
-        return facts[0] if facts else None
+    def patch(block):
+        for module in (closure_module, sweep):
+            monkeypatch.setattr(module, "_block", block)
 
-    monkeypatch.setattr(Closure, "first_open", first_open)
+    return patch
+
+
+@pytest.fixture
+def all_facts_open(patch_block):
+    """Make Condition 2 find no block on any path fact, whatever the
+    conditioning set: the agreement sweep and ``Closure.first_open`` then
+    report the first path fact of every pair open."""
+    patch_block(lambda key, conditioning: None)

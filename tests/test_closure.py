@@ -19,7 +19,6 @@ from fairgate.closure import (
     closure_dump,
     dsep_oracle,
     enumerate_classified_paths,
-    oracle_rows_by_pair,
     render_path_fact,
     resolve_fact_budget,
 )
@@ -369,20 +368,23 @@ def test_dsep_on_disconnected_nodes():
 
 
 def test_rows_by_pair_equal_the_rows_of_each_pair():
-    # The sweep reads every pair's rows from one walk per node; ``pair_rows``
-    # builds one pair's from the paths ``enumerate_classified_paths`` names,
-    # and walked the other way round it meets the same paths with their
-    # colliders in reverse.
+    # The sweep reads every pair's rows from one walk per source node,
+    # ``_rows``; ``pair_rows`` builds one pair's from the paths
+    # ``enumerate_classified_paths`` names, and walked the other way round
+    # it meets the same paths with their colliders in reverse.
     rng = random.Random(13)
     graphs = [g for n in range(1, 6) for g in enumerate_dags(n)]
     graphs += [random_dag(rng, max_nodes=9, min_nodes=6, edge_prob=0.3) for _ in range(30)]
     for g in graphs:
-        table = oracle_rows_by_pair(g)
-        assert list(table) == list(itertools.combinations(g.names, 2))
-        for (x, y), rows in table.items():
-            assert rows == pair_rows(g, x, y), (sorted(g.edges), x, y)
-            backward = {(nc, colliders[::-1]) for nc, colliders in pair_rows(g, y, x)}
-            assert set(rows) == backward, (sorted(g.edges), x, y)
+        skeleton = closure_module._skeleton(g)
+        for i, x in enumerate(g.names):
+            found = closure_module._rows(skeleton, i)
+            assert all(j > i for j in found), (sorted(g.edges), x)
+            for y in g.names[i + 1:]:
+                rows = tuple(found.get(g.index[y], ()))
+                assert rows == pair_rows(g, x, y), (sorted(g.edges), x, y)
+                backward = {(nc, colliders[::-1]) for nc, colliders in pair_rows(g, y, x)}
+                assert set(rows) == backward, (sorted(g.edges), x, y)
 
 
 def test_sweep_records_each_disagreement(all_facts_open):

@@ -13,7 +13,13 @@ from fairgate.errors import (
     SelfLoop,
     UnknownVariable,
 )
-from fairgate.graph import CausalGraph, load_graph, parse_graph, validate_name
+from fairgate.graph import (
+    RESERVED_NAME_CHARS,
+    CausalGraph,
+    load_graph,
+    parse_graph,
+    validate_name,
+)
 from fairgate.sweep import random_dag
 
 from _graphs import topological_order
@@ -51,6 +57,44 @@ def test_validate_name_rejects_reserved_characters():
     with pytest.raises(MalformedName):
         validate_name("two words")
     assert validate_name("GAI_2") == "GAI_2"
+
+
+def _set_rule(name):
+    """``validate_name`` without its identifier shortcut: every name goes
+    through the set of its reserved and whitespace characters."""
+    if not isinstance(name, str) or not name:
+        raise MalformedName("variable names must be non-empty strings")
+    bad = {c for c in name if c in RESERVED_NAME_CHARS or c.isspace()}
+    if bad:
+        shown = "".join(sorted(bad))
+        raise MalformedName(f"variable name {name!r} contains reserved characters: {shown!r}")
+    return name
+
+
+def _outcome(rule, name):
+    try:
+        return rule(name)
+    except MalformedName as exc:
+        return str(exc)
+
+
+def test_validate_name_decides_and_words_every_name_as_the_set_rule():
+    # Every code point as a one-character name and after a letter, where
+    # str.isidentifier reads it as a continuing character.
+    for code in range(0x110000):
+        c = chr(code)
+        for name in (c, "A" + c):
+            assert _outcome(validate_name, name) == _outcome(_set_rule, name), hex(code)
+    # Each reserved or whitespace character inside longer names, alone and
+    # with others, so that the message lists the set in order.
+    reserved = sorted(RESERVED_NAME_CHARS) + [
+        chr(code) for code in range(0x110000) if chr(code).isspace()
+    ]
+    for c in reserved:
+        for name in (f"a{c}b", f"{c}ab", f"ab{c}", f"A_1{c}{c}", f"x{c}y z#"):
+            assert _outcome(validate_name, name) == _outcome(_set_rule, name), repr(name)
+    for bad in ("", None, 3, b"AB"):
+        assert _outcome(validate_name, bad) == _outcome(_set_rule, bad)
 
 
 def test_self_loop_rejected():

@@ -64,11 +64,12 @@ def test_closure_has_one_condition2_test():
 
 
 def test_retired_second_readers_stay_gone():
-    # Closure.audit lists a pair's facts, oracle_rows_by_pair gives every
-    # pair's oracle rows and _json_pieces is the one JSON emitter.
+    # Closure.audit lists a pair's facts, _rows gives the oracle rows of
+    # every pair from one source node and _json_pieces is the one JSON emitter.
     module = importlib.import_module("fairgate.closure")
     assert not hasattr(module.Closure, "facts_between")
     assert not hasattr(module, "oracle_rows")
+    assert not hasattr(module, "oracle_rows_by_pair")
     assert not hasattr(importlib.import_module("fairgate.cli"), "render_json")
     assert not hasattr(importlib.import_module("fairgate.judgments").Context, "get")
 

@@ -1,12 +1,14 @@
 """The agreement sweep's int-mask kernels against their set-based meaning.
 
-Condition 2 is decided by one scan of the closure's mask rows
-(``Closure.first_open``) and d-separation by ``dsep_oracle`` over
-``oracle_rows_by_pair``.  Both are compared here, decision by decision, with the
-set-based statements they replace: ``blocking_reason`` over every fact of
-the pair, and d-separation restated on frozensets of names.  The sweep
-decides each pair once per subset of the nodes both decisions read; it is
-compared with the per-triple loop it replaces, also under faulty rules.
+Condition 2 is decided by one mask test, ``_block``, over a node pair's
+record of path fact keys (``Closure.pair_record`` by index, ``first_open``
+by name) and d-separation by ``dsep_oracle`` over the oracle's rows.  Both
+are compared here, decision by decision, with the set-based statements
+they replace: ``blocking_reason`` over every fact of the pair, and
+d-separation restated on frozensets of names.  The sweep decides each pair
+once per subset of the nodes both decisions read, on node indices; it is
+compared with the name-level per-triple loop it replaces, also under
+faulty rules.
 """
 
 import random
@@ -16,12 +18,13 @@ from operator import or_
 
 import pytest
 
+from fairgate import closure as closure_module
 from fairgate.closure import (
     Closure,
+    PathFact,
     close,
     dsep_oracle,
     enumerate_classified_paths,
-    oracle_rows_by_pair,
 )
 from fairgate.errors import UnknownVariable
 from fairgate import sweep
@@ -94,7 +97,8 @@ def test_decisions_read_the_conditioning_set_only_through_the_read_masks(family)
 def reference_agreement(g, closure, table):
     """``check_graph_agreement`` as one decision per (pair, conditioning set)
     triple, walked in ascending mask order: the loop the projection replaces.
-    ``closure`` is ``close(g)`` and ``table`` is ``oracle_rows_by_pair(g)``."""
+    ``closure`` is ``close(g)`` and ``table`` maps each pair (x, y), x < y,
+    to ``pair_rows(g, x, y)``."""
     nodes = sorted(g.nodes)
     everything = g.node_mask(nodes)
     discrepancies = []
@@ -126,24 +130,17 @@ def reference_agreement(g, closure, table):
     return discrepancies, checks
 
 
-def _collider_sets_count_as_met(closure, x, y, conditioning):
-    mask = closure.graph.node_mask
-    for fact in pair_facts(closure, x, y):
-        if not mask(fact.noncolliders) & conditioning:
-            return fact
-    return None
+BLOCK, PAIR_RECORD = closure_module._block, Closure.pair_record
 
 
-def _one_noncollider_facts_never_open(closure, x, y, conditioning):
-    mask = closure.graph.node_mask
-    for fact in pair_facts(closure, x, y):
-        if len(fact.noncolliders) == 1 and not fact.collider_sets:
-            continue
-        if not mask(fact.noncolliders) & conditioning and all(
-            mask(s) & conditioning for s in fact.collider_sets
-        ):
-            return fact
-    return None
+def _collider_sets_count_as_met(key, conditioning):
+    return key[2] & conditioning or None
+
+
+def _one_noncollider_facts_never_open(key, conditioning):
+    if key[2].bit_count() == 1 and not key[3]:
+        return key[2]
+    return BLOCK(key, conditioning)
 
 
 @pytest.fixture(scope="module")
@@ -160,83 +157,90 @@ def agreement_graphs():
         (
             g,
             close(g),
-            oracle_rows_by_pair(g),
+            {(x, y): pair_rows(g, x, y) for x, y in combinations(g.names, 2)},
         )
         for g in graphs
     ]
 
 
-def _without_collider_facts(closure, x, y):
-    return [f for f in pair_facts(closure, x, y) if not f.collider_sets]
+def _record_without_collider_facts(closure, i, j):
+    keys = tuple(key for key in PAIR_RECORD(closure, i, j)[0] if not key[3])
+    return keys, reduce(or_, [key[2] for key in keys], 0)
 
 
-def _first_open_without_collider_facts(closure, x, y, conditioning):
-    mask = closure.graph.node_mask
-    for fact in _without_collider_facts(closure, x, y):
-        if not mask(fact.noncolliders) & conditioning:
-            return fact
-    return None
+def _stray(closure, i, j):
+    """The last node other than i and j, as a mask: 0 below three nodes."""
+    others = [k for k in range(len(closure.graph.names)) if k != i and k != j]
+    return 1 << others[-1] if others else 0
 
 
-def _read_mask_without_collider_facts(closure, x, y):
-    mask = closure.graph.node_mask
-    return reduce(or_, (mask(f.noncolliders) for f in _without_collider_facts(closure, x, y)), 0)
+def _record_with_stray_noncollider(closure, i, j):
+    keys, read = PAIR_RECORD(closure, i, j)
+    stray = _stray(closure, i, j)
+    return tuple((left, right, nc | stray, cs) for left, right, nc, cs in keys), read | stray
 
 
-FIRST_OPEN, READ_MASK = Closure.first_open, Closure.read_mask
-
-
-def _stray(closure, x, y):
-    """The last node other than x and y, as a mask: 0 below three nodes."""
-    return closure.graph.node_mask(sorted(closure.graph.nodes - {x, y})[-1:])
-
-
-def _first_open_with_stray_noncollider(closure, x, y, conditioning):
-    if conditioning & _stray(closure, x, y):
-        return None
-    return FIRST_OPEN(closure, x, y, conditioning)
-
-
-def _read_mask_with_stray_noncollider(closure, x, y):
-    return READ_MASK(closure, x, y) | _stray(closure, x, y)
-
-
-# Closure methods replaced by each fault.  The last two model a wrong
-# closure, so read_mask changes with first_open: one loses every fact with
-# a collider (the oracle then reads nodes the facts do not), the other
-# adds a noncollider to every fact that no path of the pair holds.
+# What each fault replaces: Condition 2's mask test, or the pair record
+# that the sweep reads by index and the name reads by name.  The last two
+# model a wrong closure, so the record's read mask changes with its keys:
+# one loses every fact with a collider (the oracle then reads nodes the
+# facts do not), the other adds a noncollider to every fact that no path
+# of the pair holds.
 FAULTS = {
     "none": {},
     "all_facts_open": None,  # the conftest fixture
-    "collider_sets_count_as_met": {"first_open": _collider_sets_count_as_met},
-    "one_noncollider_never_open": {"first_open": _one_noncollider_facts_never_open},
-    "collider_facts_lost": {
-        "first_open": _first_open_without_collider_facts,
-        "read_mask": _read_mask_without_collider_facts,
-    },
-    "stray_noncollider": {
-        "first_open": _first_open_with_stray_noncollider,
-        "read_mask": _read_mask_with_stray_noncollider,
-    },
+    "collider_sets_count_as_met": {"_block": _collider_sets_count_as_met},
+    "one_noncollider_never_open": {"_block": _one_noncollider_facts_never_open},
+    "collider_facts_lost": {"pair_record": _record_without_collider_facts},
+    "stray_noncollider": {"pair_record": _record_with_stray_noncollider},
 }
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
-def test_projected_sweep_equals_the_per_triple_loop(fault, agreement_graphs, request, monkeypatch):
+def test_projected_sweep_equals_the_per_triple_loop(
+    fault, agreement_graphs, request, monkeypatch, patch_block
+):
     if FAULTS[fault] is None:
         request.getfixturevalue(fault)
-    else:
-        for name, method in FAULTS[fault].items():
-            monkeypatch.setattr(Closure, name, method)
+    elif "_block" in FAULTS[fault]:
+        patch_block(FAULTS[fault]["_block"])
+    elif "pair_record" in FAULTS[fault]:
+        monkeypatch.setattr(Closure, "pair_record", FAULTS[fault]["pair_record"])
     found = 0
     for g, closure, table in agreement_graphs:
         monkeypatch.setattr(sweep, "close", lambda _, fact_budget: closure)
-        monkeypatch.setattr(sweep, "oracle_rows_by_pair", lambda _: table)
         expected = reference_agreement(g, closure, table)
         assert check_graph_agreement(g) == expected, sorted(g.edges)
         found += len(expected[0])
     # Each fault shows as discrepancies, so the lists compared are not all empty.
     assert (found == 0) == (fault == "none"), found
+
+
+def test_an_agreeing_sweep_names_no_fact_and_counts_every_triple(monkeypatch):
+    # Both routes work on node indices: where they agree, no PathFact is
+    # built, and each pair of an n-node graph counts its 2^(n-2) conditioning sets.
+    built = 0
+    init = PathFact.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PathFact, "__init__", counted)
+    rng = random.Random(43)
+    graphs = [g for n in range(1, 6) for g in enumerate_dags(n)] + [
+        random_dag(rng, max_nodes=9, min_nodes=4, edge_prob=rng.uniform(0.2, 0.45))
+        for _ in range(60)
+    ]
+    for g in graphs:
+        n = len(g.nodes)
+        pairs = n * (n - 1) // 2
+        assert check_graph_agreement(g) == ([], pairs * (1 << max(n - 2, 0))), sorted(g.edges)
+    assert built == 0
+    # The count sees a named fact: a collider's pair read names its one fact.
+    g = CausalGraph("ABC", [("A", "B"), ("C", "B")])
+    assert len(pair_facts(close(g), "A", "C")) == built == 1
 
 
 def test_conditioning_sets_are_walked_in_ascending_subset_order(all_facts_open):

@@ -2,8 +2,9 @@
 
 ``networkx.is_d_separator`` decides every (pair, conditioning set) triple
 of every DAG on 2-5 nodes, and must agree with both of fairgate's routes:
-``dsep_oracle`` over the sweep's rows (``oracle_rows_by_pair``) and the
-rules' decision the sweep makes (Condition 1 and ``Closure.first_open``).
+``dsep_oracle`` over the sweep's rows (``_rows``, one walk per source
+node) and the rules' decision the sweep makes (Condition 1 and Condition
+2's mask test, here through ``Closure.first_open``).
 The oracle's walk is checked against ``networkx.all_simple_paths`` on the
 skeleton, and its rows against rows built from those paths with
 ``networkx.descendants``.  networkx is a test dependency only.
@@ -14,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from fairgate.closure import close, dsep_oracle, enumerate_classified_paths, oracle_rows_by_pair
+from fairgate.closure import _rows, _skeleton, close, dsep_oracle, enumerate_classified_paths
 from fairgate.sweep import enumerate_dags, random_dag
 from fairgate.weakening import check_condition1
 
@@ -28,6 +29,18 @@ def _digraph(g):
     return d
 
 
+def _sweep_rows(g):
+    """(x, y) -> the rows the sweep reads for that pair, x before y in
+    ``g.names``: one walk per source node."""
+    skeleton = _skeleton(g)
+    table = {}
+    for i, x in enumerate(g.names):
+        found = _rows(skeleton, i)
+        for y in g.names[i + 1:]:
+            table[x, y] = tuple(found.get(g.index[y], ()))
+    return table
+
+
 def _small_dags():
     return [g for n in range(2, 6) for g in enumerate_dags(n)]
 
@@ -37,7 +50,7 @@ def test_networkx_agrees_with_both_routes_on_every_dag_up_to_5_nodes():
     for g in _small_dags():
         d = _digraph(g)
         closure = close(g)
-        table = oracle_rows_by_pair(g)
+        table = _sweep_rows(g)
         for x, y in combinations(g.names, 2):
             rows = table[x, y]
             nonadjacent = check_condition1(g, x, y)[0]
@@ -77,7 +90,7 @@ def test_the_walk_finds_the_simple_paths_networkx_finds():
     for g in graphs:
         d = _digraph(g)
         skeleton = d.to_undirected(as_view=True)
-        table = oracle_rows_by_pair(g)
+        table = _sweep_rows(g)
         for x, y in combinations(g.names, 2):
             where = (sorted(g.edges), x, y)
             walked = [path for path, _, _ in enumerate_classified_paths(g, x, y)]
