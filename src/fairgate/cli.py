@@ -621,7 +621,7 @@ def read_command_line(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(subcommand=argv[0], **values, handler=command.handler, text=command.text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argparse parser of ``COMMANDS``.  It answers every command line
     ``read_command_line`` declines: help, usage errors and the forms argparse
     reads besides (abbreviated flags, ``--flag=value``, negative numbers)."""

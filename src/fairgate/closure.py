@@ -15,11 +15,11 @@ Cross-checking the two is part of the test contract; nothing in this
 module shares state between them.  Each decides on int node masks (bit i
 for ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with its own
 test: Condition 2 has one, ``_block``, on a fact's masks, which the
-agreement sweep applies to the keys of ``Closure.pair_record`` (a node
-pair's record, by index) and ``Closure.audit`` (a verdict's decision and
-printed reasons) reads; ``dsep_oracle`` scans a pair's rows, which
-``_rows`` reads from the graph alone for every pair from one source node,
-from one walk.  ``enumerate_classified_paths`` is the same walk's paths
+agreement sweep applies to the keys of ``Closure.pair_record`` (the one
+read of a node pair's record by index) and ``Closure.audit`` (the one read
+by name: a verdict's decision and printed reasons) reads; ``dsep_oracle``
+scans a pair's rows, which ``_rows`` reads from the graph alone for every
+pair from one source node, from one walk.  ``enumerate_classified_paths`` is the same walk's paths
 by name, for one pair.
 
 Every path fact is certified by a concrete simple undirected path.
@@ -79,7 +79,6 @@ __all__ = [
     "closure_dump",
     "trace_record_json",
     "sorted_collider_sets",
-    "render_path_fact",
     "path_fact_text",
     "mediate_text",
 ]
@@ -168,8 +167,9 @@ class PathFact(Record):
 
     @cached_property
     def text(self) -> str:
-        """``render_path_fact(self)``, rendered on first use."""
-        return render_path_fact(self)
+        """The fact's ``path_fact_text``, rendered on first use."""
+        sets = sorted_collider_sets(self.collider_sets)
+        return path_fact_text(self.left, self.right, sorted(self.noncolliders), sets)
 
 
 class TraceRecord(Record):
@@ -212,12 +212,6 @@ def path_fact_text(left: str, right: str, noncolliders, collider_sets) -> str:
     return f"{left} <>^{{{','.join(noncolliders)}}}_{{{sets}}} {right}"
 
 
-def render_path_fact(fact: PathFact) -> str:
-    return path_fact_text(
-        fact.left, fact.right, sorted(fact.noncolliders), sorted_collider_sets(fact.collider_sets)
-    )
-
-
 class _Memo(dict):
     """A dict that builds, stores and returns ``build(key)`` for a missing key."""
 
@@ -255,32 +249,31 @@ class Closure:
     once, on its first read: one ``_Memo`` names every premise key, an edge
     as its text and a fact as its one ``PathFact`` or
     ``MediateCauseFact``, and another each trace position as its one
-    ``TraceRecord``, whichever of ``first_open``, ``audit``,
-    ``trace_between``, ``derivations``, ``mediate``, ``paths`` or ``trace``
-    reads it first.  A memo's build reads the closure's data
-    and the other memos, never the closure, so no reference cycle keeps a
-    dropped closure alive.  A node pair's record is keyed by its node
-    indices (i, j), i < j, and built on the pair's first read from the
-    pair's fact keys, which ``close`` groups by endpoints: the keys in
-    canonical order (index order is name order, so the ints sort as the
-    names do) and ``read_mask``, the union of their masks.  The agreement
-    sweep reads it by index, ``pair_record``; the name reads
-    (``trace_between``, ``first_open``, ``read_mask``, ``audit``) translate
-    their names and read the same record, one memo for both.  A pair's
-    audit tables are filled on its first ``audit``.  Condition 2 is one
-    mask test, ``_block``: the sweep applies it to a record's keys and
-    names no fact, ``first_open`` returns the first key it leaves unblocked
-    and names only that fact, and ``audit`` words each key's block as a
-    ``BlockReason``.  Every name read raises UnknownVariable for a name
-    that is not a node and ValueError for a node paired with itself.  A
-    fact is rendered to text only where it is printed.
+    ``TraceRecord``, whichever of ``audit``, ``trace_between``,
+    ``derivations``, ``mediate``, ``paths`` or ``trace`` reads it first.  A
+    memo's build reads the closure's data and the other memos, never the
+    closure, so no reference cycle keeps a dropped closure alive.  A node
+    pair's record is keyed by its node indices (i, j), i < j, and built on
+    the pair's first read from the pair's fact keys, which ``close`` groups
+    by endpoints: the keys in canonical order (index order is name order,
+    so the ints sort as the names do) and their read mask, the union of
+    their masks.  The agreement sweep reads it by index, ``pair_record``;
+    the two name reads, ``audit`` (the pair's facts and their blocks) and
+    ``trace_between`` (the facts' trace records), translate their names
+    and read the same record, one memo for both.  A pair's audit tables
+    are filled on its first ``audit``.  Condition 2 is one mask test,
+    ``_block``: the sweep applies it to a record's keys and names no fact,
+    and ``audit`` words each key's block as a ``BlockReason``.  Every name
+    read raises UnknownVariable for a name that is not a node and
+    ValueError for a node paired with itself.  A fact is rendered to text
+    only where it is printed.
 
     ``pairs`` is None for a whole closure, which ``paths`` and the agreement
     sweep read.  A restricted closure, which ``weaken``, ``if`` and
     ``intersect`` read, holds its requested pairs, each as (x, y) with
-    x <= y: its pair reads (``trace_between``, ``first_open``, ``audit``,
-    ``read_mask``) answer those pairs exactly as the whole closure would,
-    and raise ValueError for any other pair; ``closure_dump`` refuses it.
+    x <= y: its name reads (``audit``, ``trace_between``) answer those
+    pairs exactly as the whole closure would, and raise ValueError for any
+    other pair; ``closure_dump`` refuses it.
     ``pair_record`` checks no pair, so only a whole closure is read by index.
     ``mediate``, ``paths``, ``trace`` and ``derivations()`` report what this
     closure derived, built on each read: every mediate fact, but only the
@@ -384,7 +377,8 @@ class Closure:
 
     def pair_record(self, i: int, j: int) -> tuple[tuple[tuple, ...], int]:
         """Node pair (i, j)'s record, i < j: its path fact keys in canonical
-        order and their ``read_mask``.  The sweep's read; it checks no pair."""
+        order and their read mask, the union of their noncollider and
+        collider-set masks.  The sweep's read; it checks no pair."""
         return self._by_pair[i, j]
 
     def _at(self, x: str, y: str) -> tuple[int, int]:
@@ -411,22 +405,6 @@ class Closure:
         """
         return self._traces[self._at(x, y)]
 
-    def first_open(self, x: str, y: str, conditioning: int) -> PathFact | None:
-        """The first path fact with endpoints {x, y}, in ``audit``'s order,
-        that transmits given the conditioning node mask, or None when every
-        one is blocked: a fact transmits when ``_block`` finds no block.
-        Names only the fact it returns."""
-        for key in self.pair_record(*self._at(x, y))[0]:
-            if _block(key, conditioning) is None:
-                return self._named[key]
-        return None
-
-    def read_mask(self, x: str, y: str) -> int:
-        """The node mask of every noncollider and collider-set node of the
-        path facts with endpoints {x, y}: ``first_open(x, y, c)`` and
-        ``audit(x, y, c)`` read ``c`` only through its AND with this mask."""
-        return self.pair_record(*self._at(x, y))[1]
-
     def audit(
         self, x: str, y: str, conditioning: int
     ) -> tuple[tuple[PathFact, BlockReason | None], ...]:
@@ -436,9 +414,10 @@ class Closure:
         prints and decides by.  Every conditioning mask lists the same facts,
         as the same objects.
 
-        Kept under the pair and the mask ANDed with ``read_mask`` and, on a
-        miss, under the pair and the facts' blocks; each (fact, block) entry
-        is built once, so equal audits and equal entries are one object.
+        Kept under the pair and the mask ANDed with the pair's read mask
+        (``pair_record``) and, on a miss, under the pair and the facts'
+        blocks; each (fact, block) entry is built once, so equal audits and
+        equal entries are one object.
         """
         pair = self._at(x, y)
         keys, read = self.pair_record(*pair)
@@ -545,7 +524,9 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     kept derivations in their whole-closure order, and each x-y fact keeps
     its first derivation and its place among the pair's trace records.
     Mediate facts are not restricted.  The returned ``Closure`` answers
-    pair reads for the requested pairs only.
+    pair reads for the requested pairs only.  A pair that names a node
+    twice raises ValueError, as a pair read does, before anything is
+    derived.
 
     Nodes are ints (node i is ``g.names[i]``) and every fact is an int key:
     a mediate fact (source, target, intermediates mask), a path fact (left,
@@ -595,6 +576,8 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
         # Per requested pair, its node mask and the complement of its span.
         neighbors = [p + c for p, c in zip(parents, children)]
         targets = [(g.node_mask(p), ~_span(neighbors, index[p[0]], index[p[1]])) for p in pairs]
+        if any(x == y for x, y in pairs):
+            raise ValueError("path endpoints must differ")
 
     # Mediate fact keys (source, target, intermediates mask), in derivation order.
     mediate: dict[tuple[int, int, int], None] = {}

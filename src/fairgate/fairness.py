@@ -507,10 +507,14 @@ def check_intersectionality(
     The context-matching rows are scanned once, into one table over
     (protected, target).  Each subset's marginal of it is summed once, and
     its members' comparisons regroup that marginal.  The report never
-    depends on enumeration order; everything is sorted.
+    depends on enumeration order; everything is sorted.  ``epsilon`` is an
+    int or a Fraction: a float raises TypeError, as a float judgment
+    probability does.
     """
     protected = check_audit(None if closure is None else closure.graph, dataset, ctx, target,
                             protected_set, subset_cap)
+    if isinstance(epsilon, float):
+        raise TypeError("epsilon must be an exact rational, not a float")
     epsilon = Fraction(epsilon)
     if epsilon < 0:
         raise InputError(f"epsilon must be nonnegative, got {epsilon}")

@@ -1,8 +1,9 @@
 """Condition 2 restated on frozensets of names, the reference for the closure's mask test.
 
-``Closure.first_open`` and ``Closure.audit`` decide and word a fact's block
-from its int node masks; ``blocking_reason`` reads the named ``PathFact``
-alone, so the tests compare the two rather than the masks with themselves.
+``Closure.audit`` decides and words a fact's block, and the agreement sweep
+decides it, from its int node masks; ``blocking_reason`` reads the named
+``PathFact`` alone, so the tests compare the two rather than the masks
+with themselves.
 Only the engine's public names are imported.
 """
 

@@ -39,7 +39,7 @@ def table1() -> Dataset:
 @pytest.fixture
 def patch_block(monkeypatch):
     """A function that replaces Condition 2's one mask test, ``_block``,
-    where the agreement sweep and the closure's name reads call it."""
+    where the agreement sweep and ``Closure.audit`` call it."""
 
     def patch(block):
         for module in (closure_module, sweep):
@@ -51,6 +51,6 @@ def patch_block(monkeypatch):
 @pytest.fixture
 def all_facts_open(patch_block):
     """Make Condition 2 find no block on any path fact, whatever the
-    conditioning set: the agreement sweep and ``Closure.first_open`` then
-    report the first path fact of every pair open."""
+    conditioning set: the agreement sweep and ``Closure.audit`` then
+    report every path fact of every pair open."""
     patch_block(lambda key, conditioning: None)

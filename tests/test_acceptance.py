@@ -17,7 +17,6 @@ import fairgate
 from fairgate.closure import (
     close,
     dsep_oracle,
-    render_path_fact,
 )
 from fairgate.fairness import empirical_ci, empirical_probability, generate_table1
 from fairgate.graph import CausalGraph
@@ -118,7 +117,7 @@ def test_loan_weakening_golden_cases():
         assert bad.failed_condition == "Condition2"
         assert bad.witness_fact.noncolliders == frozenset(["Age"])
         assert bad.witness_fact.collider_sets == frozenset()
-        witness_render = render_path_fact(bad.witness_fact)
+        witness_render = bad.witness_fact.text
         fork_records = [
             r for r in bad.rule_trace
             if r.conclusion.text == witness_render and r.rule == "Fork"

@@ -19,13 +19,12 @@ from fairgate.closure import (
     closure_dump,
     dsep_oracle,
     enumerate_classified_paths,
-    render_path_fact,
     resolve_fact_budget,
 )
 from fairgate.errors import InputError, ResourceLimit, UnknownVariable
 from fairgate.graph import CausalGraph
 from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, random_dag
-from fairgate.weakening import evaluate_conditions
+from fairgate.weakening import check_condition2, evaluate_conditions
 
 from _blocking import blocking_reason
 from _graphs import pair_facts, pair_rows, topological_order
@@ -123,7 +122,7 @@ def test_render_path_fact_sorts_contents():
     fact = PathFact(
         "A", "Z", frozenset(["M", "B"]), frozenset([frozenset(["D", "C"])])
     )
-    assert render_path_fact(fact) == "A <>^{B,M}_{{C,D}} Z"
+    assert fact.text == "A <>^{B,M}_{{C,D}} Z"
 
 
 # --- small shapes ------------------------------------------------------------
@@ -169,7 +168,7 @@ def test_triplet_verdicts_match_oracle_on_both_routes():
 
 def test_loan_facts_between_ms_and_loan(loan_graph, loan_closure):
     facts = pair_facts(loan_closure, "MS", "Loan")
-    assert [render_path_fact(f) for f in facts] == [
+    assert [f.text for f in facts] == [
         "Loan <>^{Age}_{} MS",
         "Loan <>^{Age,GAI}_{} MS",
     ]
@@ -555,7 +554,7 @@ def test_close_builds_no_named_fact_or_trace_record(built, loan_graph, monkeypat
         closure = close(g)
         # close renders no edge and no fact: its trace premises are int keys.
         assert not rendered, sorted(g.edges)
-        closure.read_mask(*sorted(g.nodes)[:2])
+        closure.pair_record(0, 1)
         # The paths report renders every fact's text from the keys alone.
         closure_dump(closure)
         assert not built, sorted(g.edges)
@@ -571,16 +570,13 @@ def test_facts_between_builds_exactly_that_pairs_facts(built, loan_graph):
         facts = pair_facts(closure, x, y)
         assert facts and built == {"PathFact": len(facts)}
         assert pair_facts(closure, y, x) == facts
-        # The first transmitting fact is one already named.
-        assert closure.first_open(x, y, 0) is facts[0]
+        # Condition 2's witness and every other audit of the pair are
+        # facts already named.
+        assert check_condition2(closure, x, y, ())[2] is facts[0]
+        everything = closure.audit(x, y, g.node_mask(g.nodes))
+        assert all(fact is want for (fact, _), want in zip(everything, facts, strict=True))
         assert built == {"PathFact": len(facts)}
         built.clear()
-
-
-def test_first_open_names_only_the_fact_it_returns(built):
-    closure = close(_dense_n10())
-    assert closure.first_open("A", "J", 0) is not None
-    assert built == {"PathFact": 1}
 
 
 READ_FIRST = {
@@ -623,9 +619,6 @@ def test_every_read_order_gives_one_dump_and_one_object_per_fact():
                 for fact in pair_facts(closure, y, x):
                     one(fact)
                 for mask in masks:
-                    fact = closure.first_open(x, y, mask)
-                    if fact is not None:
-                        one(fact)
                     for fact, _ in closure.audit(x, y, mask):
                         one(fact)
                 for record in closure.trace_between(x, y):
@@ -652,7 +645,6 @@ def test_a_fully_read_closure_is_freed_by_reference_counting(loan_graph):
         for x, y in itertools.permutations(names, 2):
             closure.trace_between(x, y)
             for mask in (0, (1 << len(names)) - 1):
-                closure.first_open(x, y, mask)
                 closure.audit(x, y, mask)
         del closure
         assert gc.collect() == 0, sorted(g.edges)

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from fairgate.closure import close, closure_dump, render_path_fact
+from fairgate.closure import close, closure_dump
 from fairgate.errors import ResourceLimit
 from fairgate.graph import CausalGraph, load_graph
 from fairgate.sweep import enumerate_dags, random_dag
@@ -52,7 +52,7 @@ def _digest(graphs) -> str:
         h.update(json.dumps(sorted(g.edges)).encode())
         h.update(json.dumps(closure_dump(closure), sort_keys=True).encode())
         derivations = sorted(
-            (render_path_fact(fact), list(path)) for fact, path in closure.derivations()
+            (fact.text, list(path)) for fact, path in closure.derivations()
         )
         h.update(json.dumps(derivations).encode())
     return h.hexdigest()

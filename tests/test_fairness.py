@@ -319,6 +319,20 @@ def test_negative_epsilon_is_refused_in_every_mode(table1, mode):
         check_intersectionality(closure, dataset, EMPTY, "t", ["a1", "a2"], eps)
 
 
+@pytest.mark.parametrize("mode", ["graphical", "empirical", "both"])
+def test_a_float_epsilon_is_refused_in_every_mode(table1, mode):
+    # 0.05 is not 1/20: as a Fraction it would print as
+    # 3602879701896397/72057594037927936.  An int or a Fraction is exact.
+    closure, dataset = routes(mode, close(CausalGraph(["a1", "a2", "t"], [("a1", "t")])), table1)
+    for eps in (0.05, 0.0):
+        with pytest.raises(TypeError, match="not a float"):
+            check_if(closure, dataset, EMPTY, "t", "a1", eps)
+        with pytest.raises(TypeError, match="not a float"):
+            check_intersectionality(closure, dataset, EMPTY, "t", ["a1", "a2"], eps)
+    for eps in (0, Fraction(1, 20)):
+        assert check_if(closure, dataset, EMPTY, "t", "a1", eps).protected_attr == "a1"
+
+
 def test_report_is_deterministic(table1):
     kwargs = dict(epsilon=Fraction(0))
     first = check_intersectionality(

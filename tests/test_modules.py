@@ -11,6 +11,8 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -55,7 +57,7 @@ def test_weakening_renders_no_facts():
 
 
 def test_closure_has_one_condition2_test():
-    # Closure.first_open and Closure.audit read one mask test, and the
+    # Closure.audit and the agreement sweep read one mask test, and the
     # set-based blocking_reason is the tests' reference for it; closure_dump
     # is the one reader of certifying paths.
     module = importlib.import_module("fairgate.closure")
@@ -64,14 +66,54 @@ def test_closure_has_one_condition2_test():
 
 
 def test_retired_second_readers_stay_gone():
-    # Closure.audit lists a pair's facts, _rows gives the oracle rows of
+    # Closure.audit lists a pair's facts and their blocks by name and
+    # Closure.pair_record reads a pair's record by index; PathFact.text is
+    # the one renderer of a named path fact; _rows gives the oracle rows of
     # every pair from one source node and _json_pieces is the one JSON emitter.
     module = importlib.import_module("fairgate.closure")
     assert not hasattr(module.Closure, "facts_between")
+    assert not hasattr(module.Closure, "first_open")
+    assert not hasattr(module.Closure, "read_mask")
+    assert not hasattr(module, "render_path_fact")
+    assert "render_path_fact" not in module.__all__
     assert not hasattr(module, "oracle_rows")
     assert not hasattr(module, "oracle_rows_by_pair")
     assert not hasattr(importlib.import_module("fairgate.cli"), "render_json")
     assert not hasattr(importlib.import_module("fairgate.judgments").Context, "get")
+
+
+def _defined(module):
+    """Every function and class a module defines, and every method, property
+    and cached property its classes define, by qualified name."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_annotation_resolves(module):
+    # The modules postpone annotations, so a name imported only inside a
+    # function (argparse in fairgate.cli) would make typing.get_type_hints
+    # raise NameError for any annotation that names it.
+    defined = dict(_defined(module))
+    assert defined
+    for name, obj in defined.items():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as error:
+            pytest.fail(f"{module.__name__}.{name}: {error}")
 
 
 def test_benchmark_spans_find_every_name_they_wrap(tmp_path):

@@ -1,18 +1,19 @@
 """The agreement sweep's int-mask kernels against their set-based meaning.
 
 Condition 2 is decided by one mask test, ``_block``, over a node pair's
-record of path fact keys (``Closure.pair_record`` by index, ``first_open``
-by name) and d-separation by ``dsep_oracle`` over the oracle's rows.  Both
-are compared here, decision by decision, with the set-based statements
-they replace: ``blocking_reason`` over every fact of the pair, and
-d-separation restated on frozensets of names.  The sweep decides each pair
-once per subset of the nodes both decisions read, on node indices; it is
-compared with the name-level per-triple loop it replaces, also under
-faulty rules.
+record of path fact keys (``Closure.pair_record`` by index,
+``Closure.audit`` by name, which ``check_condition2`` reads for a verdict)
+and d-separation by ``dsep_oracle`` over the oracle's rows.  Both are
+compared here, decision by decision, with the set-based statements they
+replace: ``blocking_reason`` over every fact of the pair, and
+d-separation restated on frozensets of names.  The sweep decides each
+pair once per subset of the nodes both decisions read, on node indices;
+it is compared with the name-level per-triple loop it replaces, also
+under faulty rules.
 """
 
 import random
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import or_
 
@@ -30,7 +31,7 @@ from fairgate.errors import UnknownVariable
 from fairgate import sweep
 from fairgate.graph import CausalGraph
 from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, random_dag
-from fairgate.weakening import check_condition1
+from fairgate.weakening import check_condition1, check_condition2
 
 from _blocking import blocking_reason
 from _graphs import pair_facts, pair_rows
@@ -72,35 +73,45 @@ def test_mask_decisions_equal_set_decisions(family):
                     conditioning = frozenset(picked)
                     mask = g.node_mask(conditioning)
                     where = (sorted(g.edges), x, y, picked)
-                    open_facts = [f for f in facts if blocking_reason(f, conditioning) is None]
-                    first = closure.first_open(x, y, mask)
-                    assert first == (open_facts[0] if open_facts else None), where
+                    reasons = [blocking_reason(f, conditioning) for f in facts]
+                    audit = closure.audit(x, y, mask)
+                    assert audit == tuple(zip(facts, reasons)), where
                     assert dsep_oracle(rows, mask) == separated_by_sets(g, paths, conditioning), where
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_decisions_read_the_conditioning_set_only_through_the_read_masks(family):
     # The sweep decides each pair once per subset of these masks: the
-    # projection is exact only if neither decision reads another bit.
+    # projection is exact only if neither decision reads another bit.  The
+    # mask test is applied to the record's keys directly: Closure.audit
+    # keeps its audits under the conditioning mask ANDed with the read
+    # mask, so two audits would be equal whatever the test read.
+    block = closure_module._block
     for g in FAMILIES[family]():
         closure = close(g)
-        for x, y in combinations(sorted(g.nodes), 2):
+        for (i, x), (j, y) in combinations(enumerate(g.names), 2):
             rows = pair_rows(g, x, y)
-            facts_read = closure.read_mask(x, y)
+            keys, facts_read = closure.pair_record(i, j)
             rows_read = reduce(or_, (reduce(or_, cs, nc) for nc, cs in rows), 0)
             for c in range(1 << len(g.nodes)):
                 where = (sorted(g.edges), x, y, c)
-                assert closure.first_open(x, y, c) == closure.first_open(x, y, c & facts_read), where
+                projected = c & facts_read
+                assert [block(k, c) for k in keys] == [block(k, projected) for k in keys], where
                 assert dsep_oracle(rows, c) == dsep_oracle(rows, c & rows_read), where
 
 
 def reference_agreement(g, closure, table):
     """``check_graph_agreement`` as one decision per (pair, conditioning set)
     triple, walked in ascending mask order: the loop the projection replaces.
+    Condition 2 is decided by ``check_condition2``, as a verdict decides it.
     ``closure`` is ``close(g)`` and ``table`` maps each pair (x, y), x < y,
     to ``pair_rows(g, x, y)``."""
     nodes = sorted(g.nodes)
     everything = g.node_mask(nodes)
+    # Conditioning mask -> its names, as a verdict's context lists them.
+    named = [
+        tuple(v for i, v in enumerate(nodes) if cond >> i & 1) for cond in range(everything + 1)
+    ]
     discrepancies = []
     checks = 0
     for x, y in combinations(nodes, 2):
@@ -109,7 +120,7 @@ def reference_agreement(g, closure, table):
         rest = everything & ~g.node_mask((x, y))
         cond = 0
         while True:
-            by_rules = nonadjacent and closure.first_open(x, y, cond) is None
+            by_rules = nonadjacent and check_condition2(closure, x, y, named[cond])[0]
             by_oracle = dsep_oracle(rows, cond)
             checks += 1
             if by_rules != by_oracle:
@@ -119,7 +130,7 @@ def reference_agreement(g, closure, table):
                         edges=tuple(sorted(g.edges)),
                         x=x,
                         y=y,
-                        conditioning=tuple(v for i, v in enumerate(nodes) if cond >> i & 1),
+                        conditioning=named[cond],
                         by_rules=by_rules,
                         by_oracle=by_oracle,
                     )
@@ -163,6 +174,7 @@ def agreement_graphs():
     ]
 
 
+@cache
 def _record_without_collider_facts(closure, i, j):
     keys = tuple(key for key in PAIR_RECORD(closure, i, j)[0] if not key[3])
     return keys, reduce(or_, [key[2] for key in keys], 0)
@@ -174,6 +186,7 @@ def _stray(closure, i, j):
     return 1 << others[-1] if others else 0
 
 
+@cache
 def _record_with_stray_noncollider(closure, i, j):
     keys, read = PAIR_RECORD(closure, i, j)
     stray = _stray(closure, i, j)
@@ -181,11 +194,11 @@ def _record_with_stray_noncollider(closure, i, j):
 
 
 # What each fault replaces: Condition 2's mask test, or the pair record
-# that the sweep reads by index and the name reads by name.  The last two
-# model a wrong closure, so the record's read mask changes with its keys:
-# one loses every fact with a collider (the oracle then reads nodes the
-# facts do not), the other adds a noncollider to every fact that no path
-# of the pair holds.
+# that the sweep reads by index and Closure.audit by name.  The last two
+# model a wrong closure, which keeps one record per pair, so the record's
+# read mask changes with its keys: one loses every fact with a collider
+# (the oracle then reads nodes the facts do not), the other adds a
+# noncollider to every fact that no path of the pair holds.
 FAULTS = {
     "none": {},
     "all_facts_open": None,  # the conftest fixture
@@ -208,6 +221,9 @@ def test_projected_sweep_equals_the_per_triple_loop(
         monkeypatch.setattr(Closure, "pair_record", FAULTS[fault]["pair_record"])
     found = 0
     for g, closure, table in agreement_graphs:
+        # The closures are shared by every fault, and Closure.audit keeps
+        # the audits it builds: each run starts with none kept.
+        closure._audits.clear()
         monkeypatch.setattr(sweep, "close", lambda _, fact_budget: closure)
         expected = reference_agreement(g, closure, table)
         assert check_graph_agreement(g) == expected, sorted(g.edges)

@@ -3,8 +3,8 @@
 ``networkx.is_d_separator`` decides every (pair, conditioning set) triple
 of every DAG on 2-5 nodes, and must agree with both of fairgate's routes:
 ``dsep_oracle`` over the sweep's rows (``_rows``, one walk per source
-node) and the rules' decision the sweep makes (Condition 1 and Condition
-2's mask test, here through ``Closure.first_open``).
+node) and the rules' decision a verdict makes (``check_condition1`` and
+``check_condition2``, whose audit applies Condition 2's mask test).
 The oracle's walk is checked against ``networkx.all_simple_paths`` on the
 skeleton, and its rows against rows built from those paths with
 ``networkx.descendants``.  networkx is a test dependency only.
@@ -17,7 +17,7 @@ import pytest
 
 from fairgate.closure import _rows, _skeleton, close, dsep_oracle, enumerate_classified_paths
 from fairgate.sweep import enumerate_dags, random_dag
-from fairgate.weakening import check_condition1
+from fairgate.weakening import check_condition1, check_condition2
 
 nx = pytest.importorskip("networkx")
 
@@ -59,7 +59,7 @@ def test_networkx_agrees_with_both_routes_on_every_dag_up_to_5_nodes():
                 for picked in combinations(rest, r):
                     mask = g.node_mask(picked)
                     by_networkx = nx.is_d_separator(d, {x}, {y}, set(picked))
-                    by_rules = nonadjacent and closure.first_open(x, y, mask) is None
+                    by_rules = nonadjacent and check_condition2(closure, x, y, picked)[0]
                     where = (sorted(g.edges), x, y, picked)
                     assert dsep_oracle(rows, mask) == by_networkx, where
                     assert by_rules == by_networkx, where

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from fairgate.closure import (
+    _block,
     close,
     dsep_oracle,
-    render_path_fact,
     trace_record_json,
 )
 from fairgate.errors import (
@@ -208,11 +208,12 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                     for ctx in itertools.combinations(rest, r):
                         verdict = evaluate_conditions(closure, subject, target, frozenset(ctx))
                         # The audit a verdict decides by and the sweep's scan
-                        # find the same first open fact.
-                        audit_open = next(
-                            (f for f, reason in verdict.blocked_facts if reason is None), None
-                        )
-                        assert audit_open is closure.first_open(subject, target, g.node_mask(ctx))
+                        # of the pair's record leave the same facts open.
+                        keys = closure.pair_record(*sorted([g.index[subject], g.index[target]]))[0]
+                        mask = g.node_mask(ctx)
+                        assert [reason is None for _, reason in verdict.blocked_facts] == [
+                            _block(key, mask) is None for key in keys
+                        ]
                         no_edge = (subject, target) not in g.edges and (
                             target,
                             subject,
@@ -259,7 +260,7 @@ def test_verdict_to_json_shape(loan_closure):
 def reference_rule_trace(records, verdict):
     """The lookup verdicts made before ``Closure.trace_between``: of the rendered
     trace records, those whose conclusion is the text of an examined fact."""
-    examined = {render_path_fact(fact) for fact, _ in verdict.blocked_facts}
+    examined = {fact.text for fact, _ in verdict.blocked_facts}
     return [r for r in records if r["conclusion"] in examined]
 
 
