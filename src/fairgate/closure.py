@@ -12,15 +12,18 @@ deliberately kept separate:
   source node, on node indices, classifies each path as it extends it.
 
 Cross-checking the two is part of the test contract; nothing in this
-module shares state between them.  Each decides on int node masks (bit i
-for ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with its own
-test: Condition 2 has one, ``_block``, on a fact's masks, which the
-agreement sweep applies to the keys of ``Closure.pair_record`` (the one
-read of a node pair's record by index) and ``Closure.audit`` (the one read
-by name: a verdict's decision and printed reasons) reads; ``dsep_oracle``
-scans a pair's rows, which ``_rows`` reads from the graph alone for every
-pair from one source node, from one walk.  ``enumerate_classified_paths`` is the same walk's paths
-by name, for one pair.
+module shares state between them.  Both read the graph's one adjacency,
+``CausalGraph.parents``, ``children`` and ``neighbors``: sorted tuples of
+node indices, which neither route translates or rebuilds.  Each decides on
+int node masks (bit i for ``CausalGraph.names[i]``,
+``CausalGraph.node_mask``) with its own test: Condition 2 has one,
+``_block``, on a fact's masks, which the agreement sweep applies to the
+keys of ``Closure.pair_record`` (the one read of a node pair's record by
+index) and ``Closure.audit`` (the one read by name: a verdict's decision
+and printed reasons) reads; ``dsep_oracle`` scans a pair's rows, which
+``_rows`` reads from the graph alone for every pair from one source node,
+from one walk.  ``enumerate_classified_paths`` is the same walk's paths by
+name, for one pair.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -462,7 +465,7 @@ def _block(key: tuple, conditioning: int) -> int | None:
     return None
 
 
-def _span(neighbors: list[list[int]], x: int, y: int) -> int:
+def _span(neighbors: tuple[tuple[int, ...], ...], x: int, y: int) -> int:
     """The node mask of every simple x-y path of the skeleton (node i's
     ``neighbors[i]``), or 0 when y is not reachable from x: the blocks on
     the block-cut-tree path from x to y (Hopcroft & Tarjan, CACM 1973).  A
@@ -528,7 +531,9 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     twice raises ValueError, as a pair read does, before anything is
     derived.
 
-    Nodes are ints (node i is ``g.names[i]``) and every fact is an int key:
+    Nodes are ints (node i is ``g.names[i]``): Transitive cause and the
+    windows read ``g.children`` and ``g.parents``, and ``_span`` reads
+    ``g.neighbors``, as they stand.  Every fact is an int key:
     a mediate fact (source, target, intermediates mask), a path fact (left,
     right, noncollider mask, collider-set masks), the last a tuple in
     canonical order: ascending node-index tuples (``bits``), which is name
@@ -569,13 +574,11 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     # Node mask -> its bit indices ascending, by which collider sets are ordered.
     bits = _Memo(lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1]))
     rank = bits.__getitem__
-    parents = [[index[p] for p in g.parents(v)] for v in names]
-    children = [[index[c] for c in g.children(v)] for v in names]
+    parents, children = g.parents, g.children
     if pairs is not None:
         pairs = frozenset([_pair(x, y) for x, y in pairs])
         # Per requested pair, its node mask and the complement of its span.
-        neighbors = [p + c for p, c in zip(parents, children)]
-        targets = [(g.node_mask(p), ~_span(neighbors, index[p[0]], index[p[1]])) for p in pairs]
+        targets = [(g.node_mask(p), ~_span(g.neighbors, index[p[0]], index[p[1]])) for p in pairs]
         if any(x == y for x, y in pairs):
             raise ValueError("path endpoints must differ")
 
@@ -690,17 +693,25 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
 
 def _skeleton(g: CausalGraph):
     """The graph as the oracle's walk reads it, on node indices (node i is
-    ``g.names[i]``): each node's sorted undirected neighbours, each node's
-    parents as a mask, and ``reach``, the mask of a node and its
-    descendants, built for a node on its first read.  Read from ``g``
-    alone; ``close`` keeps its own adjacency."""
-    names, index = g.names, g.index
-    neighbors = [[index[w] for w in g.undirected_neighbors(v)] for v in names]
-    parents = [0] * len(names)
-    for source, target in g.edges:
-        parents[index[target]] |= 1 << index[source]
-    reach = _Memo(lambda v: g.node_mask((names[v], *g.descendants(names[v]))))
-    return neighbors, parents, reach
+    ``g.names[i]``): each node's sorted undirected neighbours,
+    ``g.neighbors``; each node's parents as a mask; and ``reach``, the mask
+    of a node and its descendants, found on a node's first read by a walk
+    over ``g.children``.  Read from the graph's adjacency alone, never
+    from a derived fact."""
+    children = g.children
+
+    def reach_of(v):
+        seen = 1 << v
+        stack = [v]
+        while stack:
+            for c in children[stack.pop()]:
+                if not seen >> c & 1:
+                    seen |= 1 << c
+                    stack.append(c)
+        return seen
+
+    parents = [sum([1 << p for p in ps]) for ps in g.parents]
+    return g.neighbors, parents, _Memo(reach_of)
 
 
 def _walk(skeleton, x: int):

@@ -2,8 +2,8 @@
 
 A graph is immutable once built.  Construction validates names, rejects
 self-loops, duplicate edges and cycles (found by a Kahn count, worded by
-the witness walk that ``graphlib`` finds), and precomputes the adjacency
-maps every other module queries.
+the witness walk that ``graphlib`` finds), and builds the one adjacency,
+on node indices, that the rule engine and the d-separation oracle read.
 """
 
 from __future__ import annotations
@@ -52,15 +52,16 @@ def validate_name(name: str) -> str:
 class CausalGraph:
     """A directed acyclic graph of variables.
 
-    ``nodes`` and ``edges`` are frozensets; all query methods are pure, so
-    instances can be shared freely (including across threads).  ``names``
-    is the nodes in sorted order and ``index`` maps each name to its
-    position there: node i is ``names[i]`` in every int node mask and key.
+    ``nodes`` and ``edges`` are frozensets.  ``names`` is the nodes in
+    sorted order and ``index`` maps each name to its position there: node
+    i is ``names[i]`` in every int node mask and key.  The one adjacency
+    is on those indices: ``parents[i]``, ``children[i]`` and
+    ``neighbors[i]`` (parents and children together) are sorted tuples of
+    node indices, so index order keeps name order.  Nothing changes after
+    construction, so instances can be shared freely, across threads too.
     """
 
-    __slots__ = (
-        "nodes", "edges", "names", "index", "_parents", "_children", "_neighbors", "_descendants",
-    )
+    __slots__ = ("nodes", "edges", "names", "index", "parents", "children", "neighbors")
 
     def __init__(self, nodes=(), edges=()):
         node_set = set()
@@ -90,36 +91,37 @@ class CausalGraph:
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_list)
         self.names: tuple[str, ...] = tuple(sorted(node_set))
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.names)}
+        names, index = self.names, self.index
 
-        parents: dict[str, list[str]] = {v: [] for v in node_set}
-        children: dict[str, list[str]] = {v: [] for v in node_set}
+        parents: list[list[int]] = [[] for _ in names]
+        children: list[list[int]] = [[] for _ in names]
         for source, target in edge_list:
-            children[source].append(target)
-            parents[target].append(source)
-        self._parents = {v: tuple(sorted(ps)) for v, ps in parents.items()}
-        self._children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-        self._neighbors = {
-            v: tuple(sorted(set(parents[v]) | set(children[v]))) for v in node_set
-        }
-        self._descendants: dict[str, frozenset[str]] = {}
+            s, t = index[source], index[target]
+            children[s].append(t)
+            parents[t].append(s)
+        self.parents: tuple[tuple[int, ...], ...] = tuple([tuple(sorted(ps)) for ps in parents])
+        self.children: tuple[tuple[int, ...], ...] = tuple([tuple(sorted(cs)) for cs in children])
+        self.neighbors: tuple[tuple[int, ...], ...] = tuple(
+            [tuple(sorted(ps + cs)) for ps, cs in zip(parents, children)]
+        )
 
         # Kahn's count: the graph is acyclic iff every node can be removed
         # once all of its parents have been.
-        waiting = {v: len(ps) for v, ps in self._parents.items()}
-        ready = [v for v, count in waiting.items() if not count]
+        waiting = [len(ps) for ps in parents]
+        ready = [v for v, count in enumerate(waiting) if not count]
         for v in ready:  # ready grows while it is read
-            for c in self._children[v]:
+            for c in children[v]:
                 waiting[c] -= 1
                 if not waiting[c]:
                     ready.append(c)
-        if len(ready) < len(node_set):
+        if len(ready) < len(names):
             # graphlib words the witness: fed every name, then each name's
             # sorted parents, in name order, it walks a deterministic cycle.
             sorter = TopologicalSorter()
-            for v in self.names:
+            for v in names:
                 sorter.add(v)
-            for v in self.names:
-                sorter.add(v, *self._parents[v])
+            for v, ps in zip(names, self.parents):
+                sorter.add(v, *[names[p] for p in ps])
             try:
                 sorter.prepare()
             except CycleError as exc:
@@ -130,43 +132,14 @@ class CausalGraph:
         if name not in self.nodes:
             raise UnknownVariable(f"variable {name!r} is not a node of the graph")
 
-    def parents(self, v: str) -> tuple[str, ...]:
-        self.require_node(v)
-        return self._parents[v]
-
-    def children(self, v: str) -> tuple[str, ...]:
-        self.require_node(v)
-        return self._children[v]
-
-    def undirected_neighbors(self, v: str) -> tuple[str, ...]:
-        self.require_node(v)
-        return self._neighbors[v]
-
     def edge_between(self, i: int, j: int) -> tuple[str, str] | None:
         """The edge between nodes ``names[i]`` and ``names[j]``, i's out-edge
         first, or None: Condition 1 by index, for ``check_condition1`` and the sweep."""
-        for edge in ((self.names[i], self.names[j]), (self.names[j], self.names[i])):
-            if edge in self.edges:
-                return edge
+        if j in self.children[i]:
+            return self.names[i], self.names[j]
+        if i in self.children[j]:
+            return self.names[j], self.names[i]
         return None
-
-    def descendants(self, x: str) -> frozenset[str]:
-        """All nodes reachable from ``x`` by directed edges, excluding ``x``."""
-        self.require_node(x)
-        cached = self._descendants.get(x)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        frontier = list(self._children[x])
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(self._children[node])
-        result = frozenset(seen)
-        self._descendants[x] = result
-        return result
 
     def node_mask(self, names) -> int:
         """The int with bit i set for each given name that is ``names[i]``:

@@ -5,7 +5,8 @@ state the Chain, Fork, Collider and Transitivity* rules directly on
 PathFact frozensets and certifying paths, and ``_oriented`` reads a fact
 off a path, so ``saturation_gap`` checks the engine against an
 independent reading of the rules rather than against itself.  Only the
-engine's public names are imported.
+engine's public names are imported, and the graph is read by name from
+its edges (``_graphs``), not from the index adjacency ``close`` reads.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from itertools import combinations
 
 from fairgate.closure import Closure, MediateCauseFact, PathFact
 from fairgate.graph import CausalGraph
+
+from _graphs import children_of, parents_of
 
 
 def _oriented(noncolliders, collider_sets, path) -> PathFact:
@@ -29,7 +32,7 @@ def _window_facts(g: CausalGraph, mediate):
     avoids both ends.
     """
     for y in g.nodes:
-        parents, children = g.parents(y), g.children(y)
+        parents, children = parents_of(g, y), children_of(g, y)
         for x in parents:
             for z in children:
                 yield _oriented({y}, (), (x, y, z))
@@ -78,7 +81,7 @@ def saturation_gap(closure: Closure, g: CausalGraph) -> int:
         if fact not in mediate:
             missing_mediate.add(fact)
     for fact in mediate:
-        for k in g.children(fact.target):
+        for k in children_of(g, fact.target):
             new = MediateCauseFact(fact.source, k, fact.intermediates | {k})
             if new not in mediate:
                 missing_mediate.add(new)

@@ -90,17 +90,25 @@ def test_shared_parser_carries_nothing_between_calls(
     assert out == (golden_dir / golden_name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize(
+    "newline, reverse", [("\r\n", False), ("\r", False), ("\n", True)],
+    ids=["crlf", "cr", "reversed"],
+)
 def test_loan_files_with_other_line_ends_give_the_golden_bytes(
-    capsys, data_dir, golden_dir, tmp_path, newline
+    capsys, data_dir, golden_dir, tmp_path, newline, reverse
 ):
     # The graph, judgment and context readers split lines as str.splitlines
     # does, so CRLF and lone-CR copies of the loan files read as the LF ones.
+    # A graph's adjacency is sorted by node, so loan.cg with its lines in
+    # reverse order, nodes and edges alike, reads as the same graph too.
     for path in data_dir.iterdir():
         data = path.read_bytes()
         if path.name in ("loan.cg", "loan.jdg", "loan.ctx"):
             assert b"\r" not in data
             data = data.replace(b"\n", newline.encode())
+        if reverse and path.name == "loan.cg":
+            assert data.endswith(b"\n")
+            data = b"".join(reversed(data.splitlines(keepends=True)))
         (tmp_path / path.name).write_bytes(data)
     for golden_name, argv_builder in GOLDEN_COMMANDS:
         _, out, err = run(capsys, argv_builder(tmp_path))

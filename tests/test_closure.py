@@ -27,7 +27,7 @@ from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, r
 from fairgate.weakening import check_condition2, evaluate_conditions
 
 from _blocking import blocking_reason
-from _graphs import pair_facts, pair_rows, topological_order
+from _graphs import children_of, pair_facts, pair_rows, topological_order
 from _saturation import saturation_gap
 from test_closure_bytes import DENSE_N10
 
@@ -68,7 +68,7 @@ def directed_path_sets(g, start):
 
     def walk(node):
         sets.add(frozenset(path))
-        for child in g.children(node):
+        for child in children_of(g, node):
             path.append(child)
             walk(child)
             path.pop()

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fairgate.closure import _skeleton
 from fairgate.errors import (
     CycleDetected,
     DuplicateEdge,
@@ -11,7 +12,6 @@ from fairgate.errors import (
     InputError,
     MalformedName,
     SelfLoop,
-    UnknownVariable,
 )
 from fairgate.graph import (
     RESERVED_NAME_CHARS,
@@ -22,7 +22,7 @@ from fairgate.graph import (
 )
 from fairgate.sweep import random_dag
 
-from _graphs import topological_order
+from _graphs import children_of, descendants_of, parents_of, topological_order
 
 
 def test_build_collects_nodes_from_edges():
@@ -33,19 +33,29 @@ def test_build_collects_nodes_from_edges():
 
 def test_adjacency_is_sorted():
     g = CausalGraph([], [("Z", "M"), ("A", "M"), ("M", "B"), ("M", "A2")])
-    assert g.parents("M") == ("A", "Z")
-    assert g.children("M") == ("A2", "B")
-    assert g.undirected_neighbors("M") == ("A", "A2", "B", "Z")
+    assert g.names == ("A", "A2", "B", "M", "Z")
+    m = g.index["M"]
+    assert g.parents[m] == (0, 4)  # A, Z
+    assert g.children[m] == (1, 2)  # A2, B
+    assert g.neighbors[m] == (0, 1, 2, 4)  # A, A2, B, Z
+    assert g.children[0] == g.children[4] == g.parents[1] == g.parents[2] == (m,)
 
 
 def test_undirected_neighbors_are_the_sorted_adjacent_nodes():
+    # The index adjacency is the name adjacency read from the edges alone,
+    # as sorted tuples of node indices.
     rng = random.Random(4)
     for _ in range(30):
         g = random_dag(rng, max_nodes=8, edge_prob=0.4)
-        for v in g.nodes:
-            adjacent = {a for a, b in g.edges if b == v} | {b for a, b in g.edges if a == v}
-            assert g.undirected_neighbors(v) == tuple(sorted(adjacent))
-            assert g.undirected_neighbors(v) is g.undirected_neighbors(v)
+        for v, i in g.index.items():
+            parents = tuple(g.index[p] for p in parents_of(g, v))
+            children = tuple(g.index[c] for c in children_of(g, v))
+            assert g.parents[i] == parents
+            assert g.children[i] == children
+            assert g.neighbors[i] == tuple(sorted(parents + children))
+        for adjacency in (g.parents, g.children, g.neighbors):
+            assert type(adjacency) is tuple and len(adjacency) == len(g.names)
+            assert all(type(row) is tuple for row in adjacency)
 
 
 def test_validate_name_rejects_reserved_characters():
@@ -148,17 +158,13 @@ def test_two_node_cycle():
         CausalGraph([], [("A", "B"), ("B", "A")])
 
 
-def test_unknown_variable_queries():
-    g = CausalGraph(["A"], [])
-    for method in (g.parents, g.children, g.descendants, g.undirected_neighbors):
-        with pytest.raises(UnknownVariable):
-            method("Nope")
-
-
 def test_descendants(loan_graph):
-    assert loan_graph.descendants("Age") == {"MS", "GAI", "Loan"}
-    assert loan_graph.descendants("GAI") == {"Loan"}
-    assert loan_graph.descendants("Loan") == frozenset()
+    # The oracle's reach mask: a node and its descendants.
+    reach = _skeleton(loan_graph)[2]
+    index, mask = loan_graph.index, loan_graph.node_mask
+    assert reach[index["Age"]] == mask({"Age", "GAI", "Loan", "MS"})
+    assert reach[index["GAI"]] == mask({"GAI", "Loan"})
+    assert reach[index["Loan"]] == mask({"Loan"})
 
 
 def test_topological_order(loan_graph):
@@ -257,10 +263,12 @@ def test_random_dags_are_acyclic_and_consistent(seed):
     pos = {v: i for i, v in enumerate(order)}
     for a, b in g.edges:
         assert pos[a] < pos[b]
-    # descendants must agree with one-step expansion through children
-    for v in g.nodes:
-        expected = set()
-        for child in g.children(v):
-            expected.add(child)
-            expected |= g.descendants(child)
-        assert g.descendants(v) == expected
+    # A reach mask is the node and the reach masks of its children, and
+    # names the node and its descendants read from the edges alone.
+    reach = _skeleton(g)[2]
+    for v, i in g.index.items():
+        expected = 1 << i
+        for child in g.children[i]:
+            expected |= reach[child]
+        assert reach[i] == expected
+        assert reach[i] == g.node_mask({v, *descendants_of(g, v)})

@@ -70,6 +70,8 @@ def test_retired_second_readers_stay_gone():
     # Closure.pair_record reads a pair's record by index; PathFact.text is
     # the one renderer of a named path fact; _rows gives the oracle rows of
     # every pair from one source node and _json_pieces is the one JSON emitter.
+    # CausalGraph keeps one adjacency, on node indices: parents, children
+    # and neighbors are tuples, and no name-keyed accessor or cache is left.
     module = importlib.import_module("fairgate.closure")
     assert not hasattr(module.Closure, "facts_between")
     assert not hasattr(module.Closure, "first_open")
@@ -80,6 +82,12 @@ def test_retired_second_readers_stay_gone():
     assert not hasattr(module, "oracle_rows_by_pair")
     assert not hasattr(importlib.import_module("fairgate.cli"), "render_json")
     assert not hasattr(importlib.import_module("fairgate.judgments").Context, "get")
+    graph = importlib.import_module("fairgate.graph").CausalGraph
+    assert not hasattr(graph, "undirected_neighbors")
+    assert not hasattr(graph, "descendants")
+    assert not {"_parents", "_children", "_neighbors", "_descendants"} & set(graph.__slots__)
+    g = graph(["A"], [("A", "B")])
+    assert (g.parents, g.children, g.neighbors) == (((), (0,)), ((1,), ()), ((1,), (0,)))
 
 
 def _defined(module):

@@ -67,17 +67,16 @@ def test_the_span_is_every_node_of_the_pairs_simple_paths():
     graphs += [_joined(rng) for _ in range(100)]
     for g in graphs:
         index = g.index
-        neighbors = [[index[w] for w in g.undirected_neighbors(v)] for v in g.names]
         for x, y in itertools.permutations(g.names, 2):
             want = g.node_mask(_path_nodes(g, x, y))
-            assert _span(neighbors, index[x], index[y]) == want, (x, y, sorted(g.edges))
+            assert _span(g.neighbors, index[x], index[y]) == want, (x, y, sorted(g.edges))
 
 
 def test_a_pair_with_no_path_closes_to_its_mediate_facts_alone():
     # Dense: 12 nodes, 24 edges; its whole closure takes tens of seconds.
     # I has no edge, so no I-C or I-H path exists and no derivation is kept.
     g = random_dag(random.Random(5), max_nodes=12, min_nodes=12, edge_prob=0.3)
-    assert g.undirected_neighbors("I") == ()
+    assert g.neighbors[g.index["I"]] == ()
     mediate = 73
     for pair in [("I", "C"), ("I", "H")]:
         closure = close(g, fact_budget=mediate, pairs=[pair])

@@ -34,7 +34,7 @@ from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, r
 from fairgate.weakening import check_condition1, check_condition2
 
 from _blocking import blocking_reason
-from _graphs import pair_facts, pair_rows
+from _graphs import descendants_of, pair_facts, pair_rows
 
 
 def separated_by_sets(g, paths, conditioning):
@@ -42,7 +42,7 @@ def separated_by_sets(g, paths, conditioning):
     collider with neither itself nor a descendant conditioned on."""
     return all(
         noncolliders & conditioning
-        or any(c not in conditioning and not g.descendants(c) & conditioning for c in colliders)
+        or any(c not in conditioning and not descendants_of(g, c) & conditioning for c in colliders)
         for _, noncolliders, colliders in paths
     )
 

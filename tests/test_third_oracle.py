@@ -1,7 +1,8 @@
 """networkx as a third route to d-separation, shared with no fairgate code.
 
 ``networkx.is_d_separator`` decides every (pair, conditioning set) triple
-of every DAG on 2-5 nodes, and must agree with both of fairgate's routes:
+of every DAG on 2-5 nodes and of 30 seeded random DAGs on 6-7 nodes, and
+must agree with both of fairgate's routes, which read one graph adjacency:
 ``dsep_oracle`` over the sweep's rows (``_rows``, one walk per source
 node) and the rules' decision a verdict makes (``check_condition1`` and
 ``check_condition2``, whose audit applies Condition 2's mask test).
@@ -45,9 +46,11 @@ def _small_dags():
     return [g for n in range(2, 6) for g in enumerate_dags(n)]
 
 
-def test_networkx_agrees_with_both_routes_on_every_dag_up_to_5_nodes():
+def _agreement_checks(graphs) -> int:
+    """How many (pair, conditioning set) triples networkx, the oracle and the
+    rules decided alike, over every pair and conditioning set of each graph."""
     checks = 0
-    for g in _small_dags():
+    for g in graphs:
         d = _digraph(g)
         closure = close(g)
         table = _sweep_rows(g)
@@ -64,7 +67,18 @@ def test_networkx_agrees_with_both_routes_on_every_dag_up_to_5_nodes():
                     assert dsep_oracle(rows, mask) == by_networkx, where
                     assert by_rules == by_networkx, where
                     checks += 1
-    assert checks == 24942
+    return checks
+
+
+def test_networkx_agrees_with_both_routes_on_every_dag_up_to_5_nodes():
+    assert _agreement_checks(_small_dags()) == 24942
+
+
+def test_networkx_agrees_with_both_routes_on_random_dags_of_6_and_7_nodes():
+    # Both of fairgate's routes read one adjacency; networkx reads the edges.
+    rng = random.Random(23)
+    graphs = [random_dag(rng, max_nodes=7, min_nodes=6, edge_prob=0.35) for _ in range(30)]
+    assert _agreement_checks(graphs) == 14112
 
 
 def _networkx_rows(d, g, x, y):
