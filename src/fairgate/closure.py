@@ -1,29 +1,21 @@
-"""Derived cause and path relations over a causal graph.
+"""The rule engine: derived cause and path relations over a causal graph.
 
-Two independent routes to conditional independence live here and are
-deliberately kept separate:
+A fixpoint engine closes the graph's immediate-cause edges under six
+derivation rules (Reflexive cause, Transitive cause, Chain, Fork,
+Collider, Transitivity*), producing mediate-cause facts and path facts
+whose blocking status decides independence.  The independent textbook
+d-separation oracle that checks it lives in ``fairgate.sweep``, beside
+the agreement sweep that drives the two against each other, and reads
+nothing derived here.
 
-* a fixpoint engine that closes the graph's immediate-cause edges under
-  six derivation rules (Reflexive cause, Transitive cause, Chain, Fork,
-  Collider, Transitivity*), producing mediate-cause facts and path facts
-  whose blocking status decides independence, and
-* a textbook d-separation oracle that enumerates simple undirected paths
-  directly and never looks at derived facts: one depth-first walk per
-  source node, on node indices, classifies each path as it extends it.
-
-Cross-checking the two is part of the test contract; nothing in this
-module shares state between them.  Both read the graph's one adjacency,
-``CausalGraph.parents``, ``children`` and ``neighbors``: sorted tuples of
-node indices, which neither route translates or rebuilds.  Each decides on
-int node masks (bit i for ``CausalGraph.names[i]``,
-``CausalGraph.node_mask``) with its own test: Condition 2 has one,
-``_block``, on a fact's masks, which the agreement sweep applies to the
-keys of ``Closure.pair_record`` (the one read of a node pair's record by
-index) and ``Closure.audit`` (the one read by name: a verdict's decision
-and printed reasons) reads; ``dsep_oracle`` scans a pair's rows, which
-``_rows`` reads from the graph alone for every pair from one source node,
-from one walk.  ``enumerate_classified_paths`` is the same walk's paths by
-name, for one pair.
+The engine reads the graph's one adjacency, ``CausalGraph.parents``,
+``children`` and ``neighbors``: sorted tuples of node indices, which it
+neither translates nor rebuilds.  It decides on int node masks (bit i for
+``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with one test for
+Condition 2, ``_block``, on a fact's masks, which the agreement sweep
+applies to the keys of ``Closure.pair_record`` (the one read of a node
+pair's record by index) and ``Closure.audit`` (the one read by name: a
+verdict's decision and printed reasons) reads.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -63,7 +55,7 @@ from itertools import combinations
 from operator import or_
 from typing import NamedTuple
 
-from .errors import InputError, ResourceLimit, UnknownVariable
+from .errors import InputError, ResourceLimit
 from .graph import CausalGraph
 from .record import Record
 
@@ -77,8 +69,6 @@ __all__ = [
     "Closure",
     "close",
     "resolve_fact_budget",
-    "dsep_oracle",
-    "enumerate_classified_paths",
     "closure_dump",
     "trace_record_json",
     "sorted_collider_sets",
@@ -389,7 +379,8 @@ class Closure:
         pair = _pair(x, y)
         i, j = map(self.graph.index.get, pair)
         if i is None or j is None:
-            raise UnknownVariable(f"path endpoints must be graph nodes, got {pair}")
+            self.graph.require_node(x)
+            self.graph.require_node(y)
         if i == j:
             raise ValueError("path endpoints must differ")
         pairs = self.pairs
@@ -686,128 +677,6 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
                        (fact2, fact1) if is_backward else (fact1, fact2))
 
     return Closure(g, mediate, certifying, derived, trace, groups, bits, pairs)
-
-
-# --- Independent textbook oracle -----------------------------------------
-
-
-def _skeleton(g: CausalGraph):
-    """The graph as the oracle's walk reads it, on node indices (node i is
-    ``g.names[i]``): each node's sorted undirected neighbours,
-    ``g.neighbors``; each node's parents as a mask; and ``reach``, the mask
-    of a node and its descendants, found on a node's first read by a walk
-    over ``g.children``.  Read from the graph's adjacency alone, never
-    from a derived fact."""
-    children = g.children
-
-    def reach_of(v):
-        seen = 1 << v
-        stack = [v]
-        while stack:
-            for c in children[stack.pop()]:
-                if not seen >> c & 1:
-                    seen |= 1 << c
-                    stack.append(c)
-        return seen
-
-    parents = [sum([1 << p for p in ps]) for ps in g.parents]
-    return g.neighbors, parents, _Memo(reach_of)
-
-
-def _walk(skeleton, x: int):
-    """Every simple undirected path from node x, classified: yields
-    (path, noncollider mask, collider reaches) as each path is reached, where
-    ``path`` is the walk's own list of node indices, valid until the next
-    step, and the reaches are those of the interior colliders in path order.
-
-    One depth-first walk in sorted-neighbour order extends a path one edge
-    at a time.  Leaving a node makes it interior, and it is a collider iff
-    both of its path neighbours are its parents.
-    """
-    neighbors, parents, reach = skeleton
-    path = [x]
-    on_path = 1 << x
-    # Per path node: its neighbours not yet tried, the path's noncolliders
-    # and collider reaches up to it, the noncolliders if it leaves as one (x
-    # is no interior node), and its parents if the path entered it from one.
-    frames = [(iter(neighbors[x]), 0, 0, (), 0)]
-    while frames:
-        rest, nc, nc_after, colliders, into = frames[-1]
-        v = path[-1]
-        for w in rest:
-            if on_path >> w & 1:
-                continue
-            if into >> w & 1:
-                w_nc, w_colliders = nc, colliders + (reach[v],)
-            else:
-                w_nc, w_colliders = nc_after, colliders
-            path.append(w)
-            yield path, w_nc, w_colliders
-            on_path |= 1 << w
-            w_into = parents[w] if parents[w] >> v & 1 else 0
-            frames.append((iter(neighbors[w]), w_nc, w_nc | 1 << w, w_colliders, w_into))
-            break
-        else:
-            frames.pop()
-            path.pop()
-            on_path ^= 1 << v
-
-
-def _rows(skeleton, x: int) -> defaultdict:
-    """Node w -> the oracle's rows of pair (x, w), for every w above x that
-    a path reaches, read from the graph alone by one walk from x.  A row is
-    one x-w path as int node masks (``CausalGraph.node_mask`` numbering):
-    its noncolliders' mask and, per collider in path order, the mask of the
-    collider and its descendants.  Paths with equal masks give one row, in
-    the order of their first path, as the keys of the pair's dict.  The
-    agreement sweep reads one source node's rows at a time."""
-    found = defaultdict(dict)
-    for path, nc, colliders in _walk(skeleton, x):
-        if path[-1] > x:
-            found[path[-1]][nc, colliders] = None
-    return found
-
-
-def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
-    """Every simple undirected path x..y with its interior classification,
-    the name view of the oracle's walk: the walk from x, kept where it ends
-    at y.
-
-    Returns tuples (path, noncolliders, colliders) in a deterministic
-    order.  A direct edge contributes a path with no interior nodes.
-    Raises UnknownVariable for a name that is not a node and ValueError
-    for a node paired with itself.
-    """
-    if x not in g.nodes or y not in g.nodes:
-        raise UnknownVariable(f"both path endpoints must be graph nodes: {x!r}, {y!r}")
-    if x == y:
-        raise ValueError("path endpoints must differ")
-    j = g.index[y]
-    names = g.names
-    return tuple(
-        (
-            tuple([names[v] for v in path]),
-            frozenset([names[v] for v in path if nc >> v & 1]),
-            tuple([names[v] for v in path[1:-1] if not nc >> v & 1]),
-        )
-        for path, nc, _ in _walk(_skeleton(g), g.index[x])
-        if path[-1] == j
-    )
-
-
-def dsep_oracle(rows, conditioning: int) -> bool:
-    """d-separation over one pair's rows, from ``_rows``, given a
-    conditioning node mask.
-
-    True iff every path is blocked: a noncollider is conditioned on, or some
-    collider has neither itself nor a descendant conditioned on.  This route
-    never consults derived facts.  A named conditioning set enters through
-    ``CausalGraph.node_mask``.
-    """
-    for noncolliders, colliders in rows:
-        if not noncolliders & conditioning and all(c & conditioning for c in colliders):
-            return False
-    return True
 
 
 # --- Reporting -----------------------------------------------------------

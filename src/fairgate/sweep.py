@@ -1,13 +1,19 @@
-"""Agreement sweeps between the rule closure and the d-separation oracle.
+"""The d-separation oracle, and agreement sweeps between it and the rule closure.
 
-The two independence routes are developed separately on purpose; this
-module drives them against each other over whole graph families: every
-DAG up to isomorphism for small sizes, and seeded random DAGs for larger
-ones.  Every (pair, conditioning set) triple is checked, each distinct
-projection of the conditioning set decided once, and any mismatch is
-captured as a structured discrepancy rather than a bare failure.  Per
-graph, the rules side is one ``close`` and the oracle side one path walk
-per source node, which gives the rows of every pair from that node.  Both
+The two independence routes are developed separately on purpose.  The
+oracle lives here, apart from the engine it checks: it reads the graph
+alone, never a derived fact, and takes only the generic ``_Memo`` from
+``fairgate.closure``.  One depth-first walk per source node classifies
+each simple undirected path as it extends it, and gives the rows of every
+pair from that node; ``dsep_oracle`` scans a pair's rows.
+
+The sweeps drive the two routes against each other over whole graph
+families: every DAG up to isomorphism for small sizes, and seeded random
+DAGs for larger ones.  Every (pair, conditioning set) triple is checked,
+each distinct projection of the conditioning set decided once, and any
+mismatch is captured as a structured discrepancy rather than a bare
+failure.  Per graph, the rules side is one ``close``, read through
+``_block``, and the oracle side one walk per source node.  Both
 sides are read on node indices: a pair is (i, j), i < j, a conditioning
 set a node mask, and names are built only for a discrepancy.
 """
@@ -15,16 +21,13 @@ set a node mask, and names are built only for a discrepancy.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from functools import reduce
 from itertools import groupby, permutations, product
 from operator import or_
 from typing import NamedTuple
 
-from .closure import _block, _rows, _skeleton, close, dsep_oracle
-
-# Not called here: benchmark/spans.py wraps sweep.enumerate_classified_paths
-# for its sweep.oracle span, so the name stays importable from this module.
-from .closure import enumerate_classified_paths  # noqa: F401
+from .closure import _block, _Memo, close
 from .graph import CausalGraph
 
 __all__ = [
@@ -39,6 +42,8 @@ __all__ = [
     "SweepReport",
     "enumerate_dags",
     "random_dag",
+    "dsep_oracle",
+    "enumerate_classified_paths",
     "check_graph_agreement",
     "exhaustive_sweep",
     "random_sweep",
@@ -171,6 +176,128 @@ def random_dag(
     return CausalGraph(names, edges)
 
 
+# --- Independent textbook oracle -----------------------------------------
+
+
+def _skeleton(g: CausalGraph):
+    """The graph as the oracle's walk reads it, on node indices (node i is
+    ``g.names[i]``): each node's sorted undirected neighbours,
+    ``g.neighbors``; each node's parents as a mask; and ``reach``, the mask
+    of a node and its descendants, found on a node's first read by a walk
+    over ``g.children``.  Read from the graph's adjacency alone, never
+    from a derived fact or any other part of the engine."""
+    children = g.children
+
+    def reach_of(v):
+        seen = 1 << v
+        stack = [v]
+        while stack:
+            for c in children[stack.pop()]:
+                if not seen >> c & 1:
+                    seen |= 1 << c
+                    stack.append(c)
+        return seen
+
+    parents = [sum([1 << p for p in ps]) for ps in g.parents]
+    return g.neighbors, parents, _Memo(reach_of)
+
+
+def _walk(skeleton, x: int):
+    """Every simple undirected path from node x, classified: yields
+    (path, noncollider mask, collider reaches) as each path is reached, where
+    ``path`` is the walk's own list of node indices, valid until the next
+    step, and the reaches are those of the interior colliders in path order.
+
+    One depth-first walk in sorted-neighbour order extends a path one edge
+    at a time.  Leaving a node makes it interior, and it is a collider iff
+    both of its path neighbours are its parents.
+    """
+    neighbors, parents, reach = skeleton
+    path = [x]
+    on_path = 1 << x
+    # Per path node: its neighbours not yet tried, the path's noncolliders
+    # and collider reaches up to it, the noncolliders if it leaves as one (x
+    # is no interior node), and its parents if the path entered it from one.
+    frames = [(iter(neighbors[x]), 0, 0, (), 0)]
+    while frames:
+        rest, nc, nc_after, colliders, into = frames[-1]
+        v = path[-1]
+        for w in rest:
+            if on_path >> w & 1:
+                continue
+            if into >> w & 1:
+                w_nc, w_colliders = nc, colliders + (reach[v],)
+            else:
+                w_nc, w_colliders = nc_after, colliders
+            path.append(w)
+            yield path, w_nc, w_colliders
+            on_path |= 1 << w
+            w_into = parents[w] if parents[w] >> v & 1 else 0
+            frames.append((iter(neighbors[w]), w_nc, w_nc | 1 << w, w_colliders, w_into))
+            break
+        else:
+            frames.pop()
+            path.pop()
+            on_path ^= 1 << v
+
+
+def _rows(skeleton, x: int) -> defaultdict:
+    """Node w -> the oracle's rows of pair (x, w), for every w above x that
+    a path reaches, read from the graph alone by one walk from x.  A row is
+    one x-w path as int node masks (``CausalGraph.node_mask`` numbering):
+    its noncolliders' mask and, per collider in path order, the mask of the
+    collider and its descendants.  Paths with equal masks give one row, in
+    the order of their first path, as the keys of the pair's dict.  The
+    agreement sweep reads one source node's rows at a time."""
+    found = defaultdict(dict)
+    for path, nc, colliders in _walk(skeleton, x):
+        if path[-1] > x:
+            found[path[-1]][nc, colliders] = None
+    return found
+
+
+def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
+    """Every simple undirected path x..y with its interior classification,
+    the name view of the oracle's walk: the walk from x, kept where it ends
+    at y.
+
+    Returns tuples (path, noncolliders, colliders) in a deterministic
+    order.  A direct edge contributes a path with no interior nodes.
+    Raises UnknownVariable for a name that is not a node and ValueError
+    for a node paired with itself.
+    """
+    g.require_node(x)
+    g.require_node(y)
+    if x == y:
+        raise ValueError("path endpoints must differ")
+    j = g.index[y]
+    names = g.names
+    return tuple(
+        (
+            tuple([names[v] for v in path]),
+            frozenset([names[v] for v in path if nc >> v & 1]),
+            tuple([names[v] for v in path[1:-1] if not nc >> v & 1]),
+        )
+        for path, nc, _ in _walk(_skeleton(g), g.index[x])
+        if path[-1] == j
+    )
+
+
+def dsep_oracle(rows, conditioning: int) -> bool:
+    """d-separation over one pair's rows, from ``_rows``, given a
+    conditioning node mask.
+
+    True iff every path is blocked: a noncollider is conditioned on, or some
+    collider has neither itself nor a descendant conditioned on.  This route
+    never consults derived facts.  A named conditioning set enters through
+    ``CausalGraph.node_mask``.
+    """
+    for noncolliders, colliders in rows:
+        if not noncolliders & conditioning and all(c & conditioning for c in colliders):
+            return False
+    return True
+
+
 def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     """Compare both routes on every pair and every conditioning set of g.
 
@@ -179,9 +306,10 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     The rules side is Condition 1, ``CausalGraph.edge_between``, and
     Condition 2, ``_block`` over the keys of ``Closure.pair_record``: the
     one mask test that a weakening verdict's ``Closure.audit`` also reads,
-    with no fact named.  The oracle side is ``dsep_oracle`` over the rows
-    ``_rows`` gives: one walk per source node gives the rows of every pair
-    from that node to a node above it.
+    with no fact named.  The oracle side, defined above in this module, is
+    ``dsep_oracle`` over the rows ``_rows`` gives: one walk per source node
+    gives the rows of every pair from that node to a node above it, each
+    row a noncollider mask and the collider reaches, unpacked here.
 
     Both decisions read a conditioning mask only through its AND with the
     pair's ``read`` nodes: the record's read mask and the rows' masks.  So

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import heapq
 
-from fairgate.closure import enumerate_classified_paths
 from fairgate.graph import CausalGraph
+from fairgate.sweep import enumerate_classified_paths
 
 
 def parents_of(g: CausalGraph, v: str) -> tuple[str, ...]:

@@ -14,10 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import fairgate
-from fairgate.closure import (
-    close,
-    dsep_oracle,
-)
+from fairgate.closure import close
 from fairgate.fairness import empirical_ci, empirical_probability, generate_table1
 from fairgate.graph import CausalGraph
 from fairgate.judgments import (
@@ -29,6 +26,7 @@ from fairgate.judgments import (
     serialize_judgment,
 )
 from fairgate.sweep import (
+    dsep_oracle,
     enumerate_dags,
     exhaustive_sweep,
     random_dag,

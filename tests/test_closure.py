@@ -17,13 +17,19 @@ from fairgate.closure import (
     TraceRecord,
     close,
     closure_dump,
-    dsep_oracle,
-    enumerate_classified_paths,
     resolve_fact_budget,
 )
 from fairgate.errors import InputError, ResourceLimit, UnknownVariable
 from fairgate.graph import CausalGraph
-from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, random_dag
+from fairgate import sweep
+from fairgate.sweep import (
+    Discrepancy,
+    check_graph_agreement,
+    dsep_oracle,
+    enumerate_classified_paths,
+    enumerate_dags,
+    random_dag,
+)
 from fairgate.weakening import check_condition2, evaluate_conditions
 
 from _blocking import blocking_reason
@@ -339,8 +345,11 @@ def test_collider_sets_are_kept_in_canonical_order_inside_each_key():
 
 def test_enumerate_classified_paths_validates():
     g = chain_graph()
-    with pytest.raises(UnknownVariable):
+    # Worded as CausalGraph.require_node words it, for the first unknown name.
+    with pytest.raises(UnknownVariable, match="^variable 'Z' is not a node of the graph$"):
         enumerate_classified_paths(g, "A", "Z")
+    with pytest.raises(UnknownVariable, match="^variable 'Y' is not a node of the graph$"):
+        enumerate_classified_paths(g, "Y", "Z")
     with pytest.raises(ValueError):
         enumerate_classified_paths(g, "A", "A")
 
@@ -375,9 +384,9 @@ def test_rows_by_pair_equal_the_rows_of_each_pair():
     graphs = [g for n in range(1, 6) for g in enumerate_dags(n)]
     graphs += [random_dag(rng, max_nodes=9, min_nodes=6, edge_prob=0.3) for _ in range(30)]
     for g in graphs:
-        skeleton = closure_module._skeleton(g)
+        skeleton = sweep._skeleton(g)
         for i, x in enumerate(g.names):
-            found = closure_module._rows(skeleton, i)
+            found = sweep._rows(skeleton, i)
             assert all(j > i for j in found), (sorted(g.edges), x)
             for y in g.names[i + 1:]:
                 rows = tuple(found.get(g.index[y], ()))

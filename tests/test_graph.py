@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fairgate.closure import _skeleton
 from fairgate.errors import (
     CycleDetected,
     DuplicateEdge,
@@ -20,7 +19,7 @@ from fairgate.graph import (
     parse_graph,
     validate_name,
 )
-from fairgate.sweep import random_dag
+from fairgate.sweep import _skeleton, random_dag
 
 from _graphs import children_of, descendants_of, parents_of, topological_order
 

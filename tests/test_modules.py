@@ -25,6 +25,9 @@ MODULES = [
     for info in pkgutil.iter_modules(fairgate.__path__)
 ]
 
+# The d-separation oracle's functions, all defined in fairgate.sweep.
+ORACLE = ("_skeleton", "_walk", "_rows", "enumerate_classified_paths", "dsep_oracle")
+
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_are_defined_in_their_module(module):
@@ -80,6 +83,9 @@ def test_retired_second_readers_stay_gone():
     assert "render_path_fact" not in module.__all__
     assert not hasattr(module, "oracle_rows")
     assert not hasattr(module, "oracle_rows_by_pair")
+    # The d-separation oracle lives in fairgate.sweep, its one caller.
+    assert not set(ORACLE) & set(vars(module))
+    assert not set(ORACLE) & set(module.__all__)
     assert not hasattr(importlib.import_module("fairgate.cli"), "render_json")
     assert not hasattr(importlib.import_module("fairgate.judgments").Context, "get")
     graph = importlib.import_module("fairgate.graph").CausalGraph
@@ -88,6 +94,30 @@ def test_retired_second_readers_stay_gone():
     assert not {"_parents", "_children", "_neighbors", "_descendants"} & set(graph.__slots__)
     g = graph(["A"], [("A", "B")])
     assert (g.parents, g.children, g.neighbors) == (((), (0,)), ((1,), ()), ((1,), (0,)))
+
+
+def test_the_oracle_reads_nothing_from_the_engine():
+    # The oracle checks the rule engine, so it may share the generic _Memo
+    # with it but must call nothing else fairgate.closure defines.
+    path = Path(importlib.import_module("fairgate.sweep").__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    # Every name the module binds to fairgate.closure or to one of its names.
+    from_closure = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if "." * node.level + (node.module or "") in (".closure", "fairgate.closure")
+        or alias.name == "closure"
+    }
+    assert "close" in from_closure
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    assert set(ORACLE) <= set(functions)
+    for name in ORACLE:
+        read = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert read & from_closure <= {"_Memo"}, (name, sorted(read & from_closure))
 
 
 def _defined(module):

@@ -20,17 +20,18 @@ from operator import or_
 import pytest
 
 from fairgate import closure as closure_module
-from fairgate.closure import (
-    Closure,
-    PathFact,
-    close,
-    dsep_oracle,
-    enumerate_classified_paths,
-)
+from fairgate.closure import Closure, PathFact, close
 from fairgate.errors import UnknownVariable
 from fairgate import sweep
 from fairgate.graph import CausalGraph
-from fairgate.sweep import Discrepancy, check_graph_agreement, enumerate_dags, random_dag
+from fairgate.sweep import (
+    Discrepancy,
+    check_graph_agreement,
+    dsep_oracle,
+    enumerate_classified_paths,
+    enumerate_dags,
+    random_dag,
+)
 from fairgate.weakening import check_condition1, check_condition2
 
 from _blocking import blocking_reason

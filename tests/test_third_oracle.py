@@ -16,8 +16,15 @@ from itertools import combinations
 
 import pytest
 
-from fairgate.closure import _rows, _skeleton, close, dsep_oracle, enumerate_classified_paths
-from fairgate.sweep import enumerate_dags, random_dag
+from fairgate.closure import close
+from fairgate.sweep import (
+    _rows,
+    _skeleton,
+    dsep_oracle,
+    enumerate_classified_paths,
+    enumerate_dags,
+    random_dag,
+)
 from fairgate.weakening import check_condition1, check_condition2
 
 nx = pytest.importorskip("networkx")

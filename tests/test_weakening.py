@@ -5,12 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairgate.closure import (
-    _block,
-    close,
-    dsep_oracle,
-    trace_record_json,
-)
+from fairgate.closure import _block, close, trace_record_json
 from fairgate.errors import (
     InadmissibleWeakening,
     UnknownVariable,
@@ -19,7 +14,7 @@ from fairgate.errors import (
 )
 from fairgate.graph import CausalGraph
 from fairgate.judgments import Attribution, Value, parse_judgment, serialize_judgment
-from fairgate.sweep import enumerate_dags, random_dag
+from fairgate.sweep import dsep_oracle, enumerate_dags, random_dag
 from fairgate.weakening import (
     apply_weakening,
     check_condition1,
