@@ -411,7 +411,7 @@ def _cmd_oracle(args) -> tuple[dict, bool]:
         if max_nodes > EXHAUSTIVE_MAX_NODES:
             raise InputError(
                 f"--max-nodes must be at most {EXHAUSTIVE_MAX_NODES} without --trials"
-                " (the exhaustive sweep canonicalizes all 2^(n(n-1)/2) edge masks:"
+                " (the exhaustive sweep scans all 2^(n(n-1)/2) edge masks:"
                 f" 243,668 classes at n=7), got {max_nodes}"
             )
         for flag, given in (("--seed", args.seed), ("--edge-prob", args.edge_prob)):

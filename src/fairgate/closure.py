@@ -13,9 +13,9 @@ The engine reads the graph's one adjacency, ``CausalGraph.parents``,
 neither translates nor rebuilds.  It decides on int node masks (bit i for
 ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with one test for
 Condition 2, ``_block``, on a fact's masks, which the agreement sweep
-applies to the keys of ``Closure.pair_record`` (the one read of a node
-pair's record by index) and ``Closure.audit`` (the one read by name: a
-verdict's decision and printed reasons) reads.
+applies to the unsorted keys of ``Closure.pair_record`` (the one read of
+a node pair's record by index) and ``Closure.audit`` (the one read by
+name, in canonical order: a verdict's decision and printed reasons) reads.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -248,18 +248,18 @@ class Closure:
     closure, so no reference cycle keeps a dropped closure alive.  A node
     pair's record is keyed by its node indices (i, j), i < j, and built on
     the pair's first read from the pair's fact keys, which ``close`` groups
-    by endpoints: the keys in canonical order (index order is name order,
-    so the ints sort as the names do) and their read mask, the union of
-    their masks.  The agreement sweep reads it by index, ``pair_record``;
-    the two name reads, ``audit`` (the pair's facts and their blocks) and
-    ``trace_between`` (the facts' trace records), translate their names
-    and read the same record, one memo for both.  A pair's audit tables
-    are filled on its first ``audit``.  Condition 2 is one mask test,
-    ``_block``: the sweep applies it to a record's keys and names no fact,
-    and ``audit`` words each key's block as a ``BlockReason``.  Every name
-    read raises UnknownVariable for a name that is not a node and
-    ValueError for a node paired with itself.  A fact is rendered to text
-    only where it is printed.
+    by endpoints: the keys as grouped, unsorted, and their read mask, the
+    union of their masks.  The agreement sweep reads it by index,
+    ``pair_record``; the two name reads, ``audit`` (the pair's facts and
+    their blocks) and ``trace_between`` (the facts' trace records),
+    translate their names and read the same record, one memo for both.  A
+    pair's first ``audit`` sorts its keys into canonical order (index order
+    is name order, so the ints sort as the names do) and fills its audit
+    tables.  Condition 2 is one mask test, ``_block``: the sweep applies it
+    to a record's keys and names no fact, and ``audit`` words each key's
+    block as a ``BlockReason``.  Every name read raises UnknownVariable for
+    a name that is not a node and ValueError for a node paired with itself.
+    A fact is rendered to text only where it is printed.
 
     ``pairs`` is None for a whole closure, which ``paths`` and the agreement
     sweep read.  A restricted closure, which ``weaken``, ``if`` and
@@ -331,20 +331,20 @@ class Closure:
         # (key, block) -> (fact, reason), for every pair's audits.
         self._entries = _Memo(name_entry)
         # The audit tables of every pair, filled on its first ``audit``:
-        # ((i, j), conditioning & read mask) or ((i, j), the keys' blocks) ->
-        # the audit.  An int never equals a tuple.
+        # (i, j) -> the pair's keys in canonical order, and ((i, j),
+        # conditioning & read mask) or ((i, j), the keys' blocks) -> the
+        # audit.  An int never equals a tuple.
         self._audits = {}
-        order = _order(bits)
 
         def read_pair(pair):
             found = groups.get(pair)
             if not found:
                 return _NO_FACTS
-            keys = tuple(sorted(found, key=order))
+            keys = tuple(found)
             return keys, reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
 
-        # Node pair (i, j), i < j -> its record: the pair's path fact keys in
-        # canonical order and the union of their noncollider and collider-set
+        # Node pair (i, j), i < j -> its record: the pair's path fact keys,
+        # unsorted, and the union of their noncollider and collider-set
         # masks.  Every pair read, by name or by index, reads this one memo.
         by_pair = self._by_pair = _Memo(read_pair)
         self._traces = _Memo(
@@ -369,9 +369,9 @@ class Closure:
     # -- one node pair ----------------------------------------------------------
 
     def pair_record(self, i: int, j: int) -> tuple[tuple[tuple, ...], int]:
-        """Node pair (i, j)'s record, i < j: its path fact keys in canonical
-        order and their read mask, the union of their noncollider and
-        collider-set masks.  The sweep's read; it checks no pair."""
+        """Node pair (i, j)'s record, i < j: its path fact keys as ``close``
+        grouped them, unsorted, and their read mask, the union of their
+        noncollider and collider-set masks.  The sweep's read; it checks no pair."""
         return self._by_pair[i, j]
 
     def _at(self, x: str, y: str) -> tuple[int, int]:
@@ -408,21 +408,25 @@ class Closure:
         prints and decides by.  Every conditioning mask lists the same facts,
         as the same objects.
 
-        Kept under the pair and the mask ANDed with the pair's read mask
-        (``pair_record``) and, on a miss, under the pair and the facts'
-        blocks; each (fact, block) entry is built once, so equal audits and
-        equal entries are one object.
+        The pair's first audit sorts its ``pair_record`` keys, once.  An
+        audit is kept under the pair and the mask ANDed with the pair's read
+        mask and, on a miss, under the pair and the facts' blocks; each
+        (fact, block) entry is built once, so equal audits and equal entries
+        are one object.
         """
         pair = self._at(x, y)
         keys, read = self.pair_record(*pair)
         audits = self._audits
         audit = audits.get((pair, conditioning & read))
         if audit is None:
-            blocks = tuple([_block(key, conditioning) for key in keys])
+            ordered = audits.get(pair)
+            if ordered is None:
+                ordered = audits[pair] = tuple(sorted(keys, key=_order(self._bits)))
+            blocks = tuple([_block(key, conditioning) for key in ordered])
             audit = audits.get((pair, blocks))
             if audit is None:
                 audit = audits[pair, blocks] = tuple(
-                    map(self._entries.__getitem__, zip(keys, blocks))
+                    map(self._entries.__getitem__, zip(ordered, blocks))
                 )
             audits[pair, conditioning & read] = audit
         return audit

@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from functools import reduce
-from itertools import groupby, permutations, product
 from operator import or_
 from typing import NamedTuple
 
@@ -52,9 +51,9 @@ __all__ = [
 
 
 # The most nodes an exhaustive sweep may enumerate: enumerate_dags(n)
-# canonicalizes 2^(n(n-1)/2) edge masks and the sweep checks every class
-# (5,984 at n=6; 243,668 classes of 2^21 masks at n=7), and no budget
-# bounds them.
+# scans 2^(n(n-1)/2) edge masks, marking each class whole, and the sweep
+# checks every class (5,984 at n=6; 243,668 classes of 2^21 masks at n=7),
+# and no budget bounds them.
 EXHAUSTIVE_MAX_NODES = 6
 DEFAULT_EXHAUSTIVE_NODES = 5
 
@@ -98,61 +97,68 @@ class SweepReport(NamedTuple):
         return not self.discrepancies
 
 
-def _canonical_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
-    """The least sorted edge list over the relabelings of an n-node DAG that
-    respect its node classes; isomorphic DAGs, and only they, share it.
+def _mark_class(n: int, edges, bit, marked: bytearray) -> None:
+    """Mark in ``marked`` every upper-triangular edge mask of the n-node
+    DAG's isomorphism class, ``bit[a][b]`` being edge (a, b)'s, a < b.
 
-    A node's class is its (in-degree, out-degree) with the sorted degrees of
-    its parents and of its children, which no isomorphism changes.  Classes
-    take consecutive labels in invariant order, so only permutations inside
-    each class are tried.
+    Each topological order relabels the DAG, its k-th node as k, into one
+    mask whose edges point forward, and every mask of the class arises so.
+    Twins, nodes with equal parents and equal children, are placed in index
+    order, which skips orders that give a mask already marked.
     """
     parents = [[] for _ in range(n)]
-    children = [[] for _ in range(n)]
+    children = [0] * n
     for i, j in edges:
-        children[i].append(j)
         parents[j].append(i)
-    degree = [(len(parents[v]), len(children[v])) for v in range(n)]
-    invariant = [
-        (degree[v], sorted(degree[p] for p in parents[v]), sorted(degree[c] for c in children[v]))
+        children[i] |= 1 << j
+    # A node is placed only after its parents and its lower-indexed twins.
+    need = [
+        sum([1 << p for p in parents[v]])
+        | sum([1 << u for u in range(v) if parents[u] == parents[v] and children[u] == children[v]])
         for v in range(n)
     ]
-    order = sorted(range(n), key=invariant.__getitem__)
-    classes = [tuple(members) for _, members in groupby(order, key=invariant.__getitem__)]
-    label = [0] * n
-    best = None
-    for choice in product(*map(permutations, classes)):
-        k = 0
-        for members in choice:
-            for v in members:
-                label[v] = k
-                k += 1
-        key = tuple(sorted((label[i], label[j]) for i, j in edges))
-        if best is None or key < best:
-            best = key
-    return best
+    position = [0] * n
+    full = (1 << n) - 1
+
+    def place(placed, k, mask):
+        if placed == full:
+            marked[mask] = 1
+            return
+        for v in range(n):
+            if not (placed >> v & 1 or need[v] & ~placed):
+                position[v] = k
+                place(placed | 1 << v, k + 1, mask | sum([bit[position[p]][k] for p in parents[v]]))
+
+    place(0, 0, 0)
 
 
 def enumerate_dags(n: int) -> list[CausalGraph]:
     """All DAGs on n nodes, one representative per isomorphism class.
 
     Every DAG relabels into one whose edges respect a fixed node order,
-    so scanning the upper-triangular edge masks covers every class;
-    the first mask of each class, by ``_canonical_edges``, is kept.
+    so scanning the upper-triangular edge masks in ascending order covers
+    every class.  The first mask of each class is kept, and ``_mark_class``
+    then marks the whole class in a table of 2^(n(n-1)/2) bytes, which the
+    scan skips with ``bytearray.find``.  The table caps n at 7 (2 MiB; 8
+    nodes would take 256 MiB), and a larger n raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one node")
+    if n > 7:
+        raise ValueError(f"enumerate_dags takes at most 7 nodes, not {n}")
     names = [chr(ord("A") + i) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen = set()
+    bit = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        bit[i][j] = 1 << k
+    marked = bytearray(1 << len(pairs))
     out = []
-    for mask in range(1 << len(pairs)):
+    mask = 0
+    while mask >= 0:
         edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        key = _canonical_edges(n, edges)
-        if key in seen:
-            continue
-        seen.add(key)
+        _mark_class(n, edges, bit, marked)
         out.append(CausalGraph(names, [(names[i], names[j]) for i, j in edges]))
+        mask = marked.find(0, mask + 1)
     return out
 
 
@@ -306,10 +312,11 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     The rules side is Condition 1, ``CausalGraph.edge_between``, and
     Condition 2, ``_block`` over the keys of ``Closure.pair_record``: the
     one mask test that a weakening verdict's ``Closure.audit`` also reads,
-    with no fact named.  The oracle side, defined above in this module, is
-    ``dsep_oracle`` over the rows ``_rows`` gives: one walk per source node
-    gives the rows of every pair from that node to a node above it, each
-    row a noncollider mask and the collider reaches, unpacked here.
+    with no fact named, on the record's unsorted keys: the decision asks
+    only whether some key is open.  The oracle side, defined above in this
+    module, is ``dsep_oracle`` over the rows ``_rows`` gives: one walk per
+    source node gives the rows of every pair from that node to a node above
+    it, each row a noncollider mask and the collider reaches, unpacked here.
 
     Both decisions read a conditioning mask only through its AND with the
     pair's ``read`` nodes: the record's read mask and the rows' masks.  So

@@ -12,6 +12,7 @@ it is compared with the name-level per-triple loop it replaces, also
 under faulty rules.
 """
 
+import hashlib
 import random
 from functools import cache, reduce
 from itertools import combinations
@@ -260,6 +261,40 @@ def test_an_agreeing_sweep_names_no_fact_and_counts_every_triple(monkeypatch):
     assert len(pair_facts(close(g), "A", "C")) == built == 1
 
 
+def test_the_sweep_sorts_no_pair_record(monkeypatch):
+    # The sweep asks only whether some key of a pair's record is open, so it
+    # reads the keys unsorted; an audit sorts its pair's keys into canonical
+    # order.  Each call of the canonical sort key is counted.
+    calls = 0
+    order = closure_module._order
+
+    def counted_order(bits):
+        key = order(bits)
+
+        def counted(k):
+            nonlocal calls
+            calls += 1
+            return key(k)
+
+        return counted
+
+    monkeypatch.setattr(closure_module, "_order", counted_order)
+    rng = random.Random(47)
+    graphs = [g for n in range(1, 6) for g in enumerate_dags(n)] + [
+        random_dag(rng, max_nodes=9, min_nodes=4, edge_prob=rng.uniform(0.2, 0.45))
+        for _ in range(60)
+    ]
+    for g in graphs:
+        check_graph_agreement(g)
+    assert calls == 0
+    # A diamond's ends share two path facts, which an audit lists in order.
+    g = CausalGraph("ABCD", [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
+    closure = close(g)
+    assert len(closure.pair_record(0, 3)[0]) == 2
+    closure.audit("A", "D", 0)
+    assert calls > 0
+
+
 def test_conditioning_sets_are_walked_in_ascending_subset_order(all_facts_open):
     # Every pair of a path graph has one path fact, which the patched rules
     # call open, so the routes disagree exactly where the oracle separates.
@@ -289,6 +324,44 @@ def test_node_masks_number_the_nodes_in_sorted_order():
         g.node_mask(["A", "Z"])
 
 
-def test_dag_classes_match_oeis_a003087():
+def test_dag_classes_are_refused_above_seven_nodes(monkeypatch):
+    # The marking table takes 2^(n(n-1)/2) bytes, 256 MiB at 8 nodes: the
+    # refusal comes before anything is allocated.
+    def refuse(size):
+        raise AssertionError(f"allocated {size} bytes")
+
+    monkeypatch.setattr(sweep, "bytearray", refuse, raising=False)
+    for n in (8, 9, 30):
+        with pytest.raises(ValueError, match="at most 7 nodes"):
+            enumerate_dags(n)
+    with pytest.raises(ValueError):
+        enumerate_dags(0)
+
+
+@pytest.fixture(scope="module")
+def dag_classes():
+    """``enumerate_dags(n)`` for n = 1..6, by n, enumerated once for the module."""
+    return {n: enumerate_dags(n) for n in range(1, 7)}
+
+
+def test_dag_classes_match_oeis_a003087(dag_classes):
     # Unlabeled DAGs on n nodes: 1, 2, 6, 31, 302, 5984 (Robinson 1973).
-    assert [len(enumerate_dags(n)) for n in range(1, 7)] == [1, 2, 6, 31, 302, 5984]
+    assert [len(dag_classes[n]) for n in range(1, 7)] == [1, 2, 6, 31, 302, 5984]
+
+
+# sha256 of enumerate_dags(n), each graph as its sorted edges and its node
+# names, one line per graph.
+DAG_CLASS_DIGESTS = {
+    5: "957566e64ed7ca99121c2e788114640dafc55bb0cd9a5f1c924e6638532322f5",
+    6: "164ca0fac8eddb2a9b4dddc22aced2e479136200c2bb4f0406453e57b00f5759",
+}
+
+
+@pytest.mark.parametrize("n", sorted(DAG_CLASS_DIGESTS))
+def test_dag_class_representatives_are_pinned(dag_classes, n):
+    # The same graphs in the same order, not only as many.
+    text = "\n".join(
+        ",".join(f"{a}>{b}" for a, b in sorted(g.edges)) + "|" + "".join(g.names)
+        for g in dag_classes[n]
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DAG_CLASS_DIGESTS[n]

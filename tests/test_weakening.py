@@ -192,6 +192,17 @@ def test_verdict_witnesses_replay(loan_closure):
             assert blocking_reason(verdict.witness_fact, ctx) is None
 
 
+def _canonical(keys):
+    """Path fact keys in the canonical order an audit lists their facts in:
+    endpoints, noncolliders, then the collider sets, each as ascending node
+    indices."""
+
+    def indices(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    return sorted(keys, key=lambda k: (k[0], k[1], indices(k[2]), [indices(c) for c in k[3]]))
+
+
 def test_verdicts_agree_with_oracle_on_exhaustive_family():
     for n in range(2, 5):
         for g in enumerate_dags(n):
@@ -203,8 +214,11 @@ def test_verdicts_agree_with_oracle_on_exhaustive_family():
                     for ctx in itertools.combinations(rest, r):
                         verdict = evaluate_conditions(closure, subject, target, frozenset(ctx))
                         # The audit a verdict decides by and the sweep's scan
-                        # of the pair's record leave the same facts open.
-                        keys = closure.pair_record(*sorted([g.index[subject], g.index[target]]))[0]
+                        # of the pair's record leave the same facts open; the
+                        # record is unsorted, the audit in canonical order.
+                        keys = _canonical(
+                            closure.pair_record(*sorted([g.index[subject], g.index[target]]))[0]
+                        )
                         mask = g.node_mask(ctx)
                         assert [reason is None for _, reason in verdict.blocked_facts] == [
                             _block(key, mask) is None for key in keys
