@@ -12,10 +12,10 @@ The engine reads the graph's one adjacency, ``CausalGraph.parents``,
 ``children`` and ``neighbors``: sorted tuples of node indices, which it
 neither translates nor rebuilds.  It decides on int node masks (bit i for
 ``CausalGraph.names[i]``, ``CausalGraph.node_mask``) with one test for
-Condition 2, ``_block``, on a fact's masks, which the agreement sweep
-applies to the unsorted keys of ``Closure.pair_record`` (the one read of
-a node pair's record by index) and ``Closure.audit`` (the one read by
-name, in canonical order: a verdict's decision and printed reasons) reads.
+Condition 2, ``_block``, on a fact's masks.  The agreement sweep applies
+it to the unsorted keys of ``Closure.pair_record``, built on each read,
+and ``Closure.audit``, a verdict's decision and printed reasons, to the
+same keys in canonical order.
 
 Every path fact is certified by a concrete simple undirected path.
 Transitivity* is applied only to certified paths that overlap in exactly
@@ -223,10 +223,6 @@ def _pair(x: str, y: str) -> tuple[str, str]:
     return (x, y) if x <= y else (y, x)
 
 
-# The record of a node pair with no path fact: no keys, nothing read.
-_NO_FACTS = ((), 0)
-
-
 class Closure:
     """The fixpoint of the six derivation rules over ``graph``, the graph it
     closes, or, for a closure restricted to node ``pairs``, the part of it
@@ -246,19 +242,18 @@ class Closure:
     ``derivations``, ``mediate``, ``paths`` or ``trace`` reads it first.  A
     memo's build reads the closure's data and the other memos, never the
     closure, so no reference cycle keeps a dropped closure alive.  A node
-    pair's record is keyed by its node indices (i, j), i < j, and built on
-    the pair's first read from the pair's fact keys, which ``close`` groups
-    by endpoints: the keys as grouped, unsorted, and their read mask, the
-    union of their masks.  The agreement sweep reads it by index,
-    ``pair_record``; the two name reads, ``audit`` (the pair's facts and
-    their blocks) and ``trace_between`` (the facts' trace records),
-    translate their names and read the same record, one memo for both.  A
-    pair's first ``audit`` sorts its keys into canonical order (index order
-    is name order, so the ints sort as the names do) and fills its audit
-    tables.  Condition 2 is one mask test, ``_block``: the sweep applies it
-    to a record's keys and names no fact, and ``audit`` words each key's
-    block as a ``BlockReason``.  Every name read raises UnknownVariable for
-    a name that is not a node and ValueError for a node paired with itself.
+    pair's record, keyed by its node indices (i, j), i < j, is its fact
+    keys as ``close`` grouped them by endpoints, unsorted, and their read
+    mask, the union of their masks; ``pair_record`` builds it on each read
+    and keeps nothing, since the sweep reads each pair once.  ``audit``
+    (the pair's facts and their blocks) reads it on the pair's first audit
+    and keeps its keys, sorted into canonical order (index order is name
+    order), and read mask in the pair's one audit table; ``trace_between``
+    (the facts' trace records) reads the grouped keys into its own memo.
+    Condition 2 is one mask test, ``_block``: the sweep applies it to a
+    record's keys and names no fact, and ``audit`` words each key's block
+    as a ``BlockReason``.  Every name read raises UnknownVariable for a
+    name that is not a node and ValueError for a node paired with itself.
     A fact is rendered to text only where it is printed.
 
     ``pairs`` is None for a whole closure, which ``paths`` and the agreement
@@ -274,8 +269,8 @@ class Closure:
     """
 
     __slots__ = (
-        "graph", "pairs", "_mediate", "_certifying", "_derived", "_trace", "_bits", "_named",
-        "_records", "_entries", "_audits", "_by_pair", "_traces",
+        "graph", "pairs", "_mediate", "_certifying", "_derived", "_trace", "_groups", "_bits",
+        "_named", "_records", "_entries", "_audits", "_traces",
     )
 
     def __init__(self, graph, mediate, certifying, derived, trace, groups, bits, pairs=None):
@@ -293,6 +288,8 @@ class Closure:
         # (rule, premises, conclusion key) per record; a premise is an edge
         # (source, target) or a fact key.
         self._trace: list[tuple] = trace
+        # (left, right) -> its path fact keys, in derivation order.
+        self._groups: dict[tuple[int, int], list[tuple]] = groups
 
         # Node mask -> its bit indices ascending (``close``'s), and -> its names.
         self._bits = bits
@@ -330,25 +327,14 @@ class Closure:
 
         # (key, block) -> (fact, reason), for every pair's audits.
         self._entries = _Memo(name_entry)
-        # The audit tables of every pair, filled on its first ``audit``:
-        # (i, j) -> the pair's keys in canonical order, and ((i, j),
-        # conditioning & read mask) or ((i, j), the keys' blocks) -> the
-        # audit.  An int never equals a tuple.
+        # Node pair (i, j), i < j -> its audit table, filled on the pair's
+        # first ``audit``: its keys in canonical order, their read mask, and
+        # conditioning & read mask, or the keys' blocks, -> the audit.  An
+        # int never equals a tuple.
         self._audits = {}
-
-        def read_pair(pair):
-            found = groups.get(pair)
-            if not found:
-                return _NO_FACTS
-            keys = tuple(found)
-            return keys, reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
-
-        # Node pair (i, j), i < j -> its record: the pair's path fact keys,
-        # unsorted, and the union of their noncollider and collider-set
-        # masks.  Every pair read, by name or by index, reads this one memo.
-        by_pair = self._by_pair = _Memo(read_pair)
+        # Node pair (i, j), i < j -> its facts' trace records, in trace order.
         self._traces = _Memo(
-            lambda pair: tuple(map(record, sorted([certifying[k][1] for k in by_pair[pair][0]])))
+            lambda pair: tuple(map(record, sorted([certifying[k][1] for k in groups.get(pair, ())])))
         )
 
     @property
@@ -371,8 +357,10 @@ class Closure:
     def pair_record(self, i: int, j: int) -> tuple[tuple[tuple, ...], int]:
         """Node pair (i, j)'s record, i < j: its path fact keys as ``close``
         grouped them, unsorted, and their read mask, the union of their
-        noncollider and collider-set masks.  The sweep's read; it checks no pair."""
-        return self._by_pair[i, j]
+        masks; ``((), 0)`` for no fact.  Built on each call and kept nowhere:
+        the sweep reads each pair once, ``audit`` once.  It checks no pair."""
+        keys = tuple(self._groups.get((i, j), ()))
+        return keys, reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
 
     def _at(self, x: str, y: str) -> tuple[int, int]:
         """The record key (i, j) of names x and y, with every name read's errors."""
@@ -408,27 +396,25 @@ class Closure:
         prints and decides by.  Every conditioning mask lists the same facts,
         as the same objects.
 
-        The pair's first audit sorts its ``pair_record`` keys, once.  An
-        audit is kept under the pair and the mask ANDed with the pair's read
-        mask and, on a miss, under the pair and the facts' blocks; each
-        (fact, block) entry is built once, so equal audits and equal entries
-        are one object.
+        The pair's first audit reads its ``pair_record``, once, and keeps
+        the keys, sorted, and their read mask in the pair's audit table.  An
+        audit is kept there under the mask ANDed with the read mask and, on
+        a miss, under the facts' blocks; each (fact, block) entry is built
+        once, so equal audits and equal entries are one object.
         """
         pair = self._at(x, y)
-        keys, read = self.pair_record(*pair)
-        audits = self._audits
-        audit = audits.get((pair, conditioning & read))
+        table = self._audits.get(pair)
+        if table is None:
+            keys, read = self.pair_record(*pair)
+            table = self._audits[pair] = (tuple(sorted(keys, key=_order(self._bits))), read, {})
+        ordered, read, audits = table
+        audit = audits.get(conditioning & read)
         if audit is None:
-            ordered = audits.get(pair)
-            if ordered is None:
-                ordered = audits[pair] = tuple(sorted(keys, key=_order(self._bits)))
             blocks = tuple([_block(key, conditioning) for key in ordered])
-            audit = audits.get((pair, blocks))
+            audit = audits.get(blocks)
             if audit is None:
-                audit = audits[pair, blocks] = tuple(
-                    map(self._entries.__getitem__, zip(ordered, blocks))
-                )
-            audits[pair, conditioning & read] = audit
+                audit = audits[blocks] = tuple(map(self._entries.__getitem__, zip(ordered, blocks)))
+            audits[conditioning & read] = audit
         return audit
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:

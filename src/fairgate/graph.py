@@ -168,7 +168,8 @@ def parse_graph(text: str) -> CausalGraph:
     """Parse the plain-text graph format.
 
     One item per line: ``A -> B`` declares an edge, ``node X`` declares an
-    isolated node, ``#`` starts a comment, blank lines are ignored.
+    isolated node, ``#`` starts a comment, blank lines are ignored.  Names
+    hold no ``->``, so a line that does is an edge, ``node -> X`` included.
     """
     nodes: list[str] = []
     edges: list[tuple[str, str]] = []
@@ -177,13 +178,13 @@ def parse_graph(text: str) -> CausalGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("node "):
-            names = (line[len("node "):].strip(),)
-            nodes.append(names[0])
-        elif "->" in line:
+        if "->" in line:
             left, _, right = line.partition("->")
             names = (left.strip(), right.strip())
             edges.append(names)
+        elif line.startswith("node "):
+            names = (line[len("node "):].strip(),)
+            nodes.append(names[0])
         else:
             raise InputError(
                 f"line {lineno}: expected 'A -> B', 'node X', comment or blank, got {line!r}"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from collections.abc import Iterator
 from functools import reduce
 from operator import or_
 from typing import NamedTuple
@@ -132,15 +133,16 @@ def _mark_class(n: int, edges, bit, marked: bytearray) -> None:
     place(0, 0, 0)
 
 
-def enumerate_dags(n: int) -> list[CausalGraph]:
-    """All DAGs on n nodes, one representative per isomorphism class.
+def enumerate_dags(n: int) -> Iterator[CausalGraph]:
+    """All DAGs on n nodes, yielded one per isomorphism class.
 
     Every DAG relabels into one whose edges respect a fixed node order,
     so scanning the upper-triangular edge masks in ascending order covers
-    every class.  The first mask of each class is kept, and ``_mark_class``
-    then marks the whole class in a table of 2^(n(n-1)/2) bytes, which the
-    scan skips with ``bytearray.find``.  The table caps n at 7 (2 MiB; 8
-    nodes would take 256 MiB), and a larger n raises ValueError.
+    every class.  The first mask of each class is yielded as a graph, and
+    ``_mark_class`` then marks the whole class in a table of 2^(n(n-1)/2)
+    bytes, which the scan skips with ``bytearray.find``.  The table caps n
+    at 7 (2 MiB; 8 nodes would take 256 MiB): a larger n, or one below 1,
+    raises ValueError at the call, before the table is allocated.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -151,15 +153,17 @@ def enumerate_dags(n: int) -> list[CausalGraph]:
     bit = [[0] * n for _ in range(n)]
     for k, (i, j) in enumerate(pairs):
         bit[i][j] = 1 << k
-    marked = bytearray(1 << len(pairs))
-    out = []
-    mask = 0
-    while mask >= 0:
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        _mark_class(n, edges, bit, marked)
-        out.append(CausalGraph(names, [(names[i], names[j]) for i, j in edges]))
-        mask = marked.find(0, mask + 1)
-    return out
+
+    def scan():
+        marked = bytearray(1 << len(pairs))
+        mask = 0
+        while mask >= 0:
+            edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
+            _mark_class(n, edges, bit, marked)
+            yield CausalGraph(names, [(names[i], names[j]) for i, j in edges])
+            mask = marked.find(0, mask + 1)
+
+    return scan()
 
 
 def random_dag(

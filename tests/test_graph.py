@@ -193,10 +193,11 @@ def test_parse_graph_format():
         node Isolated
         A -> B   # trailing comment
         B -> C
+        node -> X
         """
     )
-    assert g.nodes == {"Isolated", "A", "B", "C"}
-    assert g.edges == {("A", "B"), ("B", "C")}
+    assert g.nodes == {"Isolated", "A", "B", "C", "node", "X"}
+    assert g.edges == {("A", "B"), ("B", "C"), ("node", "X")}
 
 
 def test_parse_graph_errors_carry_line_numbers():

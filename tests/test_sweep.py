@@ -14,6 +14,7 @@ under faulty rules.
 
 import hashlib
 import random
+import tracemalloc
 from functools import cache, reduce
 from itertools import combinations
 from operator import or_
@@ -295,6 +296,49 @@ def test_the_sweep_sorts_no_pair_record(monkeypatch):
     assert calls > 0
 
 
+def test_the_sweep_keeps_no_pair_state():
+    # The sweep reads each pair's record once, by index: it names nothing and
+    # fills no audit table or trace memo of the closure it reads, and a
+    # record is built on each read, so none is kept to be read again.
+    rng = random.Random(53)
+    graphs = [g for n in range(1, 5) for g in enumerate_dags(n)] + [
+        random_dag(rng, max_nodes=8, min_nodes=4, edge_prob=0.35) for _ in range(20)
+    ]
+    for g in graphs:
+        closure = close(g)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sweep, "close", lambda _, fact_budget: closure)
+            check_graph_agreement(g)
+        memos = (closure._audits, closure._traces, closure._named, closure._records, closure._entries)
+        assert not any(memos), sorted(g.edges)
+    # A diamond's ends share two path facts: each read builds its own record.
+    g = CausalGraph("ABCD", [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")])
+    closure = close(g)
+    first, second = closure.pair_record(0, 3), closure.pair_record(0, 3)
+    assert len(first[0]) == 2 and first[1]
+    assert first == second and first is not second and first[0] is not second[0]
+    # A pair with no path fact reads no keys and no node.
+    assert close(CausalGraph("AB", [("A", "B")])).pair_record(0, 1) == ((), 0)
+
+
+def test_dag_classes_are_yielded_one_at_a_time():
+    # Iterating holds one graph and the marking table, not the whole family.
+    list(enumerate_dags(5))
+    tracemalloc.start()
+    try:
+        family = list(enumerate_dags(5))
+        held = tracemalloc.get_traced_memory()[0]
+        del family
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in enumerate_dags(5):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak * 4 < held, (peak, held)
+
+
 def test_conditioning_sets_are_walked_in_ascending_subset_order(all_facts_open):
     # Every pair of a path graph has one path fact, which the patched rules
     # call open, so the routes disagree exactly where the oracle separates.
@@ -341,7 +385,7 @@ def test_dag_classes_are_refused_above_seven_nodes(monkeypatch):
 @pytest.fixture(scope="module")
 def dag_classes():
     """``enumerate_dags(n)`` for n = 1..6, by n, enumerated once for the module."""
-    return {n: enumerate_dags(n) for n in range(1, 7)}
+    return {n: list(enumerate_dags(n)) for n in range(1, 7)}
 
 
 def test_dag_classes_match_oeis_a003087(dag_classes):
