@@ -27,12 +27,12 @@ along several paths can keep feeding compositions through each of them.
 a fact is its endpoints and node masks, and a trace entry names its rule,
 its premises (a premise is an edge (source, target) or a fact key) and its
 conclusion key.  One step of ``close``, ``derive``, makes each path fact,
-whether a window or Transitivity* concludes it, and keeps one key per
-derivation.  ``Closure`` builds its memos when it is built, and they name
-each fact, edge and trace record once, on its first read, so a verdict
-names only the node pair it reads.  A fact is rendered to text only where
-it is printed, by ``path_fact_text`` or ``mediate_text``, the one renderer
-of each notation, and an edge only where a trace is read.
+whether a window or Transitivity* concludes it, and keeps one key and one
+record per derivation.  ``Closure`` builds its memos when it is built, and
+they name each fact, edge and trace record once, on its first read, so a
+verdict names only the node pair it reads.  A fact is rendered to text
+only where it is printed, by ``path_fact_text`` or ``mediate_text``, the
+one renderer of each notation, and an edge only where a trace is read.
 
 ``close`` can also derive only what given node pairs can read: an x-y read
 uses only derivations that avoid x and y inside and whose path lies on
@@ -514,30 +514,29 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
 
     Nodes are ints (node i is ``g.names[i]``): Transitive cause and the
     windows read ``g.children`` and ``g.parents``, and ``_span`` reads
-    ``g.neighbors``, as they stand.  Every fact is an int key:
-    a mediate fact (source, target, intermediates mask), a path fact (left,
-    right, noncollider mask, collider-set masks), the last a tuple in
-    canonical order: ascending node-index tuples (``bits``), which is name
-    order.  Chain and Fork make ``()``, Collider ``(chain mask,)``, and
-    Transitivity* sorts its premises' two tuples together only when both
-    are non-empty; they share no set, since each junction node is interior
-    to one premise and a collider set holds its collider.  A trace entry is
-    (rule, premises, conclusion key), where a premise is an edge (source,
-    target) or a fact key.  No text, named fact or ``TraceRecord`` is built
-    here; ``Closure`` builds each on first read.  One inner step, ``derive``,
+    ``g.neighbors``, as they stand.  Facts and trace entries are the int
+    keys ``Closure`` describes; a path fact's collider-set masks are kept
+    in canonical order, ascending node-index tuples (``bits``), which is
+    name order.  Chain and Fork make ``()``, Collider ``(chain mask,)``,
+    and Transitivity* sorts its premises' two tuples together only when
+    both are non-empty; they share no set, since each junction node is
+    interior to one premise and a collider set holds its collider.  No
+    text, named fact or ``TraceRecord`` is built here; ``Closure`` builds
+    each on first read.  One inner step, ``derive``,
     makes every path fact: it orients a node-index path, drops a repeated
     (path, noncollider mask, collider-set masks) key, charges the budget,
     records a new fact's trace entry and appends its key to the fact's
-    (left, right) group, and indexes the derivation's two views, one per
-    direction of its path, by the path's first two nodes.  The Chain, Fork
-    and Collider windows call it with 3-node paths, the ``while pqueue``
-    loop with Transitivity* conclusions: each view of a popped derivation
-    glues to the indexed views that start with its last two nodes and meet
-    its node mask in exactly those two junction bits.  The rule's junction
-    condition needs no test: the index key makes each junction node an
-    interior node of both premises' paths, and every interior node of a
-    certified path is a noncollider or lies in a collider set.  The endpoint
-    exclusion is one AND against the views' collider-set masks.
+    (left, right) group, and keeps one record, (fact key, path, path mask,
+    collider-set union), in the buckets of both ends' first two nodes and
+    once in ``pqueue``.  The windows call it with 3-node paths, the ``while
+    pqueue`` loop with Transitivity* conclusions: a popped record glues
+    from its right end, then from its left end, to the records bucketed
+    under that end's last two nodes, each read from its end there, whose
+    paths meet its node mask in exactly those junction bits.  The rule's
+    junction condition needs no test: the bucket key makes each junction
+    node interior to both premises' paths, and every interior node of a
+    certified path is a noncollider or lies in a collider set.  The
+    endpoint exclusion is one AND against the records' collider-set unions.
     """
     budget = resolve_fact_budget(fact_budget)
     count = 0
@@ -590,21 +589,16 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     groups: dict[tuple[int, int], list[tuple]] = defaultdict(list)
     # One key per derivation: (oriented path, noncollider mask, collider-set masks).
     derived: set[tuple] = set()
-    # A view is one direction of a derivation's path:
-    # (fact key, path, path mask, noncollider mask, collider-set masks,
-    #  union of the collider-set masks).
+    # Two-node bucket -> the records (``derive``'s) with a path end there.
     by_first2: dict[tuple[int, int], list[tuple]] = defaultdict(list)
-    pqueue: deque[tuple[tuple, tuple]] = deque()
+    pqueue: deque[tuple] = deque()
 
-    def derive(path, mask, nc, cs, rule, premises):
+    def derive(path, mask, nc, cs, in_sets, rule, premises):
         if path[0] > path[-1]:
             path = path[::-1]
         key = (path, nc, cs)
         if key in derived:
             return
-        in_sets = 0
-        for s in cs:
-            in_sets |= s
         if pairs is not None:
             inside = nc | in_sets
             if all([inside & t or mask & outside for t, outside in targets]):
@@ -616,46 +610,48 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
             certifying[fact] = (path, len(trace))
             groups[path[0], path[-1]].append(fact)
             trace.append((rule, premises, fact))
-        forward = (fact, path, mask, nc, cs, in_sets)
-        backward = (fact, path[::-1], mask, nc, cs, in_sets)
-        by_first2[path[0], path[1]].append(forward)
-        by_first2[path[-1], path[-2]].append(backward)
-        pqueue.append((forward, backward))
+        record = (fact, path, mask, in_sets)
+        by_first2[path[0], path[1]].append(record)
+        by_first2[path[-1], path[-2]].append(record)
+        pqueue.append(record)
 
     # The windows: a 3-node path is a chain, a fork or a collider, and
     # distinct mediate facts carry distinct node sets, so none repeats.
     for y in range(len(names)):
         for x in parents[y]:
             for z in children[y]:
-                derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], (), "Chain",
+                derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], (), 0, "Chain",
                        ((x, y), (y, z)))
         for x, z in combinations(children[y], 2):
-            derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], (), "Fork",
+            derive((x, y, z), bit[x] | bit[y] | bit[z], bit[y], (), 0, "Fork",
                    ((y, x), (y, z)))
         for x, z in combinations(parents[y], 2):
             # No chain from y holds x or z, a parent of y: that would close a cycle.
             for chain in by_source[y]:
-                derive((x, y, z), bit[x] | bit[y] | bit[z], 0, (chain[2],),
+                derive((x, y, z), bit[x] | bit[y] | bit[z], 0, (chain[2],), chain[2],
                        "Collider", ((x, y), (z, y), chain))
 
     while pqueue:
-        forward, backward = pqueue.popleft()
-        # On the backward view the premises are listed as (partner, fact),
-        # the order of the same glue read left to right.
-        for (fact1, p1, mask1, nc1, cs1, in_sets1), is_backward in (
-            (forward, False), (backward, True)
-        ):
-            # The bucket is read as it stands before the view's glues run; a
+        fact1, path, mask1, in_sets1 = pqueue.popleft()
+        _, _, nc1, cs1 = fact1
+        # Glued from its right end, then from its left end on the reversed
+        # path, whose premises are listed (partner, fact), read left to right.
+        for p1, is_left in ((path, False), (path[::-1], True)):
+            # The bucket is read as it stands before this end's glues run; a
             # partner is kept only when the glued path stays simple.
-            junction = bit[p1[-2]] | bit[p1[-1]]
-            bucket = by_first2.get((p1[-2], p1[-1]), ())
-            partners = [o for o in bucket if o[2] & mask1 == junction]
-            for fact2, p2, mask2, nc2, cs2, in_sets2 in partners:
+            a, b = p1[-2], p1[-1]
+            junction = bit[a] | bit[b]
+            partners = [o for o in by_first2.get((a, b), ()) if o[2] & mask1 == junction]
+            for fact2, path2, mask2, in_sets2 in partners:
+                # Read from its end at a, its one end in this bucket.
+                tail, end = (path2[2:], path2[-1]) if path2[0] == a else (path2[-3::-1], path2[0])
                 # Conclusions whose collider sets would contain the new
                 # endpoints are not generated: conditioning sets exclude the
                 # tested endpoints.
-                if (in_sets1 | in_sets2) & (bit[p1[0]] | bit[p2[-1]]):
+                in_sets = in_sets1 | in_sets2
+                if in_sets & (bit[p1[0]] | bit[end]):
                     continue
+                _, _, nc2, cs2 = fact2
                 if not (cs1 and cs2):
                     cs = cs1 or cs2
                 elif len(cs1) + len(cs2) == 2:
@@ -663,8 +659,8 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
                     cs = cs1 + cs2 if rank(cs1[0]) <= rank(cs2[0]) else cs2 + cs1
                 else:
                     cs = tuple(sorted(cs1 + cs2, key=rank))
-                derive(p1 + p2[2:], mask1 | mask2, nc1 | nc2, cs, "Transitivity*",
-                       (fact2, fact1) if is_backward else (fact1, fact2))
+                derive(p1 + tail, mask1 | mask2, nc1 | nc2, cs, in_sets, "Transitivity*",
+                       (fact2, fact1) if is_left else (fact1, fact2))
 
     return Closure(g, mediate, certifying, derived, trace, groups, bits, pairs)
 

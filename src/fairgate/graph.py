@@ -73,34 +73,31 @@ class CausalGraph:
 
         for name in nodes:
             add(name)
-        edge_list = []
-        seen = set()
-        for edge in edges:
-            source, target = edge
+        edge_set = set()
+        for source, target in edges:
             add(source)
             add(target)
             if source == target:
                 raise SelfLoop(f"self-loop on {source!r}")
             pair = (source, target)
-            if pair in seen:
+            if pair in edge_set:
                 raise DuplicateEdge(f"edge {source} -> {target} given twice")
-            seen.add(pair)
-            edge_list.append(pair)
+            edge_set.add(pair)
 
         self.nodes: frozenset[str] = frozenset(node_set)
-        self.edges: frozenset[tuple[str, str]] = frozenset(edge_list)
+        self.edges: frozenset[tuple[str, str]] = frozenset(edge_set)
         self.names: tuple[str, ...] = tuple(sorted(node_set))
         self.index: dict[str, int] = {v: i for i, v in enumerate(self.names)}
         names, index = self.names, self.index
 
+        # Filled in index-pair order, each list arrives sorted.
         parents: list[list[int]] = [[] for _ in names]
         children: list[list[int]] = [[] for _ in names]
-        for source, target in edge_list:
-            s, t = index[source], index[target]
+        for s, t in sorted([(index[source], index[target]) for source, target in edge_set]):
             children[s].append(t)
             parents[t].append(s)
-        self.parents: tuple[tuple[int, ...], ...] = tuple([tuple(sorted(ps)) for ps in parents])
-        self.children: tuple[tuple[int, ...], ...] = tuple([tuple(sorted(cs)) for cs in children])
+        self.parents: tuple[tuple[int, ...], ...] = tuple(map(tuple, parents))
+        self.children: tuple[tuple[int, ...], ...] = tuple(map(tuple, children))
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
             [tuple(sorted(ps + cs)) for ps, cs in zip(parents, children)]
         )

@@ -144,10 +144,8 @@ def enumerate_dags(n: int) -> Iterator[CausalGraph]:
     at 7 (2 MiB; 8 nodes would take 256 MiB): a larger n, or one below 1,
     raises ValueError at the call, before the table is allocated.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    if n > 7:
-        raise ValueError(f"enumerate_dags takes at most 7 nodes, not {n}")
+    if not 1 <= n <= 7:
+        raise ValueError(f"enumerate_dags takes at least 1 and at most 7 nodes, not {n}")
     names = [chr(ord("A") + i) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bit = [[0] * n for _ in range(n)]
@@ -407,6 +405,8 @@ def exhaustive_sweep(
     max_nodes: int = DEFAULT_EXHAUSTIVE_NODES, fact_budget: int | None = None
 ) -> SweepReport:
     """Agreement over every DAG with up to max_nodes nodes, up to isomorphism."""
+    if not 1 <= max_nodes <= 7:  # the sizes enumerate_dags gives
+        raise ValueError(f"max_nodes must be between 1 and 7, got {max_nodes}")
     graphs = (g for n in range(1, max_nodes + 1) for g in enumerate_dags(n))
     return _sweep(
         graphs, fact_budget, mode="exhaustive", max_nodes=max_nodes, trials=None, seed=None,
@@ -422,6 +422,12 @@ def random_sweep(
     fact_budget: int | None = None,
 ) -> SweepReport:
     """Agreement over seeded random DAGs; identical seeds give identical reports."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if max_nodes < RANDOM_MIN_NODES:
+        raise ValueError(f"max_nodes must be at least {RANDOM_MIN_NODES}, got {max_nodes}")
+    if not 0 <= edge_prob <= 1:  # NaN fails both comparisons
+        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = random.Random(seed)
     graphs = (random_dag(rng, max_nodes=max_nodes, edge_prob=edge_prob) for _ in range(trials))
     return _sweep(

@@ -254,7 +254,9 @@ def test_no_module_imports_dataclasses(module):
             assert node.module != "dataclasses"
 
 
-@pytest.mark.parametrize("helper", ["_saturation.py", "_recount.py", "_blocking.py", "_graphs.py"])
+@pytest.mark.parametrize(
+    "helper", ["_saturation.py", "_recount.py", "_blocking.py", "_graphs.py", "_parity.py"]
+)
 def test_reference_helpers_import_only_public_names(helper):
     # A reference that imported the engine's private helpers would check
     # that code against itself.

@@ -382,6 +382,52 @@ def test_dag_classes_are_refused_above_seven_nodes(monkeypatch):
         enumerate_dags(0)
 
 
+def _no_graph_checked(monkeypatch):
+    def check(g, fact_budget=None):
+        raise AssertionError(f"checked a {len(g.nodes)}-node graph")
+
+    monkeypatch.setattr(sweep, "check_graph_agreement", check)
+
+
+@pytest.mark.parametrize("max_nodes", [0, -1, 8, 9])
+def test_an_exhaustive_sweep_refuses_a_size_before_its_first_graph(monkeypatch, max_nodes):
+    # Unchecked, 8 nodes would sweep every class on 1-7 nodes before
+    # enumerate_dags(8) refused, and 0 nodes would pass having checked nothing.
+    _no_graph_checked(monkeypatch)
+    with pytest.raises(ValueError, match=f"max_nodes must be between 1 and 7, got {max_nodes}"):
+        sweep.exhaustive_sweep(max_nodes=max_nodes)
+
+
+def test_an_exhaustive_sweep_still_takes_seven_nodes(monkeypatch):
+    # The opt-in every-class run on 7 nodes passes the check and starts sweeping.
+    _no_graph_checked(monkeypatch)
+    with pytest.raises(AssertionError, match="checked a 1-node graph"):
+        sweep.exhaustive_sweep(max_nodes=7)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"trials": 0}, "trials must be at least 1, got 0"),
+        ({"trials": -3}, "trials must be at least 1, got -3"),
+        ({"max_nodes": 3}, "max_nodes must be at least 4, got 3"),
+        ({"edge_prob": 2.0}, r"edge_prob must be in \[0, 1\], got 2.0"),
+        ({"edge_prob": -0.5}, r"edge_prob must be in \[0, 1\], got -0.5"),
+        ({"edge_prob": float("nan")}, r"edge_prob must be in \[0, 1\], got nan"),
+    ],
+    ids=["no-trials", "negative-trials", "three-nodes", "edge-prob-2", "negative-edge-prob",
+         "nan-edge-prob"],
+)
+def test_a_random_sweep_refuses_what_it_cannot_run_before_its_first_graph(
+    monkeypatch, settings, message
+):
+    # Unchecked, trials=0 would pass having checked nothing, max_nodes=3
+    # would leak randrange's "empty range", and edge_prob=2.0 would run.
+    _no_graph_checked(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        sweep.random_sweep(**{"trials": 5, "max_nodes": 6, **settings})
+
+
 @pytest.fixture(scope="module")
 def dag_classes():
     """``enumerate_dags(n)`` for n = 1..6, by n, enumerated once for the module."""
