@@ -359,7 +359,10 @@ class Closure:
         grouped them, unsorted, and their read mask, the union of their
         masks; ``((), 0)`` for no fact.  Built on each call and kept nowhere:
         the sweep reads each pair once, ``audit`` once.  It checks no pair."""
-        keys = tuple(self._groups.get((i, j), ()))
+        group = self._groups.get((i, j))
+        if not group:
+            return (), 0
+        keys = tuple(group)
         return keys, reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
 
     def _at(self, x: str, y: str) -> tuple[int, int]:

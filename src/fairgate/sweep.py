@@ -27,7 +27,8 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .closure import _block, _Memo, close
+from .closure import _block, _Memo, close, resolve_fact_budget
+from .errors import ResourceLimit
 from .graph import CausalGraph
 
 __all__ = [
@@ -325,26 +326,26 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
     each is made once per subset of ``read``, and a conditioning set takes
     the decisions of its projection onto ``read``.  A pair with no path
     fact and no row (so no edge) is independent by both routes under every
-    conditioning set and takes no decision.  The checks run still count
-    every (pair, conditioning set) triple.  Only a pair with a disagreeing
-    subset walks its conditioning sets in ascending order, to report each
-    whose projection disagreed; names are built only then.
+    conditioning set and takes no decision; a node with no neighbour ends
+    no path, so no walk starts from it, but its pairs still read their
+    records.  The checks run still count every (pair, conditioning set)
+    triple: n(n-1)/2 pairs of 2^(n-2) sets each.  Only a pair with a
+    disagreeing subset walks its conditioning sets in ascending order, to
+    report each whose projection disagreed; names are built only then.
     """
     closure = close(g, fact_budget=fact_budget)
     skeleton = _skeleton(g)
     n = len(g.names)
     everything = (1 << n) - 1
     discrepancies = []
-    checks = 0
     for i in range(n - 1):
-        rows_from = _rows(skeleton, i)
+        rows_from = _rows(skeleton, i) if g.neighbors[i] else {}
         for j in range(i + 1, n):
             keys, read = closure.pair_record(i, j)
             rows = rows_from.get(j, ())
-            rest = everything & ~(1 << i | 1 << j)
-            checks += 1 << rest.bit_count()
             if not (keys or rows):
                 continue
+            rest = everything & ~(1 << i | 1 << j)
             nonadjacent = g.edge_between(i, j) is None
             for noncolliders, colliders in rows:
                 read |= reduce(or_, colliders, noncolliders)
@@ -386,14 +387,20 @@ def check_graph_agreement(g: CausalGraph, fact_budget: int | None = None):
                 cond = (cond - rest) & rest
                 if not cond:
                     break
-    return discrepancies, checks
+    return discrepancies, n * (n - 1) // 2 << max(n - 2, 0)
 
 
 def _sweep(graphs, fact_budget: int | None, **settings) -> SweepReport:
-    """Agreement over each graph in turn, reported with the sweep's settings."""
+    """Agreement over each graph in turn, reported with the sweep's settings.
+    The fact budget is resolved once, before the first graph; a graph that
+    exceeds it is named in the ResourceLimit by its place in the sweep."""
+    budget = resolve_fact_budget(fact_budget)
     discrepancies, count, checks = [], 0, 0
     for count, g in enumerate(graphs, 1):
-        found, ran = check_graph_agreement(g, fact_budget=fact_budget)
+        try:
+            found, ran = check_graph_agreement(g, fact_budget=budget)
+        except ResourceLimit as exc:
+            raise ResourceLimit(f"{exc}: graph {count} of the sweep, after {count - 1} checked") from None
         discrepancies.extend(found)
         checks += ran
     return SweepReport(

@@ -18,6 +18,11 @@ every answer prints the same lines on both.  It reads public names only.
   and at half, each where it is positive.
 - ``graphs``: each graph's names, edges and index adjacency, and the
   error class and message, or the adjacency, for seeded faulty inputs.
+- ``oracle``: each graph's ``check_graph_agreement``, its discrepancies
+  and checks, and every pair's ``pair_record`` of its whole closure, the
+  keys sorted; then the ``sweep_report_to_json`` of ``exhaustive_sweep(4)``
+  and of a 32-trial ``random_sweep`` on up to 7 nodes at edge probability
+  0.2 for seeds 1, 2 and 3.
 
 The family is every DAG on at most 5 nodes, 120 seeded random DAGs on
 6-9 nodes and three dense 10-node DAGs; ``--quick`` keeps the DAGs on at
@@ -44,7 +49,13 @@ if __name__ == "__main__":
 from fairgate.closure import close, closure_dump, trace_record_json  # noqa: E402
 from fairgate.errors import FairgateError, ResourceLimit  # noqa: E402
 from fairgate.graph import CausalGraph  # noqa: E402
-from fairgate.sweep import enumerate_dags  # noqa: E402
+from fairgate.sweep import (  # noqa: E402
+    check_graph_agreement,
+    enumerate_dags,
+    exhaustive_sweep,
+    random_sweep,
+    sweep_report_to_json,
+)
 
 # The dense 10-node DAGs of tests/test_closure_bytes.py.
 DENSE_N10 = [
@@ -118,6 +129,15 @@ def read_closure(g: CausalGraph, closure, pairs) -> dict:
     }
 
 
+def pair_records(g: CausalGraph, closure) -> list:
+    """Every pair's record of a whole closure, its keys sorted."""
+    return [
+        [i, j, sorted(keys), read]
+        for (i, j) in combinations(range(len(g.names)), 2)
+        for keys, read in [closure.pair_record(i, j)]
+    ]
+
+
 def outcome(g: CausalGraph, budget: int, pairs) -> str:
     try:
         closure = close(g, fact_budget=budget, pairs=pairs)
@@ -166,13 +186,14 @@ def digest(items) -> str:
 
 def main(quick: bool) -> None:
     graphs = family(quick)
-    closures, budgets = [], []
+    closures, budgets, oracle = [], [], []
     for seed, g in enumerate(graphs):
         for pairs in [None, *pair_sets(g, seed)]:
             closure = close(g, pairs=pairs)
             if pairs is None:
                 read = read_closure(g, closure, combinations(g.names, 2))
                 closures.append([closure_dump(closure), read])
+                oracle.append([check_graph_agreement(g), pair_records(g, closure)])
             else:
                 closures.append([pairs, read_closure(g, closure, pairs)])
             need = len(closure.mediate) + len(closure.derivations())
@@ -187,6 +208,9 @@ def main(quick: bool) -> None:
     print(f"budgets  {len(budgets)} closures at exact, exact - 1 and half: {digest(budgets)}")
     print(f"graphs   {len(graphs)} graphs, {len(faults)} faulty inputs: "
           f"{digest([*map(adjacency, graphs), *faults])}")
+    sweeps = [exhaustive_sweep(4), *(random_sweep(32, 7, seed, 0.2) for seed in (1, 2, 3))]
+    oracle.extend(map(sweep_report_to_json, sweeps))
+    print(f"oracle   {len(graphs)} graphs, {len(sweeps)} sweeps: {digest(oracle)}")
 
 
 if __name__ == "__main__":

@@ -8,14 +8,17 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fairgate
+from fairgate import closure as closure_module
 from fairgate.cli import _json_pieces, main
+from fairgate.closure import close
 from fairgate.fairness import fraction_str
-from fairgate.sweep import random_dag
+from fairgate.sweep import enumerate_dags, random_dag, random_sweep
 
 from _golden import GOLDEN_COMMANDS
 
@@ -435,6 +438,47 @@ def test_fact_budget_env(capsys, data_dir, monkeypatch):
     code, _, err = run(capsys, ["paths", "--graph", str(data_dir / "loan.cg")])
     assert code == 2
     assert "FAIRGATE_FACT_BUDGET" in err
+
+
+def test_fact_budget_env_bounds_the_oracle_sweep(capsys, monkeypatch):
+    monkeypatch.setenv("FAIRGATE_FACT_BUDGET", "soon")
+    code, out, err = run(capsys, ["oracle", "--max-nodes", "3"])
+    assert (code, out) == (2, "")
+    assert "FAIRGATE_FACT_BUDGET" in err
+    monkeypatch.setenv("FAIRGATE_FACT_BUDGET", "3")
+    code, out, err = run(capsys, ["oracle", "--max-nodes", "3"])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit: fact budget of 3 exceeded")
+
+
+def test_a_sweep_reads_the_fact_budget_variable_once(monkeypatch):
+    # The sweep resolves its budget before the first graph and hands each
+    # graph's close the number, so the environment is read once per sweep.
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(closure_module, "os", SimpleNamespace(environ=Environ(os.environ)))
+    random_sweep(32, 7, 3, 0.2)
+    assert reads == ["FAIRGATE_FACT_BUDGET"]
+
+
+def test_an_oracle_sweep_out_of_budget_says_how_far_it_got(capsys):
+    # The 1-based place of the first graph, in the exhaustive sweep's order,
+    # whose whole closure takes more than 3 facts.
+    graphs = [g for n in range(1, 4) for g in enumerate_dags(n)]
+    needs = [len(c.mediate) + len(c.derivations()) for c in map(close, graphs)]
+    place = next(k for k, need in enumerate(needs, 1) if need > 3)
+    assert place > 1
+    code, out, err = run(capsys, ["oracle", "--max-nodes", "3", "--fact-budget", "3"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: fact budget of 3 exceeded while closing the graph:"
+        f" graph {place} of the sweep, after {place - 1} checked\n"
+    )
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

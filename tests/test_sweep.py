@@ -196,12 +196,35 @@ def _record_with_stray_noncollider(closure, i, j):
     return tuple((left, right, nc | stray, cs) for left, right, nc, cs in keys), read | stray
 
 
+def _component(g, i):
+    """The nodes a skeleton path joins to node i, i included, as a mask,
+    read from ``g.edges`` alone."""
+    seen = 1 << i
+    frontier = [g.names[i]]
+    while frontier:
+        v = frontier.pop()
+        for a, b in g.edges:
+            w = b if a == v else a if b == v else None
+            if w is not None and not seen >> g.index[w] & 1:
+                seen |= 1 << g.index[w]
+                frontier.append(w)
+    return seen
+
+
+@cache
+def _record_with_open_fact_across_components(closure, i, j):
+    if _component(closure.graph, i) >> j & 1:
+        return PAIR_RECORD(closure, i, j)
+    return ((i, j, 0, ()),), 0
+
+
 # What each fault replaces: Condition 2's mask test, or the pair record
-# that the sweep reads by index and Closure.audit by name.  The last two
+# that the sweep reads by index and Closure.audit by name.  The last three
 # model a wrong closure, which keeps one record per pair, so the record's
 # read mask changes with its keys: one loses every fact with a collider
-# (the oracle then reads nodes the facts do not), the other adds a
-# noncollider to every fact that no path of the pair holds.
+# (the oracle then reads nodes the facts do not), one adds a noncollider
+# to every fact that no path of the pair holds, and one adds an open fact
+# to every pair that no path joins.
 FAULTS = {
     "none": {},
     "all_facts_open": None,  # the conftest fixture
@@ -209,6 +232,10 @@ FAULTS = {
     "one_noncollider_never_open": {"_block": _one_noncollider_facts_never_open},
     "collider_facts_lost": {"pair_record": _record_without_collider_facts},
     "stray_noncollider": {"pair_record": _record_with_stray_noncollider},
+    # A wrong closure that derives one open fact, with no noncollider and no
+    # collider set, for every pair that no skeleton path joins: the pairs
+    # of an isolated node among them, from which the oracle walks no path.
+    "open_fact_across_components": {"pair_record": _record_with_open_fact_across_components},
 }
 
 
