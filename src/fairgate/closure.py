@@ -219,10 +219,6 @@ class _Memo(dict):
         return value
 
 
-def _pair(x: str, y: str) -> tuple[str, str]:
-    return (x, y) if x <= y else (y, x)
-
-
 class Closure:
     """The fixpoint of the six derivation rules over ``graph``, the graph it
     closes, or, for a closure restricted to node ``pairs``, the part of it
@@ -246,15 +242,15 @@ class Closure:
     keys as ``close`` grouped them by endpoints, unsorted, and their read
     mask, the union of their masks; ``pair_record`` builds it on each read
     and keeps nothing, since the sweep reads each pair once.  ``audit``
-    (the pair's facts and their blocks) reads it on the pair's first audit
-    and keeps its keys, sorted into canonical order (index order is name
-    order), and read mask in the pair's one audit table; ``trace_between``
-    (the facts' trace records) reads the grouped keys into its own memo.
-    Condition 2 is one mask test, ``_block``: the sweep applies it to a
-    record's keys and names no fact, and ``audit`` words each key's block
-    as a ``BlockReason``.  Every name read raises UnknownVariable for a
-    name that is not a node and ValueError for a node paired with itself.
-    A fact is rendered to text only where it is printed.
+    (the pair's facts and their blocks) reads its keys on the pair's first
+    audit and keeps them, sorted into canonical order (index order is name
+    order), in the pair's one audit table, with the audits keyed by the
+    keys' blocks; ``trace_between`` (the facts' trace records) reads the
+    grouped keys into its own memo.  Condition 2 is one mask test,
+    ``_block``: the sweep applies it to a record's keys and names no fact,
+    and ``audit`` words each key's block as a ``BlockReason``.  Every name
+    read checks its pair by ``CausalGraph.pair_index``, and a fact is
+    rendered to text only where it is printed.
 
     ``pairs`` is None for a whole closure, which ``paths`` and the agreement
     sweep read.  A restricted closure, which ``weaken``, ``if`` and
@@ -328,9 +324,8 @@ class Closure:
         # (key, block) -> (fact, reason), for every pair's audits.
         self._entries = _Memo(name_entry)
         # Node pair (i, j), i < j -> its audit table, filled on the pair's
-        # first ``audit``: its keys in canonical order, their read mask, and
-        # conditioning & read mask, or the keys' blocks, -> the audit.  An
-        # int never equals a tuple.
+        # first ``audit``: its keys in canonical order, and the keys' blocks
+        # -> the audit.
         self._audits = {}
         # Node pair (i, j), i < j -> its facts' trace records, in trace order.
         self._traces = _Memo(
@@ -366,18 +361,13 @@ class Closure:
         return keys, reduce(or_, [reduce(or_, key[3], key[2]) for key in keys], 0)
 
     def _at(self, x: str, y: str) -> tuple[int, int]:
-        """The record key (i, j) of names x and y, with every name read's errors."""
-        pair = _pair(x, y)
-        i, j = map(self.graph.index.get, pair)
-        if i is None or j is None:
-            self.graph.require_node(x)
-            self.graph.require_node(y)
-        if i == j:
-            raise ValueError("path endpoints must differ")
-        pairs = self.pairs
-        if pairs is not None and pair not in pairs:
+        """The record key (i, j) of names x and y, by ``CausalGraph.pair_index``;
+        a restricted closure also refuses a pair it was not closed for."""
+        i, j = self.graph.pair_index(x, y)
+        pair = self.graph.names[i], self.graph.names[j]
+        if self.pairs is not None and pair not in self.pairs:
             raise ValueError(
-                f"this closure was restricted to the node pairs {sorted(pairs)};"
+                f"this closure was restricted to the node pairs {sorted(self.pairs)};"
                 f" it cannot read {pair}"
             )
         return i, j
@@ -400,24 +390,20 @@ class Closure:
         as the same objects.
 
         The pair's first audit reads its ``pair_record``, once, and keeps
-        the keys, sorted, and their read mask in the pair's audit table.  An
-        audit is kept there under the mask ANDed with the read mask and, on
-        a miss, under the facts' blocks; each (fact, block) entry is built
-        once, so equal audits and equal entries are one object.
+        the keys, sorted, in the pair's audit table.  Each audit is kept
+        there under one key, the keys' blocks, and each (fact, block) entry
+        is built once, so equal audits and equal entries are one object.
         """
         pair = self._at(x, y)
         table = self._audits.get(pair)
         if table is None:
-            keys, read = self.pair_record(*pair)
-            table = self._audits[pair] = (tuple(sorted(keys, key=_order(self._bits))), read, {})
-        ordered, read, audits = table
-        audit = audits.get(conditioning & read)
+            keys, _ = self.pair_record(*pair)
+            table = self._audits[pair] = (tuple(sorted(keys, key=_order(self._bits))), {})
+        ordered, audits = table
+        blocks = tuple([_block(key, conditioning) for key in ordered])
+        audit = audits.get(blocks)
         if audit is None:
-            blocks = tuple([_block(key, conditioning) for key in ordered])
-            audit = audits.get(blocks)
-            if audit is None:
-                audit = audits[blocks] = tuple(map(self._entries.__getitem__, zip(ordered, blocks)))
-            audits[conditioning & read] = audit
+            audit = audits[blocks] = tuple(map(self._entries.__getitem__, zip(ordered, blocks)))
         return audit
 
     def derivations(self) -> frozenset[tuple[PathFact, tuple[str, ...]]]:
@@ -511,9 +497,9 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
     kept derivations in their whole-closure order, and each x-y fact keeps
     its first derivation and its place among the pair's trace records.
     Mediate facts are not restricted.  The returned ``Closure`` answers
-    pair reads for the requested pairs only.  A pair that names a node
-    twice raises ValueError, as a pair read does, before anything is
-    derived.
+    pair reads for the requested pairs only.  ``CausalGraph.pair_index``
+    resolves the pairs in the order given, before anything is derived, so
+    the first faulty pair raises, as a pair read would.
 
     Nodes are ints (node i is ``g.names[i]``): Transitive cause and the
     windows read ``g.children`` and ``g.parents``, and ``_span`` reads
@@ -552,18 +538,18 @@ def close(g: CausalGraph, *, fact_budget: int | None = None, pairs=None) -> Clos
             raise ResourceLimit(f"fact budget of {budget} exceeded while closing the graph")
 
     # Nodes are numbered in sorted order, so comparing indices compares names.
-    names, index = g.names, g.index
+    names = g.names
     bit = [1 << i for i in range(len(names))]
     # Node mask -> its bit indices ascending, by which collider sets are ordered.
     bits = _Memo(lambda mask: tuple([i for i in range(mask.bit_length()) if mask >> i & 1]))
     rank = bits.__getitem__
     parents, children = g.parents, g.children
     if pairs is not None:
-        pairs = frozenset([_pair(x, y) for x, y in pairs])
+        # Resolved in the order given, so the first faulty pair is the one reported.
+        at = dict.fromkeys([g.pair_index(x, y) for x, y in pairs])
+        pairs = frozenset([(names[i], names[j]) for i, j in at])
         # Per requested pair, its node mask and the complement of its span.
-        targets = [(g.node_mask(p), ~_span(g.neighbors, index[p[0]], index[p[1]])) for p in pairs]
-        if any(x == y for x, y in pairs):
-            raise ValueError("path endpoints must differ")
+        targets = [(bit[i] | bit[j], ~_span(g.neighbors, i, j)) for i, j in at]
 
     # Mediate fact keys (source, target, intermediates mask), in derivation order.
     mediate: dict[tuple[int, int, int], None] = {}

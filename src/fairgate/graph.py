@@ -129,6 +129,19 @@ class CausalGraph:
         if name not in self.nodes:
             raise UnknownVariable(f"variable {name!r} is not a node of the graph")
 
+    def pair_index(self, x: str, y: str) -> tuple[int, int]:
+        """The node indices (i, j), i < j, of names x and y: every pair read's
+        one check.  ``require_node``'s UnknownVariable for the first unknown
+        name given; ValueError for a node paired with itself."""
+        index = self.index
+        i, j = index.get(x), index.get(y)
+        if i is None or j is None:
+            self.require_node(x)
+            self.require_node(y)
+        if i == j:
+            raise ValueError("path endpoints must differ")
+        return (i, j) if i < j else (j, i)
+
     def edge_between(self, i: int, j: int) -> tuple[str, str] | None:
         """The edge between nodes ``names[i]`` and ``names[j]``, i's out-edge
         first, or None: Condition 1 by index, for ``check_condition1`` and the sweep."""
@@ -142,11 +155,10 @@ class CausalGraph:
         """The int with bit i set for each given name that is ``names[i]``:
         the node numbering every int node mask uses."""
         mask = 0
-        try:
-            for name in names:
-                mask |= 1 << self.index[name]
-        except KeyError as exc:
-            raise UnknownVariable(f"variable {exc.args[0]!r} is not a node of the graph") from None
+        for name in names:
+            if name not in self.index:
+                self.require_node(name)
+            mask |= 1 << self.index[name]
         return mask
 
     def __eq__(self, other) -> bool:

@@ -272,13 +272,10 @@ def enumerate_classified_paths(g: CausalGraph, x: str, y: str):
 
     Returns tuples (path, noncolliders, colliders) in a deterministic
     order.  A direct edge contributes a path with no interior nodes.
-    Raises UnknownVariable for a name that is not a node and ValueError
-    for a node paired with itself.
+    ``CausalGraph.pair_index`` checks the pair: UnknownVariable for the
+    first name that is not a node, ValueError for a node paired with itself.
     """
-    g.require_node(x)
-    g.require_node(y)
-    if x == y:
-        raise ValueError("path endpoints must differ")
+    g.pair_index(x, y)
     j = g.index[y]
     names = g.names
     return tuple(

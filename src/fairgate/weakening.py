@@ -70,11 +70,10 @@ def check_condition1(g: CausalGraph, subject: str, target: str):
     """No immediate edge either way between subject and target.
 
     Returns (ok, offending edge or None), from ``CausalGraph.edge_between``,
-    which the agreement sweep reads by node index.
+    which the agreement sweep reads by node index.  ``CausalGraph.pair_index``
+    checks the pair, as it does for every pair read.
     """
-    for name in (subject, target):
-        g.require_node(name)
-    edge = g.edge_between(g.index[subject], g.index[target])
+    edge = g.edge_between(*g.pair_index(subject, target))
     return edge is None, edge
 
 

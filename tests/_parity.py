@@ -23,21 +23,40 @@ every answer prints the same lines on both.  It reads public names only.
   keys sorted; then the ``sweep_report_to_json`` of ``exhaustive_sweep(4)``
   and of a 32-trial ``random_sweep`` on up to 7 nodes at edge probability
   0.2 for seeds 1, 2 and 3.
+- ``reports``: ``fairgate.cli.main`` run in process, its standard output
+  and error captured, on the golden commands (over a copy of
+  ``tests/data``), seeded ``paths``, ``weaken``, ``if --graph`` and
+  ``intersect --graph`` command lines on graphs of the family written to
+  files, two ``oracle`` sweeps, one call that exits 2 and one that exits
+  3: each command line, exit code, standard output and standard error.
+- ``datasets``: ``Dataset.from_csv`` over seeded CSV texts (repeated rows,
+  CRLF line ends, quoted fields, a field spanning two lines, a byte-order
+  mark, blank and whitespace-only lines, a lone carriage return, ragged
+  rows, reserved characters, invalid UTF-8, an empty file): the columns,
+  rows and target, or the error class and message.
 
 The family is every DAG on at most 5 nodes, 120 seeded random DAGs on
 6-9 nodes and three dense 10-node DAGs; ``--quick`` keeps the DAGs on at
-most 4 nodes and 8 random ones on 6-7 nodes.
+most 4 nodes and 8 random ones on 6-7 nodes, and fewer report commands
+and dataset texts.  The temporary directory the files are written to is
+replaced by a fixed token wherever it is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import random
+import shutil
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
+
+from _golden import GOLDEN_COMMANDS
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -46,8 +65,10 @@ if __name__ == "__main__":
     ARGS = parser.parse_args()
     sys.path.insert(0, str(Path(ARGS.tree, "src").resolve()))
 
+from fairgate.cli import main as fairgate_main  # noqa: E402
 from fairgate.closure import close, closure_dump, trace_record_json  # noqa: E402
 from fairgate.errors import FairgateError, ResourceLimit  # noqa: E402
+from fairgate.fairness import Dataset  # noqa: E402
 from fairgate.graph import CausalGraph  # noqa: E402
 from fairgate.sweep import (  # noqa: E402
     check_graph_agreement,
@@ -176,6 +197,132 @@ def faulty_inputs(count: int):
         yield names, edges
 
 
+DATA = Path(__file__).resolve().parent / "data"
+# What the temporary directory is printed as.
+TMP = "<tmp>"
+
+
+def graph_text(g: CausalGraph) -> str:
+    """The graph in the plain-text format: every node, then every edge."""
+    return "".join([f"node {v}\n" for v in g.names] + [f"{s} -> {t}\n" for s, t in sorted(g.edges)])
+
+
+def report_argvs(graphs: list[CausalGraph], tmp: Path, quick: bool) -> list[list[str]]:
+    """The golden commands over a copy of the data directory, four seeded
+    graph commands per sampled graph of the family, two oracle sweeps, a
+    ``weaken`` whose attribution names the target (exit 2) and a ``paths``
+    over its fact budget (exit 3)."""
+    data = tmp / "data"
+    shutil.copytree(DATA, data)
+    argvs = [build(data) for _, build in GOLDEN_COMMANDS]
+    rng = random.Random(37)
+    for k, g in enumerate(rng.sample([g for g in graphs if len(g.names) >= 4], 4 if quick else 24)):
+        cg, jdg = tmp / f"g{k}.cg", tmp / f"g{k}.jdg"
+        cg.write_text(graph_text(g), encoding="utf-8")
+        target, subject, *rest = rng.sample(g.names, len(g.names))
+        items = ", ".join(f"{v}=v{rng.randint(0, 2)}" for v in rest[: rng.randint(0, 2)])
+        jdg.write_text(f"{items} => {target}=yes @ 0.{rng.randint(10, 99)}\n", encoding="utf-8")
+        protected = ",".join([subject, *rest[: rng.randint(1, 2)]])
+        form = ["--format", rng.choice(["json", "text"])]
+        cg, jdg = str(cg), str(jdg)
+        argvs += [
+            ["paths", "--graph", cg, *form],
+            ["weaken", "--graph", cg, "--judgment", jdg, "--attr", f"{subject}=v1", *form],
+            ["if", "--graph", cg, "--target", target, "--protected", subject, *form],
+            ["intersect", "--graph", cg, "--target", target, "--protected", protected, *form],
+        ]
+    loan, judgment = str(data / "loan.cg"), str(data / "loan.jdg")
+    return argvs + [
+        ["oracle", "--max-nodes", "3"],
+        ["oracle", "--trials", "8", "--max-nodes", "6", "--seed", "5"],
+        ["weaken", "--graph", loan, "--judgment", judgment, "--attr", "Loan=yes"],
+        ["paths", "--graph", loan, "--fact-budget", "1"],
+    ]
+
+
+def run_report(argv: list[str], tmp: Path) -> list:
+    """One command run in process: its argv, exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = fairgate_main(argv)
+    return [[a.replace(str(tmp), TMP) for a in argv], code,
+            out.getvalue().replace(str(tmp), TMP), err.getvalue().replace(str(tmp), TMP)]
+
+
+def dataset_texts(seed: int) -> list[tuple[str, bytes]]:
+    """Seeded CSV texts of one small table, each spelled one way."""
+    rng = random.Random(seed)
+    columns = [f"a{i}" for i in range(1, rng.randint(2, 4))] + ["t"]
+    distinct = [[f"v{rng.randint(0, 3)}" for _ in columns] for _ in range(rng.randint(1, 4))]
+    rows = [rng.choice(distinct) for _ in range(rng.randint(1, 12))]
+    lines = [",".join(columns), *map(",".join, rows)]
+
+    def text(lines, end="\n"):
+        return end.join(lines) + end
+
+    def quoted(cells):
+        return ",".join(f'"{c}"' for c in cells)
+
+    def inserted(lines, extra):
+        lines = list(lines)
+        for line in extra:
+            lines.insert(rng.randint(1, len(lines)), line)
+        return lines
+
+    blanks = [rng.choice(["", " ", "\t "]) for _ in range(3)]
+    qlines = [quoted(columns), *map(quoted, rows)]
+    cell = rng.randrange(len(columns))
+    # The first data row's chosen cell holds a line break inside its quotes.
+    first = [c + "\n" if i == cell else c for i, c in enumerate(rows[0])]
+    spanning = [qlines[0], quoted(first), *qlines[2:]]
+    reserved = [list(r) for r in rows]
+    reserved[rng.randrange(len(rows))][cell] = rng.choice(["x=1", "a:b", "p@q", "u+v"])
+    ragged = [list(r) for r in rows]
+    if rng.random() < 0.5:
+        ragged[rng.randrange(len(rows))].append("v9")
+    else:
+        ragged[-1].pop()
+    spaced = [",".join(f" {c} " for c in r) for r in rows]
+    body = text(lines).encode()
+    at = rng.randint(len(lines[0]) + 1, len(body))
+    texts = [
+        ("unquoted", text(lines)),
+        ("no final line end", "\n".join(lines)),
+        ("crlf", text(lines, "\r\n")),
+        ("quoted", text(qlines)),
+        ("quoted crlf", text(qlines, "\r\n")),
+        ("spanning", text(spanning)),
+        ("bom", "\ufeff" + text(lines, rng.choice(["\n", "\r\n"]))),
+        ("blank lines", text(inserted(lines, blanks))),
+        ("blank lines quoted", text(inserted(qlines, blanks))),
+        ("padded cells", text([lines[0], *spaced])),
+        ("lone carriage return", text(lines[:1]) + "\r".join(lines[1:]) + "\n"),
+        ("ragged", text([lines[0], *map(",".join, ragged)])),
+        ("reserved", text([lines[0], *map(",".join, reserved)])),
+        ("no target column", text([",".join(columns[:-1]), *(",".join(r[:-1]) for r in rows)])),
+        ("whitespace only", text(blanks)),
+        ("empty", ""),
+    ]
+    encoded = [(kind, t.encode("utf-8")) for kind, t in texts]
+    return [*encoded, ("undecodable", body[:at] + b"\xff" + body[at:])]
+
+
+def load_datasets(tmp: Path, quick: bool) -> list:
+    """Each text loaded by ``Dataset.from_csv`` with target ``t``: its columns,
+    rows and target, or its error class and message."""
+    loaded = []
+    path = tmp / "table.csv"
+    for seed in range(2 if quick else 12):
+        for kind, body in dataset_texts(seed):
+            path.write_bytes(body)
+            try:
+                d = Dataset.from_csv(path, "t")
+                loaded.append([seed, kind, d.columns, d.rows, d.target_column])
+            except FairgateError as exc:
+                loaded.append([seed, kind, type(exc).__name__, str(exc).replace(str(tmp), TMP)])
+    return loaded
+
+
 def digest(items) -> str:
     h = hashlib.sha256()
     for item in items:
@@ -211,6 +358,14 @@ def main(quick: bool) -> None:
     sweeps = [exhaustive_sweep(4), *(random_sweep(32, 7, seed, 0.2) for seed in (1, 2, 3))]
     oracle.extend(map(sweep_report_to_json, sweeps))
     print(f"oracle   {len(graphs)} graphs, {len(sweeps)} sweeps: {digest(oracle)}")
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        reports = [run_report(argv, tmp) for argv in report_argvs(graphs, tmp, quick)]
+        codes = "/".join(str(sum(r[1] == c for r in reports)) for c in range(5))
+        print(f"reports  {len(reports)} commands, exit 0/1/2/3/4 {codes}: {digest(reports)}")
+        datasets = load_datasets(tmp, quick)
+        failed = sum(len(d) == 4 for d in datasets)
+        print(f"datasets {len(datasets)} texts, {failed} refused: {digest(datasets)}")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ def test_the_quick_parity_run_prints_every_section():
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["closures", "budgets", "graphs", "oracle"]
+    assert [line.split()[0] for line in lines] == [
+        "closures", "budgets", "graphs", "oracle", "reports", "datasets"
+    ]
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}", line.rsplit(": ", 1)[1]), line

@@ -86,9 +86,9 @@ def test_mask_decisions_equal_set_decisions(family):
 def test_decisions_read_the_conditioning_set_only_through_the_read_masks(family):
     # The sweep decides each pair once per subset of these masks: the
     # projection is exact only if neither decision reads another bit.  The
-    # mask test is applied to the record's keys directly: Closure.audit
-    # keeps its audits under the conditioning mask ANDed with the read
-    # mask, so two audits would be equal whatever the test read.
+    # mask test is applied to the record's keys directly, as the sweep
+    # applies it: Closure.audit keeps its audits by the keys' blocks, a
+    # table this test need not go through.
     block = closure_module._block
     for g in FAMILIES[family]():
         closure = close(g)
